@@ -1,11 +1,11 @@
-"""Serving throughput benchmark: engine (batching + workers) vs naive per-request.
+"""Serving throughput benchmark: engine (batching) vs naive per-request.
 
 Acceptance benchmark for `repro.serving`: the same request stream is served
 
 * **naively** — one synchronous `CompiledPipeline.infer` call per request, the
   way the experiment scripts would; and
 * **through the engine** — concurrent submission into the dynamic micro-batch
-  queue with patch-parallel workers.
+  queue.
 
 Recorded numbers: requests/sec plus p50/p99 per-request latency for both
 paths.  Batching amortizes the per-call Python/dispatch overhead across the
@@ -68,9 +68,7 @@ def _naive_serve(compiled, xs: np.ndarray) -> TelemetryRecorder:
 
 
 def _engine_serve(compiled, xs: np.ndarray) -> TelemetryRecorder:
-    with InferenceEngine(
-        compiled, max_batch_size=8, batch_timeout_s=0.002, parallel_patches=True
-    ) as engine:
+    with InferenceEngine(compiled, max_batch_size=8, batch_timeout_s=0.002) as engine:
         futures = [engine.submit(xs[i]) for i in range(len(xs))]
         for future in futures:
             future.result(timeout=120)
@@ -102,6 +100,6 @@ def test_bench_serving_engine_vs_naive(bench_once):
         )
 
     assert naive.num_requests == engine.num_requests == NUM_REQUESTS
-    # Acceptance: batching + worker pool beats naive per-request execution.
+    # Acceptance: batching beats naive per-request execution.
     assert engine.requests_per_second > naive.requests_per_second
     assert engine.mean_batch_size > 1.0

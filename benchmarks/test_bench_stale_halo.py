@@ -1,8 +1,8 @@
 """Stale-halo pipeline benchmark: displaced vs blocking halo exchange.
 
 Acceptance benchmark for the displaced schedule
-(:class:`repro.distributed.PipelineParallelScheduler` with
-``halo_mode="displaced"``): on a link-bound cluster the stale tier's
+(:class:`repro.distributed.PipelineParallelScheduler` under a ``displaced``
+or ``stale_halo`` policy): on a link-bound cluster the stale tier's
 pipelined makespan must beat the blocking halo exchange at every cluster
 size of four devices and beyond, and the verify-and-patch execution must be
 bit-identical to sequential (the runner itself refuses to produce a

@@ -53,8 +53,8 @@ class ScratchArena:
     The vectorized backend executes the same per-group buffer shapes on every
     call, so allocating them once and reusing them removes per-inference
     allocation from the hot path.  Buffers are **thread-local**: concurrent
-    chunks dispatched by the patch-parallel executor each get their own set,
-    so no synchronization (and no sharing hazard) exists between workers.
+    shards run by the simulated device workers each get their own set, so no
+    synchronization (and no sharing hazard) exists between workers.
 
     Buffers come back *uninitialized* — callers own the content invariants
     (the vectorized backend re-zeroes halo margins explicitly each call).

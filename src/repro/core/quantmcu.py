@@ -526,8 +526,8 @@ class QuantMCUPipeline:
 
         The hooks are what turn a plain :class:`PatchExecutor` into the
         quantized QuantMCU execution; exposing them separately lets other
-        executors over the same plan (e.g. the patch-parallel executor of
-        :mod:`repro.serving`) apply an identical quantization.
+        executors over the same plan (e.g. the distributed executor of
+        :mod:`repro.distributed`) apply an identical quantization.
         """
         ranges = result.activation_ranges
 

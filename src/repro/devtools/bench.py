@@ -281,6 +281,7 @@ def run_stale_halo_bench(
         make_cluster,
     )
     from ..models import build_model
+    from ..runtime import ExecutionPolicy
 
     rng = np.random.default_rng(0)
     model = build_model(
@@ -305,10 +306,10 @@ def run_stale_halo_bench(
         assignment = ShardPlanner(cluster).plan_shards(plan).assignment()
         blocking = estimate_cluster_latency(plan, assignment, cluster)
         verify = estimate_displaced_cluster_latency(
-            plan, assignment, cluster, accuracy_mode="verify_patch"
+            plan, assignment, cluster, tier="displaced"
         )
         stale = estimate_displaced_cluster_latency(
-            plan, assignment, cluster, accuracy_mode="stale_halo"
+            plan, assignment, cluster, tier="stale_halo"
         )
         row = {
             "devices": num_devices,
@@ -335,7 +336,7 @@ def run_stale_halo_bench(
     slow_assignment = ShardPlanner(slow_cluster).plan_shards(plan).assignment()
     slow_blocking = estimate_cluster_latency(plan, slow_assignment, slow_cluster)
     slow_verify = estimate_displaced_cluster_latency(
-        plan, slow_assignment, slow_cluster, accuracy_mode="verify_patch"
+        plan, slow_assignment, slow_cluster, tier="displaced"
     )
 
     # Real displaced execution on 4 devices: verify-and-patch must match
@@ -359,7 +360,7 @@ def run_stale_halo_bench(
         ) as executor:
             reference = [executor.forward(x) for x in batches]
             verify_sched = PipelineParallelScheduler(
-                executor, halo_mode="displaced", accuracy_mode="verify_patch"
+                executor, policy=ExecutionPolicy(tier="displaced")
             )
             started = time.perf_counter()
             outputs = verify_sched.run(batches)
@@ -373,9 +374,7 @@ def run_stale_halo_bench(
             total = sum(r.total_branches for r in verify_sched.rounds if r.displaced)
             stale_sched = PipelineParallelScheduler(
                 executor,
-                halo_mode="displaced",
-                accuracy_mode="stale_halo",
-                drift_sample_every=2,
+                policy=ExecutionPolicy(tier="stale_halo", drift_sample_every=2),
             )
             started = time.perf_counter()
             stale_sched.run(batches)

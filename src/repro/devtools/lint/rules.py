@@ -9,7 +9,7 @@ REP001    No module-level / shared default RNG in library code.  The
           (deflaked in PR 3).  Inject ``np.random.Generator`` instead.
 REP002    No bare ``Lock.acquire()``/``release()`` — a raised exception
           between the pair leaves the lock held forever.  Use ``with``.
-REP003    Closeable resources (thread pools, parallel/distributed
+REP003    Closeable resources (thread pools, distributed
           executors, device shards) must have an ownership path to
           ``close()``: the compile-race of PR 1's ``PipelineCache`` leaked
           whole worker pools because the losing pipeline of a concurrent
@@ -78,7 +78,6 @@ _CLOSEABLE_CTORS = {
     "multiprocessing.Pool",
     "ThreadPoolExecutor",
     "ProcessPoolExecutor",
-    "ParallelPatchExecutor",
     "DistributedExecutor",
     "DeviceShard",
     "InferenceEngine",

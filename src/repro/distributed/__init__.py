@@ -10,7 +10,7 @@ cluster and scales serving beyond one device:
 * :class:`DeviceShard` — one simulated device: a serial worker executing its
   shard's branches (:mod:`repro.distributed.workers`);
 * :class:`DistributedExecutor` — runs a shard plan on a pool of device
-  workers, bit-identical to sequential and single-node parallel execution
+  workers, bit-identical to sequential execution
   (:mod:`repro.distributed.executor`);
 * :class:`PipelineParallelScheduler` — overlaps the distributed patch stage
   of micro-batch ``k+1`` with the head device's suffix of micro-batch ``k``,

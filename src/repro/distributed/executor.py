@@ -7,11 +7,10 @@ serially on its own :class:`~repro.distributed.workers.DeviceShard` worker
 (devices run concurrently), the head stitches the returned tiles into the
 split feature map and runs the layer-by-layer suffix.
 
-The result is **bit-identical** to both the sequential
-:class:`~repro.patch.executor.PatchExecutor` and the single-node
-:class:`~repro.serving.parallel.ParallelPatchExecutor`: sharding only changes
-*where* a branch runs, never what it computes, and the stitched tiles are
-disjoint so assignment and completion order cannot affect the result.
+The result is **bit-identical** to the sequential
+:class:`~repro.patch.executor.PatchExecutor`: sharding only changes *where* a
+branch runs, never what it computes, and the stitched tiles are disjoint so
+assignment and completion order cannot affect the result.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ class DisplacedSubmission:
     """In-flight state of one displaced patch round.
 
     ``displaced`` holds one future per device computing the round on the
-    stale composite; in verify-and-patch mode ``corrections`` holds one
+    stale composite; in the ``displaced`` tier ``corrections`` holds one
     future per device recomputing (at full shape, on the fresh frame) just
     the branches whose halo content changed — their rim elements get spliced
     over the displaced tiles at stitch time.  ``corrected_branch_ids`` is the
@@ -171,7 +170,7 @@ class DistributedExecutor(PatchExecutor):
     def _run_patch_stage(self, x: np.ndarray) -> np.ndarray:
         if self.num_devices <= 1:
             # A one-device cluster degenerates to sequential execution; skip
-            # the worker machinery exactly like the single-worker parallel path.
+            # the worker machinery.
             return super()._run_patch_stage(x)
         return self._stitch(x, self._submit_patch_stage(x))
 
@@ -183,18 +182,23 @@ class DistributedExecutor(PatchExecutor):
         return self._stale_geometry
 
     def _submit_displaced_stage(
-        self, x: np.ndarray, stale: np.ndarray, accuracy_mode: str = "verify_patch"
+        self, x: np.ndarray, stale: np.ndarray, tier: str = "displaced"
     ) -> DisplacedSubmission:
         """Fan out one displaced round: every device starts from ``stale``
         (the previous micro-batch's frame) with only its owned input regions
         refreshed from ``x``.
 
-        In ``verify_patch`` mode a correction pass is also submitted for the
+        In the ``displaced`` tier a correction pass is also submitted for the
         branches whose halo bytes actually changed between the two frames;
         branches with unchanged halos compute on a composite equal to the
         fresh frame over their whole input region, so their displaced tiles
-        are already exact and skip the correction.
+        are already exact and skip the correction.  Only the ``stale_halo``
+        tier skips corrections; any other value is rejected.
         """
+        if tier not in ("displaced", "stale_halo"):
+            raise ValueError(
+                f"displaced rounds serve tier 'displaced' or 'stale_halo', got {tier!r}"
+            )
         geometry = self.stale_geometry()
         workers = self._ensure_workers()
         displaced = [
@@ -206,7 +210,7 @@ class DistributedExecutor(PatchExecutor):
             )
             for worker in workers
         ]
-        if accuracy_mode != "verify_patch":
+        if tier == "stale_halo":
             return DisplacedSubmission(displaced=displaced)
         corrections = []
         corrected: list[int] = []
@@ -298,7 +302,7 @@ class DistributedExecutor(PatchExecutor):
         self,
         config: QuantizationConfig | None = None,
         branch_configs: list[QuantizationConfig] | None = None,
-        accuracy_mode: str = "verify_patch",
+        tier: str = "displaced",
         corrected_branch_ids: list[int] | None = None,
     ) -> ClusterLatencyBreakdown:
         """Displaced-schedule latency model of this executor's assignment."""
@@ -308,7 +312,7 @@ class DistributedExecutor(PatchExecutor):
             self.cluster,
             config=config if config is not None else self.config,
             branch_configs=branch_configs,
-            accuracy_mode=accuracy_mode,
+            tier=tier,
             corrected_branch_ids=corrected_branch_ids,
             geometry=self.stale_geometry(),
         )

@@ -26,6 +26,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..hardware.cluster import ClusterLatencyBreakdown
+from ..runtime.policy import ExecutionPolicy
 from .executor import DisplacedSubmission, DistributedExecutor
 
 __all__ = [
@@ -35,9 +36,6 @@ __all__ = [
     "StageSlot",
     "pipeline_timeline",
 ]
-
-HALO_MODES = ("fresh", "displaced")
-ACCURACY_MODES = ("verify_patch", "stale_halo")
 
 
 @dataclass(frozen=True)
@@ -133,32 +131,21 @@ class PipelineParallelScheduler:
         the classic double-buffering depth — one batch in the workers, one in
         the suffix — and bounds the simulated per-device memory to one extra
         input.
-    halo_mode:
-        ``"fresh"`` (default) blocks on fresh halo exchange every round, as
-        before.  ``"displaced"`` lets micro-batch ``k``'s round start from
-        micro-batch ``k-1``'s frame with only the owned input regions
+    policy:
+        An :class:`~repro.runtime.ExecutionPolicy` whose freshness tier picks
+        the schedule.  ``exact`` (the default) blocks on fresh halo exchange
+        every round.  The other two tiers let micro-batch ``k``'s round start
+        from micro-batch ``k-1``'s frame with only the owned input regions
         refreshed (PipeFusion-style stale halos); the first micro-batch, and
         any whose shape differs from its predecessor, falls back to a fresh
-        round.
-    accuracy_mode:
-        Only meaningful with ``halo_mode="displaced"``.  ``"verify_patch"``
-        (default) recomputes the halo-dependent rim of every branch whose
-        halo content changed and splices it in — outputs stay bit-identical
-        to ``[executor.forward(x) for x in batches]``.  ``"stale_halo"``
-        skips the correction: an explicit approximate tier whose deviation is
-        observable via drift sampling.
-    drift_sample_every:
-        In ``stale_halo`` mode, compare every Nth displaced micro-batch
-        against the exact path and append a :class:`DriftSample` to
-        :attr:`drift_samples` (0 disables sampling).
-    policy:
-        Alternative to the three mode keywords: an
-        :class:`~repro.runtime.ExecutionPolicy` whose freshness tier maps
-        onto the schedule — ``exact`` → fresh halos, ``displaced`` →
-        displaced rounds with verify-and-patch (bit-identical), and
-        ``stale_halo`` → displaced rounds served stale with the policy's
-        drift sampling.  Mutually exclusive with explicit
-        ``halo_mode``/``accuracy_mode``/``drift_sample_every`` values.
+        round.  ``displaced`` recomputes the halo-dependent rim of every
+        branch whose halo content changed and splices it in — outputs stay
+        bit-identical to ``[executor.forward(x) for x in batches]``.
+        ``stale_halo`` skips the correction: an explicit approximate tier
+        whose deviation is observable via drift sampling — every
+        ``policy.drift_sample_every``-th displaced micro-batch is compared
+        against the exact path and appended to :attr:`drift_samples` (0
+        disables sampling).  Placement and backend are the executor's own.
 
     After (or during) a run, :attr:`rounds` records each micro-batch's halo
     version and correction count; both it and :attr:`drift_samples` are reset
@@ -170,48 +157,20 @@ class PipelineParallelScheduler:
         self,
         executor: DistributedExecutor,
         max_in_flight: int = 2,
-        halo_mode: str = "fresh",
-        accuracy_mode: str = "verify_patch",
-        drift_sample_every: int = 0,
-        policy=None,
+        policy: ExecutionPolicy | None = None,
     ) -> None:
-        if policy is not None:
-            if (halo_mode, accuracy_mode, drift_sample_every) != (
-                "fresh",
-                "verify_patch",
-                0,
-            ):
-                raise ValueError(
-                    "pass either policy= or the halo_mode/accuracy_mode/"
-                    "drift_sample_every keywords, not both"
-                )
-            if policy.tier == "displaced":
-                halo_mode, accuracy_mode = "displaced", "verify_patch"
-            elif policy.tier == "stale_halo":
-                halo_mode, accuracy_mode = "displaced", "stale_halo"
-                drift_sample_every = policy.drift_sample_every
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
-        if halo_mode not in HALO_MODES:
-            raise ValueError(f"halo_mode must be one of {HALO_MODES}, got {halo_mode!r}")
-        if accuracy_mode not in ACCURACY_MODES:
-            raise ValueError(
-                f"accuracy_mode must be one of {ACCURACY_MODES}, got {accuracy_mode!r}"
-            )
-        if drift_sample_every < 0:
-            raise ValueError("drift_sample_every must be >= 0")
         self.executor = executor
         self.max_in_flight = max_in_flight
-        self.halo_mode = halo_mode
-        self.accuracy_mode = accuracy_mode
-        self.drift_sample_every = drift_sample_every
+        self.policy = policy if policy is not None else ExecutionPolicy()
         self.rounds: list[RoundRecord] = []
         self.drift_samples: list[DriftSample] = []
 
     def run_iter(self, batches: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
         """Yield outputs for ``batches`` in order, with pipelined overlap."""
         executor = self.executor
-        displaced_mode = self.halo_mode == "displaced"
+        displaced_mode = self.policy.tier != "exact"
         num_branches = executor.plan.num_branches
         self.rounds = []
         self.drift_samples = []
@@ -223,7 +182,7 @@ class PipelineParallelScheduler:
                 x = np.asarray(x, dtype=np.float32)
                 if displaced_mode and prev is not None and prev.shape == x.shape:
                     submission = executor._submit_displaced_stage(
-                        x, prev, self.accuracy_mode
+                        x, prev, self.policy.tier
                     )
                     item = _InFlight(
                         microbatch=k,
@@ -280,11 +239,12 @@ class PipelineParallelScheduler:
             stitched = executor._stitch(item.x, item.fresh_futures)
         out = executor._run_suffix(item.x, stitched)
         self.rounds.append(item.record)
+        every = self.policy.drift_sample_every
         if (
             item.record.displaced
-            and self.accuracy_mode == "stale_halo"
-            and self.drift_sample_every > 0
-            and item.microbatch % self.drift_sample_every == 0
+            and self.policy.tier == "stale_halo"
+            and every > 0
+            and item.microbatch % every == 0
         ):
             exact = executor.forward(item.x)
             delta = out - exact

@@ -9,8 +9,8 @@ makespan and the simulated wall clock comparable in shape.
 
 The computation itself goes through the owning executor's in-process compute
 backend (or its per-branch ``run_branch`` reference): every branch performs
-the exact same floating-point operations it would under sequential or
-patch-parallel execution, so device sharding cannot change any result bit.
+the exact same floating-point operations it would under sequential
+execution, so device sharding cannot change any result bit.
 """
 
 from __future__ import annotations

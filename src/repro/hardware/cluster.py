@@ -293,7 +293,7 @@ def estimate_displaced_cluster_latency(
     cluster: ClusterSpec,
     config: QuantizationConfig | None = None,
     branch_configs: list[QuantizationConfig] | None = None,
-    accuracy_mode: str = "verify_patch",
+    tier: str = "displaced",
     corrected_branch_ids: list[int] | None = None,
     geometry: dict[int, StaleGeometry] | None = None,
 ) -> ClusterLatencyBreakdown:
@@ -306,12 +306,12 @@ def estimate_displaced_cluster_latency(
     the round's compute; only their spill past the compute time —
     ``max(0, halo_transfer - compute)`` — can lengthen the stage.
 
-    ``accuracy_mode="verify_patch"`` additionally charges each corrected
+    The ``displaced`` tier additionally charges each corrected
     branch its rim sub-branches (the elements whose receptive field touches
     the halo, recomputed once fresh halos arrive).  ``corrected_branch_ids``
     restricts the correction to branches whose halo content actually changed
-    (``None`` means all of them — the content-independent worst case);
-    ``accuracy_mode="stale_halo"`` skips the correction entirely.
+    (``None`` means all of them — the content-independent worst case); the
+    ``stale_halo`` tier skips the correction entirely.
 
     The head device owns the fresh input, so its branches pay neither
     transfers nor rim corrections; at one device the estimate coincides with
@@ -321,8 +321,8 @@ def estimate_displaced_cluster_latency(
         raise ValueError(
             f"assignment covers {len(assignment)} devices, cluster has {cluster.num_devices}"
         )
-    if accuracy_mode not in ("verify_patch", "stale_halo"):
-        raise ValueError(f"unknown accuracy_mode {accuracy_mode!r}")
+    if tier not in ("displaced", "stale_halo"):
+        raise ValueError(f"unknown displaced tier {tier!r}")
     config = config if config is not None else QuantizationConfig.uniform(8)
     geometry = geometry if geometry is not None else plan_stale_geometry(plan)
     corrected = (
@@ -345,7 +345,7 @@ def estimate_displaced_cluster_latency(
             branch_config = _branch_config(branch_id)
             ops.extend(branch_op_costs(plan, branch_id, branch_config))
             needs_rim = (
-                accuracy_mode == "verify_patch"
+                tier == "displaced"
                 and not is_head
                 and (corrected is None or branch_id in corrected)
             )

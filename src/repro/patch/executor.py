@@ -235,7 +235,7 @@ class PatchExecutor:
 
         This is the independent unit of patch-stage work: branches share no
         intermediate state (each recomputes its halo), so callers — notably
-        the patch-parallel executor in :mod:`repro.serving` — may run branches
+        the device shards of :mod:`repro.distributed` — may run branches
         concurrently and stitch the returned tiles in any order.  The returned
         array has shape ``(N, C, tile.height, tile.width)`` where ``tile`` is
         ``branch.output_region``.

@@ -5,11 +5,8 @@
 *with which resources* (pools, fork workers, shared memory):
 
 * :class:`ExecutionPolicy` — a single validated, immutable description of
-  how to execute: placement (:func:`local` | :func:`threads` |
-  :func:`cluster`), kernel backend, freshness tier — replacing the scattered
-  ``parallel_patches``/``cluster``/``backend``/``accuracy_mode`` keyword
-  plumbing (kept as deprecated shims through
-  :meth:`ExecutionPolicy.resolve`).
+  how to execute: placement (:func:`local` | :func:`cluster`), kernel
+  backend, freshness tier.
 * :class:`Runtime` — a shared, thread-safe resource registry owning thread
   pools, fork pools and shared-memory segments, handing out leased handles
   so executors stop privately constructing pools.  Two engines given one
@@ -28,7 +25,6 @@ from .policy import (
     Placement,
     cluster,
     local,
-    threads,
 )
 from .resources import Runtime, RuntimeClosed, RuntimeStats, ThreadPoolLease, attach_segment
 
@@ -44,5 +40,4 @@ __all__ = [
     "attach_segment",
     "cluster",
     "local",
-    "threads",
 ]

@@ -1,18 +1,11 @@
 """Execution policies: one validated description of *how* to execute.
 
-Before this module existed, every layer of the execution stack grew its own
-configuration surface: ``InferenceEngine`` juggled mutually exclusive
-``parallel_patches``/``cluster`` knobs, ``CompiledPipeline.infer`` took
-``parallel``/``max_workers``/``cluster``, streams took
-``accuracy_mode``/``max_stale_frames``/``drift_sample_every`` strings, and
-backend selection was split between ``backend=`` arguments and the
-``REPRO_BACKEND`` environment variable.  :class:`ExecutionPolicy` folds all of
-that into one immutable value with three orthogonal axes:
+:class:`ExecutionPolicy` is the single spelling every execution entry point
+takes (``policy=``): one immutable value with three orthogonal axes.
 
 placement
-    *Where* branches run: :func:`local` (the calling thread),
-    :func:`threads` (the patch-parallel worker pool), or :func:`cluster`
-    (sharded across simulated devices).
+    *Where* branches run: :func:`local` (the calling thread) or
+    :func:`cluster` (sharded across simulated devices).
 backend
     *How* a branch chunk is computed: ``loop`` | ``vectorized`` |
     ``multiprocess`` (see :mod:`repro.backend`); ``None`` defers to the
@@ -24,17 +17,13 @@ tier
     ``stale_halo`` (the explicit approximate tier with bounded per-branch
     staleness and drift sampling).
 
-:meth:`ExecutionPolicy.resolve` is the single mapper from the legacy keyword
-surface onto policies — every invalid-combination check (e.g. the historical
-``parallel_patches`` × ``cluster`` ValueError from ``serving/engine.py``)
-lives here and nowhere else.
+To change one axis of an existing policy, use :func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..hardware.cluster import ClusterSpec
 
@@ -45,24 +34,18 @@ __all__ = [
     "Placement",
     "cluster",
     "local",
-    "threads",
 ]
 
-PLACEMENT_KINDS = ("local", "threads", "cluster")
+PLACEMENT_KINDS = ("local", "cluster")
 FRESHNESS_TIERS = ("exact", "displaced", "stale_halo")
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit value, so the
-#: legacy shims warn only when a caller actually used the old surface.
-_UNSET = object()
 
 
 @dataclass(frozen=True)
 class Placement:
     """Where branch work runs; build one with :func:`local` /
-    :func:`threads` / :func:`cluster` rather than directly."""
+    :func:`cluster` rather than directly."""
 
     kind: str = "local"
-    max_workers: int | None = None
     cluster: ClusterSpec | None = None
 
     def __post_init__(self) -> None:
@@ -79,28 +62,18 @@ class Placement:
                 )
         elif self.cluster is not None:
             raise ValueError(f"{self.kind!r} placement does not take a cluster")
-        if self.max_workers is not None:
-            if self.kind != "threads":
-                raise ValueError(f"{self.kind!r} placement does not take max_workers")
-            if self.max_workers < 1:
-                raise ValueError("max_workers must be >= 1")
 
     @property
     def cache_key(self) -> tuple:
         """Hashable identity for executor caches."""
         if self.kind == "cluster":
             return ("cluster", self.cluster.cache_key)
-        return (self.kind, self.max_workers)
+        return (self.kind,)
 
 
 def local() -> Placement:
     """Run branches sequentially on the calling thread."""
     return Placement("local")
-
-
-def threads(max_workers: int | None = None) -> Placement:
-    """Run branch chunks on the patch-parallel worker pool."""
-    return Placement("threads", max_workers=max_workers)
 
 
 def cluster(spec: ClusterSpec) -> Placement:
@@ -146,128 +119,8 @@ class ExecutionPolicy:
         if self.max_stale_frames is not None and self.max_stale_frames < 0:
             raise ValueError("max_stale_frames must be >= 0 (or None for unbounded)")
 
-    # ------------------------------------------------------------- resolution
     def resolved_backend(self) -> str:
         """The backend name after ``REPRO_BACKEND``/default resolution."""
         from ..backend import DEFAULT_BACKEND
 
         return self.backend or os.environ.get("REPRO_BACKEND") or DEFAULT_BACKEND
-
-    def with_tier(
-        self,
-        tier: str,
-        max_stale_frames: int | None = None,
-        drift_sample_every: int | None = None,
-    ) -> "ExecutionPolicy":
-        """This policy with a different freshness tier."""
-        return replace(
-            self,
-            tier=tier,
-            max_stale_frames=(
-                max_stale_frames if max_stale_frames is not None else self.max_stale_frames
-            ),
-            drift_sample_every=(
-                drift_sample_every
-                if drift_sample_every is not None
-                else self.drift_sample_every
-            ),
-        )
-
-    @classmethod
-    def resolve(
-        cls,
-        policy: "ExecutionPolicy | None" = None,
-        *,
-        parallel: object = _UNSET,
-        parallel_patches: object = _UNSET,
-        max_workers: object = _UNSET,
-        cluster: object = _UNSET,
-        backend: object = _UNSET,
-        accuracy_mode: object = _UNSET,
-        max_stale_frames: object = _UNSET,
-        drift_sample_every: object = _UNSET,
-        base: "ExecutionPolicy | None" = None,
-        warn: bool = True,
-    ) -> "ExecutionPolicy":
-        """Map the legacy keyword surface onto a policy (the single shim).
-
-        ``policy`` wins outright, and mixing it with legacy keywords is an
-        error — a call site is either on the new surface or the old one.
-        Legacy keywords start from ``base`` (the owning object's policy, or a
-        default-constructed one) and override its axes; explicitly passing
-        any of them emits a :class:`DeprecationWarning` unless ``warn`` is
-        False.  ``accuracy_mode`` accepts both the streaming vocabulary
-        (``"exact"``/``"stale_halo"``) and the scheduler's
-        (``"verify_patch"`` → the ``displaced`` tier).
-        """
-        legacy = {
-            name: value
-            for name, value in (
-                ("parallel", parallel),
-                ("parallel_patches", parallel_patches),
-                ("max_workers", max_workers),
-                ("cluster", cluster),
-                ("backend", backend),
-                ("accuracy_mode", accuracy_mode),
-                ("max_stale_frames", max_stale_frames),
-                ("drift_sample_every", drift_sample_every),
-            )
-            if value is not _UNSET
-        }
-        if policy is not None:
-            if legacy:
-                raise ValueError(
-                    "pass either policy= or the legacy keywords "
-                    f"({', '.join(sorted(legacy))}), not both"
-                )
-            return policy
-        resolved = base if base is not None else cls()
-        if not legacy:
-            return resolved
-        if warn:
-            warnings.warn(
-                f"the {', '.join(sorted(legacy))} keyword(s) are deprecated; "
-                "pass an ExecutionPolicy (repro.runtime.ExecutionPolicy) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-
-        wants_parallel = bool(legacy.get("parallel")) or bool(
-            legacy.get("parallel_patches")
-        )
-        cluster_spec = legacy.get("cluster")
-        if cluster_spec is not None and wants_parallel:
-            # The historical engine check, preserved verbatim: a cluster
-            # already owns the parallelism structure.
-            raise ValueError("parallel_patches and cluster are mutually exclusive")
-        if cluster_spec is not None:
-            placement = Placement("cluster", cluster=cluster_spec)
-        elif wants_parallel:
-            placement = Placement("threads", max_workers=legacy.get("max_workers"))
-        elif "parallel" in legacy or "parallel_patches" in legacy or "cluster" in legacy:
-            placement = Placement("local")
-        else:
-            placement = resolved.placement
-
-        tier = resolved.tier
-        mode = legacy.get("accuracy_mode")
-        if mode is not None:
-            if mode == "verify_patch":
-                tier = "displaced"
-            elif mode in ("exact", "stale_halo"):
-                tier = mode
-            else:
-                raise ValueError(
-                    "accuracy_mode must be one of ('exact', 'stale_halo', "
-                    f"'verify_patch'), got {mode!r}"
-                )
-        return cls(
-            placement=placement,
-            backend=legacy.get("backend", resolved.backend),
-            tier=tier,
-            max_stale_frames=legacy.get("max_stale_frames", resolved.max_stale_frames),
-            drift_sample_every=legacy.get(
-                "drift_sample_every", resolved.drift_sample_every
-            )
-            or 0,
-        )

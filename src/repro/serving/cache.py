@@ -114,7 +114,7 @@ class PipelineCache:
         First writer wins on races: if ``key`` is already mapped to a
         *different* object, the resident one is kept and the losing
         ``pipeline`` is released through ``on_evict`` — it may hold real
-        resources (a parallel-executor worker pool) that would otherwise leak
+        resources (distributed-executor device pools) that would otherwise leak
         when two threads miss on the same key concurrently.
         """
         evicted: list[tuple[Hashable, object]] = []

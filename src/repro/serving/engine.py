@@ -14,8 +14,8 @@ eval-mode batch norm, per-tensor fake quantization with calibrated ranges),
 so a sample's result does not depend on *which* other samples share its
 micro-batch.  The one caveat is batch *size*: BLAS may select a different
 GEMM kernel for different matrix shapes, which perturbs results at the level
-of float32 rounding (~1e-6 relative).  Patch-parallel execution, by contrast,
-is bit-exact — it never changes any array shape.
+of float32 rounding (~1e-6 relative).  Cluster placement, by contrast, is
+bit-exact — it never changes any array shape.
 
 Pipelines come from a :class:`~repro.serving.cache.PipelineCache` keyed by
 ``(model, device, quant config)``; the engine mirrors the cache's hit/miss/
@@ -112,23 +112,12 @@ class InferenceEngine:
     batch_timeout_s:
         Flush a group once its oldest request has waited this long, even if
         the batch is not full.
-    parallel_patches:
-        Deprecated: run the patch stage of each flush through the
-        patch-parallel worker pool (bit-identical to sequential execution).
-        Pass ``policy=ExecutionPolicy(placement=threads())`` instead.
-    cluster:
-        Deprecated: optional :class:`~repro.hardware.cluster.ClusterSpec`;
-        flushes then dispatch through the multi-device patch-sharded executor
-        (also bit-identical), and the modelled telemetry latency switches to
-        the cluster makespan model.  Mutually exclusive with
-        ``parallel_patches`` (a cluster already owns the parallelism
-        structure).  Pass ``policy=ExecutionPolicy(placement=cluster(spec))``
-        instead.
     policy:
         The :class:`~repro.runtime.ExecutionPolicy` every flush and stream
         executes under — the one description of placement, kernel backend and
-        freshness tier.  Mutually exclusive with the deprecated
-        ``parallel_patches``/``cluster`` keywords.
+        freshness tier.  With ``cluster`` placement, flushes dispatch through
+        the multi-device patch-sharded executor (bit-identical), and the
+        modelled telemetry latency switches to the cluster makespan model.
     runtime:
         Optional shared :class:`~repro.runtime.Runtime`; executors built for
         this engine lease their pools from it, so two engines given the same
@@ -137,7 +126,7 @@ class InferenceEngine:
     device:
         Optional MCU target; attaches an amortized modelled per-request
         on-device latency to the telemetry.  Ignored for the compute model
-        when ``cluster`` is set (the cluster's own devices are used).
+        under ``cluster`` placement (the cluster's own devices are used).
     telemetry:
         Recorder to use; a fresh one is created by default.
     """
@@ -147,21 +136,12 @@ class InferenceEngine:
         pipelines: CompiledPipeline | PipelineCache,
         max_batch_size: int = 8,
         batch_timeout_s: float = 0.005,
-        parallel_patches: bool = False,
-        cluster: ClusterSpec | None = None,
         device: MCUDevice | None = None,
         telemetry: TelemetryRecorder | None = None,
         policy: ExecutionPolicy | None = None,
         runtime: Runtime | None = None,
     ) -> None:
-        legacy: dict = {}
-        if parallel_patches:
-            legacy["parallel_patches"] = True
-        if cluster is not None:
-            legacy["cluster"] = cluster
-        # The historical parallel_patches × cluster ValueError (and every
-        # other invalid combination) is checked inside resolve(), once.
-        self.policy = ExecutionPolicy.resolve(policy, **legacy)
+        self.policy = policy if policy is not None else ExecutionPolicy()
         if self.policy.tier == "displaced":
             raise ValueError(
                 "the 'displaced' tier is a pipeline-parallel schedule over "
@@ -183,10 +163,6 @@ class InferenceEngine:
             self._default_key = None
         self.max_batch_size = max_batch_size
         self.batch_timeout_s = batch_timeout_s
-        # Legacy read-only views derived from the policy (kept because
-        # callers and telemetry dashboards introspect them).
-        self.parallel_patches = self.policy.placement.kind == "threads"
-        self.cluster = self.policy.placement.cluster
         self._runtime = runtime
         self.device = device
         self.telemetry = telemetry if telemetry is not None else TelemetryRecorder()
@@ -273,9 +249,6 @@ class InferenceEngine:
     def open_stream(
         self,
         key: Hashable | None = None,
-        accuracy_mode: str = "exact",
-        drift_sample_every: int = 0,
-        max_stale_frames: int | None = None,
         policy: ExecutionPolicy | None = None,
     ) -> StreamSession:
         """Open a streaming session against one of this engine's pipelines.
@@ -283,8 +256,8 @@ class InferenceEngine:
         The returned :class:`~repro.streaming.StreamSession` serves successive
         frames of one video/sensor stream with incremental patch
         recomputation — bit-identical to full recomputation in the default
-        ``accuracy_mode="exact"`` — using the same execution mode
-        (``parallel_patches`` / ``cluster``) as batched requests.  Frames are
+        ``exact`` tier.  ``policy`` defaults to the engine's, so placement and
+        backend follow batched requests unless overridden.  Frames are
         processed synchronously in the caller's thread: a stream is stateful
         (each frame diffs against the previous one), so its frames cannot be
         re-ordered or batched with other traffic.  Every processed frame
@@ -292,25 +265,14 @@ class InferenceEngine:
         (``stream_frames``, ``stream_branches_executed``,
         ``stream_branches_reused``, ``stream_reuse_rate``).
 
-        ``accuracy_mode="stale_halo"`` opts the stream into the approximate
-        tier (halo-only-dirty branches served stale, bounded by
-        ``max_stale_frames``); its stale tile counts land in
+        A policy with the ``stale_halo`` tier opts the stream into the
+        approximate tier (halo-only-dirty branches served stale, bounded by
+        the policy's ``max_stale_frames``); its stale tile counts land in
         ``stream_branches_stale`` and every drift sample (taken each
         ``drift_sample_every`` frames) updates ``stream_drift_samples`` /
         ``stream_max_drift_abs`` / ``stream_max_drift_rms``.
-
-        On the new surface, pass a ``policy`` whose freshness tier describes
-        the stream (it defaults to the engine's policy, so placement and
-        backend follow batched requests unless overridden).
         """
-        legacy: dict = {}
-        if accuracy_mode != "exact":
-            legacy["accuracy_mode"] = accuracy_mode
-        if drift_sample_every:
-            legacy["drift_sample_every"] = drift_sample_every
-        if max_stale_frames is not None:
-            legacy["max_stale_frames"] = max_stale_frames
-        stream_policy = ExecutionPolicy.resolve(policy, base=self.policy, **legacy)
+        stream_policy = policy if policy is not None else self.policy
         if self._closed:
             raise EngineClosed("engine is closed")
         if key is None:
@@ -485,7 +447,8 @@ class InferenceEngine:
         the same shard assignment the flush actually executed); otherwise the
         single-device serving model against :attr:`device`.
         """
-        if self.device is None and self.cluster is None:
+        cluster = self.policy.placement.cluster
+        if self.device is None and cluster is None:
             return 0.0
         with self._breakdown_lock:
             memo = self._device_breakdowns.get(pipeline.fingerprint)
@@ -494,11 +457,11 @@ class InferenceEngine:
                 memo.move_to_end(batch_size)
         if seconds is None:
             suffix_config, branch_configs = pipeline.quantization_configs()
-            if self.cluster is not None:
+            if cluster is not None:
                 breakdown = estimate_cluster_serving_latency(
                     pipeline.plan,
-                    self._shard_assignment(pipeline),
-                    self.cluster,
+                    self._shard_assignment(pipeline, cluster),
+                    cluster,
                     batch_size=batch_size,
                     config=suffix_config,
                     branch_configs=branch_configs,
@@ -521,11 +484,13 @@ class InferenceEngine:
                     memo.popitem(last=False)
         return seconds / batch_size
 
-    def _shard_assignment(self, pipeline: CompiledPipeline) -> dict[int, int]:
-        """Branch→device assignment of the attached cluster for ``pipeline``.
+    def _shard_assignment(
+        self, pipeline: CompiledPipeline, cluster: ClusterSpec
+    ) -> dict[int, int]:
+        """Branch→device assignment of ``cluster`` for ``pipeline``.
 
         Planned directly (and memoized by fingerprint) rather than read off
-        ``pipeline.executor(cluster=...)``: the planner is deterministic, so
+        ``pipeline.executor(policy)``: the planner is deterministic, so
         the assignment is identical to the one a flush's executor uses, and
         no :class:`~repro.distributed.DistributedExecutor` (with its device
         worker pools) is constructed just to model latency.
@@ -534,7 +499,7 @@ class InferenceEngine:
             assignment = self._shard_assignments.get(pipeline.fingerprint)
         if assignment is None:
             assignment = (
-                ShardPlanner(self.cluster).plan_shards(pipeline.plan).assignment()
+                ShardPlanner(cluster).plan_shards(pipeline.plan).assignment()
             )
             with self._breakdown_lock:
                 self._shard_assignments.setdefault(pipeline.fingerprint, assignment)

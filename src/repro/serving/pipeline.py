@@ -33,7 +33,6 @@ import numpy as np
 
 from ..core.quantmcu import QuantMCUPipeline, QuantMCUResult, make_static_hooks
 from ..distributed.executor import DistributedExecutor
-from ..hardware.cluster import ClusterSpec
 from ..models import build_model
 from ..nn import Graph
 from ..patch.executor import PatchExecutor
@@ -43,7 +42,6 @@ from ..quant.quantizers import quantize_weight_per_channel
 from ..runtime.policy import ExecutionPolicy
 from ..runtime.resources import Runtime
 from ..streaming.session import StreamSession
-from .parallel import ParallelPatchExecutor
 
 __all__ = ["ModelSpec", "CompiledPipeline", "compile_pipeline"]
 
@@ -155,12 +153,6 @@ class CompiledPipeline:
         )
         # Sequential executors for non-default (backend, runtime) policies.
         self._sequential_variants: dict[tuple, PatchExecutor] = {}
-        self._parallel: ParallelPatchExecutor | None = None
-        self._parallel_key: tuple | None = None
-        # Parallel executors replaced by a max_workers change: a live
-        # StreamSession may still hold one (its lazily re-created pool must be
-        # shut down again by close()).
-        self._parallel_retired: list[ParallelPatchExecutor] = []
         self._distributed: dict[tuple, DistributedExecutor] = {}
         self._executor_lock = threading.Lock()
 
@@ -196,54 +188,22 @@ class CompiledPipeline:
         return cls(graph, plan, state, spec=spec, backend=backend, runtime=runtime)
 
     # ------------------------------------------------------------- inference
-    @staticmethod
-    def _legacy_executor_kwargs(
-        parallel: bool,
-        max_workers: int | None,
-        cluster: ClusterSpec | None,
-    ) -> dict:
-        """Placement keywords a caller actually used (defaults stay silent)."""
-        legacy: dict = {}
-        if parallel:
-            legacy["parallel"] = True
-        if max_workers is not None:
-            legacy["max_workers"] = max_workers
-        if cluster is not None:
-            legacy["cluster"] = cluster
-        return legacy
-
     def executor(
-        self,
-        parallel: bool = False,
-        max_workers: int | None = None,
-        cluster: ClusterSpec | None = None,
-        policy: ExecutionPolicy | None = None,
-        runtime: Runtime | None = None,
+        self, policy: ExecutionPolicy | None = None, runtime: Runtime | None = None
     ) -> PatchExecutor:
         """The (cached) executor backing :meth:`infer`.
 
         ``policy`` selects placement and kernel backend (see
         :class:`~repro.runtime.ExecutionPolicy`); ``runtime`` overrides the
         resource runtime executors lease pools from (defaults to the
-        pipeline's).  The ``parallel``/``max_workers``/``cluster`` keywords
-        are the deprecated legacy surface mapped through
-        :meth:`~repro.runtime.ExecutionPolicy.resolve`.
-        """
-        policy = ExecutionPolicy.resolve(
-            policy, **self._legacy_executor_kwargs(parallel, max_workers, cluster)
-        )
-        return self._executor_for(policy, runtime)
-
-    def _executor_for(
-        self, policy: ExecutionPolicy, runtime: Runtime | None = None
-    ) -> PatchExecutor:
-        """Build (or serve from cache) the executor a policy describes.
+        pipeline's).
 
         Caches are keyed by placement identity *plus* backend name and
         runtime token, so ``policy.backend`` overrides and injected runtimes
         get their own executors instead of silently reusing one built for a
         different backend or pool set.
         """
+        policy = policy if policy is not None else ExecutionPolicy()
         runtime = runtime if runtime is not None else self._runtime
         backend = policy.backend if policy.backend is not None else self._backend_spec
         token = runtime.token if runtime is not None else None
@@ -263,30 +223,6 @@ class CompiledPipeline:
                     )
                     self._distributed[key] = executor
                 return executor
-        if placement.kind == "threads":
-            key = (placement.max_workers, backend, token)
-            with self._executor_lock:
-                replace = self._parallel is not None and (
-                    (
-                        placement.max_workers is not None
-                        and self._parallel.max_workers != placement.max_workers
-                    )
-                    or self._parallel_key[1:] != key[1:]
-                )
-                if self._parallel is None or replace:
-                    if self._parallel is not None:
-                        self._parallel.close()
-                        self._parallel_retired.append(self._parallel)
-                    self._parallel = ParallelPatchExecutor(
-                        self.plan,
-                        branch_hook=self._branch_hook,
-                        suffix_hook=self._suffix_hook,
-                        max_workers=placement.max_workers,
-                        backend=backend,
-                        runtime=runtime,
-                    )
-                    self._parallel_key = key
-                return self._parallel
         # Local placement: the eagerly-built sequential executor, unless the
         # policy asks for a different backend or runtime than the pipeline's.
         if backend == self._backend_spec and runtime is self._runtime:
@@ -308,9 +244,6 @@ class CompiledPipeline:
     def infer(
         self,
         x: np.ndarray,
-        parallel: bool = False,
-        max_workers: int | None = None,
-        cluster: ClusterSpec | None = None,
         policy: ExecutionPolicy | None = None,
         runtime: Runtime | None = None,
     ) -> np.ndarray:
@@ -321,17 +254,14 @@ class CompiledPipeline:
         tier is a pipeline-parallel schedule and is rejected (drive it
         through :class:`~repro.distributed.PipelineParallelScheduler`).
         """
-        policy = ExecutionPolicy.resolve(
-            policy, **self._legacy_executor_kwargs(parallel, max_workers, cluster)
-        )
-        if policy.tier == "displaced":
+        if policy is not None and policy.tier == "displaced":
             raise ValueError(
                 "the 'displaced' tier is a pipeline-parallel schedule over "
                 "micro-batches; drive it through PipelineParallelScheduler, "
                 "not CompiledPipeline.infer"
             )
         try:
-            return self._executor_for(policy, runtime).forward(x)
+            return self.executor(policy, runtime).forward(x)
         finally:
             self._clear_layer_caches()
 
@@ -346,12 +276,6 @@ class CompiledPipeline:
 
     def open_stream(
         self,
-        parallel: bool = False,
-        max_workers: int | None = None,
-        cluster: ClusterSpec | None = None,
-        accuracy_mode: str = "exact",
-        drift_sample_every: int = 0,
-        max_stale_frames: int | None = None,
         policy: ExecutionPolicy | None = None,
         runtime: Runtime | None = None,
     ) -> StreamSession:
@@ -359,40 +283,29 @@ class CompiledPipeline:
 
         Successive frames fed to the session recompute only the patch
         branches whose input regions changed, bit-identical to full
-        recomputation (see :mod:`repro.streaming`).  ``parallel`` and
-        ``cluster`` pick the executor exactly as :meth:`infer` does; the
-        executor is owned (and eventually closed) by the pipeline, so the
-        session must not outlive it.
+        recomputation (see :mod:`repro.streaming`).  ``policy`` picks the
+        executor exactly as :meth:`infer` does; the executor is owned (and
+        eventually closed) by the pipeline, so the session must not outlive
+        it.
 
-        ``accuracy_mode="stale_halo"`` opts the stream into the approximate
-        tier: branches whose changes are confined to their halo are served
-        stale (bounded by ``max_stale_frames``), with drift vs the exact path
-        sampled every ``drift_sample_every`` frames — see
-        :class:`~repro.streaming.StreamSession`.
-
-        On the new surface, pass ``policy=`` instead: the policy's freshness
-        tier maps onto the stream's accuracy mode (``exact`` | ``stale_halo``;
-        the ``displaced`` tier belongs to the pipeline-parallel scheduler and
-        is rejected here).
+        The policy's freshness tier becomes the stream's: ``exact`` (the
+        default) or ``stale_halo``, where branches whose changes are confined
+        to their halo are served stale (bounded by the policy's
+        ``max_stale_frames``), with drift vs the exact path sampled every
+        ``drift_sample_every`` frames — see
+        :class:`~repro.streaming.StreamSession`.  The ``displaced`` tier
+        belongs to the pipeline-parallel scheduler and is rejected here.
         """
-        legacy = self._legacy_executor_kwargs(parallel, max_workers, cluster)
-        if accuracy_mode != "exact":
-            legacy["accuracy_mode"] = accuracy_mode
-        if drift_sample_every:
-            legacy["drift_sample_every"] = drift_sample_every
-        if max_stale_frames is not None:
-            legacy["max_stale_frames"] = max_stale_frames
-        policy = ExecutionPolicy.resolve(policy, **legacy)
+        policy = policy if policy is not None else ExecutionPolicy()
         if policy.tier == "displaced":
             raise ValueError(
                 "the 'displaced' tier is a pipeline-parallel schedule over "
                 "micro-batches; drive it through PipelineParallelScheduler, "
                 "not a stream"
             )
-        executor = self._executor_for(policy, runtime)
         session = StreamSession(
-            executor,
-            accuracy_mode=policy.tier,
+            self.executor(policy, runtime),
+            tier=policy.tier,
             drift_sample_every=policy.drift_sample_every,
             max_stale_frames=policy.max_stale_frames,
         )
@@ -400,7 +313,7 @@ class CompiledPipeline:
         return session
 
     def close(self) -> None:
-        """Release executor resources: worker pools, device pools, backend scratch.
+        """Release executor resources: device pools, backend scratch.
 
         Executors leasing from an injected :class:`~repro.runtime.Runtime`
         release their leases here but leave the (shared) pools up; closing
@@ -411,13 +324,6 @@ class CompiledPipeline:
             for executor in self._sequential_variants.values():
                 executor.close()
             self._sequential_variants.clear()
-            if self._parallel is not None:
-                self._parallel.close()
-                self._parallel = None
-                self._parallel_key = None
-            for executor in self._parallel_retired:
-                executor.close()  # a session may have lazily revived its pool
-            self._parallel_retired.clear()
             for executor in self._distributed.values():
                 executor.close()
             self._distributed.clear()

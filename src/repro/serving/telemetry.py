@@ -135,7 +135,7 @@ class TelemetryRecorder:
         """Count one streaming frame: branches recomputed vs served from cache.
 
         ``stale_branches`` counts tiles served while lagging their halo (only
-        nonzero for ``accuracy_mode="stale_halo"`` sessions).
+        nonzero for ``stale_halo`` tier sessions).
         """
         with self._lock:
             self._stream_frames += 1

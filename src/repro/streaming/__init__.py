@@ -19,10 +19,9 @@ telemetry are managed for you.
 """
 
 from .diff import changed_mask, dirty_branch_ids
-from .session import ACCURACY_MODES, FrameStats, StreamSession, StreamStats
+from .session import FrameStats, StreamSession, StreamStats
 
 __all__ = [
-    "ACCURACY_MODES",
     "changed_mask",
     "dirty_branch_ids",
     "FrameStats",

@@ -8,7 +8,7 @@ while the tiles of clean branches are served from the persistent stitched
 split-feature-map buffer left by earlier frames.  The suffix (which reads the
 whole split feature map) always runs.
 
-In the default ``accuracy_mode="exact"`` the result is **bit-identical** to
+In the default ``exact`` tier the result is **bit-identical** to
 full recomputation, by construction rather than by tolerance: a branch is a
 pure function of its input region, so an unchanged region reproduces the
 exact same tile bytes, and the stitched buffer the suffix reads is therefore
@@ -16,7 +16,7 @@ byte-for-byte the one full recomputation would have produced.  Reuse is
 exact-match only — no approximation, no drift, no error accumulation across
 frames.
 
-``accuracy_mode="stale_halo"`` is an explicit approximate tier borrowed from
+The ``stale_halo`` tier is an explicit approximation borrowed from
 the displaced pipeline schedule: a branch whose *owned* input region (the
 tile's slice of the input plane, see
 :func:`~repro.patch.stale.owned_input_region`) is unchanged skips recompute
@@ -28,9 +28,9 @@ and drift telemetry samples the deviation from the exact path every
 golden-pinned error bounds.
 
 Any :class:`~repro.patch.executor.PatchExecutor` works as the backing
-executor: sequential, the patch-parallel pool, or the multi-device
-distributed executor — the latter re-executes per shard, so devices owning no
-dirty patch do no work for the frame (see
+executor: sequential or the multi-device distributed executor — the latter
+re-executes per shard, so devices owning no dirty patch do no work for the
+frame (see
 :meth:`~repro.distributed.DistributedExecutor.compute_tiles`).
 """
 
@@ -50,9 +50,11 @@ from ..patch.executor import PatchExecutor
 from ..patch.stale import owned_input_region
 from .diff import changed_mask, dirty_branch_ids
 
-__all__ = ["FrameStats", "StreamStats", "StreamSession", "ACCURACY_MODES"]
+__all__ = ["FrameStats", "StreamStats", "StreamSession"]
 
-ACCURACY_MODES = ("exact", "stale_halo")
+#: The freshness tiers a stream serves (``displaced`` is a pipeline-parallel
+#: schedule over micro-batches, not a per-stream tier).
+_STREAM_TIERS = ("exact", "stale_halo")
 
 
 @dataclass(frozen=True)
@@ -60,10 +62,10 @@ class FrameStats:
     """Reuse accounting for one processed frame.
 
     ``dirty_branches`` lists the branches *re-executed* for the frame (in
-    exact mode that is precisely the dirty set; in ``stale_halo`` mode
+    the exact tier that is precisely the dirty set; in the ``stale_halo`` tier
     halo-only-dirty branches may be skipped instead).  ``stale_branches``
     lists branches whose served tile currently lags its halo; the drift
-    fields are populated only on sampled stale-mode frames.
+    fields are populated only on sampled stale-tier frames.
     """
 
     frame_index: int
@@ -145,14 +147,14 @@ class StreamSession:
         How many per-frame :class:`FrameStats` records to retain (a long-lived
         stream must not grow without bound); cumulative :meth:`stats` counters
         always cover the whole session regardless of this cap.
-    accuracy_mode:
+    tier:
         ``"exact"`` (default) or ``"stale_halo"`` (module docstring).
     drift_sample_every:
-        In ``stale_halo`` mode, compare every Nth frame against the exact
+        In the ``stale_halo`` tier, compare every Nth frame against the exact
         path and record max-abs/RMS drift on its :class:`FrameStats` (0
         disables sampling).
     max_stale_frames:
-        In ``stale_halo`` mode, the maximum number of consecutive frames a
+        In the ``stale_halo`` tier, the maximum number of consecutive frames a
         branch's tile may be served while lagging its halo before it is
         force-recomputed; ``None`` leaves staleness unbounded, ``0``
         degenerates to exact behaviour.
@@ -166,14 +168,12 @@ class StreamSession:
         executor: PatchExecutor,
         observers: tuple[FrameObserver, ...] = (),
         history_frames: int = 1024,
-        accuracy_mode: str = "exact",
+        tier: str = "exact",
         drift_sample_every: int = 0,
         max_stale_frames: int | None = None,
     ) -> None:
-        if accuracy_mode not in ACCURACY_MODES:
-            raise ValueError(
-                f"accuracy_mode must be one of {ACCURACY_MODES}, got {accuracy_mode!r}"
-            )
+        if tier not in _STREAM_TIERS:
+            raise ValueError(f"tier must be one of {_STREAM_TIERS}, got {tier!r}")
         if drift_sample_every < 0:
             raise ValueError("drift_sample_every must be >= 0")
         if max_stale_frames is not None and max_stale_frames < 0:
@@ -181,7 +181,7 @@ class StreamSession:
         self.executor = executor
         self.plan = executor.plan
         self._closed = False
-        self.accuracy_mode = accuracy_mode
+        self.tier = tier
         self.drift_sample_every = drift_sample_every
         self.max_stale_frames = max_stale_frames
         self._observers: list[FrameObserver] = list(observers)
@@ -196,7 +196,7 @@ class StreamSession:
                 branch.patch_id: owned_input_region(self.plan, branch)
                 for branch in self.plan.branches
             }
-            if accuracy_mode == "stale_halo"
+            if tier == "stale_halo"
             else {}
         )
         #: patch_id -> consecutive frames the served tile has lagged its halo.
@@ -307,7 +307,7 @@ class StreamSession:
         else:
             mask = changed_mask(self._previous, x)
             dirty = dirty_branch_ids(self.plan, mask)
-            if self.accuracy_mode == "exact":
+            if self.tier == "exact":
                 executed = dirty
             else:
                 executed = self._plan_stale_frame(dirty, mask)
@@ -332,7 +332,7 @@ class StreamSession:
         drift_max_abs: float | None = None
         drift_rms: float | None = None
         if (
-            self.accuracy_mode == "stale_halo"
+            self.tier == "stale_halo"
             and self.drift_sample_every > 0
             and self._frames_total % self.drift_sample_every == 0
         ):

@@ -26,7 +26,6 @@ from repro.backend import (
     make_backend,
 )
 from repro.patch import PatchExecutor, build_patch_plan, candidate_split_nodes
-from repro.serving.parallel import ParallelPatchExecutor
 
 
 @pytest.fixture
@@ -197,41 +196,6 @@ class TestDispatchRules:
             again = executor.compute_tiles(small_input, ids)
             for before, (_, after) in zip(first, again):
                 assert np.array_equal(before, after)
-
-
-# ----------------------------------------------------------------- parallel
-class TestParallelChunking:
-    def test_chunks_cover_in_order(self, small_plan):
-        with ParallelPatchExecutor(small_plan, max_workers=3) as executor:
-            ids = list(range(8))
-            chunks = executor._chunks(ids)
-            assert len(chunks) == 3
-            assert [i for chunk in chunks for i in chunk] == ids
-            sizes = [len(chunk) for chunk in chunks]
-            assert max(sizes) - min(sizes) <= 1
-
-    def test_chunks_never_exceed_ids(self, small_plan):
-        with ParallelPatchExecutor(small_plan, max_workers=8) as executor:
-            chunks = executor._chunks([0, 1, 2])
-            assert len(chunks) == 3
-            assert all(len(chunk) == 1 for chunk in chunks)
-
-    def test_small_requests_run_inline(self, small_plan, small_input):
-        with ParallelPatchExecutor(
-            small_plan, max_workers=4, inline_threshold=2
-        ) as executor:
-            executor.compute_tiles(small_input, [0, 1])
-            assert executor._pool is None  # never paid the pool hop
-
-    def test_above_threshold_uses_pool(self, small_plan, small_input):
-        ids = [b.patch_id for b in small_plan.branches]
-        assert len(ids) >= 3  # a 2x2 grid: enough to clear the threshold
-        with ParallelPatchExecutor(
-            small_plan, max_workers=2, inline_threshold=1
-        ) as executor:
-            tiles = executor.compute_tiles(small_input, ids)
-            assert executor._pool is not None
-            assert [b.patch_id for b, _ in tiles] == ids
 
 
 # -------------------------------------------------------------- multiprocess

@@ -2,8 +2,8 @@
 
 The contract pinned here is the one :mod:`repro.backend` documents: every
 backend produces the exact same output bytes as the per-branch loop
-reference — on both golden zoo models, across all four execution styles
-(sequential, patch-parallel, distributed, streaming), and on random small
+reference — on both golden zoo models, across every execution style
+(sequential, distributed, streaming), and on random small
 graphs via the property sweep.  ``np.array_equal`` throughout: no tolerances,
 the comparison is bitwise.
 """
@@ -20,6 +20,7 @@ from fixtures import property_cases, quantize_zoo_model, random_property_graph
 from repro.backend import BackendUnavailable, MultiprocessBackend
 from repro.hardware import make_cluster
 from repro.patch import PatchExecutor, build_patch_plan, candidate_split_nodes
+from repro.runtime import ExecutionPolicy, cluster
 from repro.serving.pipeline import CompiledPipeline
 
 #: The two golden zoo deployments (matching tests/golden/golden_cases.py).
@@ -43,7 +44,7 @@ class TestZooModelsBitExact:
     """ISSUE 8 acceptance: batched backend == loop reference on both zoo
     models under every executor."""
 
-    def test_all_four_executors(self, model_name, resolution):
+    def test_all_executors(self, model_name, resolution):
         loop, vec = _compiled_pair(model_name, resolution)
         rng = np.random.default_rng(42)
         x = rng.standard_normal((2, 3, resolution, resolution)).astype(np.float32)
@@ -52,11 +53,9 @@ class TestZooModelsBitExact:
 
             # Sequential.
             assert np.array_equal(vec.infer(x), reference)
-            # Patch-parallel (chunk-per-worker over the vectorized kernel).
-            assert np.array_equal(vec.infer(x, parallel=True, max_workers=2), reference)
             # Distributed (per-shard batched kernel on each simulated device).
-            cluster = make_cluster("stm32h743", 2)
-            assert np.array_equal(vec.infer(x, cluster=cluster), reference)
+            policy = ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
+            assert np.array_equal(vec.infer(x, policy=policy), reference)
 
             # Streaming (incremental recompute through stitch_tiles).
             frame0 = x[:1]

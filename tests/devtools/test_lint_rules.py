@@ -257,10 +257,10 @@ class TestUnownedCloseable:
     def test_project_executor_types_covered(self):
         findings = lint(
             """
-            from repro.serving import ParallelPatchExecutor
+            from repro.distributed import DistributedExecutor
 
             def leak():
-                ex = ParallelPatchExecutor(num_workers=2)
+                ex = DistributedExecutor(plan, cluster)
                 ex.map(None, [])
             """,
             rules=["REP003"],

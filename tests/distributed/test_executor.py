@@ -10,7 +10,12 @@ from fixtures import quantize_and_compile, quantize_zoo_model
 from repro.distributed import DistributedExecutor, PipelineParallelScheduler, ShardPlanner
 from repro.hardware import make_cluster
 from repro.patch import PatchExecutor, build_patch_plan
-from repro.serving import InferenceEngine, ParallelPatchExecutor
+from repro.runtime import ExecutionPolicy, cluster
+from repro.serving import InferenceEngine
+
+
+def _on_cluster(num_devices: int) -> ExecutionPolicy:
+    return ExecutionPolicy(placement=cluster(make_cluster("stm32h743", num_devices)))
 
 
 def test_plain_plan_distributed_matches_sequential(residual_graph, rng):
@@ -37,9 +42,8 @@ def test_requires_cluster_or_shard_plan(residual_graph):
 
 @pytest.mark.parametrize("model_name,resolution", [("mobilenetv2", 32), ("mcunet", 48)])
 def test_quantized_distributed_bit_identical_on_zoo_models(model_name, resolution, rng):
-    """Acceptance: DistributedExecutor output == single-device
-    ParallelPatchExecutor == sequential PatchExecutor, under the full QuantMCU
-    quantization, on two zoo models."""
+    """Acceptance: DistributedExecutor output == sequential PatchExecutor,
+    under the full QuantMCU quantization, on two zoo models."""
     _, pipeline, result = quantize_zoo_model(model_name=model_name, resolution=resolution)
 
     branch_hook, suffix_hook = pipeline.make_hooks(result)
@@ -48,10 +52,6 @@ def test_quantized_distributed_bit_identical_on_zoo_models(model_name, resolutio
         sequential = PatchExecutor(
             result.plan, branch_hook=branch_hook, suffix_hook=suffix_hook
         ).forward(x)
-        with ParallelPatchExecutor(
-            result.plan, branch_hook=branch_hook, suffix_hook=suffix_hook, max_workers=4
-        ) as parallel:
-            single_node = parallel.forward(x)
         for num_devices in (2, 3):
             with DistributedExecutor(
                 result.plan,
@@ -61,7 +61,6 @@ def test_quantized_distributed_bit_identical_on_zoo_models(model_name, resolutio
             ) as distributed:
                 out = distributed.forward(x)
             assert np.array_equal(out, sequential)
-            assert np.array_equal(out, single_node)
 
 
 def test_pipeline_scheduler_outputs_bit_identical_and_ordered(residual_graph, rng):
@@ -85,15 +84,15 @@ def test_scheduler_rejects_bad_depth(residual_graph):
 
 
 def test_compiled_pipeline_distributed_inference_is_bit_exact(rng):
-    """CompiledPipeline.infer(cluster=...) matches sequential compiled inference,
-    and the executor is cached per cluster identity."""
+    """Cluster-placed CompiledPipeline.infer matches sequential compiled
+    inference, and the executor is cached per cluster identity."""
     _, _, compiled = quantize_and_compile()
     x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
     reference = compiled.infer(x)
-    cluster = make_cluster("stm32h743", 2)
-    assert np.array_equal(compiled.infer(x, cluster=cluster), reference)
-    first = compiled.executor(cluster=cluster)
-    again = compiled.executor(cluster=make_cluster("stm32h743", 2))
+    policy = _on_cluster(2)
+    assert np.array_equal(compiled.infer(x, policy=policy), reference)
+    first = compiled.executor(policy)
+    again = compiled.executor(_on_cluster(2))
     assert first is again  # same cluster identity -> cached executor
     compiled.close()
 
@@ -104,21 +103,11 @@ def test_engine_with_cluster_serves_bit_exact_batches(rng):
     _, _, compiled = quantize_and_compile()
     x = rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
     direct = compiled.infer(x)
-    cluster = make_cluster("stm32h743", 2)
     with InferenceEngine(
-        compiled, max_batch_size=4, batch_timeout_s=10.0, cluster=cluster
+        compiled, max_batch_size=4, batch_timeout_s=10.0, policy=_on_cluster(2)
     ) as engine:
         out = engine.infer(x)
     assert np.array_equal(out, direct)
     snap = engine.telemetry.snapshot()
     assert snap.mean_modelled_device_ms > 0  # cluster makespan model attached
-    compiled.close()
-
-
-def test_engine_rejects_cluster_with_parallel_patches(rng):
-    _, _, compiled = quantize_and_compile()
-    with pytest.raises(ValueError, match="mutually exclusive"):
-        InferenceEngine(
-            compiled, parallel_patches=True, cluster=make_cluster("stm32h743", 2)
-        )
     compiled.close()

@@ -1,8 +1,8 @@
 """Displaced (stale-halo) pipeline parallelism: correctness and lifecycle.
 
-Covers the two accuracy tiers of ``halo_mode="displaced"``:
+Covers the two tiers of displaced rounds:
 
-* **verify_patch** must be bit-identical to ``[executor.forward(x) ...]`` on
+* **displaced** must be bit-identical to ``[executor.forward(x) ...]`` on
   random graphs/grids/clusters and on both golden zoo models — displaced
   tiles keep their interior bits, corrected rims are spliced from a fresh
   full-shape recompute;
@@ -30,6 +30,9 @@ from repro.hardware import (
     make_cluster,
 )
 from repro.patch import build_patch_plan, candidate_split_nodes
+from repro.runtime import ExecutionPolicy, cluster as cluster_placement
+
+DISPLACED = ExecutionPolicy(tier="displaced")
 
 
 def _random_plan(rng: np.random.Generator):
@@ -66,16 +69,14 @@ def _microbatches(rng: np.random.Generator, plan, count: int) -> list[np.ndarray
 
 # ----------------------------------------------------------- verify-and-patch
 @property_cases(max_examples=8)
-def test_displaced_verify_patch_is_bit_identical(seed):
+def test_displaced_tier_is_bit_identical(seed):
     rng = np.random.default_rng(seed)
     plan = _random_plan(rng)
     cluster = make_cluster("stm32h743", int(rng.integers(2, 5)))
     with DistributedExecutor(plan, cluster=cluster) as executor:
         batches = _microbatches(rng, plan, 5)
         expected = [executor.forward(x) for x in batches]
-        scheduler = PipelineParallelScheduler(
-            executor, halo_mode="displaced", accuracy_mode="verify_patch"
-        )
+        scheduler = PipelineParallelScheduler(executor, policy=DISPLACED)
         outputs = scheduler.run(batches)
         assert len(outputs) == len(batches)
         for out, ref in zip(outputs, expected):
@@ -94,7 +95,7 @@ def test_identical_frames_skip_every_correction():
     plan = _random_plan(rng)
     frame = rng.standard_normal((1, *plan.graph.input_shape)).astype(np.float32)
     with DistributedExecutor(plan, cluster=make_cluster("stm32h743", 2)) as executor:
-        scheduler = PipelineParallelScheduler(executor, halo_mode="displaced")
+        scheduler = PipelineParallelScheduler(executor, policy=DISPLACED)
         outputs = scheduler.run([frame] * 4)
         reference = executor.forward(frame)
         for out in outputs:
@@ -115,7 +116,7 @@ def test_shape_change_falls_back_to_a_fresh_round():
         rng.standard_normal((2, *shape)).astype(np.float32),
     ]
     with DistributedExecutor(plan, cluster=make_cluster("stm32h743", 2)) as executor:
-        scheduler = PipelineParallelScheduler(executor, halo_mode="displaced")
+        scheduler = PipelineParallelScheduler(executor, policy=DISPLACED)
         outputs = scheduler.run(batches)
         for out, x in zip(outputs, batches):
             assert np.array_equal(out, executor.forward(x))
@@ -124,15 +125,17 @@ def test_shape_change_falls_back_to_a_fresh_round():
 
 
 @pytest.mark.parametrize("model_name,resolution", [("mobilenetv2", 32), ("mcunet", 48)])
-def test_zoo_models_verify_patch_bit_identical(model_name, resolution):
+def test_zoo_models_displaced_bit_identical(model_name, resolution):
     """Acceptance: verify-and-patch matches sequential on both golden models."""
     _, _, compiled = quantize_and_compile(model_name=model_name, resolution=resolution)
     try:
         rng = np.random.default_rng(17)
-        executor = compiled.executor(cluster=make_cluster("stm32h743", 4))
+        executor = compiled.executor(
+            ExecutionPolicy(placement=cluster_placement(make_cluster("stm32h743", 4)))
+        )
         batches = _microbatches(rng, compiled.plan, 4)
         expected = [compiled.infer(x) for x in batches]
-        scheduler = PipelineParallelScheduler(executor, halo_mode="displaced")
+        scheduler = PipelineParallelScheduler(executor, policy=DISPLACED)
         outputs = scheduler.run(batches)
         for out, ref in zip(outputs, expected):
             assert np.array_equal(out, ref)
@@ -148,10 +151,7 @@ def test_stale_halo_records_drift_samples():
     batches = _microbatches(rng, plan, 6)
     with DistributedExecutor(plan, cluster=make_cluster("stm32h743", 3)) as executor:
         scheduler = PipelineParallelScheduler(
-            executor,
-            halo_mode="displaced",
-            accuracy_mode="stale_halo",
-            drift_sample_every=2,
+            executor, policy=ExecutionPolicy(tier="stale_halo", drift_sample_every=2)
         )
         outputs = scheduler.run(batches)
         assert len(outputs) == len(batches)
@@ -175,10 +175,7 @@ def test_stale_halo_identical_frames_have_zero_drift():
     frame = rng.standard_normal((1, *plan.graph.input_shape)).astype(np.float32)
     with DistributedExecutor(plan, cluster=make_cluster("stm32h743", 2)) as executor:
         scheduler = PipelineParallelScheduler(
-            executor,
-            halo_mode="displaced",
-            accuracy_mode="stale_halo",
-            drift_sample_every=1,
+            executor, policy=ExecutionPolicy(tier="stale_halo", drift_sample_every=1)
         )
         outputs = scheduler.run([frame] * 4)
         reference = executor.forward(frame)
@@ -188,16 +185,15 @@ def test_stale_halo_identical_frames_have_zero_drift():
         assert all(s.max_abs == 0.0 and s.rms == 0.0 for s in scheduler.drift_samples)
 
 
-def test_scheduler_validates_modes():
+def test_displaced_stage_rejects_unknown_tier():
+    """A mistyped tier must fail loudly, not silently skip the corrections
+    that keep the ``displaced`` tier bit-identical."""
     rng = np.random.default_rng(1)
     plan = _random_plan(rng)
+    frame = rng.standard_normal((1, *plan.graph.input_shape)).astype(np.float32)
     with DistributedExecutor(plan, cluster=make_cluster("stm32h743", 2)) as executor:
-        with pytest.raises(ValueError, match="halo_mode"):
-            PipelineParallelScheduler(executor, halo_mode="psychic")
-        with pytest.raises(ValueError, match="accuracy_mode"):
-            PipelineParallelScheduler(executor, accuracy_mode="yolo")
-        with pytest.raises(ValueError, match="drift_sample_every"):
-            PipelineParallelScheduler(executor, drift_sample_every=-1)
+        with pytest.raises(ValueError, match="bogus"):
+            executor._submit_displaced_stage(frame, frame, "bogus")
 
 
 # ------------------------------------------------------- lifecycle regression
@@ -297,7 +293,7 @@ def test_displaced_model_matches_blocking_at_one_device():
 
 
 @pytest.mark.parametrize(
-    "accuracy_mode,link_bytes_per_second",
+    "tier,link_bytes_per_second",
     [
         # The stale tier drops the halo from the critical path for free, so
         # it beats blocking exchange even at the default 10 MB/s link ...
@@ -307,10 +303,10 @@ def test_displaced_model_matches_blocking_at_one_device():
         # transfer, which only nets out in a deeply link-bound regime (on
         # this tiny model; larger halos shift the crossover toward faster
         # links — see benchmarks/test_bench_stale_halo.py).
-        ("verify_patch", 1e5),
+        ("displaced", 1e5),
     ],
 )
-def test_displaced_model_beats_blocking_in_its_regime(accuracy_mode, link_bytes_per_second):
+def test_displaced_model_beats_blocking_in_its_regime(tier, link_bytes_per_second):
     plan = _model_plan()
     for num_devices in (4, 6, 8):
         cluster = make_cluster(
@@ -319,7 +315,7 @@ def test_displaced_model_beats_blocking_in_its_regime(accuracy_mode, link_bytes_
         assignment = ShardPlanner(cluster).plan_shards(plan).assignment()
         blocking = estimate_cluster_latency(plan, assignment, cluster)
         displaced = estimate_displaced_cluster_latency(
-            plan, assignment, cluster, accuracy_mode=accuracy_mode
+            plan, assignment, cluster, tier=tier
         )
         assert displaced.stage_seconds < blocking.stage_seconds
         assert displaced.pipelined_makespan_seconds(8) < blocking.pipelined_makespan_seconds(8)
@@ -334,12 +330,12 @@ def test_restricting_corrections_never_costs_more():
         plan, assignment, cluster, corrected_branch_ids=[]
     )
     stale = estimate_displaced_cluster_latency(
-        plan, assignment, cluster, accuracy_mode="stale_halo"
+        plan, assignment, cluster, tier="stale_halo"
     )
     assert none_corrected.stage_seconds <= worst.stage_seconds
     assert stale.stage_seconds <= worst.stage_seconds
-    with pytest.raises(ValueError, match="accuracy_mode"):
-        estimate_displaced_cluster_latency(plan, assignment, cluster, accuracy_mode="nope")
+    with pytest.raises(ValueError, match="tier"):
+        estimate_displaced_cluster_latency(plan, assignment, cluster, tier="nope")
 
 
 def test_executor_modelled_displaced_latency_uses_measured_corrections():
@@ -347,7 +343,7 @@ def test_executor_modelled_displaced_latency_uses_measured_corrections():
     plan = _random_plan(rng)
     with DistributedExecutor(plan, cluster=make_cluster("stm32h743", 3)) as executor:
         frame = rng.standard_normal((1, *plan.graph.input_shape)).astype(np.float32)
-        scheduler = PipelineParallelScheduler(executor, halo_mode="displaced")
+        scheduler = PipelineParallelScheduler(executor, policy=DISPLACED)
         scheduler.run([frame, frame + 1.0])
         corrected = scheduler.rounds[-1].corrected_branches
         worst = executor.modelled_displaced_latency()

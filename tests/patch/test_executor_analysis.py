@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import QuantMCUPipeline
 from repro.models import build_model
 from repro.patch import (
     PatchExecutor,
@@ -167,3 +168,17 @@ class TestScheduler:
         # With an unconstrained budget the search should find a (near) zero
         # redundancy schedule.
         assert generous.redundant_macs <= redundant_macs(generous.plan) + 1
+
+
+def test_run_branch_tiles_cover_split_feature_map(tiny_mobilenet, rng):
+    plan = QuantMCUPipeline(tiny_mobilenet, sram_limit_bytes=64 * 1024, num_patches=2).build_plan()
+    executor = PatchExecutor(plan)
+    x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
+    stitched = executor.stitched_split_feature_map(x)
+    rebuilt = np.zeros_like(stitched)
+    for branch in plan.branches:
+        tile = branch.output_region
+        rebuilt[:, :, tile.row_start : tile.row_stop, tile.col_start : tile.col_stop] = (
+            executor.run_branch(branch, x)
+        )
+    assert np.array_equal(rebuilt, stitched)

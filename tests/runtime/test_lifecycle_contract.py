@@ -18,8 +18,7 @@ from repro.distributed import DistributedExecutor
 from repro.distributed.workers import DeviceShard
 from repro.hardware.cluster import make_cluster
 from repro.patch.executor import PatchExecutor
-from repro.runtime import ExecutionPolicy, Runtime, RuntimeClosed, threads
-from repro.serving.parallel import ParallelPatchExecutor
+from repro.runtime import ExecutionPolicy, Runtime, RuntimeClosed, cluster
 
 from fixtures import quantize_and_compile
 
@@ -37,14 +36,19 @@ def frame(compiled):
     return rng.standard_normal((1, *compiled.plan.graph.input_shape)).astype(np.float32)
 
 
+def _distributed(plan, runtime=None):
+    return DistributedExecutor(plan, cluster=make_cluster("stm32h743", 2), runtime=runtime)
+
+
+#: Executors that lease pools from a runtime (the device shards' serial pools).
+LEASING = {"distributed": _distributed}
+
+
 def _closeables(compiled):
     plan = compiled.plan
     return {
         "sequential": lambda: PatchExecutor(plan),
-        "parallel": lambda: ParallelPatchExecutor(plan, max_workers=2),
-        "distributed": lambda: DistributedExecutor(
-            plan, cluster=make_cluster("stm32h743", 2)
-        ),
+        "distributed": lambda: _distributed(plan),
         "device_shard": lambda: DeviceShard(
             0, plan.branches[:1], run_branch=lambda branch, x: x
         ),
@@ -53,7 +57,7 @@ def _closeables(compiled):
     }
 
 
-NAMES = ["sequential", "parallel", "distributed", "device_shard", "runtime", "stream_session"]
+NAMES = ["sequential", "distributed", "device_shard", "runtime", "stream_session"]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -63,11 +67,11 @@ def test_double_close_is_idempotent(compiled, name):
     closeable.close()
 
 
-@pytest.mark.parametrize("name", ["parallel", "distributed"])
+@pytest.mark.parametrize("name", sorted(LEASING))
 def test_close_after_work_then_reuse_revives(compiled, frame, name):
     # The historical single-owner lifecycle: a closed executor transparently
     # revives its private resources when asked to run again.
-    executor = _closeables(compiled)[name]()
+    executor = LEASING[name](compiled.plan)
     try:
         first = executor.forward(frame)
         executor.close()
@@ -95,7 +99,9 @@ def test_close_while_streaming(compiled, frame):
 
 
 def test_pipeline_close_with_live_sessions_is_safe(compiled, frame):
-    session = compiled.open_stream(policy=ExecutionPolicy(placement=threads(2)))
+    session = compiled.open_stream(
+        policy=ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
+    )
     session.process(frame[0])
     compiled.close()  # idempotent on the shared module fixture; closed again at teardown
     session.close()
@@ -104,28 +110,22 @@ def test_pipeline_close_with_live_sessions_is_safe(compiled, frame):
 
 def test_close_with_inflight_futures_drains(compiled, frame):
     runtime = Runtime()
-    executor = ParallelPatchExecutor(compiled.plan, max_workers=2, runtime=runtime)
+    executor = _distributed(compiled.plan, runtime)
     reference = PatchExecutor(compiled.plan)
     try:
         out = executor.forward(frame)
         np.testing.assert_array_equal(out, reference.forward(frame))
     finally:
         reference.close()
-        # wait=True joins the worker threads with any submitted chunks done.
+        # wait=True joins the device threads with any submitted shards done.
         runtime.close(wait=True)
     assert runtime.closed
 
 
-@pytest.mark.parametrize("name", ["parallel", "distributed"])
+@pytest.mark.parametrize("name", sorted(LEASING))
 def test_leased_handle_after_runtime_close_raises(compiled, frame, name):
     runtime = Runtime(name="contract")
-    plan = compiled.plan
-    if name == "parallel":
-        executor = ParallelPatchExecutor(plan, max_workers=2, runtime=runtime)
-    else:
-        executor = DistributedExecutor(
-            plan, cluster=make_cluster("stm32h743", 2), runtime=runtime
-        )
+    executor = LEASING[name](compiled.plan, runtime)
     executor.forward(frame)  # leases pools from the shared runtime
     runtime.close()
     with pytest.raises(RuntimeClosed, match="'contract' is closed"):
@@ -133,16 +133,10 @@ def test_leased_handle_after_runtime_close_raises(compiled, frame, name):
     executor.close()  # still safe after the runtime evaporated
 
 
-@pytest.mark.parametrize("name", ["parallel", "distributed"])
+@pytest.mark.parametrize("name", sorted(LEASING))
 def test_injected_runtime_is_not_closed_by_tenant(compiled, frame, name):
     with Runtime() as runtime:
-        plan = compiled.plan
-        if name == "parallel":
-            executor = ParallelPatchExecutor(plan, max_workers=2, runtime=runtime)
-        else:
-            executor = DistributedExecutor(
-                plan, cluster=make_cluster("stm32h743", 2), runtime=runtime
-            )
+        executor = LEASING[name](compiled.plan, runtime)
         assert not executor.owns_runtime
         executor.forward(frame)
         assert runtime.stats().thread_pools > 0
@@ -155,12 +149,7 @@ def test_injected_runtime_is_not_closed_by_tenant(compiled, frame, name):
 
 def test_one_runtime_close_releases_everything(compiled, frame):
     runtime = Runtime()
-    parallel = ParallelPatchExecutor(compiled.plan, max_workers=2, runtime=runtime)
-    distributed = DistributedExecutor(
-        compiled.plan, cluster=make_cluster("stm32h743", 2), runtime=runtime
-    )
-    parallel.forward(frame)
-    distributed.forward(frame)
+    _distributed(compiled.plan, runtime).forward(frame)
     segment = runtime.shared_segment(64)
     stats = runtime.stats()
     assert stats.thread_pools > 0 and stats.live_segments == 1

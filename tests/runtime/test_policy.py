@@ -1,8 +1,6 @@
-"""ExecutionPolicy / Placement: validation, resolution, legacy shims."""
+"""ExecutionPolicy / Placement: validation and backend resolution."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -14,7 +12,6 @@ from repro.runtime import (
     Placement,
     cluster,
     local,
-    threads,
 )
 
 
@@ -28,8 +25,6 @@ class TestPlacement:
         assert local() == Placement("local")
 
     def test_factories(self):
-        assert threads().kind == "threads"
-        assert threads(4).max_workers == 4
         spec = make_cluster()
         assert cluster(spec).cluster is spec
 
@@ -47,24 +42,17 @@ class TestPlacement:
         with pytest.raises(ValueError, match="does not take a cluster"):
             Placement("local", cluster=make_cluster())
 
-    def test_max_workers_only_for_threads(self):
-        with pytest.raises(ValueError, match="does not take max_workers"):
-            Placement("local", max_workers=2)
-        with pytest.raises(ValueError, match=">= 1"):
-            Placement("threads", max_workers=0)
-
     def test_cache_key_distinguishes_placements(self):
         keys = {
             local().cache_key,
-            threads().cache_key,
-            threads(2).cache_key,
-            cluster(make_cluster()).cache_key,
+            cluster(make_cluster(2)).cache_key,
+            cluster(make_cluster(3)).cache_key,
         }
-        assert len(keys) == 4
+        assert len(keys) == 3
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            local().kind = "threads"
+            local().kind = "cluster"
 
 
 class TestExecutionPolicy:
@@ -103,93 +91,6 @@ class TestExecutionPolicy:
         # An explicit policy backend beats the environment.
         assert ExecutionPolicy(backend="vectorized").resolved_backend() == "vectorized"
 
-    def test_with_tier(self):
-        policy = ExecutionPolicy(placement=threads(2))
-        stale = policy.with_tier("stale_halo", max_stale_frames=3, drift_sample_every=5)
-        assert stale.tier == "stale_halo"
-        assert stale.max_stale_frames == 3
-        assert stale.drift_sample_every == 5
-        assert stale.placement == policy.placement
-        # Original is untouched (frozen value semantics).
-        assert policy.tier == "exact"
-
     def test_placement_kinds_exported(self):
-        assert set(PLACEMENT_KINDS) == {"local", "threads", "cluster"}
+        assert set(PLACEMENT_KINDS) == {"local", "cluster"}
 
-
-class TestResolve:
-    def test_policy_passes_through(self):
-        policy = ExecutionPolicy(placement=threads(2))
-        assert ExecutionPolicy.resolve(policy) is policy
-
-    def test_policy_plus_legacy_is_an_error(self):
-        with pytest.raises(ValueError, match="not both"):
-            ExecutionPolicy.resolve(ExecutionPolicy(), parallel=True)
-
-    def test_no_arguments_yields_default(self):
-        assert ExecutionPolicy.resolve() == ExecutionPolicy()
-
-    def test_base_used_when_no_legacy(self):
-        base = ExecutionPolicy(placement=threads(3))
-        assert ExecutionPolicy.resolve(base=base) is base
-
-    def test_legacy_parallel_maps_to_threads(self):
-        with pytest.warns(DeprecationWarning, match="parallel"):
-            policy = ExecutionPolicy.resolve(parallel=True, max_workers=3)
-        assert policy.placement == threads(3)
-
-    def test_legacy_parallel_patches_maps_to_threads(self):
-        with pytest.warns(DeprecationWarning, match="parallel_patches"):
-            policy = ExecutionPolicy.resolve(parallel_patches=True)
-        assert policy.placement.kind == "threads"
-
-    def test_legacy_cluster_maps_to_cluster(self):
-        spec = make_cluster()
-        with pytest.warns(DeprecationWarning, match="cluster"):
-            policy = ExecutionPolicy.resolve(cluster=spec)
-        assert policy.placement == cluster(spec)
-
-    def test_historical_mutual_exclusion_message_preserved(self):
-        spec = make_cluster()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(
-                ValueError, match="parallel_patches and cluster are mutually exclusive"
-            ):
-                ExecutionPolicy.resolve(parallel_patches=True, cluster=spec)
-
-    def test_accuracy_mode_vocabularies(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert ExecutionPolicy.resolve(accuracy_mode="exact").tier == "exact"
-            assert (
-                ExecutionPolicy.resolve(accuracy_mode="stale_halo").tier == "stale_halo"
-            )
-            # The scheduler's verify_patch vocabulary maps onto displaced.
-            assert (
-                ExecutionPolicy.resolve(accuracy_mode="verify_patch").tier == "displaced"
-            )
-            with pytest.raises(ValueError, match="accuracy_mode"):
-                ExecutionPolicy.resolve(accuracy_mode="sloppy")
-
-    def test_stale_knobs_carried(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            policy = ExecutionPolicy.resolve(
-                accuracy_mode="stale_halo", max_stale_frames=2, drift_sample_every=4
-            )
-        assert policy.max_stale_frames == 2
-        assert policy.drift_sample_every == 4
-
-    def test_warn_false_is_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            policy = ExecutionPolicy.resolve(parallel=True, warn=False)
-        assert policy.placement.kind == "threads"
-
-    def test_explicit_false_parallel_forces_local(self):
-        base = ExecutionPolicy(placement=threads(2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            policy = ExecutionPolicy.resolve(parallel=False, base=base)
-        assert policy.placement.kind == "local"

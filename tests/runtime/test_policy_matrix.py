@@ -1,7 +1,7 @@
 """Bit-identity across the full (placement x backend x tier) policy matrix.
 
 The execution contract of the whole stack: for a given freshness tier, every
-valid combination of placement (local / threads / cluster) and kernel backend
+valid combination of placement (local / cluster) and kernel backend
 (loop / vectorized / multiprocess) must produce *identical bits* on both zoo
 deployments.  The tier picks the surface it is served through — ``exact``
 via :meth:`CompiledPipeline.infer`, ``stale_halo`` via a stream session,
@@ -17,7 +17,7 @@ import pytest
 
 from repro.distributed import PipelineParallelScheduler
 from repro.hardware.cluster import make_cluster
-from repro.runtime import ExecutionPolicy, Placement, cluster, local, threads
+from repro.runtime import ExecutionPolicy, cluster, local
 from repro.serving import compile_pipeline
 
 from fixtures import quantize_zoo_model
@@ -35,7 +35,6 @@ MODELS = [
 def _placements():
     return {
         "local": local(),
-        "threads": threads(2),
         "cluster": cluster(make_cluster("stm32h743", 2)),
     }
 
@@ -61,7 +60,7 @@ def deployment(request):
 def _matrix_cells():
     return [
         pytest.param(kind, backend, id=f"{kind}-{backend}")
-        for kind in ("local", "threads", "cluster")
+        for kind in ("local", "cluster")
         for backend in BACKENDS
     ]
 
@@ -113,7 +112,8 @@ class TestDisplacedTier:
         policy = ExecutionPolicy(
             placement=cluster(spec), backend=backend, tier="displaced"
         )
-        executor = compiled.executor(policy=policy.with_tier("exact"))
+        # The executor depends on placement and backend only, not the tier.
+        executor = compiled.executor(policy=policy)
         expected = [
             compiled.infer(x, policy=ExecutionPolicy(placement=local(), backend="loop"))
             for x in batches

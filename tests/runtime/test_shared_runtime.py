@@ -1,11 +1,16 @@
-"""Two tenants, one Runtime: pools are shared, one close() frees them all."""
+"""Two tenants, one Runtime: pools are shared, one close() frees them all.
+
+The pools under test are the per-device serial pools that ``cluster``
+placement leases for its device shards.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.runtime import ExecutionPolicy, Runtime, threads
+from repro.hardware.cluster import make_cluster
+from repro.runtime import ExecutionPolicy, Runtime, cluster
 from repro.serving import InferenceEngine, compile_pipeline
 
 from fixtures import quantize_zoo_model
@@ -24,22 +29,24 @@ def frame(artifact):
     return rng.standard_normal(shape).astype(np.float32)
 
 
-THREADS2 = ExecutionPolicy(placement=threads(2))
+CLUSTER2 = ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
+DEVICE_POOLS = (("device-0", 1), ("device-1", 1))
 
 
-def test_two_pipelines_share_one_thread_pool(artifact, frame):
+def test_two_pipelines_share_device_pools(artifact, frame):
     spec, pipeline, result = artifact
     with Runtime() as runtime:
         a = compile_pipeline(pipeline, result, spec=spec, runtime=runtime)
         b = compile_pipeline(pipeline, result, spec=spec, runtime=runtime)
         expected = a.infer(frame)
-        np.testing.assert_array_equal(a.infer(frame, policy=THREADS2), expected)
-        np.testing.assert_array_equal(b.infer(frame, policy=THREADS2), expected)
+        np.testing.assert_array_equal(a.infer(frame, policy=CLUSTER2), expected)
+        np.testing.assert_array_equal(b.infer(frame, policy=CLUSTER2), expected)
         stats = runtime.stats()
-        # Both pipelines lease the SAME keyed pool: one pool, two leases.
-        assert stats.pool_keys == (("patch-worker", 2),)
-        assert stats.thread_pools == 1
-        assert stats.active_leases == 2
+        # Both pipelines lease the SAME keyed pools: one pool per device,
+        # two leases on each.
+        assert stats.pool_keys == DEVICE_POOLS
+        assert stats.thread_pools == 2
+        assert stats.active_leases == 4
         a.close()
         b.close()
         assert runtime.stats().active_leases == 0
@@ -50,15 +57,14 @@ def test_two_engines_share_one_runtime(artifact, frame):
     runtime = Runtime()
     a_pipe = compile_pipeline(pipeline, result, spec=spec, runtime=runtime)
     b_pipe = compile_pipeline(pipeline, result, spec=spec, runtime=runtime)
-    engine_a = InferenceEngine(a_pipe, batch_timeout_s=0.001, policy=THREADS2, runtime=runtime)
-    engine_b = InferenceEngine(b_pipe, batch_timeout_s=0.001, policy=THREADS2, runtime=runtime)
+    engine_a = InferenceEngine(a_pipe, batch_timeout_s=0.001, policy=CLUSTER2, runtime=runtime)
+    engine_b = InferenceEngine(b_pipe, batch_timeout_s=0.001, policy=CLUSTER2, runtime=runtime)
     try:
         out_a = engine_a.infer(frame[0])
         out_b = engine_b.infer(frame[0])
         np.testing.assert_array_equal(out_a, out_b)
         stats = runtime.stats()
-        assert stats.thread_pools == 1
-        assert stats.pool_keys == (("patch-worker", 2),)
+        assert stats.pool_keys == DEVICE_POOLS
     finally:
         engine_a.close()
         engine_b.close()
@@ -73,11 +79,11 @@ def test_two_engines_share_one_runtime(artifact, frame):
 def test_shared_runtime_bits_match_private_runtime(artifact, frame):
     spec, pipeline, result = artifact
     solo = compile_pipeline(pipeline, result, spec=spec)
-    expected = solo.infer(frame, policy=THREADS2)
+    expected = solo.infer(frame, policy=CLUSTER2)
     solo.close()
     with Runtime() as runtime:
         shared = compile_pipeline(pipeline, result, spec=spec, runtime=runtime)
-        np.testing.assert_array_equal(shared.infer(frame, policy=THREADS2), expected)
+        np.testing.assert_array_equal(shared.infer(frame, policy=CLUSTER2), expected)
         shared.close()
 
 
@@ -85,9 +91,9 @@ def test_executor_cache_keys_on_runtime_token(artifact, frame):
     spec, pipeline, result = artifact
     compiled = compile_pipeline(pipeline, result, spec=spec)
     with Runtime() as one, Runtime() as two:
-        first = compiled.executor(policy=THREADS2, runtime=one)
-        again = compiled.executor(policy=THREADS2, runtime=one)
-        other = compiled.executor(policy=THREADS2, runtime=two)
+        first = compiled.executor(policy=CLUSTER2, runtime=one)
+        again = compiled.executor(policy=CLUSTER2, runtime=one)
+        other = compiled.executor(policy=CLUSTER2, runtime=two)
         assert first is again
         # A different runtime must not reuse an executor leasing pools from
         # the first one.

@@ -8,6 +8,8 @@ import pytest
 from fixtures import MOBILENET_SPEC as SPEC
 
 from repro.core import QuantMCUPipeline
+from repro.hardware import make_cluster
+from repro.runtime import ExecutionPolicy, cluster
 from repro.serving import CompiledPipeline, compile_pipeline
 
 
@@ -18,7 +20,8 @@ def test_compiled_matches_experiment_executor(quantized_mobilenet, rng):
     with pipeline.quantized_weights():
         reference = pipeline.make_executor(result).forward(x)
     assert np.array_equal(compiled.infer(x), reference)
-    assert np.array_equal(compiled.infer(x, parallel=True), reference)
+    on_cluster = ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
+    assert np.array_equal(compiled.infer(x, policy=on_cluster), reference)
     compiled.close()
 
 

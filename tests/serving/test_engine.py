@@ -428,8 +428,7 @@ def test_modelling_cluster_latency_builds_no_executor(compiled_mobilenet):
         # And the memoized assignment matches what a real executor would use.
         planned = ShardPlanner(spec).plan_shards(compiled_mobilenet.plan).assignment()
         assert engine._shard_assignments[compiled_mobilenet.fingerprint] == planned
-        with pytest.warns(DeprecationWarning):
-            executor = compiled_mobilenet.executor(cluster=spec)
+        executor = compiled_mobilenet.executor(engine.policy)
         assert executor.shard_plan.assignment() == planned
     finally:
         engine.close()

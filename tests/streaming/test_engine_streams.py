@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.data import SyntheticVideo
+from repro.hardware import make_cluster
+from repro.runtime import ExecutionPolicy, cluster
 from repro.serving import EngineClosed, InferenceEngine, PipelineCache
 
 
@@ -44,16 +46,17 @@ def test_open_stream_records_reuse_telemetry(compiled_mobilenet):
 
 
 def test_open_stream_uses_engine_execution_mode(compiled_mobilenet):
+    policy = ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
     with InferenceEngine(
-        compiled_mobilenet, batch_timeout_s=0.001, parallel_patches=True
+        compiled_mobilenet, batch_timeout_s=0.001, policy=policy
     ) as engine:
         session = engine.open_stream()
         frame = _video(num_frames=1).frames[0]
         assert np.array_equal(
             session.process(frame), compiled_mobilenet.infer(frame[None])[0]
         )
-        # The session's executor is the pipeline's patch-parallel one.
-        assert session.executor is compiled_mobilenet.executor(parallel=True)
+        # The session's executor is the pipeline's cluster one.
+        assert session.executor is compiled_mobilenet.executor(policy)
 
 
 def test_open_stream_after_close_raises(compiled_mobilenet):

@@ -10,6 +10,7 @@ from fixtures import quantize_and_compile
 from repro.data import SyntheticVideo
 from repro.hardware import make_cluster
 from repro.patch import analyze_streaming
+from repro.runtime import ExecutionPolicy, cluster
 from repro.streaming import StreamSession, changed_mask, dirty_branch_ids
 
 #: The same two zoo deployments the golden suite pins.
@@ -25,6 +26,9 @@ def zoo_compiled(request):
     _, _, compiled = quantize_and_compile(**params)
     yield params, compiled
     compiled.close()
+
+
+ON_CLUSTER = ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
 
 
 def _video(resolution: int, num_frames: int = 4, **kwargs):
@@ -44,16 +48,9 @@ def test_incremental_is_bit_identical_on_zoo_models(zoo_compiled):
         assert np.array_equal(incremental, full)
 
 
-def test_incremental_is_bit_identical_with_parallel_executor(zoo_compiled):
-    params, compiled = zoo_compiled
-    session = compiled.open_stream(parallel=True)
-    for frame in _video(params["resolution"]):
-        assert np.array_equal(session.process(frame), compiled.infer(frame[None])[0])
-
-
 def test_incremental_is_bit_identical_on_cluster(zoo_compiled):
     params, compiled = zoo_compiled
-    session = compiled.open_stream(cluster=make_cluster("stm32h743", 2))
+    session = compiled.open_stream(policy=ON_CLUSTER)
     for frame in _video(params["resolution"]):
         assert np.array_equal(session.process(frame), compiled.infer(frame[None])[0])
 
@@ -168,8 +165,7 @@ def test_frame_history_is_capped_but_totals_are_not(zoo_compiled):
 def test_distributed_reuse_is_per_shard(zoo_compiled):
     """Only devices owning dirty patches run branches; clean shards stay idle."""
     params, compiled = zoo_compiled
-    cluster = make_cluster("stm32h743", 2)
-    executor = compiled.executor(cluster=cluster)
+    executor = compiled.executor(policy=ON_CLUSTER)
     executor.close()  # drop any workers bound to the unwrapped run_branch
     executed: list[int] = []
     original = executor.run_branch
@@ -192,24 +188,6 @@ def test_distributed_reuse_is_per_shard(zoo_compiled):
     finally:
         executor.run_branch = original
         executor.close()  # drop workers bound to the recording wrapper
-
-
-def test_close_shuts_pools_revived_by_live_sessions(zoo_compiled):
-    """A session holding a replaced parallel executor must not leak its pool."""
-    params, compiled = zoo_compiled
-    session = compiled.open_stream(parallel=True, max_workers=3)
-    retired = session.executor
-    frame = _video(params["resolution"]).frames[0]
-    session.process(frame)
-    # A different worker count swaps the pipeline's parallel executor...
-    compiled.infer(frame[None], parallel=True, max_workers=2)
-    assert compiled.executor(parallel=True) is not retired
-    # ...but the live session lazily revives the retired executor's pool.
-    session.process(frame)
-    session.process(frame + 1.0)  # force real branch work through the pool
-    assert retired._pool is not None
-    compiled.close()
-    assert retired._pool is None  # close() reached the revived pool too
 
 
 # ----------------------------------------------------------------- diffing

@@ -1,15 +1,15 @@
 """Stale-halo streaming sessions: approximation contract, staleness bounds,
 drift telemetry, and the MAC-accounting regression.
 
-The ``accuracy_mode="stale_halo"`` tier skips recomputing branches whose
-changes are confined to their halo; these tests pin its contract:
+The ``stale_halo`` tier skips recomputing branches whose changes are
+confined to their halo; these tests pin its contract:
 
 * ``max_stale_frames=0`` degenerates to the exact tier (bit-identical);
 * a halo-only change is skipped and aged, a core change recomputes, and an
   overdue branch is force-recomputed (restoring exactness);
 * drift sampling populates the per-frame and cumulative telemetry fields;
 * serving-layer plumbing (``CompiledPipeline.open_stream`` /
-  ``InferenceEngine.open_stream``) forwards the mode and mirrors the stale /
+  ``InferenceEngine.open_stream``) forwards the tier and mirrors the stale /
   drift counters into :class:`~repro.serving.telemetry.TelemetrySnapshot`.
 
 Plus the satellite regression: ``executed_macs`` must be keyed by
@@ -28,6 +28,7 @@ from fixtures import property_cases, quantize_and_compile, random_property_graph
 from repro.patch import PatchExecutor, build_patch_plan, candidate_split_nodes
 from repro.patch.analysis import branch_macs
 from repro.patch.stale import plan_stale_geometry
+from repro.runtime import ExecutionPolicy
 from repro.serving import InferenceEngine
 from repro.streaming import StreamSession
 
@@ -81,7 +82,7 @@ def test_max_stale_zero_degenerates_to_exact(seed):
     rng = np.random.default_rng(seed)
     plan = _random_plan(rng)
     executor = PatchExecutor(plan)
-    session = StreamSession(executor, accuracy_mode="stale_halo", max_stale_frames=0)
+    session = StreamSession(executor, tier="stale_halo", max_stale_frames=0)
     frame = rng.standard_normal((1, *plan.graph.input_shape)).astype(np.float32)
     for _ in range(4):
         assert np.array_equal(session.process(frame), executor.forward(frame))
@@ -97,7 +98,7 @@ def test_halo_only_change_is_skipped_aged_and_force_recomputed():
     row, col, owner, lagging = located
 
     executor = PatchExecutor(plan)
-    session = StreamSession(executor, accuracy_mode="stale_halo", max_stale_frames=1)
+    session = StreamSession(executor, tier="stale_halo", max_stale_frames=1)
     frame = rng.standard_normal((1, *plan.graph.input_shape)).astype(np.float32)
     session.process(frame)
 
@@ -131,7 +132,7 @@ def test_unbounded_staleness_persists_across_quiet_frames():
     assert located is not None
     row, col, _, lagging = located
     executor = PatchExecutor(plan)
-    session = StreamSession(executor, accuracy_mode="stale_halo", max_stale_frames=None)
+    session = StreamSession(executor, tier="stale_halo", max_stale_frames=None)
     frame = rng.standard_normal((1, *plan.graph.input_shape)).astype(np.float32)
     session.process(frame)
     frame = frame.copy()
@@ -152,7 +153,7 @@ def test_drift_sampling_populates_frame_and_cumulative_fields():
     plan = _random_plan(rng)
     executor = PatchExecutor(plan)
     session = StreamSession(
-        executor, accuracy_mode="stale_halo", drift_sample_every=1
+        executor, tier="stale_halo", drift_sample_every=1
     )
     frame = rng.standard_normal((1, *plan.graph.input_shape)).astype(np.float32)
     out = session.process(frame)
@@ -175,8 +176,10 @@ def test_session_validates_parameters():
     rng = np.random.default_rng(1)
     plan = _random_plan(rng)
     executor = PatchExecutor(plan)
-    with pytest.raises(ValueError, match="accuracy_mode"):
-        StreamSession(executor, accuracy_mode="sloppy")
+    with pytest.raises(ValueError, match="tier"):
+        StreamSession(executor, tier="sloppy")
+    with pytest.raises(ValueError, match="tier"):
+        StreamSession(executor, tier="displaced")
     with pytest.raises(ValueError, match="drift_sample_every"):
         StreamSession(executor, drift_sample_every=-1)
     with pytest.raises(ValueError, match="max_stale_frames"):
@@ -237,17 +240,18 @@ def test_pipeline_and_engine_streams_carry_stale_telemetry():
         rng = np.random.default_rng(13)
         shape = compiled.plan.graph.input_shape
 
-        with pytest.raises(ValueError, match="accuracy_mode"):
-            compiled.open_stream(accuracy_mode="sloppy")
-
         session = compiled.open_stream(
-            accuracy_mode="stale_halo", drift_sample_every=1, max_stale_frames=3
+            policy=ExecutionPolicy(
+                tier="stale_halo", drift_sample_every=1, max_stale_frames=3
+            )
         )
-        assert session.accuracy_mode == "stale_halo"
+        assert session.tier == "stale_halo"
         assert session.max_stale_frames == 3
 
         with InferenceEngine(compiled) as engine:
-            stream = engine.open_stream(accuracy_mode="stale_halo", drift_sample_every=1)
+            stream = engine.open_stream(
+                policy=ExecutionPolicy(tier="stale_halo", drift_sample_every=1)
+            )
             frame = rng.standard_normal(shape).astype(np.float32)
             stream.process(frame)
             frame = frame.copy()
