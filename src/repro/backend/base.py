@@ -138,9 +138,9 @@ class Backend:
     def run_suffix(self, x: np.ndarray, stitched: np.ndarray) -> np.ndarray:
         """Run the layer-by-layer suffix on a stitched split feature map.
 
-        The reference suffix already executes whole feature maps (one NumPy
-        call per layer), so backends share it unless they have a reason not
-        to.
+        The suffix executes whole feature maps through the executor's
+        compiled inference steps (one kernel call per layer), so backends
+        share it unless they have a reason not to.
         """
         return self.executor._run_suffix(x, stitched)
 

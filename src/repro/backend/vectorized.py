@@ -26,7 +26,10 @@ window axis changes its accumulation strategy with the trailing extent.
 What remains per-branch is a thin Python loop around one large GEMM each —
 the per-branch dict bookkeeping, region slicing, ``np.pad`` calls, hook
 dispatch and small elementwise calls that dominated the loop reference are
-all hoisted into batched operations or compile-time recipes.
+all hoisted into batched operations or compile-time recipes.  Every recipe
+step runs a pure inference kernel (:func:`repro.nn.inference.layer_kernel`,
+compiled with the recipe), never ``Layer.forward``, so concurrent callers
+share the graph without writing to it.
 """
 
 from __future__ import annotations
@@ -49,10 +52,11 @@ from ..nn import (
     ReLU6,
     Sigmoid,
 )
-from ..nn import functional as F
 from ..nn.graph import INPUT_NODE
+from ..nn.inference import layer_kernel
 from ..patch.regions import backward_region
-from ..quant.quantizers import fake_quantize
+from ..quant.quantizers import AffineQuantizer
+from ..quant.quantizers import fake_quantize  # noqa: F401 - profilers wrap it by module attribute
 from .base import Backend
 
 __all__ = ["VectorizedBackend"]
@@ -60,7 +64,7 @@ __all__ = ["VectorizedBackend"]
 _SPATIAL = (Conv2d, DepthwiseConv2d, MaxPool2d, AvgPool2d)
 #: Elementwise layers proven safe to run on a merged ``(g*n, C, H, W)`` batch:
 #: no cross-element reductions, so batching cannot perturb float results.
-#: Anything else falls back to per-member ``forward`` calls (still batched
+#: Anything else falls back to per-member kernel calls (still batched
 #: gather/margins/hooks), which keeps correctness independent of the layer zoo.
 _STACK_SAFE_ELEMENTWISE = (
     Add,
@@ -79,14 +83,16 @@ class _Step:
     """One node of a group recipe (all offsets relative to scratch buffers)."""
 
     name: str
-    layer: object
-    kind: str  # "input" | "conv" | "pool" | "eltwise"
+    #: Pure inference kernel (:func:`repro.nn.inference.layer_kernel`), with
+    #: spatial layers compiled for the pre-padded window; None for the input.
+    fn: object
+    kind: str  # "input" | "conv" | "pool" | "eltwise" | "member"
     shape: tuple[int, int, int]  # (C, H, W) of the unclamped scratch buffer
     rect: tuple[int, int, int, int]  # clamped (computed) rect within the buffer
     #: For conv/pool: one ``(src, r0, r1, c0, c1)`` window rect; for
     #: elementwise: one exact rect per graph input.
     src_rects: tuple[tuple, ...]
-    #: ("none",) | ("skip",) | ("batched", bits, lo, hi) | ("member", fm)
+    #: ("none",) | ("batched", QuantParams) | ("member", fm)
     hook: tuple
 
 
@@ -222,7 +228,7 @@ class VectorizedBackend(Backend):
                 channels = graph.input_shape[0]
                 step = _Step(
                     name=name,
-                    layer=None,
+                    fn=None,
                     kind="input",
                     shape=(channels, unclamped.height, unclamped.width),
                     rect=rect,
@@ -247,8 +253,13 @@ class VectorizedBackend(Backend):
                     )
                     kind = "conv" if isinstance(layer, Conv2d) else "pool"
                     src_rects = (window,)
+                    window_shape = (shapes[src][0], window[2] - window[1], window[4] - window[3])
+                    fn = layer_kernel(layer, window_shape, padding=0)
                 else:
-                    kind = "eltwise"
+                    # Stack-safe layers run once on the merged group batch;
+                    # anything else once per member.
+                    kind = "eltwise" if isinstance(layer, _STACK_SAFE_ELEMENTWISE) else "member"
+                    fn = layer_kernel(layer, shapes[node.inputs[0]])
                     rects = []
                     for src in node.inputs:
                         src_un = rep.node_regions[src]
@@ -264,7 +275,7 @@ class VectorizedBackend(Backend):
                     src_rects = tuple(rects)
                 step = _Step(
                     name=name,
-                    layer=layer,
+                    fn=fn,
                     kind=kind,
                     shape=(channels, unclamped.height, unclamped.width),
                     rect=rect,
@@ -281,10 +292,10 @@ class VectorizedBackend(Backend):
 
         Hooks built by :func:`repro.core.quantmcu.make_static_hooks` expose
         ``static_params``; when every member's parameters are static and equal
-        the hook collapses into one elementwise ``fake_quantize`` over the
-        stacked buffer.  Any content-dependent or non-uniform case falls back
-        to calling the hook per member — on exactly the clamped region the
-        reference would have passed it.
+        the hook collapses into one elementwise fake-quantization over the
+        stacked buffer, on a grid resolved here once.  Any content-dependent
+        or non-uniform case falls back to calling the hook per member — on
+        exactly the clamped region the reference would have passed it.
         """
         executor = self.executor
         fm = executor._fm_by_output.get(name)
@@ -297,11 +308,11 @@ class VectorizedBackend(Backend):
         if any(p is None for p in params):
             return ("member", fm)
         if all(p[0] >= 32 for p in params):
-            return ("skip",)
+            return ("none",)
         if any(p[0] >= 32 for p in params) or len(set(params)) > 1:
             return ("member", fm)
         bits, low, high = params[0]
-        return ("batched", bits, low, high)
+        return ("batched", AffineQuantizer(bits).compute_params(low, high))
 
     # ----------------------------------------------------------------- execute
     def _run_group(self, group: _Group, subset: list[int], x: np.ndarray, emit) -> None:
@@ -328,50 +339,29 @@ class VectorizedBackend(Backend):
             elif step.kind == "conv":
                 src, d0, d1, d2, d3 = step.src_rects[0]
                 src_buf = bufs[src]
-                layer = step.layer
-                weight = layer.params["weight"]
-                bias = layer.params.get("bias")
                 # Per member by design: rebuilding the reference's fresh im2col
                 # matrix is the only GEMM execution proven bit-stable (above).
                 for slot in range(g):
-                    out, _ = F.conv2d_forward(
-                        src_buf[slot, :, :, d0:d1, d2:d3], weight, bias, layer.stride, 0
-                    )
-                    buf[slot, :, :, r0:r1, c0:c1] = out
+                    buf[slot, :, :, r0:r1, c0:c1] = step.fn(src_buf[slot, :, :, d0:d1, d2:d3])
             elif step.kind == "pool":
                 src, d0, d1, d2, d3 = step.src_rects[0]
                 window = bufs[src][:, :, :, d0:d1, d2:d3]
-                merged = window.reshape(g * n, window.shape[2], d1 - d0, d3 - d2)
-                layer = step.layer
-                if isinstance(layer, DepthwiseConv2d):
-                    out, _ = F.depthwise_conv2d_forward(
-                        merged, layer.params["weight"], layer.params.get("bias"),
-                        layer.stride, 0,
-                    )
-                elif isinstance(layer, MaxPool2d):
-                    out, _ = F.maxpool2d_forward(merged, layer.kernel_size, layer.stride, 0)
-                else:
-                    out = F.avgpool2d_forward(merged, layer.kernel_size, layer.stride, 0)
+                out = step.fn(window.reshape(g * n, window.shape[2], d1 - d0, d3 - d2))
                 buf[:, :, :, r0:r1, c0:c1] = out.reshape(g, n, *out.shape[1:])
-            else:  # eltwise
-                if isinstance(step.layer, _STACK_SAFE_ELEMENTWISE):
-                    views = []
-                    for src, e0, e1, e2, e3 in step.src_rects:
-                        src_view = bufs[src][:, :, :, e0:e1, e2:e3]
-                        views.append(
-                            src_view.reshape(g * n, src_view.shape[2], e1 - e0, e3 - e2)
-                        )
-                    out = step.layer.forward(*views)
-                    buf[:, :, :, r0:r1, c0:c1] = out.reshape(
-                        g, n, channels, r1 - r0, c1 - c0
-                    )
-                else:
-                    for slot in range(g):
-                        inputs = [
-                            bufs[src][slot, :, :, e0:e1, e2:e3]
-                            for src, e0, e1, e2, e3 in step.src_rects
-                        ]
-                        buf[slot, :, :, r0:r1, c0:c1] = step.layer.forward(*inputs)
+            elif step.kind == "eltwise":
+                views = []
+                for src, e0, e1, e2, e3 in step.src_rects:
+                    src_view = bufs[src][:, :, :, e0:e1, e2:e3]
+                    views.append(src_view.reshape(g * n, src_view.shape[2], e1 - e0, e3 - e2))
+                out = step.fn(*views)
+                buf[:, :, :, r0:r1, c0:c1] = out.reshape(g, n, channels, r1 - r0, c1 - c0)
+            else:  # member
+                for slot in range(g):
+                    inputs = [
+                        bufs[src][slot, :, :, e0:e1, e2:e3]
+                        for src, e0, e1, e2, e3 in step.src_rects
+                    ]
+                    buf[slot, :, :, r0:r1, c0:c1] = step.fn(*inputs)
 
             # Pin the halo margins to zero: they stand for out-of-feature-map
             # positions, which the reference materializes as zero padding at
@@ -389,9 +379,8 @@ class VectorizedBackend(Backend):
 
             mode = step.hook[0]
             if mode == "batched":
-                _, bits, low, high = step.hook
                 rect_view = buf[:, :, :, r0:r1, c0:c1]
-                rect_view[...] = fake_quantize(rect_view, bits, low, high)
+                step.hook[1].fake_quantize(rect_view, out=rect_view)
             elif mode == "member":
                 fm = step.hook[1]
                 hook = self.executor.branch_hook

@@ -106,16 +106,7 @@ def make_static_hooks(
     def suffix_hook(fm, array: np.ndarray) -> np.ndarray:
         return _quantize(array, fm.index, suffix_bits.get(fm.index, 8))
 
-    def static_params(patch_id: int, fm_index: int):
-        """``(bits, low, high)`` the hook will apply, or ``None`` if the
-        quantization is content-dependent (uncalibrated range fallback).
-
-        The protocol the vectorized backend uses to collapse per-branch hook
-        calls into one elementwise ``fake_quantize`` over a stacked buffer:
-        ``bits >= 32`` means identity (low/high are ``None``), any ``None``
-        return forces the backend back to calling the hook per branch.
-        """
-        bits = branch_bits[patch_id].get(fm_index, 8)
+    def _static(bits: int, fm_index: int):
         if bits >= 32:
             return bits, None, None
         calibrated = activation_ranges.get(fm_index)
@@ -125,7 +116,23 @@ def make_static_hooks(
         # could change the dtype the quantizer's scale arithmetic runs in.
         return bits, calibrated[0], calibrated[1]
 
+    def static_params(patch_id: int, fm_index: int):
+        """``(bits, low, high)`` the hook will apply, or ``None`` if the
+        quantization is content-dependent (uncalibrated range fallback).
+
+        The protocol executors use to resolve a hook's quantization grid once
+        at compile time instead of calling the hook per array: ``bits >= 32``
+        means identity (low/high are ``None``), any ``None`` return forces
+        the executor back to calling the hook.
+        """
+        return _static(branch_bits[patch_id].get(fm_index, 8), fm_index)
+
+    def suffix_static_params(fm_index: int):
+        """:func:`static_params` of the suffix hook (no patch id)."""
+        return _static(suffix_bits.get(fm_index, 8), fm_index)
+
     branch_hook.static_params = static_params
+    suffix_hook.static_params = suffix_static_params
     return branch_hook, suffix_hook
 
 

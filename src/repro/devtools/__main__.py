@@ -8,7 +8,9 @@
 ``racecheck``
     First self-test the detector (a deliberately seeded ABBA inversion must
     be caught), then stress the real serving concurrency primitives under
-    instrumented locks and scheduling jitter; exit 1 on any hazard.
+    instrumented locks and scheduling jitter, and serve one pipeline from
+    the batcher, a stream and direct calls at once without any layer
+    attribute being written; exit 1 on any hazard.
 
 ``bench``
     Time the linter over ``src`` and write ``BENCH_devtools.json``.
@@ -48,7 +50,7 @@ from .lint import (
     format_text,
     lint_paths,
 )
-from .racecheck import RaceMonitor, instrument
+from .racecheck import RaceMonitor, forbid_writes, instrument
 from .stress import StressHarness
 
 __all__ = [
@@ -62,6 +64,7 @@ __all__ = [
     "abba_selftest",
     "cache_stress_scenario",
     "runtime_stress_scenario",
+    "serving_state_scenario",
 ]
 
 
@@ -167,6 +170,59 @@ def runtime_stress_scenario(threads: int, iterations: int) -> "RaceMonitor":
     return monitor
 
 
+def serving_state_scenario(threads: int, iterations: int) -> "RaceMonitor":
+    """Serve one compiled pipeline three ways at once; no layer may be written.
+
+    Workers interleave batched requests through an
+    :class:`~repro.serving.InferenceEngine`, frames of their own
+    :class:`~repro.streaming.StreamSession` and direct
+    :meth:`~repro.serving.CompiledPipeline.infer` calls on a tiny MobileNetV2.
+    The serving path runs pure inference kernels, so the frozen graph's layers
+    must see no attribute write at all: any write is a finding, as are lock
+    hazards on the engine and pipeline.
+    """
+    import numpy as np
+
+    from ..core import QuantMCUPipeline
+    from ..nn import Layer
+    from ..serving import CompiledPipeline, InferenceEngine, ModelSpec
+
+    spec = ModelSpec("mobilenetv2", 32, 4, 0.35, 3)
+    rng = np.random.default_rng(17)
+    calib = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
+    frames = rng.standard_normal((3, 3, 32, 32)).astype(np.float32)
+    quant = QuantMCUPipeline(spec.build(), sram_limit_bytes=64 * 1024, num_patches=2)
+    pipeline = CompiledPipeline.from_result(quant, quant.run(calib), spec=spec)
+
+    harness = StressHarness(threads=threads, iterations=iterations, seed=13)
+    monitor = RaceMonitor(jitter=harness.pause)
+    layers = [layer for _, layer in pipeline.graph.layers()]
+    try:
+        with InferenceEngine(pipeline, max_batch_size=4, batch_timeout_s=0.001) as engine:
+            instrument([engine, pipeline], monitor)
+            streams = [engine.open_stream() for _ in range(threads)]
+
+            def workload(worker: int, iteration: int) -> None:
+                frame = frames[(worker + iteration) % len(frames)]
+                route = (worker + iteration) % 3
+                if route == 0:
+                    engine.submit(frame).result(timeout=60)
+                elif route == 1:
+                    streams[worker].process(frame)
+                else:
+                    pipeline.infer(frame[None])
+
+            with forbid_writes(Layer, layers, monitor):
+                report = harness.run(workload)
+            for stream in streams:
+                stream.close()
+    finally:
+        pipeline.close()
+    if report.errors:
+        raise report.errors[0]
+    return monitor
+
+
 def run_racecheck(args: argparse.Namespace) -> int:
     ok = True
     if not abba_selftest():
@@ -174,7 +230,7 @@ def run_racecheck(args: argparse.Namespace) -> int:
         ok = False
     else:
         print("racecheck selftest: seeded ABBA inversion detected (detector live)")
-    for scenario in (cache_stress_scenario, runtime_stress_scenario):
+    for scenario in (cache_stress_scenario, runtime_stress_scenario, serving_state_scenario):
         monitor = scenario(args.threads, args.iterations)
         report = monitor.report()
         print(f"[{scenario.__name__}]")

@@ -17,6 +17,9 @@ invariants worth enforcing *now* are:
    mutable state with :meth:`RaceMonitor.record_access`; state touched by two
    or more threads with no common monitored lock across all accesses is
    flagged.
+3. **No writes to immutable state.**  :func:`forbid_writes` reports every
+   attribute write to objects that must stay read-only while it is active
+   (the layers of a frozen serving graph); any such write is flagged.
 
 Instrumentation is strictly opt-in (:func:`instrument` swaps the lock
 attributes of live objects) and adds nothing to production code paths.
@@ -25,9 +28,10 @@ attributes of live objects) and adds nothing to production code paths.
 from __future__ import annotations
 
 import threading
-from collections import defaultdict
+from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "TracedLock",
@@ -35,6 +39,7 @@ __all__ = [
     "RaceFinding",
     "RaceReport",
     "instrument",
+    "forbid_writes",
     "LOCK_TYPES",
 ]
 
@@ -46,7 +51,7 @@ LOCK_TYPES = (type(threading.Lock()), type(threading.RLock()))
 class RaceFinding:
     """One hazard the monitor observed."""
 
-    kind: str  # "lock-order-inversion" | "unguarded-shared-state"
+    kind: str  # "lock-order-inversion" | "unguarded-shared-state" | "immutable-state-write"
     subject: str  # the cycle ("A -> B -> A") or the shared-state name
     detail: str
 
@@ -144,6 +149,8 @@ class RaceMonitor:
         # collapse into "one thread" and hide a real race.
         self._thread_tokens = threading.local()
         self._next_token = 0
+        # state name -> number of writes while declared immutable
+        self._writes: Counter[str] = Counter()
 
     # ----------------------------------------------------------- lock factory
     def lock(self, name: str) -> TracedLock:
@@ -193,6 +200,11 @@ class RaceMonitor:
         token = self._thread_token()
         with self._mutex:
             self._accesses[state].append((token, held))
+
+    def record_write(self, state: str) -> None:
+        """Mark one write to named state that must not change; always a finding."""
+        with self._mutex:
+            self._writes[state] += 1
 
     def _thread_token(self) -> int:
         try:
@@ -276,11 +288,20 @@ class RaceMonitor:
             )
         findings.extend(self.unguarded_states())
         with self._mutex:
+            writes = sorted(self._writes.items())
             edges = sorted(
                 (a, b) for a, successors in self._edges.items() for b in successors
             )
             locks = sorted(self._locks_seen)
             states = sorted(self._accesses)
+        findings.extend(
+            RaceFinding(
+                kind="immutable-state-write",
+                subject=state,
+                detail=f"written {count} time(s) while declared immutable",
+            )
+            for state, count in writes
+        )
         return RaceReport(
             findings=findings, lock_edges=edges, locks_seen=locks, states_seen=states
         )
@@ -312,3 +333,33 @@ def instrument(
                 name = f"{type(obj).__name__}.{attr_name}"
                 setattr(obj, attr_name, monitor.wrap(value, name))
     return monitor
+
+
+@contextmanager
+def forbid_writes(
+    cls: type, objects: Iterable[object], monitor: RaceMonitor
+) -> Iterator[RaceMonitor]:
+    """Report every attribute write to ``objects`` (instances of ``cls``) to
+    ``monitor`` while the block runs.
+
+    Swaps ``cls.__setattr__`` for the duration, so writes from any thread are
+    seen, including rebinding an attribute to an equal value.  State names
+    are ``ClassName.attribute``.
+    """
+    watched = {id(obj) for obj in objects}
+    own = vars(cls).get("__setattr__")
+    inherited = cls.__setattr__
+
+    def guarded(obj, name: str, value) -> None:
+        if id(obj) in watched:
+            monitor.record_write(f"{type(obj).__name__}.{name}")
+        inherited(obj, name, value)
+
+    cls.__setattr__ = guarded
+    try:
+        yield monitor
+    finally:
+        if own is None:
+            del cls.__setattr__
+        else:
+            cls.__setattr__ = own

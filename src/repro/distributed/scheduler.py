@@ -237,7 +237,7 @@ class PipelineParallelScheduler:
             stitched = executor._stitch_displaced(item.x, item.submission)
         else:
             stitched = executor._stitch(item.x, item.fresh_futures)
-        out = executor._run_suffix(item.x, stitched)
+        out = executor.run_suffix(item.x, stitched)
         self.rounds.append(item.record)
         every = self.policy.drift_sample_every
         if (

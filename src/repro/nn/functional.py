@@ -55,6 +55,7 @@ __all__ = [
     "conv2d_forward",
     "conv2d_backward",
     "depthwise_conv2d_forward",
+    "depthwise_conv2d_taps",
     "depthwise_conv2d_backward",
     "maxpool2d_forward",
     "maxpool2d_backward",
@@ -324,6 +325,52 @@ def depthwise_conv2d_forward(
     if bias is not None:
         out = out + bias[None, :, None]
     return out.reshape(n, c, out_h, out_w), windows
+
+
+def depthwise_conv2d_taps(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: np.ndarray | None,
+    stride: int,
+    padding: int,
+) -> np.ndarray:
+    """Inference-only depthwise convolution: the output of
+    :func:`depthwise_conv2d_forward` without its ``(N, C, kh*kw, P)`` window copy.
+
+    Accumulates one strided view of the input per kernel tap, in ascending
+    tap order (``acc = x_0*w_0; acc += x_1*w_1; ...``).  That is the addition
+    order of the reference's reduction over the window axis whenever that
+    axis is not the innermost one in memory, i.e. whenever ``out_w > 1``:
+    then the two are bit-identical.  At ``out_w == 1`` the reference reduces
+    contiguous taps with pairwise summation, so callers keep the reference
+    there (see :func:`repro.nn.inference.layer_kernel`).
+    """
+    n, c, h, w = x.shape
+    c_w, kh, kw = weight.shape
+    if c_w != c:
+        raise ValueError(f"depthwise weight has {c_w} channels, input has {c}")
+    out_h = conv_output_size(h, kh, stride, padding)
+    out_w = conv_output_size(w, kw, stride, padding)
+    if padding > 0:
+        img = np.pad(x, [(0, 0), (0, 0), (padding, padding), (padding, padding)], mode="constant")
+    else:
+        img = x
+    taps = weight.reshape(c, kh * kw, 1, 1)
+    out = np.empty((n, c, out_h, out_w), dtype=np.result_type(x, weight))
+    term = np.empty_like(out)
+    row_span = stride * (out_h - 1) + 1
+    col_span = stride * (out_w - 1) + 1
+    for tap in range(kh * kw):  # repro: noqa[REP007] - 9 whole-tensor taps, not per-element
+        i, j = divmod(tap, kw)
+        view = img[:, :, i : i + row_span : stride, j : j + col_span : stride]
+        if tap == 0:
+            np.multiply(view, taps[:, 0], out=out)
+        else:
+            np.multiply(view, taps[:, tap], out=term)
+            out += term
+    if bias is not None:
+        out += bias[:, None, None]
+    return out
 
 
 def depthwise_conv2d_backward(

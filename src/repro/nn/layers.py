@@ -3,7 +3,9 @@
 Each layer is a small stateful object with a uniform interface:
 
 ``forward(*inputs)``
-    Compute the layer output and cache whatever the backward pass needs.
+    Compute the layer output and cache whatever the backward pass needs
+    (the training forward; :mod:`repro.nn.inference` holds the pure
+    inference kernels the serving path runs instead).
 ``backward(grad_out)``
     Return the gradient(s) with respect to the input(s) and accumulate
     parameter gradients in ``self.grads``.
@@ -64,8 +66,9 @@ class Layer:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.training: bool = False
-        # Per-forward backward-pass scratch, overwritten on every forward and
-        # cleared by the serving layer — not a memo.
+        # Per-forward backward-pass scratch, overwritten on every forward — not
+        # a memo.  Only training and the loop-reference oracle call forward;
+        # serving runs the cache-free kernels of repro.nn.inference.
         self._cache: dict[str, object] = {}  # repro: noqa[REP004]
 
     # ------------------------------------------------------------------ API

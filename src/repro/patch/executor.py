@@ -18,7 +18,16 @@ the patch machinery knowing anything about quantization:
 ``suffix_hook(fm, array)``
     Called with every feature-map activation computed in the suffix.
 
-Both return the (possibly fake-quantized) array to propagate.
+Both return the (possibly fake-quantized) array to propagate.  A hook that
+exposes ``static_params`` (see :func:`repro.core.quantmcu.make_static_hooks`)
+has its quantization grid resolved once, when the executor is built.
+
+The suffix is compiled at construction into a tuple of pure inference steps
+(:class:`repro.nn.inference.Step`): no ``Layer.forward`` call, so serving
+threads share the graph without writing to it.  The per-branch loop
+reference (:meth:`PatchExecutor.run_branch`) deliberately keeps calling
+``Layer.forward``: it is the independent oracle the compiled kernels are
+tested against.
 
 *How* the branches are computed is delegated to a pluggable compute backend
 (:mod:`repro.backend`): the serial per-branch loop reference, the batched
@@ -38,7 +47,9 @@ import numpy as np
 from ..nn import AvgPool2d, Conv2d, DepthwiseConv2d, MaxPool2d
 from ..nn import functional as F
 from ..nn.graph import INPUT_NODE
+from ..nn.inference import Step, layer_kernel
 from ..quant.points import FeatureMap
+from ..quant.quantizers import AffineQuantizer
 from .plan import BranchPlan, PatchPlan
 from .regions import Region, backward_region
 
@@ -80,6 +91,7 @@ class PatchExecutor:
         # executors revive their pools on next use" lifecycle.
         self._runtime = runtime
         self._private_runtime: "Runtime | None" = None
+        self._suffix_steps, self._suffix_output = self._compile_suffix()
 
     # ---------------------------------------------------------------- runtime
     @property
@@ -367,16 +379,54 @@ class PatchExecutor:
         raise TypeError(f"unsupported spatial layer {type(layer).__name__}")  # pragma: no cover
 
     # ---------------------------------------------------------------- suffix
-    def _run_suffix(self, x: np.ndarray, stitched: np.ndarray) -> np.ndarray:
+    def _compile_suffix(self) -> tuple[tuple[Step, ...], int]:
+        """Compile the suffix into pure steps over value slots.
+
+        Slot 0 holds the graph input, slot 1 the stitched split feature map
+        and slot ``k + 2`` the output of step ``k``.  Returns the steps and
+        the slot of the graph output.
+        """
         plan = self.plan
         graph = plan.graph
-        values: dict[str, np.ndarray] = {INPUT_NODE: x, plan.split_output_node: stitched}
+        slots = {INPUT_NODE: 0, plan.split_output_node: 1}
+        steps = []
         for name in plan.suffix_nodes:
             node = graph.nodes[name]
-            inputs = [values[src] for src in node.inputs]
-            out = node.layer.forward(*inputs)
-            fm = self._fm_by_output.get(name)
-            if fm is not None and self.suffix_hook is not None:
-                out = self.suffix_hook(fm, out)
-            values[name] = out
-        return values[graph.output_node]
+            fn = layer_kernel(node.layer, self._shapes[node.inputs[0]])
+            inputs = tuple(slots[src] for src in node.inputs)
+            steps.append(Step(inputs, fn, self._suffix_quant(name)))
+            slots[name] = len(slots)
+        output = slots[graph.output_node]
+        # A slot is released after its last reader, so dead activations free
+        # their memory for the next step's output instead of piling up.
+        last_read = {slot: k for k, step in enumerate(steps) for slot in step.inputs}
+        released: list[list[int]] = [[] for _ in steps]
+        for slot, k in last_read.items():
+            if slot != output:
+                released[k].append(slot)
+        steps = [step._replace(release=tuple(free)) for step, free in zip(steps, released)]
+        return tuple(steps), output
+
+    def _suffix_quant(self, name: str):
+        """The suffix hook at ``name``, with static grids resolved once."""
+        fm = self._fm_by_output.get(name)
+        hook = self.suffix_hook
+        if fm is None or hook is None:
+            return None
+        static = getattr(hook, "static_params", None)
+        params = static(fm.index) if static is not None else None
+        if params is None:
+            return lambda array: hook(fm, array)
+        bits, low, high = params
+        if bits >= 32:
+            return None
+        return AffineQuantizer(bits).compute_params(low, high).fake_quantize
+
+    def _run_suffix(self, x: np.ndarray, stitched: np.ndarray) -> np.ndarray:
+        values = [x, stitched]
+        for inputs, fn, quant, release in self._suffix_steps:
+            out = fn(*[values[i] for i in inputs])
+            values.append(out if quant is None else quant(out))
+            for slot in release:
+                values[slot] = None
+        return values[self._suffix_output]

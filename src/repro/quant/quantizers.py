@@ -52,6 +52,27 @@ class QuantParams:
     def qmax(self) -> int:
         return (1 << self.bits) - 1
 
+    def fake_quantize(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Quantize-dequantize ``x`` on this grid, staying in float.
+
+        One float chain, ``round(x/scale)+zp`` -> ``clip`` -> ``(q-zp)*scale``,
+        written into ``out`` (which may be ``x`` itself) when given.  The clipped grid values are small
+        integers, so they pass through float32 exactly: the result is
+        bit-identical to quantizing to ``int32`` and dequantizing, except that
+        NaN stays NaN instead of becoming a huge negative grid value.
+        ``+-inf`` clip to the grid ends.  Float64 inputs are rounded and
+        clipped in float64 and dequantized in float32, like the integer path.
+        """
+        q = np.divide(x, self.scale, out=out)
+        np.round(q, out=q)
+        q += self.zero_point
+        np.clip(q, self.qmin, self.qmax, out=q)
+        if q.dtype != np.float32:
+            q = q.astype(np.float32)
+        q -= self.zero_point
+        q *= self.scale
+        return q
+
 
 def _validate_bits(bits: int) -> None:
     if bits not in SUPPORTED_BITWIDTHS and bits != 16 and bits != 32:
@@ -89,8 +110,7 @@ class AffineQuantizer:
 
     def fake_quantize(self, x: np.ndarray, low: float, high: float) -> np.ndarray:
         """Quantize-dequantize in one step (simulated quantization)."""
-        params = self.compute_params(low, high)
-        return self.dequantize(self.quantize(x, params), params)
+        return self.compute_params(low, high).fake_quantize(x)
 
 
 class SymmetricQuantizer:

@@ -9,11 +9,14 @@ from the one-shot experiment scripts: calibration, bitwidth search and plan
 construction happen at compile time, so a request only pays for the forward
 pass itself.
 
-Compiled pipelines are cheap to invoke, safe to share between threads (the
-weights are frozen read-only and the quantization hooks are pure functions of
-their inputs), and round-trip through :meth:`CompiledPipeline.save` /
-:meth:`CompiledPipeline.load` for models built through the registry
-(:class:`ModelSpec` records the builder arguments).
+Compiled pipelines are cheap to invoke, safe to share between threads, and
+round-trip through :meth:`CompiledPipeline.save` / :meth:`CompiledPipeline.load`
+for models built through the registry (:class:`ModelSpec` records the builder
+arguments).  Serving state is immutable by construction: the weights are
+frozen read-only, and every executor compiles the graph once into pure
+inference steps (:mod:`repro.nn.inference`) with the quantization grids
+resolved up front, so no request writes to the shared layers — there is no
+per-request cleanup to race against.
 
 The serving execution is bit-identical to the experiment-side
 :meth:`~repro.core.quantmcu.QuantMCUPipeline.make_executor` path: the same
@@ -71,19 +74,33 @@ class ModelSpec:
         )
 
 
+def _copy_graph(graph: Graph) -> Graph:
+    """Deep copy of ``graph`` without its forward-pass scratch.
+
+    Calibration leaves every layer's backward cache and the graph's recorded
+    activations behind (tens of MiB at serving resolutions); the copy starts
+    with empty caches instead of duplicating them.  ``graph`` is not touched.
+    """
+    memo: dict[int, object] = {id(layer._cache): {} for _, layer in graph.layers()}
+    values = getattr(graph, "_values", None)
+    if values is not None:
+        memo[id(values)] = None
+    copied = copy.deepcopy(graph, memo)
+    if values is not None:
+        del copied._values
+    return copied
+
+
 def _freeze_graph(graph: Graph) -> None:
     """Put ``graph`` in inference mode and mark every parameter read-only."""
     graph.eval()
     for _, layer in graph.layers():
-        layer._cache = {}
         for arr in layer.params.values():
             arr.flags.writeable = False
         for buf_name in ("running_mean", "running_var"):
             buf = getattr(layer, buf_name, None)
             if isinstance(buf, np.ndarray):
                 buf.flags.writeable = False
-    if hasattr(graph, "_values"):
-        del graph._values
 
 
 def _buffers(graph: Graph) -> dict[str, np.ndarray]:
@@ -174,7 +191,7 @@ class CompiledPipeline:
         original model cannot affect the compiled pipeline.
         """
         state = result.deployment_state()
-        graph = copy.deepcopy(pipeline.graph)
+        graph = _copy_graph(pipeline.graph)
         if result.weight_bits < 32:
             # Same coverage as QuantMCUPipeline.quantized_weights: only the
             # feature-map compute nodes (the classifier head stays float).
@@ -260,19 +277,9 @@ class CompiledPipeline:
                 "micro-batches; drive it through PipelineParallelScheduler, "
                 "not CompiledPipeline.infer"
             )
-        try:
-            return self.executor(policy, runtime).forward(x)
-        finally:
-            self._clear_layer_caches()
+        return self.executor(policy, runtime).forward(x)
 
     __call__ = infer
-
-    def _clear_layer_caches(self) -> None:
-        # Layers stash backward-pass caches (im2col matrices, BN x_hat)
-        # on every forward; a resident serving pipeline must not keep a
-        # full activation set alive between requests.
-        for _, layer in self.graph.layers():
-            layer._cache = {}
 
     def open_stream(
         self,
@@ -303,14 +310,12 @@ class CompiledPipeline:
                 "micro-batches; drive it through PipelineParallelScheduler, "
                 "not a stream"
             )
-        session = StreamSession(
+        return StreamSession(
             self.executor(policy, runtime),
             tier=policy.tier,
             drift_sample_every=policy.drift_sample_every,
             max_stale_frames=policy.max_stale_frames,
         )
-        session.add_observer(lambda stats: self._clear_layer_caches())
-        return session
 
     def close(self) -> None:
         """Release executor resources: device pools, backend scratch.

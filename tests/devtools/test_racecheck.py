@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 
-from repro.devtools.racecheck import RaceMonitor, TracedLock, instrument
+from repro.devtools.racecheck import RaceMonitor, TracedLock, forbid_writes, instrument
 from repro.devtools.stress import StressHarness
 from repro.serving import InferenceEngine, PipelineCache
 
@@ -156,6 +156,42 @@ class TestUnguardedState:
         monitor.record_access("counter")
         monitor.record_access("counter")
         assert monitor.unguarded_states() == []
+
+
+# -------------------------------------------------------- immutable state
+class TestForbidWrites:
+    class Frozen:
+        def __init__(self):
+            self.value = 1
+
+    def test_write_to_watched_object_is_a_finding(self):
+        watched, other = self.Frozen(), self.Frozen()
+        monitor = RaceMonitor()
+        with forbid_writes(self.Frozen, [watched], monitor):
+            other.value = 2
+            thread = threading.Thread(target=setattr, args=(watched, "value", 1))
+            thread.start()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        findings = monitor.report().findings
+        assert [(f.kind, f.subject) for f in findings] == [
+            ("immutable-state-write", "Frozen.value")
+        ]
+
+    def test_class_is_restored(self):
+        with forbid_writes(self.Frozen, [], RaceMonitor()):
+            assert "__setattr__" in vars(self.Frozen)
+        assert "__setattr__" not in vars(self.Frozen)
+        frozen = self.Frozen()
+        frozen.value = 3
+        assert frozen.value == 3
+
+    def test_serving_scenario_is_clean(self):
+        from repro.devtools.__main__ import serving_state_scenario
+
+        report = serving_state_scenario(threads=3, iterations=6).report()
+        assert report.ok, report.render()
+        assert any("InferenceEngine" in name for name in report.locks_seen)
 
 
 # --------------------------------------------------------- instrumentation

@@ -1,5 +1,7 @@
 """Tests for uniform quantizers, including hypothesis-based properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,49 @@ class TestFakeQuantize:
         once = fake_quantize(x, 8)
         twice = fake_quantize(once, 8, float(x.min()), float(x.max()))
         assert np.allclose(once, twice, atol=1e-4)
+
+
+def _int32_fake_quantize(x, params):
+    """The integer round trip the float chain replaced (kept as the oracle)."""
+    q = np.clip(np.round(x / params.scale) + params.zero_point, params.qmin, params.qmax)
+    q = q.astype(np.int32).astype(np.float32)
+    return ((q - params.zero_point) * params.scale).astype(np.float32)
+
+
+class TestFakeQuantizeFloatChain:
+    def test_nan_propagates_without_warning(self):
+        x = np.array([np.nan, -0.5, 0.0, 0.7], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fake_quantize(x, 8, -1.0, 1.0)
+        assert np.isnan(out[0])
+        assert np.isfinite(out[1:]).all()
+
+    @pytest.mark.parametrize("bits", SUPPORTED_BITWIDTHS)
+    def test_inf_clips_to_range_ends(self, bits):
+        params = AffineQuantizer(bits).compute_params(-1.0, 3.0)
+        out = params.fake_quantize(np.array([-np.inf, np.inf], dtype=np.float32))
+        ends = np.array([params.qmin, params.qmax], dtype=np.float32)
+        expected = (ends - params.zero_point) * params.scale
+        assert np.array_equal(out, expected.astype(np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bits", (*SUPPORTED_BITWIDTHS, 16))
+    def test_bits_match_int32_round_trip(self, dtype, bits, rng):
+        x = (rng.standard_normal(4096) * 3.0).astype(dtype)
+        params = AffineQuantizer(bits).compute_params(-2.5, 4.0)
+        out = fake_quantize(x, bits, -2.5, 4.0)
+        assert out.dtype == np.float32
+        assert np.array_equal(out.view(np.uint32), _int32_fake_quantize(x, params).view(np.uint32))
+
+    def test_out_buffer_is_written_in_place(self, rng):
+        x = rng.standard_normal((3, 5, 7)).astype(np.float32)
+        params = AffineQuantizer(4).compute_params(-1.0, 1.0)
+        expected = params.fake_quantize(x)
+        view = x[:, 1:4, 2:6]
+        result = params.fake_quantize(view, out=view)
+        assert np.shares_memory(result, x)
+        assert np.array_equal(x[:, 1:4, 2:6], expected[:, 1:4, 2:6])
 
 
 class TestPerChannelWeights:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from fixtures import MOBILENET_SPEC as SPEC
 from repro.core import QuantMCUPipeline
 from repro.hardware import make_cluster
 from repro.runtime import ExecutionPolicy, cluster
-from repro.serving import CompiledPipeline, compile_pipeline
+from repro.serving import CompiledPipeline, InferenceEngine, compile_pipeline
 
 
 def test_compiled_matches_experiment_executor(quantized_mobilenet, rng):
@@ -35,6 +37,81 @@ def test_compiled_is_isolated_from_source_model(quantized_mobilenet, rng):
         if "weight" in layer.params:
             layer.params["weight"] = layer.params["weight"] + 1.0
     assert np.array_equal(compiled.infer(x), before)
+
+
+def _layer_state(graph):
+    """Every layer's attributes by identity, plus the contents of its cache."""
+    return [
+        (layer, dict(layer.__dict__), dict(layer._cache)) for _, layer in graph.layers()
+    ]
+
+
+def _assert_state_unchanged(state):
+    for layer, attrs, cache in state:
+        assert layer.__dict__.keys() == attrs.keys(), type(layer).__name__
+        for key, value in attrs.items():
+            assert layer.__dict__[key] is value, f"{type(layer).__name__}.{key}"
+        assert layer._cache.keys() == cache.keys()
+        assert all(layer._cache[key] is value for key, value in cache.items())
+
+
+def test_fresh_pipeline_holds_no_layer_cache(quantized_mobilenet):
+    """Calibration leaves backward caches on the source graph; compiling
+    neither copies them nor touches the source."""
+    pipeline, result = quantized_mobilenet
+    assert any(layer._cache for _, layer in pipeline.graph.layers())
+    source_values = pipeline.graph._values
+    source = _layer_state(pipeline.graph)
+    compiled = compile_pipeline(pipeline, result, spec=SPEC)
+    assert all(layer._cache == {} for _, layer in compiled.graph.layers())
+    assert not hasattr(compiled.graph, "_values")
+    _assert_state_unchanged(source)
+    assert pipeline.graph._values is source_values
+
+
+def test_compile_does_not_copy_calibration_scratch(quantized_mobilenet):
+    """Compiling from a graph that still holds calibration scratch allocates
+    no more than compiling from the same graph without it."""
+    pipeline, result = quantized_mobilenet
+
+    def compile_peak() -> int:
+        tracemalloc.start()
+        try:
+            compile_pipeline(pipeline, result, spec=SPEC)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    scratch = sum(v.nbytes for v in pipeline.graph._values.values())
+    with_scratch = compile_peak()
+    for _, layer in pipeline.graph.layers():
+        layer._cache = {}
+    del pipeline.graph._values
+    assert with_scratch - compile_peak() < scratch / 2
+
+
+@pytest.mark.parametrize("placement", ["local", "cluster"])
+def test_serving_leaves_layer_state_unchanged(compiled_mobilenet, rng, placement):
+    """Direct infer, an engine flush and stream frames write no layer state."""
+    policy = (
+        ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
+        if placement == "cluster"
+        else ExecutionPolicy()
+    )
+    x = rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
+    state = _layer_state(compiled_mobilenet.graph)
+    compiled_mobilenet.infer(x[:2], policy=policy)
+    with InferenceEngine(
+        compiled_mobilenet, max_batch_size=4, batch_timeout_s=0.01, policy=policy
+    ) as engine:
+        futures = [engine.submit(sample) for sample in x]
+        for future in futures:
+            future.result(timeout=60)
+        stream = engine.open_stream()
+        stream.process(x[0])
+        stream.process(x[1])
+        stream.close()
+    _assert_state_unchanged(state)
 
 
 def test_compiled_weights_are_read_only(quantized_mobilenet):
