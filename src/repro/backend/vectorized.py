@@ -2,26 +2,39 @@
 
 Branches whose region geometry is identical up to translation (interior
 patches of a grid, matching border patches, ...) are compiled into *groups*.
-Each group executes the patch stage over a stacked scratch buffer of shape
-``(g, n, C, H, W)`` per node — ``g`` group members side by side in a leading
-batch axis, ``H x W`` the node's *unclamped* demand region with the halo
-margins pinned to zero (exactly the zero padding
+Each group executes the patch stage over a stacked, **channels-last** scratch
+buffer of shape ``(g, n, H, W, C)`` per node — ``g`` group members side by
+side in a leading batch axis, ``H x W`` the node's *unclamped* demand region
+with the halo margins pinned to zero (exactly the zero padding
 :meth:`~repro.patch.executor.PatchExecutor._extract_padded` would have
 materialized per branch).  Per node, one NumPy call then covers the whole
-group: input gather, elementwise layers, pooling, depthwise convolutions and
-static quantization hooks all batch.
+group: input gather, elementwise layers, depthwise convolutions and static
+quantization hooks all batch.
 
-The one deliberate exception: standard convolutions run **per member**.
-BLAS GEMM results are not bit-stable under operand stacking or sub-view
-execution — the reduction blocking changes with the output shape and with
-operand alignment (verified empirically on this container: a
+Why channels-last: every kernel works on the clamped *rect* of a buffer, a
+strided view.  In ``(C, H, W)`` order a rect row is ``rw`` floats (4 to 23
+in the zoo models), so each NumPy call is thousands of tiny inner loops; in
+``(H, W, C)`` order a rect row is ``rw * C`` contiguous floats, and
+per-channel constants (BatchNorm, depthwise taps) are tiled to that row
+length when the recipe is compiled.  A convolution's GEMM rows
+``(n * oh * ow, C_out)`` are already channels-last, so they are copied into
+the rect as they are, and a 1x1 convolution's im2col is a reshape of its
+window.  Tiles leave the backend as logical ``(N, C, h, w)`` views, and the
+executor's split map (:meth:`~repro.patch.executor.PatchExecutor._allocate_split`)
+is channels-last in memory too, so stitching copies whole rows.
+
+The one deliberate exception to batching: standard convolutions run **per
+member**.  BLAS GEMM results are not bit-stable under operand stacking or
+sub-view execution — the reduction blocking changes with the output shape
+and with operand alignment (observed with OpenBLAS: a
 ``matmul(col_view_block, w.T, out=view)`` over a stacked col matrix differs
 from the reference ``col @ w.T`` in degenerate shapes) — and the backend
 contract is bit-identity with the loop reference.  Per-member execution
-rebuilds the exact same freshly-allocated im2col matrix the reference builds,
-so the GEMM call is literally identical.  Pooling-style reductions are only
-batched at matching output-grid sizes for the same reason: ``sum`` over a
-window axis changes its accumulation strategy with the trailing extent.
+hands BLAS the same im2col matrix the reference builds (same values, shape
+and C order), so the GEMM call is the same call.  Reductions whose accumulation order follows memory
+layout — pooling, and depthwise convolution at ``out_w == 1`` — reduce
+over a C-order copy of their window, the layout the reference's border
+windows have after ``np.pad``; they are rare in the zoo models.
 
 What remains per-branch is a thin Python loop around one large GEMM each —
 the per-branch dict bookkeeping, region slicing, ``np.pad`` calls, hook
@@ -62,7 +75,7 @@ from .base import Backend
 __all__ = ["VectorizedBackend"]
 
 _SPATIAL = (Conv2d, DepthwiseConv2d, MaxPool2d, AvgPool2d)
-#: Elementwise layers proven safe to run on a merged ``(g*n, C, H, W)`` batch:
+#: Elementwise layers proven safe to run on a merged ``(g*n, H, W, C)`` batch:
 #: no cross-element reductions, so batching cannot perturb float results.
 #: Anything else falls back to per-member kernel calls (still batched
 #: gather/margins/hooks), which keeps correctness independent of the layer zoo.
@@ -83,13 +96,15 @@ class _Step:
     """One node of a group recipe (all offsets relative to scratch buffers)."""
 
     name: str
-    #: Pure inference kernel (:func:`repro.nn.inference.layer_kernel`), with
-    #: spatial layers compiled for the pre-padded window; None for the input.
+    #: Pure channels-last inference kernel
+    #: (:func:`repro.nn.inference.layer_kernel`), with spatial layers compiled
+    #: for the pre-padded window and elementwise ones for the rect width;
+    #: None for the input.
     fn: object
-    kind: str  # "input" | "conv" | "pool" | "eltwise" | "member"
+    kind: str  # "input" | "conv" | "batched" | "member"
     shape: tuple[int, int, int]  # (C, H, W) of the unclamped scratch buffer
     rect: tuple[int, int, int, int]  # clamped (computed) rect within the buffer
-    #: For conv/pool: one ``(src, r0, r1, c0, c1)`` window rect; for
+    #: For spatial layers: one ``(src, r0, r1, c0, c1)`` window rect; for
     #: elementwise: one exact rect per graph input.
     src_rects: tuple[tuple, ...]
     #: ("none",) | ("batched", QuantParams) | ("member", fm)
@@ -104,6 +119,12 @@ class _Group:
     members: list[int]  # patch_ids in plan order
     steps: list[_Step] = field(default_factory=list)
     split_step: int = -1
+
+
+def _channels_last(x: np.ndarray) -> np.ndarray:
+    """``(N, C, H, W)`` -> contiguous ``(N, H, W, C)``: one copy per call, so
+    every member's input gather then copies whole rows."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
 
 
 class VectorizedBackend(Backend):
@@ -123,9 +144,11 @@ class VectorizedBackend(Backend):
         tiles: dict[int, np.ndarray] = {}
 
         def emit(patch_id: int, view: np.ndarray) -> None:
-            # Copy out of the (reused, thread-local) scratch: callers own tiles.
-            tiles[patch_id] = view.copy()
+            # Copy out of the (reused, thread-local) scratch: callers own
+            # tiles.  Order "K" keeps the copy channels-last and row-wise.
+            tiles[patch_id] = view.copy(order="K")
 
+        x = _channels_last(x)
         for group, subset in self._partition(branch_ids):
             self._run_group(group, subset, x, emit)
         return [(branches[i], tiles[i]) for i in branch_ids]
@@ -139,6 +162,7 @@ class VectorizedBackend(Backend):
             out[:, :, tile.row_start : tile.row_stop, tile.col_start : tile.col_stop] = view
 
         all_ids = [branch.patch_id for branch in branches]
+        x = _channels_last(x)
         for group, subset in self._partition(all_ids):
             self._run_group(group, subset, x, emit)
         return out
@@ -251,15 +275,17 @@ class VectorizedBackend(Backend):
                         desired.col_start - src_un.col_start,
                         desired.col_stop - src_un.col_start,
                     )
-                    kind = "conv" if isinstance(layer, Conv2d) else "pool"
                     src_rects = (window,)
                     window_shape = (shapes[src][0], window[2] - window[1], window[4] - window[3])
+                    kind = "conv" if isinstance(layer, Conv2d) else "batched"
                     fn = layer_kernel(layer, window_shape, padding=0)
                 else:
                     # Stack-safe layers run once on the merged group batch;
-                    # anything else once per member.
-                    kind = "eltwise" if isinstance(layer, _STACK_SAFE_ELEMENTWISE) else "member"
-                    fn = layer_kernel(layer, shapes[node.inputs[0]])
+                    # anything else once per member.  Either way the kernel
+                    # sees rect-sized inputs, so it is compiled for that width.
+                    kind = "batched" if isinstance(layer, _STACK_SAFE_ELEMENTWISE) else "member"
+                    rect_shape = (shapes[node.inputs[0]][0], rect[1] - rect[0], rect[3] - rect[2])
+                    fn = layer_kernel(layer, rect_shape)
                     rects = []
                     for src in node.inputs:
                         src_un = rep.node_regions[src]
@@ -316,6 +342,7 @@ class VectorizedBackend(Backend):
 
     # ----------------------------------------------------------------- execute
     def _run_group(self, group: _Group, subset: list[int], x: np.ndarray, emit) -> None:
+        """Run ``subset`` of ``group`` on the channels-last input ``x``."""
         branches = self.plan.branches
         members = [branches[patch_id] for patch_id in subset]
         g = len(members)
@@ -325,15 +352,16 @@ class VectorizedBackend(Backend):
         for step in group.steps:
             channels, height, width = step.shape
             buf = self.scratch.take(
-                (group.index, step.name, g, n), (g, n, channels, height, width)
+                (group.index, step.name, g, n), (g, n, height, width, channels)
             )
             r0, r1, c0, c1 = step.rect
+            rect = buf[:, :, r0:r1, c0:c1]
 
             if step.kind == "input":
                 for slot, member in enumerate(members):
                     region = member.clamped_regions[INPUT_NODE]
-                    buf[slot, :, :, r0:r1, c0:c1] = x[
-                        :, :, region.row_start : region.row_stop,
+                    buf[slot, :, r0:r1, c0:c1] = x[
+                        :, region.row_start : region.row_stop,
                         region.col_start : region.col_stop,
                     ]
             elif step.kind == "conv":
@@ -342,26 +370,22 @@ class VectorizedBackend(Backend):
                 # Per member by design: rebuilding the reference's fresh im2col
                 # matrix is the only GEMM execution proven bit-stable (above).
                 for slot in range(g):
-                    buf[slot, :, :, r0:r1, c0:c1] = step.fn(src_buf[slot, :, :, d0:d1, d2:d3])
-            elif step.kind == "pool":
-                src, d0, d1, d2, d3 = step.src_rects[0]
-                window = bufs[src][:, :, :, d0:d1, d2:d3]
-                out = step.fn(window.reshape(g * n, window.shape[2], d1 - d0, d3 - d2))
-                buf[:, :, :, r0:r1, c0:c1] = out.reshape(g, n, *out.shape[1:])
-            elif step.kind == "eltwise":
-                views = []
-                for src, e0, e1, e2, e3 in step.src_rects:
-                    src_view = bufs[src][:, :, :, e0:e1, e2:e3]
-                    views.append(src_view.reshape(g * n, src_view.shape[2], e1 - e0, e3 - e2))
+                    buf[slot, :, r0:r1, c0:c1] = step.fn(src_buf[slot, :, d0:d1, d2:d3])
+            elif step.kind == "batched":
+                # Merging (g, n) is a view: they lead every scratch buffer.
+                views = [
+                    bufs[src][:, :, e0:e1, e2:e3].reshape(g * n, e1 - e0, e3 - e2, -1)
+                    for src, e0, e1, e2, e3 in step.src_rects
+                ]
                 out = step.fn(*views)
-                buf[:, :, :, r0:r1, c0:c1] = out.reshape(g, n, channels, r1 - r0, c1 - c0)
+                rect[...] = out.reshape(g, n, *out.shape[1:])
             else:  # member
                 for slot in range(g):
                     inputs = [
-                        bufs[src][slot, :, :, e0:e1, e2:e3]
+                        bufs[src][slot, :, e0:e1, e2:e3]
                         for src, e0, e1, e2, e3 in step.src_rects
                     ]
-                    buf[slot, :, :, r0:r1, c0:c1] = step.fn(*inputs)
+                    buf[slot, :, r0:r1, c0:c1] = step.fn(*inputs)
 
             # Pin the halo margins to zero: they stand for out-of-feature-map
             # positions, which the reference materializes as zero padding at
@@ -369,24 +393,27 @@ class VectorizedBackend(Backend):
             # do not map zero to zero (BatchNorm shift, biases) and scratch
             # buffers carry stale bytes between calls.
             if r0 > 0:
-                buf[:, :, :, :r0, :] = 0.0
+                buf[:, :, :r0] = 0.0
             if r1 < height:
-                buf[:, :, :, r1:, :] = 0.0
+                buf[:, :, r1:] = 0.0
             if c0 > 0:
-                buf[:, :, :, r0:r1, :c0] = 0.0
+                buf[:, :, r0:r1, :c0] = 0.0
             if c1 < width:
-                buf[:, :, :, r0:r1, c1:] = 0.0
+                buf[:, :, r0:r1, c1:] = 0.0
 
             mode = step.hook[0]
             if mode == "batched":
-                rect_view = buf[:, :, :, r0:r1, c0:c1]
-                step.hook[1].fake_quantize(rect_view, out=rect_view)
+                # Into a fresh buffer, then one copy back: the six-pass chain
+                # runs several times slower in place on a strided rect.
+                rect[...] = step.hook[1].fake_quantize(rect)
             elif mode == "member":
+                # Content-dependent hooks see the logical (N, C, h, w) region.
                 fm = step.hook[1]
                 hook = self.executor.branch_hook
                 for slot, member in enumerate(members):
-                    rect_view = buf[slot, :, :, r0:r1, c0:c1]
-                    buf[slot, :, :, r0:r1, c0:c1] = hook(member.patch_id, fm, rect_view)
+                    region = buf[slot, :, r0:r1, c0:c1]
+                    quantized = hook(member.patch_id, fm, region.transpose(0, 3, 1, 2))
+                    region[...] = quantized.transpose(0, 2, 3, 1)
 
             bufs[step.name] = buf
 
@@ -394,4 +421,4 @@ class VectorizedBackend(Backend):
         r0, r1, c0, c1 = split.rect
         split_buf = bufs[split.name]
         for slot, member in enumerate(members):
-            emit(member.patch_id, split_buf[slot, :, :, r0:r1, c0:c1])
+            emit(member.patch_id, split_buf[slot, :, r0:r1, c0:c1].transpose(0, 3, 1, 2))

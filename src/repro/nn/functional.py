@@ -334,43 +334,70 @@ def depthwise_conv2d_taps(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Inference-only depthwise convolution: the output of
-    :func:`depthwise_conv2d_forward` without its ``(N, C, kh*kw, P)`` window copy.
+    """Inference-only depthwise convolution over **channels-last** arrays.
 
-    Accumulates one strided view of the input per kernel tap, in ascending
-    tap order (``acc = x_0*w_0; acc += x_1*w_1; ...``).  That is the addition
-    order of the reference's reduction over the window axis whenever that
-    axis is not the innermost one in memory, i.e. whenever ``out_w > 1``:
-    then the two are bit-identical.  At ``out_w == 1`` the reference reduces
-    contiguous taps with pairwise summation, so callers keep the reference
-    there (see :func:`repro.nn.inference.layer_kernel`).
+    ``x`` is ``(N, H, W, C)`` and the result ``(N, out_h, out_w, C)``, a fresh
+    contiguous array: accumulating in place into a strided view is slower
+    than accumulating here and copying once.  Per element this is the output of
+    :func:`depthwise_conv2d_forward` without its ``(N, C, kh*kw, P)`` window
+    copy: one strided view of the input per kernel tap is accumulated in
+    ascending tap order (``acc = x_0*w_0; acc += x_1*w_1; ...``), then the
+    bias is added.  That is the addition order of the reference's reduction
+    over the window axis whenever that axis is not the innermost one in
+    memory, i.e. whenever ``out_w > 1``: then the two are bit-identical.  At
+    ``out_w == 1`` the reference reduces contiguous taps with pairwise
+    summation, so callers keep the reference there (see
+    :func:`repro.nn.inference.layer_kernel`).
+
+    Channels-last makes every tap a run of ``out_w * C`` contiguous elements
+    at stride 1: the per-channel taps are tiled to that row length, so each
+    NumPy call streams whole rows instead of ``out_w``-element fragments.
     """
-    n, c, h, w = x.shape
+    n, h, w, c = x.shape
     c_w, kh, kw = weight.shape
     if c_w != c:
         raise ValueError(f"depthwise weight has {c_w} channels, input has {c}")
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
     if padding > 0:
-        img = np.pad(x, [(0, 0), (0, 0), (padding, padding), (padding, padding)], mode="constant")
+        img = np.pad(x, [(0, 0), (padding, padding), (padding, padding), (0, 0)], mode="constant")
     else:
         img = x
-    taps = weight.reshape(c, kh * kw, 1, 1)
-    out = np.empty((n, c, out_h, out_w), dtype=np.result_type(x, weight))
-    term = np.empty_like(out)
+    out = np.empty((n, out_h, out_w, c), dtype=np.result_type(x, weight))
+    taps = weight.reshape(c, kh * kw).T
     row_span = stride * (out_h - 1) + 1
     col_span = stride * (out_w - 1) + 1
-    for tap in range(kh * kw):  # repro: noqa[REP007] - 9 whole-tensor taps, not per-element
-        i, j = divmod(tap, kw)
-        view = img[:, :, i : i + row_span : stride, j : j + col_span : stride]
+    views = [
+        img[:, i : i + row_span : stride, j : j + col_span : stride]
+        for i in range(kh)  # repro: noqa[REP007] - 9 whole-tensor taps, not per-element
+        for j in range(kw)
+    ]
+    acc = _merge_rows(out)
+    rows = [_merge_rows(view) for view in views]
+    if acc is not None and all(row is not None for row in rows):
+        # Rows of ``out_w * C`` contiguous elements: tile the taps to match.
+        taps = np.tile(taps, (1, out_w))
+        views = rows
+        bias = None if bias is None else np.tile(bias, out_w)
+    else:
+        acc = out
+    term = np.empty_like(acc)
+    for tap, view in enumerate(views):  # repro: noqa[REP007] - whole-tensor taps
         if tap == 0:
-            np.multiply(view, taps[:, 0], out=out)
+            np.multiply(view, taps[0], out=acc)
         else:
-            np.multiply(view, taps[:, tap], out=term)
-            out += term
+            np.multiply(view, taps[tap], out=term)
+            acc += term
     if bias is not None:
-        out += bias[:, None, None]
+        acc += bias
     return out
+
+
+def _merge_rows(a: np.ndarray) -> np.ndarray | None:
+    """View of ``a`` with its last two axes merged, or None when that needs a copy."""
+    if a.strides[-2] != a.shape[-1] * a.strides[-1]:
+        return None
+    return a.reshape(*a.shape[:-2], a.shape[-2] * a.shape[-1])
 
 
 def depthwise_conv2d_backward(

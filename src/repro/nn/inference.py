@@ -14,6 +14,30 @@ kernels look their parameters up on every call, so a temporary weight swap
 BatchNorm constants are derived once, from the running statistics at compile
 time.
 
+**Layout contract.**  Kernels take and return *channels-last* arrays: a
+logical ``(N, C, H, W)`` activation travels as ``(N, H, W, C)``; flat
+``(N, F)`` values are unchanged.  Channels-last turns every per-channel
+operation into runs of ``W * C`` contiguous floats instead of ``W``-float
+fragments (BatchNorm constants and depthwise taps are tiled to that row
+length), and a convolution's GEMM rows come out channels-last with no
+transposing copy.  Public arrays stay logically NCHW: executors cross the
+boundary once per suffix, and content-dependent quantization hooks and
+:class:`Flatten` see the logical order.
+
+**Reductions follow the reference's memory.**  Elementwise results are the
+same bits in any layout, but a reduction's accumulation order follows the
+memory order of its input.  In the eval forward a convolution leaves
+channels-last memory behind (its GEMM rows are ``(n, oh, ow)``) and NumPy's
+``order='K'`` keeps it through BatchNorm, activations and quantization,
+while the depthwise tap loop, pooling, ``np.pad`` and mixed-layout merges
+leave C order.  :func:`reference_layout` states that rule per layer;
+executors propagate it through the graph at compile time and hand each
+kernel its input's layout as ``source_layout``.  :class:`GlobalAvgPool`
+(and the other layers :func:`layer_kernel` runs through their NCHW
+reference: pooling, depthwise convolution at ``out_w == 1``, a 4-D softmax)
+then reduces over the logical view of the channels-last array when the
+reference's input was channels-last, and over a C-order copy otherwise.
+
 A :class:`Step` binds a kernel to the value slots it reads and the
 quantization applied to its output; executors compile their graphs into
 tuples of steps once and then only run them.
@@ -21,11 +45,13 @@ tuples of steps once and then only run them.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import functional as F
+from .functional import _merge_rows
 from .layers import (
     Add,
     AvgPool2d,
@@ -48,10 +74,14 @@ from .layers import (
     Softmax,
 )
 
-__all__ = ["Kernel", "Step", "layer_kernel"]
+__all__ = ["NCHW", "NHWC", "Kernel", "Step", "layer_kernel", "reference_layout"]
 
 Kernel = Callable[..., np.ndarray]
 Shape = tuple[int, ...]
+
+#: Memory layouts of a logical ``(N, C, H, W)`` activation in the eval forward.
+NCHW = "nchw"
+NHWC = "nhwc"
 
 
 class Step(NamedTuple):
@@ -66,25 +96,33 @@ class Step(NamedTuple):
     release: tuple[int, ...] = ()
 
 
-def layer_kernel(layer: Layer, input_shape: Shape, padding: int | None = None) -> Kernel:
-    """Pure inference function of ``layer``, bit-identical to its eval-mode forward.
+def layer_kernel(
+    layer: Layer,
+    input_shape: Shape,
+    padding: int | None = None,
+    source_layout: str = NCHW,
+) -> Kernel:
+    """Pure channels-last inference function of ``layer``, bit-identical to its
+    eval-mode forward.
 
-    ``input_shape`` is the static ``(C, H, W)`` of the first input; the
-    depthwise kernel is chosen from it.  ``padding`` overrides a spatial
+    ``input_shape`` is the static logical ``(C, H, W)`` of the first input;
+    the depthwise kernel is chosen from it and per-channel constants are
+    tiled to its row length ``W * C``.  ``padding`` overrides a spatial
     layer's own padding (the patch stage hands it pre-padded windows).
-    Raises :class:`TypeError` for a layer type with no inference kernel.
+    ``source_layout`` is the memory layout the eval forward sees on the first
+    input (:func:`reference_layout` of its producer); only the kernels that
+    run the reference reduction read it.  Raises :class:`TypeError` for a
+    layer type with no inference kernel.
     """
-    if isinstance(layer, (Conv2d, DepthwiseConv2d, MaxPool2d, AvgPool2d)):
-        pad = layer.padding if padding is None else padding
-        if isinstance(layer, Conv2d):
-            return _conv(layer, pad)
-        if isinstance(layer, DepthwiseConv2d):
-            return _depthwise(layer, pad, input_shape)
-        if isinstance(layer, MaxPool2d):
-            return lambda x: F.maxpool2d_forward(x, layer.kernel_size, layer.stride, pad)[0]
-        return lambda x: F.avgpool2d_forward(x, layer.kernel_size, layer.stride, pad)
+    if isinstance(layer, Conv2d):
+        return _conv(layer, layer.padding if padding is None else padding)
+    reference = _reference_fn(layer, input_shape, padding)
+    if reference is not None:
+        return _on_reference(reference, source_layout)
+    if isinstance(layer, DepthwiseConv2d):
+        return _depthwise(layer, layer.padding if padding is None else padding)
     if isinstance(layer, BatchNorm2d):
-        return _batchnorm(layer)
+        return _batchnorm(layer, input_shape)
     if isinstance(layer, ReLU6):
         return F.relu6
     if isinstance(layer, ReLU):
@@ -99,10 +137,10 @@ def layer_kernel(layer: Layer, input_shape: Shape, padding: int | None = None) -
     if isinstance(layer, Add):
         return np.add
     if isinstance(layer, Concat):
-        return lambda *xs: np.concatenate(xs, axis=1)
-    if isinstance(layer, GlobalAvgPool):
-        return lambda x: x.mean(axis=(2, 3))
+        return lambda *xs: np.concatenate(xs, axis=-1)
     if isinstance(layer, Flatten):
+        if len(input_shape) == 3:  # flatten in logical (C, H, W) order
+            return lambda x: x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)
         return lambda x: x.reshape(x.shape[0], -1)
     if isinstance(layer, Linear):
         return _linear(layer)
@@ -110,54 +148,143 @@ def layer_kernel(layer: Layer, input_shape: Shape, padding: int | None = None) -
         return lambda x: x
     if isinstance(layer, Pad2d):
         p = layer.padding
-        return lambda x: np.pad(x, [(0, 0), (0, 0), (p, p), (p, p)], mode="constant")
+        return lambda x: np.pad(x, [(0, 0), (p, p), (p, p), (0, 0)], mode="constant")
     raise TypeError(f"no inference kernel for layer type {type(layer).__name__}")
+
+
+def reference_layout(
+    layer: Layer, input_shape: Shape, source_layouts: Sequence[str], padding: int | None = None
+) -> str | None:
+    """Memory layout of ``layer``'s eval-forward output, given its inputs' layouts.
+
+    :data:`NHWC` for channels-last memory, :data:`NCHW` for C-contiguous,
+    ``None`` for a flat output.  Executors propagate it through a graph at
+    compile time so that :func:`layer_kernel` can give every reduction the
+    memory order the reference reduced over.
+    """
+    if isinstance(layer, (GlobalAvgPool, Flatten, Linear)) or len(input_shape) != 3:
+        return None
+    if isinstance(layer, Conv2d):
+        return NHWC  # the GEMM rows are (n, oh, ow): channels-last
+    if isinstance(layer, Pad2d):
+        return NCHW  # np.pad allocates C order
+    reference = _reference_fn(layer, input_shape, padding)
+    if reference is not None:
+        # Whether the reference's window gather copies or views depends on
+        # shapes and strides: ask it, on a zero array of the real geometry.
+        c, h, w = input_shape
+        probe = np.zeros((2, h, w, c), dtype=np.float32).transpose(0, 3, 1, 2)
+        if source_layouts[0] == NCHW:
+            probe = np.ascontiguousarray(probe)
+        return NCHW if reference(probe).flags.c_contiguous else NHWC
+    if isinstance(layer, DepthwiseConv2d):
+        return NCHW  # the tap loop the reference ran allocated (N, C, H, W)
+    if len(set(source_layouts)) > 1:
+        return NCHW  # NumPy falls back to C order for mixed operands
+    return source_layouts[0]  # elementwise results keep their operand's order
+
+
+def _reference_fn(layer: Layer, input_shape: Shape, padding: int | None) -> Kernel | None:
+    """The NCHW eval-forward function of a layer whose reduction order depends
+    on memory layout, or None when the channels-last kernel matches it anyway."""
+    pad = getattr(layer, "padding", 0) if padding is None else padding
+    if isinstance(layer, GlobalAvgPool):
+        return lambda x: x.mean(axis=(2, 3))
+    if isinstance(layer, Softmax) and len(input_shape) == 3:
+        return lambda x: F.softmax(x, axis=-1)
+    if isinstance(layer, MaxPool2d):
+        return lambda x: F.maxpool2d_forward(x, layer.kernel_size, layer.stride, pad)[0]
+    if isinstance(layer, AvgPool2d):
+        return lambda x: F.avgpool2d_forward(x, layer.kernel_size, layer.stride, pad)
+    if isinstance(layer, DepthwiseConv2d):
+        out_w = F.conv_output_size(input_shape[2], layer.kernel_size, layer.stride, pad)
+        if out_w == 1:
+            # The reference reduces contiguous taps pairwise here; keep it.
+            params, stride = layer.params, layer.stride
+            return lambda x: F.depthwise_conv2d_forward(
+                x, params["weight"], params.get("bias"), stride, pad
+            )[0]
+    return None
+
+
+def _on_reference(reference: Kernel, source_layout: str) -> Kernel:
+    """Run an NCHW reference function on the logical view of a channels-last
+    input, in the memory layout the eval forward saw, and return channels-last."""
+
+    def kernel(x: np.ndarray) -> np.ndarray:
+        view = x.transpose(0, 3, 1, 2)
+        if source_layout == NCHW:
+            view = np.ascontiguousarray(view)
+        out = reference(view)
+        return np.ascontiguousarray(out.transpose(0, 2, 3, 1)) if out.ndim == 4 else out
+
+    return kernel
 
 
 def _conv(layer: Conv2d, padding: int) -> Kernel:
     params, stride = layer.params, layer.stride
 
     def conv(x: np.ndarray) -> np.ndarray:
-        out, _ = F.conv2d_forward(x, params["weight"], params.get("bias"), stride, padding)
-        return out
+        weight = params["weight"]
+        c_out, c_in, kh, kw = weight.shape
+        if padding > 0:
+            x = np.pad(x, [(0, 0), (padding, padding), (padding, padding), (0, 0)], mode="constant")
+        n, h, w, _ = x.shape
+        out_h = (h - kh) // stride + 1
+        out_w = (w - kw) // stride + 1
+        if kh == kw == 1:
+            # Channels-last, a 1x1 im2col is the (strided) input itself.
+            col = x[:, ::stride, ::stride].reshape(n * out_h * out_w, c_in)
+        else:
+            # The reference's im2col matrix, element for element: rows
+            # (n, oh, ow), columns (c, kh, kw).
+            sn, sh, sw, sc = x.strides
+            windows = as_strided(
+                x,
+                shape=(n, out_h, out_w, c_in, kh, kw),
+                strides=(sn, sh * stride, sw * stride, sc, sh, sw),
+                writeable=False,
+            )
+            col = windows.reshape(n * out_h * out_w, c_in * kh * kw)
+        out = col @ weight.reshape(c_out, -1).T
+        if "bias" in params:
+            out += params["bias"]
+        return out.reshape(n, out_h, out_w, c_out)
 
     return conv
 
 
-def _depthwise(layer: DepthwiseConv2d, padding: int, input_shape: Shape) -> Kernel:
+def _depthwise(layer: DepthwiseConv2d, padding: int) -> Kernel:
     params, stride = layer.params, layer.stride
-    out_w = F.conv_output_size(input_shape[2], layer.kernel_size, stride, padding)
-    if out_w == 1:
-        # The reference reduces contiguous taps pairwise here; keep it.
-        def depthwise(x: np.ndarray) -> np.ndarray:
-            out, _ = F.depthwise_conv2d_forward(
-                x, params["weight"], params.get("bias"), stride, padding
-            )
-            return out
 
-        return depthwise
-    return lambda x: F.depthwise_conv2d_taps(
-        x, params["weight"], params.get("bias"), stride, padding
-    )
+    def depthwise(x: np.ndarray) -> np.ndarray:
+        return F.depthwise_conv2d_taps(x, params["weight"], params.get("bias"), stride, padding)
+
+    return depthwise
 
 
-def _batchnorm(layer: BatchNorm2d) -> Kernel:
-    # The eval-mode forward's constants, in its own expression order.
+def _batchnorm(layer: BatchNorm2d, input_shape: Shape) -> Kernel:
+    # The eval-mode forward's constants, in its own expression order, per
+    # channel and tiled to one channels-last row of the compiled width.
     inv_std = 1.0 / np.sqrt(layer.running_var + layer.eps)
-    mean = layer.running_mean[None, :, None, None]
-    inv_std = inv_std[None, :, None, None]
-    gamma = layer.params["gamma"][None, :, None, None]
-    beta = layer.params["beta"][None, :, None, None]
-    constants = np.result_type(mean, inv_std, gamma, beta)
+    per_channel = (layer.running_mean, inv_std, layer.params["gamma"], layer.params["beta"])
+    constants = np.result_type(*per_channel)
+    tiled = tuple(np.tile(k, input_shape[-1]) for k in per_channel)
 
     def batchnorm(x: np.ndarray) -> np.ndarray:
         # gamma * ((x - mean) * inv_std) + beta, chained in one buffer of the
         # dtype the unchained expression would end in.
-        out = np.subtract(x, mean, dtype=np.result_type(x, constants))
-        np.multiply(out, inv_std, out=out)
-        np.multiply(gamma, out, out=out)
-        np.add(out, beta, out=out)
-        return out
+        rows = _merge_rows(x)
+        if rows is not None and rows.shape[-1] == len(tiled[0]):
+            mean, inv_std, gamma, beta = tiled
+        else:  # not the compiled width, or rows that need a copy to merge
+            rows = x
+            mean, inv_std, gamma, beta = per_channel
+        result = np.subtract(rows, mean, dtype=np.result_type(x, constants))
+        np.multiply(result, inv_std, out=result)
+        np.multiply(gamma, result, out=result)
+        np.add(result, beta, out=result)
+        return result.reshape(x.shape)
 
     return batchnorm
 

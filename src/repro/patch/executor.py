@@ -47,7 +47,7 @@ import numpy as np
 from ..nn import AvgPool2d, Conv2d, DepthwiseConv2d, MaxPool2d
 from ..nn import functional as F
 from ..nn.graph import INPUT_NODE
-from ..nn.inference import Step, layer_kernel
+from ..nn.inference import NCHW, Step, layer_kernel, reference_layout
 from ..quant.points import FeatureMap
 from ..quant.quantizers import AffineQuantizer
 from .plan import BranchPlan, PatchPlan
@@ -92,6 +92,7 @@ class PatchExecutor:
         self._runtime = runtime
         self._private_runtime: "Runtime | None" = None
         self._suffix_steps, self._suffix_output = self._compile_suffix()
+        self._suffix_reads_input = any(0 in step.inputs for step in self._suffix_steps)
 
     # ---------------------------------------------------------------- runtime
     @property
@@ -277,8 +278,12 @@ class PatchExecutor:
 
     # ------------------------------------------------------------ patch stage
     def _allocate_split(self, x: np.ndarray) -> np.ndarray:
-        split_shape = self._shapes[self.plan.split_output_node]
-        return np.zeros((x.shape[0], *split_shape), dtype=np.float32)
+        """A zeroed split feature map for ``x``'s batch: logically ``(N, C, H, W)``,
+        channels-last in memory, so the suffix reads it without a copy and
+        the vectorized backend writes channels-last tiles into it row by row."""
+        channels, height, width = self._shapes[self.plan.split_output_node]
+        split = np.zeros((x.shape[0], height, width, channels), dtype=np.float32)
+        return split.transpose(0, 3, 1, 2)
 
     def _run_patch_stage(self, x: np.ndarray) -> np.ndarray:
         return self._active_backend().run_patch_stage(x, self._allocate_split(x))
@@ -380,19 +385,25 @@ class PatchExecutor:
 
     # ---------------------------------------------------------------- suffix
     def _compile_suffix(self) -> tuple[tuple[Step, ...], int]:
-        """Compile the suffix into pure steps over value slots.
+        """Compile the suffix into pure channels-last steps over value slots.
 
         Slot 0 holds the graph input, slot 1 the stitched split feature map
         and slot ``k + 2`` the output of step ``k``.  Returns the steps and
-        the slot of the graph output.
+        the slot of the graph output.  The memory layout every activation had
+        in the eval forward is propagated alongside, so that each reduction
+        (:func:`~repro.nn.inference.reference_layout`) sums in its order.
         """
         plan = self.plan
         graph = plan.graph
         slots = {INPUT_NODE: 0, plan.split_output_node: 1}
+        layouts = {INPUT_NODE: NCHW, plan.split_output_node: NCHW}
         steps = []
         for name in plan.suffix_nodes:
             node = graph.nodes[name]
-            fn = layer_kernel(node.layer, self._shapes[node.inputs[0]])
+            shape = self._shapes[node.inputs[0]]
+            sources = [layouts[src] for src in node.inputs]
+            fn = layer_kernel(node.layer, shape, source_layout=sources[0])
+            layouts[name] = reference_layout(node.layer, shape, sources)
             inputs = tuple(slots[src] for src in node.inputs)
             steps.append(Step(inputs, fn, self._suffix_quant(name)))
             slots[name] = len(slots)
@@ -416,17 +427,29 @@ class PatchExecutor:
         static = getattr(hook, "static_params", None)
         params = static(fm.index) if static is not None else None
         if params is None:
-            return lambda array: hook(fm, array)
+            # Content-dependent hooks see the logical (N, C, H, W) array.
+            def member(array: np.ndarray) -> np.ndarray:
+                if array.ndim != 4:
+                    return hook(fm, array)
+                out = hook(fm, array.transpose(0, 3, 1, 2))
+                return np.ascontiguousarray(out.transpose(0, 2, 3, 1))
+
+            return member
         bits, low, high = params
         if bits >= 32:
             return None
         return AffineQuantizer(bits).compute_params(low, high).fake_quantize
 
     def _run_suffix(self, x: np.ndarray, stitched: np.ndarray) -> np.ndarray:
-        values = [x, stitched]
+        # The one layout crossing: free for an executor-allocated split map.
+        values = [
+            np.ascontiguousarray(x.transpose(0, 2, 3, 1)) if self._suffix_reads_input else x,
+            np.ascontiguousarray(stitched.transpose(0, 2, 3, 1)),
+        ]
         for inputs, fn, quant, release in self._suffix_steps:
             out = fn(*[values[i] for i in inputs])
             values.append(out if quant is None else quant(out))
             for slot in release:
                 values[slot] = None
-        return values[self._suffix_output]
+        out = values[self._suffix_output]
+        return out.transpose(0, 3, 1, 2) if out.ndim == 4 else out

@@ -201,8 +201,6 @@ class StreamSession:
         )
         #: patch_id -> consecutive frames the served tile has lagged its halo.
         self._stale_age: dict[int, int] = {}
-        split_shape = self.plan.graph.shapes()[self.plan.split_output_node]
-        self._split_shape = (1, *split_shape)
         self._previous: np.ndarray | None = None
         self._stitched: np.ndarray | None = None
         self._frames: deque[FrameStats] = deque(maxlen=max(history_frames, 1))
@@ -315,7 +313,9 @@ class StreamSession:
 
         try:
             if self._stitched is None:
-                self._stitched = np.zeros(self._split_shape, dtype=np.float32)
+                # The executor's channels-last layout: run_suffix reads it
+                # without a transposing copy on every frame.
+                self._stitched = self.executor._allocate_split(x)
             # stitch_tiles recomputes just the re-executed tiles in place;
             # every other tile in the persistent buffer is served as-is.
             self.executor.stitch_tiles(x, executed, self._stitched)

@@ -4,8 +4,9 @@ The contract pinned here is the one :mod:`repro.backend` documents: every
 backend produces the exact same output bytes as the per-branch loop
 reference — on both golden zoo models, across every execution style
 (sequential, distributed, streaming), and on random small
-graphs via the property sweep.  ``np.array_equal`` throughout: no tolerances,
-the comparison is bitwise.
+graphs via the property sweep.  Every comparison is of shape, dtype and raw
+bytes (:func:`_bits_equal`): no tolerances, and unlike ``np.array_equal`` a
+flipped sign of zero counts as a difference.
 """
 
 from __future__ import annotations
@@ -19,6 +20,21 @@ from fixtures import property_cases, quantize_zoo_model, random_property_graph
 
 from repro.backend import BackendUnavailable, MultiprocessBackend
 from repro.hardware import make_cluster
+from repro.nn import (
+    Add,
+    AvgPool2d,
+    Concat,
+    Conv2d,
+    DepthwiseConv2d,
+    Flatten,
+    GlobalAvgPool,
+    Graph,
+    Linear,
+    MaxPool2d,
+    Pad2d,
+    ReLU,
+)
+from repro.nn.graph import INPUT_NODE
 from repro.patch import PatchExecutor, build_patch_plan, candidate_split_nodes
 from repro.runtime import ExecutionPolicy, cluster
 from repro.serving.pipeline import CompiledPipeline
@@ -27,6 +43,10 @@ from repro.serving.pipeline import CompiledPipeline
 ZOO_CASES = [("mobilenetv2", 32), ("mcunet", 48)]
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _compiled_pair(model_name, resolution):
@@ -52,18 +72,18 @@ class TestZooModelsBitExact:
             reference = loop.infer(x)
 
             # Sequential.
-            assert np.array_equal(vec.infer(x), reference)
+            assert _bits_equal(vec.infer(x), reference)
             # Distributed (per-shard batched kernel on each simulated device).
             policy = ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
-            assert np.array_equal(vec.infer(x, policy=policy), reference)
+            assert _bits_equal(vec.infer(x, policy=policy), reference)
 
             # Streaming (incremental recompute through stitch_tiles).
             frame0 = x[:1]
             frame1 = frame0.copy()
             frame1[:, :, : resolution // 3, : resolution // 3] += 0.5
             session = vec.open_stream()
-            assert np.array_equal(session.process(frame0), loop.infer(frame0))
-            assert np.array_equal(session.process(frame1), loop.infer(frame1))
+            assert _bits_equal(session.process(frame0), loop.infer(frame0))
+            assert _bits_equal(session.process(frame1), loop.infer(frame1))
             # The second frame actually exercised partial recomputation.
             assert 0 < session.last_frame.executed_branches
         finally:
@@ -81,7 +101,7 @@ class TestZooModelsBitExact:
             got = vec.executor().compute_tiles(x, subset)
             assert [b.patch_id for b, _ in got] == [b.patch_id for b, _ in expected]
             for (_, tile_ref), (_, tile_vec) in zip(expected, got):
-                assert np.array_equal(tile_vec, tile_ref)
+                assert _bits_equal(tile_vec, tile_ref)
         finally:
             loop.close()
             vec.close()
@@ -98,12 +118,12 @@ class TestMultiprocessBitExact:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, 3, 32, 32)).astype(np.float32)
         try:
-            assert np.array_equal(mp.infer(x), loop.infer(x))
+            assert _bits_equal(mp.infer(x), loop.infer(x))
             subset = [0, loop.plan.num_branches - 1]
             expected = loop.executor().compute_tiles(x, subset)
             got = mp.executor().compute_tiles(x, subset)
             for (_, tile_ref), (_, tile_mp) in zip(expected, got):
-                assert np.array_equal(tile_mp, tile_ref)
+                assert _bits_equal(tile_mp, tile_ref)
         finally:
             loop.close()
             mp.close()
@@ -149,7 +169,7 @@ def test_vectorized_matches_loop_on_random_graphs(seed):
     with PatchExecutor(plan, backend="loop") as loop_ex, PatchExecutor(
         plan, backend="vectorized"
     ) as vec_ex:
-        assert np.array_equal(vec_ex.forward(x), loop_ex.forward(x))
+        assert _bits_equal(vec_ex.forward(x), loop_ex.forward(x))
 
         ids = [b.patch_id for b in plan.branches]
         size = int(rng.integers(1, len(ids) + 1))
@@ -158,8 +178,7 @@ def test_vectorized_matches_loop_on_random_graphs(seed):
         got = vec_ex.compute_tiles(x, subset)
         assert [b.patch_id for b, _ in got] == [b.patch_id for b, _ in expected]
         for (_, ref), (_, vec) in zip(expected, got):
-            assert ref.dtype == vec.dtype
-            assert np.array_equal(vec, ref)
+            assert _bits_equal(vec, ref)
 
 
 @property_cases(max_examples=8)
@@ -180,4 +199,110 @@ def test_vectorized_matches_loop_under_content_dependent_hook(seed):
     x = rng.standard_normal((1, *graph.input_shape)).astype(np.float32)
     with PatchExecutor(plan, branch_hook=crush, backend="loop") as loop_ex:
         with PatchExecutor(plan, branch_hook=crush, backend="vectorized") as vec_ex:
-            assert np.array_equal(vec_ex.forward(x), loop_ex.forward(x))
+            assert _bits_equal(vec_ex.forward(x), loop_ex.forward(x))
+
+
+# ------------------------------------------------------------ reduction layout
+def _reduction_graph(producer: str) -> Graph:
+    """Stem, split, then a head whose reduction reads ``producer``'s output.
+
+    In the eval forward a convolution leaves channels-last memory behind,
+    while depthwise, pooling, padding and mixed concatenation leave C order;
+    a global average pool sums in whichever order its input has.
+    """
+    rng = np.random.default_rng(11)
+    g = Graph((3, 24, 24), name=f"reduce_{producer}")
+    g.add(Conv2d(3, 8, 3, stride=2, padding=1, rng=rng), name="stem")
+    g.add(ReLU(), name="stem_act")
+    if producer == "conv":
+        g.add(Conv2d(8, 8, 3, padding=1, rng=rng), name="feat")
+    elif producer == "depthwise":
+        g.add(Conv2d(8, 8, 1, rng=rng), name="expand")
+        g.add(DepthwiseConv2d(8, 3, padding=1, rng=rng), name="feat")
+    elif producer == "maxpool":
+        g.add(Conv2d(8, 8, 1, rng=rng), name="expand")
+        g.add(MaxPool2d(2), name="feat")
+    elif producer == "avgpool":
+        g.add(Conv2d(8, 8, 1, rng=rng), name="expand")
+        g.add(AvgPool2d(3, stride=1, padding=1), name="feat")
+    elif producer == "concat":  # one channels-last and one C-order operand
+        a = g.add(Conv2d(8, 4, 1, rng=rng), inputs="stem_act", name="branch_a")
+        b = g.add(DepthwiseConv2d(8, 3, padding=1, rng=rng), inputs="stem_act", name="branch_b")
+        g.add(Concat(), inputs=[a, b], name="feat")
+    elif producer == "pad":
+        g.add(Conv2d(8, 8, 1, rng=rng), name="expand")
+        g.add(Pad2d(1), name="feat")
+    elif producer == "skip":  # a second path from the graph input
+        skip = g.add(Conv2d(3, 8, 3, stride=2, padding=1, rng=rng), inputs=INPUT_NODE, name="skip")
+        g.add(Add(), inputs=["stem_act", skip], name="feat")
+    if producer == "flatten":
+        g.add(Conv2d(8, 4, 3, stride=2, padding=1, rng=rng), name="feat")
+        g.add(Flatten(), name="flat")
+        g.add(Linear(4 * 6 * 6, 5, rng=rng), name="fc")
+    else:
+        g.add(GlobalAvgPool(), name="gap")
+        g.add(Linear(g.shapes()["feat"][0], 5, rng=rng), name="fc")
+    return g
+
+
+def _eval_suffix(plan, x: np.ndarray, stitched: np.ndarray) -> np.ndarray:
+    """The suffix by ``Layer.forward`` on a C-order split map: the semantics the
+    compiled channels-last suffix must reproduce byte for byte."""
+    values = {INPUT_NODE: x, plan.split_output_node: np.ascontiguousarray(stitched)}
+    for name in plan.suffix_nodes:
+        node = plan.graph.nodes[name]
+        values[name] = node.layer.forward(*[values[src] for src in node.inputs])
+    return values[plan.graph.output_node]
+
+
+_PRODUCERS = ["conv", "depthwise", "maxpool", "avgpool", "concat", "pad", "skip", "flatten"]
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize(
+    "producer,split",
+    [(p, "stem_act") for p in _PRODUCERS]
+    # Patch regions do not model Pad2d's change of extent, so no "pad" here.
+    + [(p, "feat") for p in _PRODUCERS if p != "pad"],
+)
+def test_reductions_follow_reference_layout(producer, split, batch):
+    """The producer runs in the compiled suffix (split at ``stem_act``) or in
+    the patch stage (split at ``feat``)."""
+    graph = _reduction_graph(producer)
+    plan = build_patch_plan(graph, split, 2)
+    x = np.random.default_rng(batch).standard_normal((batch, 3, 24, 24)).astype(np.float32)
+    with PatchExecutor(plan, backend="loop") as loop_ex, PatchExecutor(
+        plan, backend="vectorized"
+    ) as vec_ex:
+        reference = loop_ex.forward(x)
+        assert _bits_equal(vec_ex.forward(x), reference)
+        expected = _eval_suffix(plan, x, loop_ex.stitched_split_feature_map(x))
+        assert _bits_equal(reference, expected)
+
+
+# ------------------------------------------------------------- layout boundary
+@pytest.mark.parametrize("backend", ["loop", "vectorized"])
+def test_layout_boundary(backend):
+    """Split maps are logically (N, C, h, w) whatever their memory, and the
+    suffix gives the same bytes on a C-order map as on an executor-allocated
+    channels-last one (external callers may pass either)."""
+    rng = np.random.default_rng(9)
+    graph = random_property_graph(rng)
+    split = candidate_split_nodes(graph)[0]
+    plan = build_patch_plan(graph, split, 2)
+    channels, height, width = graph.shapes()[split]
+    x = rng.standard_normal((2, *graph.input_shape)).astype(np.float32)
+    with PatchExecutor(plan, backend=backend) as executor:
+        stitched = executor.stitched_split_feature_map(x)
+        assert stitched.shape == (2, channels, height, width)
+        allocated = executor._allocate_split(x)
+        assert allocated.shape == stitched.shape
+        assert allocated.transpose(0, 2, 3, 1).flags.c_contiguous
+        for branch, tile in executor.compute_tiles(x, [b.patch_id for b in plan.branches]):
+            region = branch.output_region
+            assert tile.shape == (2, channels, region.height, region.width)
+        contiguous = np.ascontiguousarray(stitched)
+        assert _bits_equal(
+            executor.run_suffix(x, contiguous), executor.run_suffix(x, stitched)
+        )
+        assert _bits_equal(executor.run_suffix(x, stitched), executor.forward(x))

@@ -1,4 +1,8 @@
-"""Inference-only kernels against the training forward they replace, bit for bit."""
+"""Inference-only kernels against the training forward they replace, bit for bit.
+
+The kernels take and return channels-last arrays; every comparison here
+feeds them the channels-last form of the eval forward's input and compares
+the logical ``(N, C, H, W)`` view of their output, byte for byte."""
 
 from __future__ import annotations
 
@@ -29,11 +33,34 @@ from repro.nn import (
     Softmax,
 )
 from repro.nn import functional as F
-from repro.nn.inference import layer_kernel
+from repro.nn.inference import NCHW, NHWC, layer_kernel, reference_layout
 
 
 def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _nhwc(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+
+
+def _logical(a: np.ndarray) -> np.ndarray:
+    """The logical (N, C, H, W) view of a channels-last kernel output."""
+    return a.transpose(0, 3, 1, 2) if a.ndim == 4 else a
+
+
+def _memory_layout(a: np.ndarray) -> str | None:
+    if a.ndim != 4:
+        return None
+    if a.flags.c_contiguous:
+        return NCHW
+    assert a.transpose(0, 2, 3, 1).flags.c_contiguous
+    return NHWC
+
+
+def _in_layout(x: np.ndarray, layout: str) -> np.ndarray:
+    """``x`` (logical NCHW) with the given memory layout."""
+    return x if layout == NCHW else _nhwc(x).transpose(0, 3, 1, 2)
 
 
 @given(
@@ -69,13 +96,15 @@ def test_depthwise_kernel_matches_reference(
     reference, _ = F.depthwise_conv2d_forward(
         x, layer.params["weight"], layer.params["bias"], stride, padding
     )
-    step = layer_kernel(layer, (channels, height, width))
-    assert _bits_equal(step(x), reference)
+    # The channels-last view of x's own memory: at out_w == 1 the kernel
+    # reduces over exactly the strides the reference saw.
+    step = layer_kernel(layer, (channels, height, width), source_layout=NHWC)
+    assert _bits_equal(_logical(step(x.transpose(0, 2, 3, 1))), reference)
     if reference.shape[3] > 1:  # the tap kernel is the one chosen here
         taps = F.depthwise_conv2d_taps(
-            x, layer.params["weight"], layer.params["bias"], stride, padding
+            x.transpose(0, 2, 3, 1), layer.params["weight"], layer.params["bias"], stride, padding
         )
-        assert _bits_equal(taps, reference)
+        assert _bits_equal(_logical(taps), reference)
 
 
 def _layer_cases(rng):
@@ -102,17 +131,45 @@ def _layer_cases(rng):
         (Identity(), 1),
         (Dropout(0.5), 1),
         (Pad2d(1), 1),
+        (Flatten(), 1),
     ]
 
 
 @pytest.mark.parametrize("index", range(len(_layer_cases(np.random.default_rng(0)))))
 def test_layer_kernel_matches_eval_forward(index):
+    """Fed the channels-last form of the eval forward's inputs, each kernel
+    returns the same bytes, whichever memory layout the eval forward saw
+    (the reductions, GlobalAvgPool here, must follow it)."""
+    for layout in (NCHW, NHWC):
+        rng = np.random.default_rng(index)
+        layer, arity = _layer_cases(rng)[index]
+        inputs = [
+            _in_layout(rng.standard_normal((3, 4, 7, 7)).astype(np.float32) * 4, layout)
+            for _ in range(arity)
+        ]
+        expected = layer.forward(*inputs)
+        step = layer_kernel(layer, inputs[0].shape[1:], source_layout=layout)
+        assert _bits_equal(_logical(step(*[_nhwc(x) for x in inputs])), expected), layout
+
+
+@pytest.mark.parametrize("layouts", [(NCHW, NCHW), (NHWC, NHWC), (NHWC, NCHW), (NCHW, NHWC)])
+@pytest.mark.parametrize("index", range(len(_layer_cases(np.random.default_rng(0)))))
+def test_reference_layout_matches_eval_forward(index, layouts):
+    """The compile-time layout rule agrees with the memory the eval forward
+    actually returns (the tap-loop depthwise is the one pinned exception:
+    the compiled reference allocates C order there)."""
     rng = np.random.default_rng(index)
     layer, arity = _layer_cases(rng)[index]
-    inputs = [rng.standard_normal((3, 4, 7, 7)).astype(np.float32) * 4 for _ in range(arity)]
-    expected = layer.forward(*inputs)
-    step = layer_kernel(layer, inputs[0].shape[1:])
-    assert _bits_equal(step(*inputs), expected)
+    layouts = layouts[:arity]
+    inputs = [
+        _in_layout(rng.standard_normal((3, 4, 7, 7)).astype(np.float32), layout)
+        for layout in layouts
+    ]
+    predicted = reference_layout(layer, (4, 7, 7), layouts)
+    if isinstance(layer, DepthwiseConv2d):
+        assert predicted == NCHW
+        return
+    assert predicted == _memory_layout(layer.forward(*inputs))
 
 
 @pytest.mark.parametrize("layer", [Linear(12, 5), Flatten(), Softmax()])
@@ -126,7 +183,7 @@ def test_kernels_leave_layer_state_untouched(rng):
     before = [dict(layer.__dict__) for layer in layers]
     for layer in layers:
         arity = 2 if isinstance(layer, (Add, Concat)) else 1
-        inputs = [rng.standard_normal((2, 4, 6, 6)).astype(np.float32)] * arity
+        inputs = [rng.standard_normal((2, 6, 6, 4)).astype(np.float32)] * arity
         layer_kernel(layer, (4, 6, 6))(*inputs)
     for layer, state in zip(layers, before):
         assert layer.__dict__.keys() == state.keys()
@@ -139,7 +196,7 @@ def test_weight_swap_is_seen_by_compiled_kernel(rng):
     step = layer_kernel(layer, (2, 5, 5))
     x = rng.standard_normal((1, 2, 5, 5)).astype(np.float32)
     layer.params["weight"] = layer.params["weight"] * 2
-    assert _bits_equal(step(x), layer.forward(x))
+    assert _bits_equal(_logical(step(_nhwc(x))), layer.forward(x))
 
 
 def test_unknown_layer_type_is_rejected():
