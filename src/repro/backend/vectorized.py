@@ -31,10 +31,14 @@ and with operand alignment (observed with OpenBLAS: a
 from the reference ``col @ w.T`` in degenerate shapes) — and the backend
 contract is bit-identity with the loop reference.  Per-member execution
 hands BLAS the same im2col matrix the reference builds (same values, shape
-and C order), so the GEMM call is the same call.  Reductions whose accumulation order follows memory
-layout — pooling, and depthwise convolution at ``out_w == 1`` — reduce
-over a C-order copy of their window, the layout the reference's border
-windows have after ``np.pad``; they are rare in the zoo models.
+and C order), so the GEMM call is the same call.
+
+Reductions whose accumulation order follows memory layout — pooling, and
+depthwise convolution at ``out_w == 1`` — sum in the layout the
+reference's window had: a C-order copy where the reference zero-pads it
+with ``np.pad``, the source node's layout where it slices it out of the
+source's array.  The recipe propagates each node's reference layout when
+it is compiled; such reductions are rare in the zoo models.
 
 What remains per-branch is a thin Python loop around one large GEMM each —
 the per-branch dict bookkeeping, region slicing, ``np.pad`` calls, hook
@@ -66,7 +70,7 @@ from ..nn import (
     Sigmoid,
 )
 from ..nn.graph import INPUT_NODE
-from ..nn.inference import layer_kernel
+from ..nn.inference import NCHW, layer_kernel
 from ..patch.regions import backward_region
 from ..quant.quantizers import AffineQuantizer
 from ..quant.quantizers import fake_quantize  # noqa: F401 - profilers wrap it by module attribute
@@ -236,6 +240,10 @@ class VectorizedBackend(Backend):
         shapes = self.executor._shapes
         rep = members[0]  # geometry representative; any member works
         group = _Group(index=index, members=[b.patch_id for b in members])
+        # The memory layout each node's array has in the loop reference
+        # (:func:`~repro.nn.inference.layer_kernel` propagates it), so that
+        # layout-sensitive reductions sum in the reference's order.
+        layouts = {INPUT_NODE: NCHW}
 
         for name in self._node_order():
             clamped = rep.clamped_regions.get(name)
@@ -278,14 +286,19 @@ class VectorizedBackend(Backend):
                     src_rects = (window,)
                     window_shape = (shapes[src][0], window[2] - window[1], window[4] - window[3])
                     kind = "conv" if isinstance(layer, Conv2d) else "batched"
-                    fn = layer_kernel(layer, window_shape, padding=0)
+                    # The reference slices its window out of the source's
+                    # array, or zero-pads it into a fresh C-order one.
+                    inside = rep.clamped_regions[src].contains(desired)
+                    source = layouts[src] if inside else NCHW
+                    fn, layouts[name] = layer_kernel(layer, window_shape, (source,), padding=0)
                 else:
                     # Stack-safe layers run once on the merged group batch;
                     # anything else once per member.  Either way the kernel
                     # sees rect-sized inputs, so it is compiled for that width.
                     kind = "batched" if isinstance(layer, _STACK_SAFE_ELEMENTWISE) else "member"
                     rect_shape = (shapes[node.inputs[0]][0], rect[1] - rect[0], rect[3] - rect[2])
-                    fn = layer_kernel(layer, rect_shape)
+                    sources = [layouts[src] for src in node.inputs]
+                    fn, layouts[name] = layer_kernel(layer, rect_shape, sources)
                     rects = []
                     for src in node.inputs:
                         src_un = rep.node_regions[src]

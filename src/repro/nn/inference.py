@@ -30,9 +30,9 @@ memory order of its input.  In the eval forward a convolution leaves
 channels-last memory behind (its GEMM rows are ``(n, oh, ow)``) and NumPy's
 ``order='K'`` keeps it through BatchNorm, activations and quantization,
 while the depthwise tap loop, pooling, ``np.pad`` and mixed-layout merges
-leave C order.  :func:`reference_layout` states that rule per layer;
+leave C order.  :func:`layer_kernel` returns that layout with each kernel;
 executors propagate it through the graph at compile time and hand each
-kernel its input's layout as ``source_layout``.  :class:`GlobalAvgPool`
+kernel its inputs' layouts as ``source_layouts``.  :class:`GlobalAvgPool`
 (and the other layers :func:`layer_kernel` runs through their NCHW
 reference: pooling, depthwise convolution at ``out_w == 1``, a 4-D softmax)
 then reduces over the logical view of the channels-last array when the
@@ -51,7 +51,6 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import functional as F
-from .functional import _merge_rows
 from .layers import (
     Add,
     AvgPool2d,
@@ -74,7 +73,7 @@ from .layers import (
     Softmax,
 )
 
-__all__ = ["NCHW", "NHWC", "Kernel", "Step", "layer_kernel", "reference_layout"]
+__all__ = ["NCHW", "NHWC", "Kernel", "Step", "layer_kernel"]
 
 Kernel = Callable[..., np.ndarray]
 Shape = tuple[int, ...]
@@ -99,28 +98,39 @@ class Step(NamedTuple):
 def layer_kernel(
     layer: Layer,
     input_shape: Shape,
+    source_layouts: Sequence[str | None],
     padding: int | None = None,
-    source_layout: str = NCHW,
-) -> Kernel:
+) -> tuple[Kernel, str | None]:
     """Pure channels-last inference function of ``layer``, bit-identical to its
-    eval-mode forward.
+    eval-mode forward, and the memory layout of that forward's output.
 
     ``input_shape`` is the static logical ``(C, H, W)`` of the first input;
     the depthwise kernel is chosen from it and per-channel constants are
-    tiled to its row length ``W * C``.  ``padding`` overrides a spatial
-    layer's own padding (the patch stage hands it pre-padded windows).
-    ``source_layout`` is the memory layout the eval forward sees on the first
-    input (:func:`reference_layout` of its producer); only the kernels that
-    run the reference reduction read it.  Raises :class:`TypeError` for a
-    layer type with no inference kernel.
+    tiled to its row length ``W * C``.  ``source_layouts`` are the memory
+    layouts the eval forward sees on the inputs (:data:`NCHW` or
+    :data:`NHWC`; ignored for flat inputs): the kernels that run the
+    reference reduction read them, and the returned layout (``None`` for a
+    flat output) is what a consumer's ``source_layouts`` entry should be.
+    ``padding`` overrides a spatial layer's own padding (the patch stage
+    hands it pre-padded windows).  Raises :class:`TypeError` for a layer
+    type with no inference kernel.
     """
-    if isinstance(layer, Conv2d):
-        return _conv(layer, layer.padding if padding is None else padding)
     reference = _reference_fn(layer, input_shape, padding)
     if reference is not None:
-        return _on_reference(reference, source_layout)
+        return (
+            _on_reference(reference, source_layouts[0]),
+            _probe_layout(reference, input_shape, source_layouts[0]),
+        )
+    pad = getattr(layer, "padding", 0) if padding is None else padding
+    return _kernel(layer, input_shape, pad), _output_layout(layer, input_shape, source_layouts)
+
+
+def _kernel(layer: Layer, input_shape: Shape, padding: int) -> Kernel:
+    """The channels-last kernel of a layer the reference reduction does not pin."""
+    if isinstance(layer, Conv2d):
+        return _conv(layer, padding)
     if isinstance(layer, DepthwiseConv2d):
-        return _depthwise(layer, layer.padding if padding is None else padding)
+        return _depthwise(layer, padding)
     if isinstance(layer, BatchNorm2d):
         return _batchnorm(layer, input_shape)
     if isinstance(layer, ReLU6):
@@ -132,7 +142,7 @@ def layer_kernel(
         return lambda x: np.where(x > 0, x, slope * x)
     if isinstance(layer, Sigmoid):
         return F.sigmoid
-    if isinstance(layer, Softmax):
+    if isinstance(layer, Softmax):  # flat input: 4-D has a reference
         return lambda x: F.softmax(x, axis=-1)
     if isinstance(layer, Add):
         return np.add
@@ -147,38 +157,22 @@ def layer_kernel(
     if isinstance(layer, (Identity, Dropout)):
         return lambda x: x
     if isinstance(layer, Pad2d):
-        p = layer.padding
-        return lambda x: np.pad(x, [(0, 0), (p, p), (p, p), (0, 0)], mode="constant")
+        return lambda x: np.pad(
+            x, [(0, 0), (padding, padding), (padding, padding), (0, 0)], mode="constant"
+        )
     raise TypeError(f"no inference kernel for layer type {type(layer).__name__}")
 
 
-def reference_layout(
-    layer: Layer, input_shape: Shape, source_layouts: Sequence[str], padding: int | None = None
+def _output_layout(
+    layer: Layer, input_shape: Shape, source_layouts: Sequence[str | None]
 ) -> str | None:
-    """Memory layout of ``layer``'s eval-forward output, given its inputs' layouts.
-
-    :data:`NHWC` for channels-last memory, :data:`NCHW` for C-contiguous,
-    ``None`` for a flat output.  Executors propagate it through a graph at
-    compile time so that :func:`layer_kernel` can give every reduction the
-    memory order the reference reduced over.
-    """
-    if isinstance(layer, (GlobalAvgPool, Flatten, Linear)) or len(input_shape) != 3:
+    """Memory layout of the eval forward's output, for a layer with no reference."""
+    if isinstance(layer, (Flatten, Linear)) or len(input_shape) != 3:
         return None
     if isinstance(layer, Conv2d):
         return NHWC  # the GEMM rows are (n, oh, ow): channels-last
-    if isinstance(layer, Pad2d):
-        return NCHW  # np.pad allocates C order
-    reference = _reference_fn(layer, input_shape, padding)
-    if reference is not None:
-        # Whether the reference's window gather copies or views depends on
-        # shapes and strides: ask it, on a zero array of the real geometry.
-        c, h, w = input_shape
-        probe = np.zeros((2, h, w, c), dtype=np.float32).transpose(0, 3, 1, 2)
-        if source_layouts[0] == NCHW:
-            probe = np.ascontiguousarray(probe)
-        return NCHW if reference(probe).flags.c_contiguous else NHWC
-    if isinstance(layer, DepthwiseConv2d):
-        return NCHW  # the tap loop the reference ran allocated (N, C, H, W)
+    if isinstance(layer, (Pad2d, DepthwiseConv2d)):
+        return NCHW  # np.pad and the reference's tap loop allocate C order
     if len(set(source_layouts)) > 1:
         return NCHW  # NumPy falls back to C order for mixed operands
     return source_layouts[0]  # elementwise results keep their operand's order
@@ -205,6 +199,20 @@ def _reference_fn(layer: Layer, input_shape: Shape, padding: int | None) -> Kern
                 x, params["weight"], params.get("bias"), stride, pad
             )[0]
     return None
+
+
+def _probe_layout(reference: Kernel, input_shape: Shape, source_layout: str) -> str | None:
+    """Memory layout of a reference function's output: whether its window
+    gather copies or views depends on shapes and strides, so ask it, on a
+    zero array of the real geometry."""
+    c, h, w = input_shape
+    probe = np.zeros((2, h, w, c), dtype=np.float32).transpose(0, 3, 1, 2)
+    if source_layout == NCHW:
+        probe = np.ascontiguousarray(probe)
+    out = reference(probe)
+    if out.ndim != 4:
+        return None
+    return NCHW if out.flags.c_contiguous else NHWC
 
 
 def _on_reference(reference: Kernel, source_layout: str) -> Kernel:
@@ -264,22 +272,17 @@ def _depthwise(layer: DepthwiseConv2d, padding: int) -> Kernel:
 
 
 def _batchnorm(layer: BatchNorm2d, input_shape: Shape) -> Kernel:
-    # The eval-mode forward's constants, in its own expression order, per
-    # channel and tiled to one channels-last row of the compiled width.
+    # The eval-mode forward's constants, in its own expression order, tiled
+    # to one channels-last row of the compiled width.
     inv_std = 1.0 / np.sqrt(layer.running_var + layer.eps)
     per_channel = (layer.running_mean, inv_std, layer.params["gamma"], layer.params["beta"])
     constants = np.result_type(*per_channel)
-    tiled = tuple(np.tile(k, input_shape[-1]) for k in per_channel)
+    mean, inv_std, gamma, beta = (np.tile(k, input_shape[-1]) for k in per_channel)
 
     def batchnorm(x: np.ndarray) -> np.ndarray:
         # gamma * ((x - mean) * inv_std) + beta, chained in one buffer of the
         # dtype the unchained expression would end in.
-        rows = _merge_rows(x)
-        if rows is not None and rows.shape[-1] == len(tiled[0]):
-            mean, inv_std, gamma, beta = tiled
-        else:  # not the compiled width, or rows that need a copy to merge
-            rows = x
-            mean, inv_std, gamma, beta = per_channel
+        rows = x.reshape(*x.shape[:-2], -1)
         result = np.subtract(rows, mean, dtype=np.result_type(x, constants))
         np.multiply(result, inv_std, out=result)
         np.multiply(gamma, result, out=result)

@@ -47,7 +47,7 @@ import numpy as np
 from ..nn import AvgPool2d, Conv2d, DepthwiseConv2d, MaxPool2d
 from ..nn import functional as F
 from ..nn.graph import INPUT_NODE
-from ..nn.inference import NCHW, Step, layer_kernel, reference_layout
+from ..nn.inference import NCHW, Step, layer_kernel
 from ..quant.points import FeatureMap
 from ..quant.quantizers import AffineQuantizer
 from .plan import BranchPlan, PatchPlan
@@ -390,8 +390,9 @@ class PatchExecutor:
         Slot 0 holds the graph input, slot 1 the stitched split feature map
         and slot ``k + 2`` the output of step ``k``.  Returns the steps and
         the slot of the graph output.  The memory layout every activation had
-        in the eval forward is propagated alongside, so that each reduction
-        (:func:`~repro.nn.inference.reference_layout`) sums in its order.
+        in the eval forward (which :func:`~repro.nn.inference.layer_kernel`
+        returns with each kernel) is propagated alongside, so that each
+        reduction sums in its order.
         """
         plan = self.plan
         graph = plan.graph
@@ -402,8 +403,7 @@ class PatchExecutor:
             node = graph.nodes[name]
             shape = self._shapes[node.inputs[0]]
             sources = [layouts[src] for src in node.inputs]
-            fn = layer_kernel(node.layer, shape, source_layout=sources[0])
-            layouts[name] = reference_layout(node.layer, shape, sources)
+            fn, layouts[name] = layer_kernel(node.layer, shape, sources)
             inputs = tuple(slots[src] for src in node.inputs)
             steps.append(Step(inputs, fn, self._suffix_quant(name)))
             slots[name] = len(slots)

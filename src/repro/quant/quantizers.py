@@ -92,9 +92,11 @@ class AffineQuantizer:
         high = max(float(high), 0.0)
         qmax = (1 << self.bits) - 1
         span = high - low
-        if span <= 0.0:
-            return QuantParams(scale=1.0, zero_point=0, bits=self.bits)
         scale = span / qmax
+        if span <= 0.0 or np.float32(scale) == 0.0:
+            # An empty range, or one too narrow for a nonzero float32 step
+            # (which would divide float32 activations by zero).
+            return QuantParams(scale=1.0, zero_point=0, bits=self.bits)
         zero_point = int(round(-low / scale))
         zero_point = int(np.clip(zero_point, 0, qmax))
         return QuantParams(scale=scale, zero_point=zero_point, bits=self.bits)

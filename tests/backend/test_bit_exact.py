@@ -260,16 +260,20 @@ _PRODUCERS = ["conv", "depthwise", "maxpool", "avgpool", "concat", "pad", "skip"
 
 @pytest.mark.parametrize("batch", [1, 2])
 @pytest.mark.parametrize(
-    "producer,split",
-    [(p, "stem_act") for p in _PRODUCERS]
+    "producer,split,grid",
+    [(p, "stem_act", 2) for p in _PRODUCERS]
     # Patch regions do not model Pad2d's change of extent, so no "pad" here.
-    + [(p, "feat") for p in _PRODUCERS if p != "pad"],
+    + [(p, "feat", 2) for p in _PRODUCERS if p != "pad"]
+    # 1x1 tiles: an interior pooling window is one output wide, so the
+    # reference averages a strided view of the convolution's channels-last
+    # output instead of a C-order copy.
+    + [("avgpool", "feat", 12)],
 )
-def test_reductions_follow_reference_layout(producer, split, batch):
+def test_reductions_follow_reference_layout(producer, split, grid, batch):
     """The producer runs in the compiled suffix (split at ``stem_act``) or in
     the patch stage (split at ``feat``)."""
     graph = _reduction_graph(producer)
-    plan = build_patch_plan(graph, split, 2)
+    plan = build_patch_plan(graph, split, grid)
     x = np.random.default_rng(batch).standard_normal((batch, 3, 24, 24)).astype(np.float32)
     with PatchExecutor(plan, backend="loop") as loop_ex, PatchExecutor(
         plan, backend="vectorized"

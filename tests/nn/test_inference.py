@@ -33,7 +33,7 @@ from repro.nn import (
     Softmax,
 )
 from repro.nn import functional as F
-from repro.nn.inference import NCHW, NHWC, layer_kernel, reference_layout
+from repro.nn.inference import NCHW, NHWC, layer_kernel
 
 
 def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -98,7 +98,7 @@ def test_depthwise_kernel_matches_reference(
     )
     # The channels-last view of x's own memory: at out_w == 1 the kernel
     # reduces over exactly the strides the reference saw.
-    step = layer_kernel(layer, (channels, height, width), source_layout=NHWC)
+    step, _ = layer_kernel(layer, (channels, height, width), (NHWC,))
     assert _bits_equal(_logical(step(x.transpose(0, 2, 3, 1))), reference)
     if reference.shape[3] > 1:  # the tap kernel is the one chosen here
         taps = F.depthwise_conv2d_taps(
@@ -132,6 +132,7 @@ def _layer_cases(rng):
         (Dropout(0.5), 1),
         (Pad2d(1), 1),
         (Flatten(), 1),
+        (Softmax(), 1),
     ]
 
 
@@ -148,16 +149,15 @@ def test_layer_kernel_matches_eval_forward(index):
             for _ in range(arity)
         ]
         expected = layer.forward(*inputs)
-        step = layer_kernel(layer, inputs[0].shape[1:], source_layout=layout)
+        step, _ = layer_kernel(layer, inputs[0].shape[1:], (layout,) * arity)
         assert _bits_equal(_logical(step(*[_nhwc(x) for x in inputs])), expected), layout
 
 
 @pytest.mark.parametrize("layouts", [(NCHW, NCHW), (NHWC, NHWC), (NHWC, NCHW), (NCHW, NHWC)])
 @pytest.mark.parametrize("index", range(len(_layer_cases(np.random.default_rng(0)))))
-def test_reference_layout_matches_eval_forward(index, layouts):
-    """The compile-time layout rule agrees with the memory the eval forward
-    actually returns (the tap-loop depthwise is the one pinned exception:
-    the compiled reference allocates C order there)."""
+def test_output_layout_matches_eval_forward(index, layouts):
+    """The layout :func:`layer_kernel` reports agrees with the memory the
+    eval forward actually returns."""
     rng = np.random.default_rng(index)
     layer, arity = _layer_cases(rng)[index]
     layouts = layouts[:arity]
@@ -165,17 +165,16 @@ def test_reference_layout_matches_eval_forward(index, layouts):
         _in_layout(rng.standard_normal((3, 4, 7, 7)).astype(np.float32), layout)
         for layout in layouts
     ]
-    predicted = reference_layout(layer, (4, 7, 7), layouts)
-    if isinstance(layer, DepthwiseConv2d):
-        assert predicted == NCHW
-        return
+    _, predicted = layer_kernel(layer, (4, 7, 7), layouts)
     assert predicted == _memory_layout(layer.forward(*inputs))
 
 
 @pytest.mark.parametrize("layer", [Linear(12, 5), Flatten(), Softmax()])
 def test_flat_layer_kernels_match_forward(layer, rng):
     x = rng.standard_normal((3, 12)).astype(np.float32)
-    assert _bits_equal(layer_kernel(layer, x.shape[1:])(x), layer.forward(x))
+    step, layout = layer_kernel(layer, x.shape[1:], (NCHW,))
+    assert layout is None
+    assert _bits_equal(step(x), layer.forward(x))
 
 
 def test_kernels_leave_layer_state_untouched(rng):
@@ -184,7 +183,8 @@ def test_kernels_leave_layer_state_untouched(rng):
     for layer in layers:
         arity = 2 if isinstance(layer, (Add, Concat)) else 1
         inputs = [rng.standard_normal((2, 6, 6, 4)).astype(np.float32)] * arity
-        layer_kernel(layer, (4, 6, 6))(*inputs)
+        step, _ = layer_kernel(layer, (4, 6, 6), (NHWC,) * arity)
+        step(*inputs)
     for layer, state in zip(layers, before):
         assert layer.__dict__.keys() == state.keys()
         assert all(layer.__dict__[key] is value for key, value in state.items())
@@ -193,7 +193,7 @@ def test_kernels_leave_layer_state_untouched(rng):
 
 def test_weight_swap_is_seen_by_compiled_kernel(rng):
     layer = Conv2d(2, 3, 3, padding=1, rng=rng)
-    step = layer_kernel(layer, (2, 5, 5))
+    step, _ = layer_kernel(layer, (2, 5, 5), (NCHW,))
     x = rng.standard_normal((1, 2, 5, 5)).astype(np.float32)
     layer.params["weight"] = layer.params["weight"] * 2
     assert _bits_equal(_logical(step(_nhwc(x))), layer.forward(x))
@@ -201,4 +201,4 @@ def test_weight_swap_is_seen_by_compiled_kernel(rng):
 
 def test_unknown_layer_type_is_rejected():
     with pytest.raises(TypeError, match="no inference kernel"):
-        layer_kernel(Layer(), (1, 1, 1))
+        layer_kernel(Layer(), (1, 1, 1), (NCHW,))

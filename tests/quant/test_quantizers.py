@@ -84,6 +84,15 @@ class TestFakeQuantize:
         out = fake_quantize(x, 4)
         assert np.allclose(out, 3.0, atol=0.5)
 
+    def test_subnormal_range_stays_finite(self):
+        # A span of one subnormal has no nonzero float32 step: fall back to
+        # the constant-tensor grid instead of dividing by zero.
+        x = np.array([1e-45, 0.0, 0.0, 0.0], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fake_quantize(x, 2)
+        assert np.array_equal(out, np.zeros(4, dtype=np.float32))
+
     @given(
         hnp.arrays(
             np.float32,
