@@ -8,7 +8,9 @@ hooks, the suffix) from *how* the dataflow branches are executed:
     The serial per-branch reference — the bit-exactness oracle.
 ``vectorized``
     Geometry-grouped branches stacked into the batch dimension; one NumPy
-    call per layer per group, preallocated scratch buffers.  The default.
+    call per layer per group over compact per-call values, with BatchNorm,
+    activations and fake-quant in place where nothing else reads them.  The
+    default.
 ``multiprocess``
     Forked worker processes over shared memory, for GIL-free patch stages.
 
@@ -22,7 +24,6 @@ from .base import (
     DEFAULT_BACKEND,
     Backend,
     BackendUnavailable,
-    ScratchArena,
     available_backends,
     make_backend,
 )
@@ -36,7 +37,6 @@ __all__ = [
     "BackendUnavailable",
     "LoopBackend",
     "MultiprocessBackend",
-    "ScratchArena",
     "VectorizedBackend",
     "available_backends",
     "make_backend",

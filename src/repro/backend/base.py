@@ -21,7 +21,6 @@ that were not given an explicit backend.
 from __future__ import annotations
 
 import os
-import threading
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,7 +33,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "Backend",
     "BackendUnavailable",
-    "ScratchArena",
     "available_backends",
     "make_backend",
 ]
@@ -45,53 +43,6 @@ DEFAULT_BACKEND = "vectorized"
 
 class BackendUnavailable(RuntimeError):
     """The requested backend cannot run in this environment (e.g. no fork)."""
-
-
-class ScratchArena:
-    """Reusable, thread-local scratch buffers keyed by call site.
-
-    The vectorized backend executes the same per-group buffer shapes on every
-    call, so allocating them once and reusing them removes per-inference
-    allocation from the hot path.  Buffers are **thread-local**: concurrent
-    shards run by the simulated device workers each get their own set, so no
-    synchronization (and no sharing hazard) exists between workers.
-
-    Buffers come back *uninitialized* — callers own the content invariants
-    (the vectorized backend re-zeroes halo margins explicitly each call).
-    """
-
-    def __init__(self) -> None:
-        self._local = threading.local()
-
-    def _store(self) -> dict:
-        store = getattr(self._local, "store", None)
-        if store is None:
-            store = {}
-            self._local.store = store
-        return store
-
-    def take(self, key: tuple, shape: tuple, dtype=np.float32) -> np.ndarray:
-        """Return the reusable buffer for ``key`` (uninitialized contents)."""
-        store = self._store()
-        buf = store.get(key)
-        if buf is None or buf.shape != tuple(shape) or buf.dtype != np.dtype(dtype):
-            buf = np.empty(shape, dtype=dtype)
-            store[key] = buf
-        return buf
-
-    def clear(self) -> None:
-        """Drop this thread's buffers (other threads keep theirs)."""
-        self._store().clear()
-
-    @property
-    def buffer_count(self) -> int:
-        """Number of live buffers on the calling thread (introspection/tests)."""
-        return len(self._store())
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes held by the calling thread's buffers."""
-        return sum(buf.nbytes for buf in self._store().values())
 
 
 class Backend:
@@ -111,7 +62,6 @@ class Backend:
     def __init__(self, executor: "PatchExecutor") -> None:
         self.executor = executor
         self.plan = executor.plan
-        self.scratch = ScratchArena()
 
     # ------------------------------------------------------------- interface
     def run_branches(
@@ -119,7 +69,7 @@ class Backend:
     ) -> list[tuple["BranchPlan", np.ndarray]]:
         """Compute the tiles of ``branch_ids``; returns ``[(branch, tile), ...]``.
 
-        Tiles are owned by the caller (never views into reused scratch), in
+        Tiles are owned by the caller (no other call writes to them), in
         ``branch_ids`` order, bit-identical to
         :meth:`~repro.patch.executor.PatchExecutor.run_branch`.
         """
@@ -146,7 +96,6 @@ class Backend:
 
     def close(self) -> None:
         """Release backend resources (idempotent)."""
-        self.scratch.clear()
 
 
 def _registry() -> dict:

@@ -2,26 +2,34 @@
 
 Branches whose region geometry is identical up to translation (interior
 patches of a grid, matching border patches, ...) are compiled into *groups*.
-Each group executes the patch stage over a stacked, **channels-last** scratch
-buffer of shape ``(g, n, H, W, C)`` per node — ``g`` group members side by
-side in a leading batch axis, ``H x W`` the node's *unclamped* demand region
-with the halo margins pinned to zero (exactly the zero padding
-:meth:`~repro.patch.executor.PatchExecutor._extract_padded` would have
-materialized per branch).  Per node, one NumPy call then covers the whole
-group: input gather, elementwise layers, depthwise convolutions and static
-quantization hooks all batch.
+Each group executes the patch stage over **compact, channels-last values**:
+per node, one fresh contiguous ``(g, n, h, w, C)`` array holding exactly the
+node's clamped region, the rect the loop reference
+(:meth:`~repro.patch.executor.PatchExecutor.run_branch`) computes, with the
+``g`` group members side by side in a leading batch axis.  Per node, one
+NumPy call then covers the whole group: input gather, elementwise layers,
+depthwise convolutions and static quantization hooks all batch.
 
-Why channels-last: every kernel works on the clamped *rect* of a buffer, a
-strided view.  In ``(C, H, W)`` order a rect row is ``rw`` floats (4 to 23
-in the zoo models), so each NumPy call is thousands of tiny inner loops; in
-``(H, W, C)`` order a rect row is ``rw * C`` contiguous floats, and
-per-channel constants (BatchNorm, depthwise taps) are tiled to that row
-length when the recipe is compiled.  A convolution's GEMM rows
-``(n * oh * ow, C_out)`` are already channels-last, so they are copied into
-the rect as they are, and a 1x1 convolution's im2col is a reshape of its
-window.  Tiles leave the backend as logical ``(N, C, h, w)`` views, and the
-executor's split map (:meth:`~repro.patch.executor.PatchExecutor._allocate_split`)
-is channels-last in memory too, so stitching copies whole rows.
+A spatial window is zero-padded only where it crosses the feature-map
+border, exactly where the reference pads
+(:meth:`~repro.patch.executor.PatchExecutor._extract_padded`); interior
+windows are views of their source value, with the reference's strides.
+
+Why channels-last: in ``(H, W, C)`` order a row is ``w * C`` contiguous
+floats instead of ``w`` (4 to 23 in the zoo models), so each NumPy call
+streams whole rows, and per-channel constants (BatchNorm, depthwise taps)
+are tiled to that row length when the recipe is compiled.  A convolution's
+GEMM rows ``(n * oh * ow, C_out)`` are already channels-last, and a 1x1
+convolution's im2col is a reshape of its window.  Tiles leave the backend
+as logical ``(N, C, h, w)`` views, and the executor's split map
+(:meth:`~repro.patch.executor.PatchExecutor._allocate_split`) is
+channels-last in memory too, so stitching copies whole rows.
+
+Values are fresh on every call and follow the ownership rule of
+:mod:`repro.nn.inference`: BatchNorm, ReLU6/ReLU and static fake-quant
+overwrite a value that only their step reads (the emitted split value
+counts as read once more).  Nothing is kept between calls, so concurrent
+callers share no buffers.
 
 The one deliberate exception to batching: standard convolutions run **per
 member**.  BLAS GEMM results are not bit-stable under operand stacking or
@@ -51,7 +59,8 @@ share the graph without writing to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,8 +79,8 @@ from ..nn import (
     Sigmoid,
 )
 from ..nn.graph import INPUT_NODE
-from ..nn.inference import NCHW, layer_kernel
-from ..patch.regions import backward_region
+from ..nn.inference import NCHW, layer_kernel, ownership, quantize_kernel
+from ..patch.regions import Region, backward_region
 from ..quant.quantizers import AffineQuantizer
 from ..quant.quantizers import fake_quantize  # noqa: F401 - profilers wrap it by module attribute
 from .base import Backend
@@ -82,7 +91,7 @@ _SPATIAL = (Conv2d, DepthwiseConv2d, MaxPool2d, AvgPool2d)
 #: Elementwise layers proven safe to run on a merged ``(g*n, H, W, C)`` batch:
 #: no cross-element reductions, so batching cannot perturb float results.
 #: Anything else falls back to per-member kernel calls (still batched
-#: gather/margins/hooks), which keeps correctness independent of the layer zoo.
+#: gather/hooks), which keeps correctness independent of the layer zoo.
 _STACK_SAFE_ELEMENTWISE = (
     Add,
     BatchNorm2d,
@@ -97,7 +106,7 @@ _STACK_SAFE_ELEMENTWISE = (
 
 @dataclass(frozen=True)
 class _Step:
-    """One node of a group recipe (all offsets relative to scratch buffers)."""
+    """One node of a group recipe (offsets relative to clamped regions)."""
 
     name: str
     #: Pure channels-last inference kernel
@@ -106,13 +115,17 @@ class _Step:
     #: None for the input.
     fn: object
     kind: str  # "input" | "conv" | "batched" | "member"
-    shape: tuple[int, int, int]  # (C, H, W) of the unclamped scratch buffer
-    rect: tuple[int, int, int, int]  # clamped (computed) rect within the buffer
-    #: For spatial layers: one ``(src, r0, r1, c0, c1)`` window rect; for
-    #: elementwise: one exact rect per graph input.
+    #: One ``(src, r0, r1, c0, c1)`` rect per graph input, within the source
+    #: value: a spatial layer's window (before padding), an elementwise
+    #: layer's exact rect.
     src_rects: tuple[tuple, ...]
-    #: ("none",) | ("batched", QuantParams) | ("member", fm)
+    #: ("none",) | ("batched", quantize kernel) | ("member", fm)
     hook: tuple
+    #: Spatial layers: the window's zero padding outside the feature map,
+    #: ``(top, bottom, left, right)``.
+    pads: tuple[int, int, int, int] = (0, 0, 0, 0)
+    #: Values read for the last time by this step.
+    release: tuple[str, ...] = ()
 
 
 @dataclass
@@ -120,9 +133,34 @@ class _Group:
     """A set of geometry-identical branches plus their compiled recipe."""
 
     index: int
-    members: list[int]  # patch_ids in plan order
     steps: list[_Step] = field(default_factory=list)
-    split_step: int = -1
+    #: The split value's tile, ``(r0, r1, c0, c1)`` within it.
+    tile: tuple[int, int, int, int] = (0, 0, 0, 0)
+
+
+def _offsets(region: Region, within: Region) -> tuple[int, int, int, int]:
+    return (
+        region.row_start - within.row_start,
+        region.row_stop - within.row_start,
+        region.col_start - within.col_start,
+        region.col_stop - within.col_start,
+    )
+
+
+def _zero_pad(window: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
+    """Zero rows and columns around a ``(g, n, h, w, C)`` window: ``np.pad``'s
+    result, at a fraction of its per-call cost."""
+    g, n, h, w, c = window.shape
+    out = np.zeros((g, n, top + h + bottom, left + w + right, c), window.dtype)
+    out[:, :, top : top + h, left : left + w] = window
+    return out
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Per-member results as one contiguous ``(g, ...)`` value."""
+    if len(arrays) == 1:
+        return np.ascontiguousarray(arrays[0])[None]
+    return np.stack(arrays)
 
 
 def _channels_last(x: np.ndarray) -> np.ndarray:
@@ -148,9 +186,7 @@ class VectorizedBackend(Backend):
         tiles: dict[int, np.ndarray] = {}
 
         def emit(patch_id: int, view: np.ndarray) -> None:
-            # Copy out of the (reused, thread-local) scratch: callers own
-            # tiles.  Order "K" keeps the copy channels-last and row-wise.
-            tiles[patch_id] = view.copy(order="K")
+            tiles[patch_id] = view  # a view of this call's own value
 
         x = _channels_last(x)
         for group, subset in self._partition(branch_ids):
@@ -199,7 +235,7 @@ class VectorizedBackend(Backend):
     def _signature(self, branch) -> tuple:
         """Geometry key: branches with equal signatures are translates of each
         other at every node, so one recipe (buffer shapes, window offsets,
-        margin strips) serves them all."""
+        padding) serves them all."""
         graph = self.plan.graph
         parts = []
         for name in self._node_order():
@@ -208,29 +244,17 @@ class VectorizedBackend(Backend):
                 parts.append((name,))
                 continue
             unclamped = branch.node_regions[name]
-            entry = [
-                name,
-                unclamped.height,
-                unclamped.width,
-                clamped.row_start - unclamped.row_start,
-                clamped.row_stop - unclamped.row_start,
-                clamped.col_start - unclamped.col_start,
-                clamped.col_stop - unclamped.col_start,
-            ]
+            entry = [name, unclamped.height, unclamped.width, *_offsets(clamped, unclamped)]
             if name != INPUT_NODE:
                 node = graph.nodes[name]
                 layer = node.layer
                 if isinstance(layer, _SPATIAL):
                     kernel, stride, padding = layer.spatial_params()
-                    desired = backward_region(clamped, kernel, stride, padding)
-                    src_un = branch.node_regions[node.inputs[0]]
-                    entry.append(desired.row_start - src_un.row_start)
-                    entry.append(desired.col_start - src_un.col_start)
+                    window = backward_region(clamped, kernel, stride, padding)
+                    entry += _offsets(window, branch.node_regions[node.inputs[0]])[::2]
                 else:
                     for src in node.inputs:
-                        src_un = branch.node_regions[src]
-                        entry.append(clamped.row_start - src_un.row_start)
-                        entry.append(clamped.col_start - src_un.col_start)
+                        entry += _offsets(clamped, branch.node_regions[src])[::2]
             parts.append(tuple(entry))
         return tuple(parts)
 
@@ -239,102 +263,79 @@ class VectorizedBackend(Backend):
         graph = plan.graph
         shapes = self.executor._shapes
         rep = members[0]  # geometry representative; any member works
-        group = _Group(index=index, members=[b.patch_id for b in members])
+        regions = rep.clamped_regions
+        group = _Group(index=index)
+        group.tile = _offsets(rep.output_region, regions[plan.split_output_node])
+        names = [name for name in self._node_order() if name in regions]
+        # Reads per value, the emitted split value included: the ownership
+        # rule lets a step overwrite only a value it alone reads.
+        readers = Counter([plan.split_output_node])
+        for name in names[1:]:
+            readers.update(graph.nodes[name].inputs)
         # The memory layout each node's array has in the loop reference
         # (:func:`~repro.nn.inference.layer_kernel` propagates it), so that
         # layout-sensitive reductions sum in the reference's order.
         layouts = {INPUT_NODE: NCHW}
-
-        for name in self._node_order():
-            clamped = rep.clamped_regions.get(name)
-            if clamped is None:
-                continue
-            unclamped = rep.node_regions[name]
-            rect = (
-                clamped.row_start - unclamped.row_start,
-                clamped.row_stop - unclamped.row_start,
-                clamped.col_start - unclamped.col_start,
-                clamped.col_stop - unclamped.col_start,
-            )
+        owned = {INPUT_NODE: True}
+        for name in names:
+            clamped = regions[name]
             if name == INPUT_NODE:
-                channels = graph.input_shape[0]
-                step = _Step(
-                    name=name,
-                    fn=None,
-                    kind="input",
-                    shape=(channels, unclamped.height, unclamped.width),
-                    rect=rect,
-                    src_rects=(),
-                    hook=("none",),
-                )
+                group.steps.append(_Step(name, None, "input", (), ("none",)))
+                continue
+            node = graph.nodes[name]
+            layer = node.layer
+            src = node.inputs[0]
+            in_place, owned[name] = ownership(layer, owned[src], readers[src])
+            if isinstance(layer, _SPATIAL):
+                kernel, stride, padding = layer.spatial_params()
+                desired = backward_region(clamped, kernel, stride, padding)
+                # The source value covers all of the window inside the map.
+                inner = desired.clamp(*shapes[src][1:])
+                r0, r1, c0, c1 = _offsets(inner, desired)
+                pads = (r0, desired.height - r1, c0, desired.width - c1)
+                src_rects = ((src, *_offsets(inner, regions[src])),)
+                window_shape = (shapes[src][0], desired.height, desired.width)
+                kind = "conv" if isinstance(layer, Conv2d) else "batched"
+                # The reference slices its window out of the source's
+                # array, or zero-pads it into a fresh C-order one.
+                source = NCHW if any(pads) else layouts[src]
+                fn, layouts[name] = layer_kernel(layer, window_shape, (source,), padding=0)
             else:
-                node = graph.nodes[name]
-                layer = node.layer
-                channels = shapes[name][0]
-                if isinstance(layer, _SPATIAL):
-                    kernel, stride, padding = layer.spatial_params()
-                    desired = backward_region(clamped, kernel, stride, padding)
-                    src = node.inputs[0]
-                    src_un = rep.node_regions[src]
-                    window = (
-                        src,
-                        desired.row_start - src_un.row_start,
-                        desired.row_stop - src_un.row_start,
-                        desired.col_start - src_un.col_start,
-                        desired.col_stop - src_un.col_start,
-                    )
-                    src_rects = (window,)
-                    window_shape = (shapes[src][0], window[2] - window[1], window[4] - window[3])
-                    kind = "conv" if isinstance(layer, Conv2d) else "batched"
-                    # The reference slices its window out of the source's
-                    # array, or zero-pads it into a fresh C-order one.
-                    inside = rep.clamped_regions[src].contains(desired)
-                    source = layouts[src] if inside else NCHW
-                    fn, layouts[name] = layer_kernel(layer, window_shape, (source,), padding=0)
-                else:
-                    # Stack-safe layers run once on the merged group batch;
-                    # anything else once per member.  Either way the kernel
-                    # sees rect-sized inputs, so it is compiled for that width.
-                    kind = "batched" if isinstance(layer, _STACK_SAFE_ELEMENTWISE) else "member"
-                    rect_shape = (shapes[node.inputs[0]][0], rect[1] - rect[0], rect[3] - rect[2])
-                    sources = [layouts[src] for src in node.inputs]
-                    fn, layouts[name] = layer_kernel(layer, rect_shape, sources)
-                    rects = []
-                    for src in node.inputs:
-                        src_un = rep.node_regions[src]
-                        rects.append(
-                            (
-                                src,
-                                clamped.row_start - src_un.row_start,
-                                clamped.row_stop - src_un.row_start,
-                                clamped.col_start - src_un.col_start,
-                                clamped.col_stop - src_un.col_start,
-                            )
-                        )
-                    src_rects = tuple(rects)
-                step = _Step(
-                    name=name,
-                    fn=fn,
-                    kind=kind,
-                    shape=(channels, unclamped.height, unclamped.width),
-                    rect=rect,
-                    src_rects=src_rects,
-                    hook=self._hook_mode(name, members),
-                )
-            if name == plan.split_output_node:
-                group.split_step = len(group.steps)
-            group.steps.append(step)
+                # Stack-safe layers run once on the merged group batch;
+                # anything else once per member.  Either way the kernel
+                # sees rect-sized inputs, so it is compiled for that width.
+                kind = "batched" if isinstance(layer, _STACK_SAFE_ELEMENTWISE) else "member"
+                pads = (0, 0, 0, 0)
+                src_rects = tuple((s, *_offsets(clamped, regions[s])) for s in node.inputs)
+                rect_shape = (shapes[src][0], clamped.height, clamped.width)
+                sources = [layouts[s] for s in node.inputs]
+                fn, layouts[name] = layer_kernel(layer, rect_shape, sources, in_place=in_place)
+            hook = self._hook_mode(name, members, owned[name])
+            # A static grid's result is owned, in place or fresh; a
+            # content-dependent hook may return an array it keeps.
+            owned[name] = (owned[name] or hook[0] == "batched") and hook[0] != "member"
+            group.steps.append(_Step(name, fn, kind, src_rects, hook, pads))
+        # Free each value after its last reader (the split value is emitted).
+        last_read = {
+            src: k for k, step in enumerate(group.steps) for src, *_ in step.src_rects
+        }
+        last_read.pop(plan.split_output_node, None)
+        group.steps = [
+            replace(step, release=tuple(name for name, last in last_read.items() if last == k))
+            for k, step in enumerate(group.steps)
+        ]
         return group
 
-    def _hook_mode(self, name: str, members: list) -> tuple:
+    def _hook_mode(self, name: str, members: list, owned: bool) -> tuple:
         """Decide at compile time how the branch hook applies at ``name``.
 
         Hooks built by :func:`repro.core.quantmcu.make_static_hooks` expose
         ``static_params``; when every member's parameters are static and equal
         the hook collapses into one elementwise fake-quantization over the
-        stacked buffer, on a grid resolved here once.  Any content-dependent
-        or non-uniform case falls back to calling the hook per member — on
-        exactly the clamped region the reference would have passed it.
+        stacked value (in place if it is ``owned``), on a grid resolved here
+        once.  Any content-dependent or non-uniform case falls back to
+        calling the hook per member — on exactly the clamped region the
+        reference would have passed it.
         """
         executor = self.executor
         fm = executor._fm_by_output.get(name)
@@ -351,7 +352,7 @@ class VectorizedBackend(Backend):
         if any(p[0] >= 32 for p in params) or len(set(params)) > 1:
             return ("member", fm)
         bits, low, high = params[0]
-        return ("batched", AffineQuantizer(bits).compute_params(low, high))
+        return ("batched", quantize_kernel(AffineQuantizer(bits).compute_params(low, high), owned))
 
     # ----------------------------------------------------------------- execute
     def _run_group(self, group: _Group, subset: list[int], x: np.ndarray, emit) -> None:
@@ -360,78 +361,56 @@ class VectorizedBackend(Backend):
         members = [branches[patch_id] for patch_id in subset]
         g = len(members)
         n = x.shape[0]
-        bufs: dict[str, np.ndarray] = {}
+        values: dict[str, np.ndarray] = {}
 
         for step in group.steps:
-            channels, height, width = step.shape
-            buf = self.scratch.take(
-                (group.index, step.name, g, n), (g, n, height, width, channels)
-            )
-            r0, r1, c0, c1 = step.rect
-            rect = buf[:, :, r0:r1, c0:c1]
-
             if step.kind == "input":
+                region = members[0].clamped_regions[INPUT_NODE]
+                value = np.empty((g, n, region.height, region.width, x.shape[3]), np.float32)
                 for slot, member in enumerate(members):
                     region = member.clamped_regions[INPUT_NODE]
-                    buf[slot, :, r0:r1, c0:c1] = x[
+                    value[slot] = x[
                         :, region.row_start : region.row_stop,
                         region.col_start : region.col_stop,
                     ]
-            elif step.kind == "conv":
-                src, d0, d1, d2, d3 = step.src_rects[0]
-                src_buf = bufs[src]
-                # Per member by design: rebuilding the reference's fresh im2col
-                # matrix is the only GEMM execution proven bit-stable (above).
-                for slot in range(g):
-                    buf[slot, :, r0:r1, c0:c1] = step.fn(src_buf[slot, :, d0:d1, d2:d3])
-            elif step.kind == "batched":
-                # Merging (g, n) is a view: they lead every scratch buffer.
-                views = [
-                    bufs[src][:, :, e0:e1, e2:e3].reshape(g * n, e1 - e0, e3 - e2, -1)
-                    for src, e0, e1, e2, e3 in step.src_rects
-                ]
-                out = step.fn(*views)
-                rect[...] = out.reshape(g, n, *out.shape[1:])
-            else:  # member
-                for slot in range(g):
-                    inputs = [
-                        bufs[src][slot, :, e0:e1, e2:e3]
-                        for src, e0, e1, e2, e3 in step.src_rects
-                    ]
-                    buf[slot, :, r0:r1, c0:c1] = step.fn(*inputs)
-
-            # Pin the halo margins to zero: they stand for out-of-feature-map
-            # positions, which the reference materializes as zero padding at
-            # the consumer.  Done after every node because elementwise layers
-            # do not map zero to zero (BatchNorm shift, biases) and scratch
-            # buffers carry stale bytes between calls.
-            if r0 > 0:
-                buf[:, :, :r0] = 0.0
-            if r1 < height:
-                buf[:, :, r1:] = 0.0
-            if c0 > 0:
-                buf[:, :, r0:r1, :c0] = 0.0
-            if c1 < width:
-                buf[:, :, r0:r1, c1:] = 0.0
+            else:
+                inputs = [values[src][:, :, r0:r1, c0:c1] for src, r0, r1, c0, c1 in step.src_rects]
+                if any(step.pads):
+                    inputs[0] = _zero_pad(inputs[0], *step.pads)
+                if step.kind == "conv":
+                    # Per member by design: rebuilding the reference's fresh
+                    # im2col matrix is the only GEMM execution proven
+                    # bit-stable (above).
+                    value = _stack([step.fn(inputs[0][slot]) for slot in range(g)])
+                elif step.kind == "batched":
+                    # Merging (g, n) is a view: they lead every value.
+                    out = step.fn(*[a.reshape(g * n, *a.shape[2:]) for a in inputs])
+                    value = out.reshape(g, n, *out.shape[1:])
+                else:  # member
+                    value = _stack([step.fn(*[a[slot] for a in inputs]) for slot in range(g)])
+                if value.dtype != np.float32:
+                    value = value.astype(np.float32)
 
             mode = step.hook[0]
             if mode == "batched":
-                # Into a fresh buffer, then one copy back: the six-pass chain
-                # runs several times slower in place on a strided rect.
-                rect[...] = step.hook[1].fake_quantize(rect)
+                value = step.hook[1](value)
             elif mode == "member":
                 # Content-dependent hooks see the logical (N, C, h, w) region.
                 fm = step.hook[1]
                 hook = self.executor.branch_hook
-                for slot, member in enumerate(members):
-                    region = buf[slot, :, r0:r1, c0:c1]
-                    quantized = hook(member.patch_id, fm, region.transpose(0, 3, 1, 2))
-                    region[...] = quantized.transpose(0, 2, 3, 1)
+                value = _stack(
+                    [
+                        hook(member.patch_id, fm, value[slot].transpose(0, 3, 1, 2)).transpose(
+                            0, 2, 3, 1
+                        )
+                        for slot, member in enumerate(members)
+                    ]
+                ).astype(np.float32, copy=False)
+            values[step.name] = value
+            for name in step.release:
+                del values[name]
 
-            bufs[step.name] = buf
-
-        split = group.steps[group.split_step]
-        r0, r1, c0, c1 = split.rect
-        split_buf = bufs[split.name]
+        r0, r1, c0, c1 = group.tile
+        split = values[self.plan.split_output_node]
         for slot, member in enumerate(members):
-            emit(member.patch_id, split_buf[slot, :, r0:r1, c0:c1].transpose(0, 3, 1, 2))
+            emit(member.patch_id, split[slot, :, r0:r1, c0:c1].transpose(0, 3, 1, 2))

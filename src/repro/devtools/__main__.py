@@ -171,15 +171,18 @@ def runtime_stress_scenario(threads: int, iterations: int) -> "RaceMonitor":
 
 
 def serving_state_scenario(threads: int, iterations: int) -> "RaceMonitor":
-    """Serve one compiled pipeline three ways at once; no layer may be written.
+    """Serve one compiled pipeline three ways at once; no layer and no input
+    may be written.
 
     Workers interleave batched requests through an
     :class:`~repro.serving.InferenceEngine`, frames of their own
     :class:`~repro.streaming.StreamSession` and direct
     :meth:`~repro.serving.CompiledPipeline.infer` calls on a tiny MobileNetV2.
     The serving path runs pure inference kernels, so the frozen graph's layers
-    must see no attribute write at all: any write is a finding, as are lock
-    hazards on the engine and pipeline.
+    must see no attribute write at all, and in-place epilogues only ever
+    write to arrays the executors allocated, so the caller's frames keep
+    their bytes: any such write is a finding, as are lock hazards on the
+    engine and pipeline.
     """
     import numpy as np
 
@@ -191,6 +194,7 @@ def serving_state_scenario(threads: int, iterations: int) -> "RaceMonitor":
     rng = np.random.default_rng(17)
     calib = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
     frames = rng.standard_normal((3, 3, 32, 32)).astype(np.float32)
+    frame_bytes = frames.tobytes()
     quant = QuantMCUPipeline(spec.build(), sram_limit_bytes=64 * 1024, num_patches=2)
     pipeline = CompiledPipeline.from_result(quant, quant.run(calib), spec=spec)
 
@@ -220,6 +224,8 @@ def serving_state_scenario(threads: int, iterations: int) -> "RaceMonitor":
         pipeline.close()
     if report.errors:
         raise report.errors[0]
+    if frames.tobytes() != frame_bytes:
+        monitor.record_write("input frames")
     return monitor
 
 

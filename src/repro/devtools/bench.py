@@ -131,7 +131,11 @@ def run_kernel_bench(
 
     try:
         loop_ex, vec_ex = loop.executor(), vec.executor()
-        if not np.array_equal(loop_ex.forward(x1), vec_ex.forward(x1)):
+        # Shape, dtype and bytes: unlike array_equal, a flipped sign of zero
+        # counts as a difference.
+        expected, actual = loop_ex.forward(x1), vec_ex.forward(x1)
+        same_kind = (expected.shape, expected.dtype) == (actual.shape, actual.dtype)
+        if not same_kind or expected.tobytes() != actual.tobytes():
             raise AssertionError(
                 "vectorized backend is not bit-identical to the loop reference; "
                 "refusing to benchmark a wrong kernel"

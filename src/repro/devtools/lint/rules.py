@@ -572,7 +572,7 @@ class HotLoopOverPatchDomain(LintRule):
         "An interpreted per-element loop over a patch grid or kernel offsets "
         "in a hot kernel module pays the Python dispatch cost once per "
         "element; batch it through the vectorized compute backend (stacked "
-        "scratch + strided windows).  Reference oracles keep their loops — "
+        "compact values + strided windows).  Reference oracles keep their loops — "
         "suppress with `# repro: noqa[REP007] - <why>`."
     )
 

@@ -38,6 +38,18 @@ reference: pooling, depthwise convolution at ``out_w == 1``, a 4-D softmax)
 then reduces over the logical view of the channels-last array when the
 reference's input was channels-last, and over a C-order copy otherwise.
 
+**Ownership.**  An executor's value is *owned* when the executor allocated
+it and no array outside the executor can see its memory.  Most kernels
+allocate their result; :class:`Identity` and :class:`Dropout` return their
+input and :class:`Flatten` may return a view of it, so their results are
+never owned.  BatchNorm, ReLU6/ReLU and static fake-quantization
+(:func:`quantize_kernel`) can instead write their result into their input,
+with the same bits, when that input is owned and the step is its only
+reader (:func:`ownership`); a result whose dtype differs from its input's
+(float64 input, float32 grid) is still allocated.  Executors count readers
+when they compile; caller arrays (the graph input, a stitched split map)
+are never owned, so no kernel ever writes to them.
+
 A :class:`Step` binds a kernel to the value slots it reads and the
 quantization applied to its output; executors compile their graphs into
 tuples of steps once and then only run them.
@@ -73,7 +85,7 @@ from .layers import (
     Softmax,
 )
 
-__all__ = ["NCHW", "NHWC", "Kernel", "Step", "layer_kernel"]
+__all__ = ["NCHW", "NHWC", "Kernel", "Step", "layer_kernel", "ownership", "quantize_kernel"]
 
 Kernel = Callable[..., np.ndarray]
 Shape = tuple[int, ...]
@@ -81,6 +93,11 @@ Shape = tuple[int, ...]
 #: Memory layouts of a logical ``(N, C, H, W)`` activation in the eval forward.
 NCHW = "nchw"
 NHWC = "nhwc"
+
+#: Kernels whose result is, or may be a view of, their first input.
+_ALIASING = (Identity, Dropout, Flatten)
+#: Kernels that can write their result into their first input.
+_IN_PLACE = (BatchNorm2d, ReLU, ReLU6)
 
 
 class Step(NamedTuple):
@@ -100,6 +117,7 @@ def layer_kernel(
     input_shape: Shape,
     source_layouts: Sequence[str | None],
     padding: int | None = None,
+    in_place: bool = False,
 ) -> tuple[Kernel, str | None]:
     """Pure channels-last inference function of ``layer``, bit-identical to its
     eval-mode forward, and the memory layout of that forward's output.
@@ -112,8 +130,9 @@ def layer_kernel(
     reference reduction read them, and the returned layout (``None`` for a
     flat output) is what a consumer's ``source_layouts`` entry should be.
     ``padding`` overrides a spatial layer's own padding (the patch stage
-    hands it pre-padded windows).  Raises :class:`TypeError` for a layer
-    type with no inference kernel.
+    hands it pre-padded windows).  ``in_place`` (see :func:`ownership`)
+    makes an in-place layer's kernel write into its input.  Raises
+    :class:`TypeError` for a layer type with no inference kernel.
     """
     reference = _reference_fn(layer, input_shape, padding)
     if reference is not None:
@@ -122,21 +141,47 @@ def layer_kernel(
             _probe_layout(reference, input_shape, source_layouts[0]),
         )
     pad = getattr(layer, "padding", 0) if padding is None else padding
-    return _kernel(layer, input_shape, pad), _output_layout(layer, input_shape, source_layouts)
+    kernel = _kernel(layer, input_shape, pad, in_place)
+    return kernel, _output_layout(layer, input_shape, source_layouts)
 
 
-def _kernel(layer: Layer, input_shape: Shape, padding: int) -> Kernel:
+def ownership(layer: Layer, input_owned: bool, readers: int) -> tuple[bool, bool]:
+    """The ownership rule (module docstring) for one compiled step of ``layer``.
+
+    ``input_owned`` says whether the step's first input is an owned value and
+    ``readers`` how many reads that value has in total, counting the caller
+    of the executor's result.  Returns ``(in_place, owned)``: whether the
+    step may overwrite its first input, and whether its result is owned.
+    """
+    in_place = isinstance(layer, _IN_PLACE) and input_owned and readers == 1
+    return in_place, not isinstance(layer, _ALIASING)
+
+
+def quantize_kernel(params, in_place: bool) -> Kernel:
+    """Static fake-quantization on ``params``' grid
+    (:meth:`~repro.quant.quantizers.QuantParams.fake_quantize`); with
+    ``in_place``, written into the (owned) input when that is float32."""
+    if not in_place:
+        return params.fake_quantize
+
+    def quantize(x: np.ndarray) -> np.ndarray:
+        return params.fake_quantize(x, out=x if x.dtype == np.float32 else None)
+
+    return quantize
+
+
+def _kernel(layer: Layer, input_shape: Shape, padding: int, in_place: bool) -> Kernel:
     """The channels-last kernel of a layer the reference reduction does not pin."""
     if isinstance(layer, Conv2d):
         return _conv(layer, padding)
     if isinstance(layer, DepthwiseConv2d):
         return _depthwise(layer, padding)
     if isinstance(layer, BatchNorm2d):
-        return _batchnorm(layer, input_shape)
+        return _batchnorm(layer, input_shape, in_place)
     if isinstance(layer, ReLU6):
-        return F.relu6
+        return (lambda x: np.clip(x, 0.0, 6.0, out=x)) if in_place else F.relu6
     if isinstance(layer, ReLU):
-        return F.relu
+        return (lambda x: np.maximum(x, 0.0, out=x)) if in_place else F.relu
     if isinstance(layer, LeakyReLU):
         slope = layer.negative_slope
         return lambda x: np.where(x > 0, x, slope * x)
@@ -271,7 +316,7 @@ def _depthwise(layer: DepthwiseConv2d, padding: int) -> Kernel:
     return depthwise
 
 
-def _batchnorm(layer: BatchNorm2d, input_shape: Shape) -> Kernel:
+def _batchnorm(layer: BatchNorm2d, input_shape: Shape, in_place: bool) -> Kernel:
     # The eval-mode forward's constants, in its own expression order, tiled
     # to one channels-last row of the compiled width.
     inv_std = 1.0 / np.sqrt(layer.running_var + layer.eps)
@@ -281,9 +326,11 @@ def _batchnorm(layer: BatchNorm2d, input_shape: Shape) -> Kernel:
 
     def batchnorm(x: np.ndarray) -> np.ndarray:
         # gamma * ((x - mean) * inv_std) + beta, chained in one buffer of the
-        # dtype the unchained expression would end in.
+        # dtype the unchained expression would end in: x's own, if it may.
         rows = x.reshape(*x.shape[:-2], -1)
-        result = np.subtract(rows, mean, dtype=np.result_type(x, constants))
+        dtype = np.result_type(x, constants)
+        out = rows if in_place and dtype == x.dtype else None
+        result = np.subtract(rows, mean, dtype=dtype, out=out)
         np.multiply(result, inv_std, out=result)
         np.multiply(gamma, result, out=result)
         np.add(result, beta, out=result)

@@ -40,6 +40,7 @@ seeing every branch.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -47,7 +48,7 @@ import numpy as np
 from ..nn import AvgPool2d, Conv2d, DepthwiseConv2d, MaxPool2d
 from ..nn import functional as F
 from ..nn.graph import INPUT_NODE
-from ..nn.inference import NCHW, Step, layer_kernel
+from ..nn.inference import NCHW, Step, layer_kernel, ownership, quantize_kernel
 from ..quant.points import FeatureMap
 from ..quant.quantizers import AffineQuantizer
 from .plan import BranchPlan, PatchPlan
@@ -167,7 +168,7 @@ class PatchExecutor:
         return self._inproc_backend
 
     def close(self) -> None:
-        """Release backend resources (scratch buffers, worker pools); idempotent.
+        """Release backend resources (worker pools, shared memory); idempotent.
 
         Backends close first (they release fork pools / segments back to the
         runtime), then a *private* runtime is torn down; an injected runtime
@@ -214,7 +215,7 @@ class PatchExecutor:
         not change) asks for just the dirty subset.  Subclasses that own
         worker pools override this to keep their parallelism structure — the
         base implementation hands the subset to the compute backend.  The
-        returned tiles are owned by the caller (never backend scratch).
+        returned tiles are owned by the caller (no later call writes to them).
         """
         return self._active_backend().run_branches(x, list(branch_ids))
 
@@ -392,22 +393,31 @@ class PatchExecutor:
         the slot of the graph output.  The memory layout every activation had
         in the eval forward (which :func:`~repro.nn.inference.layer_kernel`
         returns with each kernel) is propagated alongside, so that each
-        reduction sums in its order.
+        reduction sums in its order.  Slots 0 and 1 are the caller's arrays
+        and never owned: only steps the ownership rule
+        (:func:`~repro.nn.inference.ownership`) allows write into a slot.
         """
         plan = self.plan
         graph = plan.graph
         slots = {INPUT_NODE: 0, plan.split_output_node: 1}
+        for name in plan.suffix_nodes:
+            slots[name] = len(slots)
+        output = slots[graph.output_node]
+        reads = [slots[src] for name in plan.suffix_nodes for src in graph.nodes[name].inputs]
+        readers = Counter([*reads, output])
         layouts = {INPUT_NODE: NCHW, plan.split_output_node: NCHW}
+        owned = [False, False]
         steps = []
         for name in plan.suffix_nodes:
             node = graph.nodes[name]
             shape = self._shapes[node.inputs[0]]
             sources = [layouts[src] for src in node.inputs]
-            fn, layouts[name] = layer_kernel(node.layer, shape, sources)
             inputs = tuple(slots[src] for src in node.inputs)
-            steps.append(Step(inputs, fn, self._suffix_quant(name)))
-            slots[name] = len(slots)
-        output = slots[graph.output_node]
+            in_place, is_owned = ownership(node.layer, owned[inputs[0]], readers[inputs[0]])
+            fn, layouts[name] = layer_kernel(node.layer, shape, sources, in_place=in_place)
+            quant, owned_after = self._suffix_quant(name, is_owned)
+            steps.append(Step(inputs, fn, quant))
+            owned.append(owned_after)
         # A slot is released after its last reader, so dead activations free
         # their memory for the next step's output instead of piling up.
         last_read = {slot: k for k, step in enumerate(steps) for slot in step.inputs}
@@ -418,12 +428,14 @@ class PatchExecutor:
         steps = [step._replace(release=tuple(free)) for step, free in zip(steps, released)]
         return tuple(steps), output
 
-    def _suffix_quant(self, name: str):
-        """The suffix hook at ``name``, with static grids resolved once."""
+    def _suffix_quant(self, name: str, owned: bool):
+        """The suffix hook at ``name``, static grids resolved once (applied in
+        place to an ``owned`` result), and whether the hooked result is owned:
+        a content-dependent hook may return an array it keeps."""
         fm = self._fm_by_output.get(name)
         hook = self.suffix_hook
         if fm is None or hook is None:
-            return None
+            return None, owned
         static = getattr(hook, "static_params", None)
         params = static(fm.index) if static is not None else None
         if params is None:
@@ -434,11 +446,11 @@ class PatchExecutor:
                 out = hook(fm, array.transpose(0, 3, 1, 2))
                 return np.ascontiguousarray(out.transpose(0, 2, 3, 1))
 
-            return member
+            return member, False
         bits, low, high = params
         if bits >= 32:
-            return None
-        return AffineQuantizer(bits).compute_params(low, high).fake_quantize
+            return None, owned
+        return quantize_kernel(AffineQuantizer(bits).compute_params(low, high), owned), True
 
     def _run_suffix(self, x: np.ndarray, stitched: np.ndarray) -> np.ndarray:
         # The one layout crossing: free for an executor-allocated split map.

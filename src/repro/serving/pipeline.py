@@ -318,7 +318,7 @@ class CompiledPipeline:
         )
 
     def close(self) -> None:
-        """Release executor resources: device pools, backend scratch.
+        """Release executor resources: device pools, backend worker pools.
 
         Executors leasing from an injected :class:`~repro.runtime.Runtime`
         release their leases here but leave the (shared) pools up; closing

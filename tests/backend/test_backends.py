@@ -1,15 +1,12 @@
 """Unit tests for the compute-backend layer (:mod:`repro.backend`).
 
-Covers backend selection (names, ``REPRO_BACKEND``, defaults), the scratch
-arena's reuse and thread-locality guarantees, and the dispatch rules the
-executor applies — most importantly the fallback to the loop reference when
+Covers backend selection (names, ``REPRO_BACKEND``, defaults) and the
+dispatch rules the executor applies — most importantly the fallback to the loop reference when
 ``run_branch`` is overridden, which is what keeps instrumentation-style tests
 (and subclasses) observing every branch.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import pytest
@@ -20,7 +17,6 @@ from repro.backend import (
     DEFAULT_BACKEND,
     Backend,
     LoopBackend,
-    ScratchArena,
     VectorizedBackend,
     available_backends,
     make_backend,
@@ -91,56 +87,6 @@ class TestBackendSelection:
             assert backend.plan is small_plan
 
 
-# ------------------------------------------------------------------ scratch
-class TestScratchArena:
-    def test_take_reuses_buffer(self):
-        arena = ScratchArena()
-        a = arena.take(("k",), (2, 3))
-        b = arena.take(("k",), (2, 3))
-        assert a is b
-        assert arena.buffer_count == 1
-
-    def test_shape_change_reallocates(self):
-        arena = ScratchArena()
-        a = arena.take(("k",), (2, 3))
-        b = arena.take(("k",), (4, 3))
-        assert a is not b
-        assert b.shape == (4, 3)
-
-    def test_dtype_change_reallocates(self):
-        arena = ScratchArena()
-        a = arena.take(("k",), (2,), dtype=np.float32)
-        b = arena.take(("k",), (2,), dtype=np.float64)
-        assert a is not b
-        assert b.dtype == np.float64
-
-    def test_clear_and_nbytes(self):
-        arena = ScratchArena()
-        arena.take(("a",), (4,), dtype=np.float32)
-        arena.take(("b",), (2, 2), dtype=np.float32)
-        assert arena.buffer_count == 2
-        assert arena.nbytes == 4 * 4 + 4 * 4
-        arena.clear()
-        assert arena.buffer_count == 0
-        assert arena.nbytes == 0
-
-    def test_buffers_are_thread_local(self):
-        arena = ScratchArena()
-        mine = arena.take(("k",), (2,))
-        seen = {}
-
-        def worker():
-            seen["buf"] = arena.take(("k",), (2,))
-            seen["count"] = arena.buffer_count
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        thread.join()
-        assert seen["buf"] is not mine
-        assert seen["count"] == 1
-        assert arena.buffer_count == 1  # this thread still has exactly its own
-
-
 # ----------------------------------------------------------------- dispatch
 class TestDispatchRules:
     def test_run_branch_monkeypatch_falls_back_to_loop(self, small_plan, small_input):
@@ -187,8 +133,8 @@ class TestDispatchRules:
         executor.close()
 
     def test_backend_tiles_are_owned_copies(self, small_plan, small_input):
-        # run_branches must never return views into reused scratch: a second
-        # call with different content must not mutate previously returned tiles.
+        # run_branches returns tiles no later call writes to: a second call
+        # with different content must not mutate previously returned tiles.
         with PatchExecutor(small_plan, backend="vectorized") as executor:
             ids = [b.patch_id for b in small_plan.branches]
             first = [tile.copy() for _, tile in executor.compute_tiles(small_input, ids)]

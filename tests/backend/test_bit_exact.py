@@ -23,6 +23,7 @@ from repro.hardware import make_cluster
 from repro.nn import (
     Add,
     AvgPool2d,
+    BatchNorm2d,
     Concat,
     Conv2d,
     DepthwiseConv2d,
@@ -33,6 +34,7 @@ from repro.nn import (
     MaxPool2d,
     Pad2d,
     ReLU,
+    ReLU6,
 )
 from repro.nn.graph import INPUT_NODE
 from repro.patch import PatchExecutor, build_patch_plan, candidate_split_nodes
@@ -232,6 +234,20 @@ def _reduction_graph(producer: str) -> Graph:
     elif producer == "pad":
         g.add(Conv2d(8, 8, 1, rng=rng), name="expand")
         g.add(Pad2d(1), name="feat")
+    elif producer == "shared":  # one value, two in-place epilogues reading it
+        g.add(Conv2d(8, 8, 1, rng=rng), name="expand")
+        clip = g.add(ReLU6(), inputs="expand", name="clip")
+        norm = g.add(BatchNorm2d(8), inputs="expand", name="norm")
+        g.add(Add(), inputs=[clip, norm], name="feat")
+    elif producer == "clamped":
+        # A border tile's "expand" region is wider than the pooling window
+        # (the padded depthwise demands one more column, outside the map),
+        # and clamped to exactly the window's width: the reference pools a
+        # view of it, with no copy.
+        g.add(Conv2d(8, 8, 1, rng=rng), name="expand")
+        pool = g.add(AvgPool2d(3, stride=3), inputs="expand", name="pool")
+        dw = g.add(DepthwiseConv2d(8, 3, stride=3, padding=1, rng=rng), inputs="expand", name="dw")
+        g.add(Add(), inputs=[pool, dw], name="feat")
     elif producer == "skip":  # a second path from the graph input
         skip = g.add(Conv2d(3, 8, 3, stride=2, padding=1, rng=rng), inputs=INPUT_NODE, name="skip")
         g.add(Add(), inputs=["stem_act", skip], name="feat")
@@ -267,7 +283,9 @@ _PRODUCERS = ["conv", "depthwise", "maxpool", "avgpool", "concat", "pad", "skip"
     # 1x1 tiles: an interior pooling window is one output wide, so the
     # reference averages a strided view of the convolution's channels-last
     # output instead of a C-order copy.
-    + [("avgpool", "feat", 12)],
+    + [("avgpool", "feat", 12)]
+    # 1x1 tiles whose pooling window is sliced from a clamped border source.
+    + [("clamped", "feat", 4)],
 )
 def test_reductions_follow_reference_layout(producer, split, grid, batch):
     """The producer runs in the compiled suffix (split at ``stem_act``) or in
@@ -280,8 +298,62 @@ def test_reductions_follow_reference_layout(producer, split, grid, batch):
     ) as vec_ex:
         reference = loop_ex.forward(x)
         assert _bits_equal(vec_ex.forward(x), reference)
-        expected = _eval_suffix(plan, x, loop_ex.stitched_split_feature_map(x))
-        assert _bits_equal(reference, expected)
+        stitched = loop_ex.stitched_split_feature_map(x)
+        assert _bits_equal(vec_ex.stitched_split_feature_map(x), stitched)
+        assert _bits_equal(reference, _eval_suffix(plan, x, stitched))
+
+
+@pytest.mark.parametrize("split", ["stem_act", "feat"])
+def test_shared_value_is_never_overwritten(split):
+    """A value with two readers is overwritten by neither, though both are
+    in-place epilogues: in the compiled suffix (split at ``stem_act``) and in
+    the vectorized patch stage (split at ``feat``)."""
+    plan = build_patch_plan(_reduction_graph("shared"), split, 2)
+    x = np.random.default_rng(2).standard_normal((2, 3, 24, 24)).astype(np.float32)
+    with PatchExecutor(plan, backend="loop") as loop_ex, PatchExecutor(
+        plan, backend="vectorized"
+    ) as vec_ex:
+        stitched = loop_ex.stitched_split_feature_map(x)
+        expected = _eval_suffix(plan, x, stitched)
+        assert _bits_equal(loop_ex.forward(x), expected)
+        assert _bits_equal(vec_ex.forward(x), expected)
+
+
+# ------------------------------------------------------------- caller arrays
+def _caller_graph() -> Graph:
+    """A suffix whose only reader of the graph input is an in-place epilogue
+    (a BatchNorm).  The split map always ends a fused BatchNorm/activation
+    chain, so its suffix readers never are."""
+    rng = np.random.default_rng(5)
+    g = Graph((3, 16, 16), name="caller_arrays")
+    g.add(Conv2d(3, 3, 3, padding=1, rng=rng), name="stem")
+    act = g.add(ReLU6(), name="stem_act")
+    skip = g.add(BatchNorm2d(3), inputs=INPUT_NODE, name="skip_bn")
+    g.add(Add(), inputs=[act, skip], name="merge")
+    g.add(GlobalAvgPool(), name="gap")
+    g.add(Linear(3, 4, rng=rng), name="fc")
+    return g
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = a.copy(order="K")
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("backend", ["loop", "vectorized"])
+def test_suffix_never_writes_caller_arrays(backend):
+    """Slots 0 and 1 of the suffix are the caller's arrays: an in-place
+    epilogue that reached them would raise on these read-only inputs.  Both
+    are channels-last in memory, so the suffix reads them without a copy."""
+    plan = build_patch_plan(_caller_graph(), "stem_act", 2)
+    x = np.random.default_rng(3).standard_normal((2, 16, 16, 3)).astype(np.float32)
+    x = x.transpose(0, 3, 1, 2)
+    with PatchExecutor(plan, backend=backend) as executor:
+        stitched = executor.stitched_split_feature_map(x)
+        expected = executor.run_suffix(x.copy(order="K"), stitched.copy(order="K"))
+        assert _bits_equal(executor.run_suffix(_read_only(x), _read_only(stitched)), expected)
+        assert _bits_equal(executor.forward(_read_only(x)), expected)
 
 
 # ------------------------------------------------------------- layout boundary

@@ -193,6 +193,20 @@ class TestForbidWrites:
         assert report.ok, report.render()
         assert any("InferenceEngine" in name for name in report.locks_seen)
 
+    def test_serving_scenario_reports_input_writes(self, monkeypatch):
+        from repro.devtools.__main__ import serving_state_scenario
+        from repro.patch.executor import PatchExecutor
+
+        forward = PatchExecutor.forward
+
+        def scribbling(self, x):
+            x[...] = 0.0
+            return forward(self, x)
+
+        monkeypatch.setattr(PatchExecutor, "forward", scribbling)
+        report = serving_state_scenario(threads=2, iterations=3).report()
+        assert [f.subject for f in report.findings] == ["input frames"]
+
 
 # --------------------------------------------------------- instrumentation
 class TestInstrument:

@@ -33,7 +33,8 @@ from repro.nn import (
     Softmax,
 )
 from repro.nn import functional as F
-from repro.nn.inference import NCHW, NHWC, layer_kernel
+from repro.nn.inference import NCHW, NHWC, layer_kernel, ownership, quantize_kernel
+from repro.quant.quantizers import AffineQuantizer
 
 
 def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -197,6 +198,44 @@ def test_weight_swap_is_seen_by_compiled_kernel(rng):
     x = rng.standard_normal((1, 2, 5, 5)).astype(np.float32)
     layer.params["weight"] = layer.params["weight"] * 2
     assert _bits_equal(_logical(step(_nhwc(x))), layer.forward(x))
+
+
+@pytest.mark.parametrize("index", range(len(_layer_cases(np.random.default_rng(0)))))
+def test_ownership_rule(index):
+    """Only BatchNorm, ReLU and ReLU6 may overwrite their input, and only an
+    owned input with no other reader; only aliasing kernels return values
+    that are not owned."""
+    layer, _ = _layer_cases(np.random.default_rng(index))[index]
+    in_place_layer = isinstance(layer, (BatchNorm2d, ReLU, ReLU6))
+    aliasing = isinstance(layer, (Identity, Dropout, Flatten))
+    assert ownership(layer, True, 1) == (in_place_layer, not aliasing)
+    assert ownership(layer, True, 2) == (False, not aliasing)
+    assert ownership(layer, False, 1) == (False, not aliasing)
+
+
+def _in_place_pairs(rng):
+    """``(fresh, in place)`` kernels of BatchNorm, ReLU, ReLU6 and static
+    fake-quantization."""
+    pairs = [
+        tuple(layer_kernel(layer, (4, 7, 7), (NHWC,), in_place=flag)[0] for flag in (False, True))
+        for layer in (_layer_cases(rng)[2][0], ReLU(), ReLU6())
+    ]
+    params = AffineQuantizer(4).compute_params(-1.5, 2.5)
+    return pairs + [(quantize_kernel(params, False), quantize_kernel(params, True))]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("index", range(4))
+def test_in_place_kernels_write_the_same_bytes(index, dtype, rng):
+    """An in-place kernel returns the fresh kernel's bytes, written into its
+    input whenever the result has the input's dtype (float64 input to a
+    float32 grid is quantized into a fresh array)."""
+    fresh, in_place = _in_place_pairs(rng)[index]
+    x = (rng.standard_normal((3, 7, 7, 4)) * 4).astype(dtype)
+    expected = fresh(x.copy())
+    out = in_place(x)
+    assert _bits_equal(out, expected)
+    assert np.shares_memory(out, x) == (out.dtype == x.dtype)
 
 
 def test_unknown_layer_type_is_rejected():

@@ -39,6 +39,28 @@ def test_compiled_is_isolated_from_source_model(quantized_mobilenet, rng):
     assert np.array_equal(compiled.infer(x), before)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = a.copy(order="K")
+    a.flags.writeable = False
+    return a
+
+
+def test_infer_never_writes_caller_arrays(compiled_mobilenet, rng):
+    """Read-only caller arrays serve the same bytes: in-place epilogues only
+    ever write to values the executor allocated.  The input and the split map
+    are channels-last in memory, so the suffix's first two slots are views of
+    them, not copies."""
+    x = np.ascontiguousarray(rng.standard_normal((2, 32, 32, 3)).astype(np.float32))
+    x = x.transpose(0, 3, 1, 2)
+    expected = compiled_mobilenet.infer(x.copy(order="K"))
+    assert expected.tobytes() == compiled_mobilenet.infer(_read_only(x)).tobytes()
+    executor = compiled_mobilenet.executor()
+    stitched = executor.stitched_split_feature_map(x)
+    suffix = executor.run_suffix(x.copy(order="K"), stitched.copy(order="K"))
+    assert suffix.tobytes() == expected.tobytes()
+    assert executor.run_suffix(_read_only(x), _read_only(stitched)).tobytes() == suffix.tobytes()
+
+
 def _layer_state(graph):
     """Every layer's attributes by identity, plus the contents of its cache."""
     return [
