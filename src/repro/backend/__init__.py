@@ -7,10 +7,9 @@ hooks, the suffix) from *how* the dataflow branches are executed:
 ``loop``
     The serial per-branch reference — the bit-exactness oracle.
 ``vectorized``
-    Geometry-grouped branches stacked into the batch dimension; one NumPy
-    call per layer per group over compact per-call values, with BatchNorm,
-    activations and fake-quant in place where nothing else reads them.  The
-    default.
+    Geometry-grouped branches stacked into the batch dimension; one kernel
+    call per feature map per group over compact per-call values (one GEMM
+    per convolution, one fused requantization epilogue).  The default.
 ``multiprocess``
     Forked worker processes over shared memory, for GIL-free patch stages.
 

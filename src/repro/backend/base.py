@@ -9,9 +9,13 @@ fanned out to forked worker processes over shared memory
 :mod:`repro.patch.executor` owns *what* is computed (the plan, the
 quantization hooks, the suffix) and dispatches through the backend.
 
-Every backend must be **bit-identical** to the loop reference: same float
-operations, same order, per output element.  That contract is what lets the
-golden-logits suite pin one set of bytes regardless of the selected backend.
+Every backend must be **bit-identical** to the loop reference: it runs the
+same compiled exact kernels (:func:`repro.nn.inference.compile_nodes`), on
+any grouping or stacking of branches and samples.  Over integer codes they
+accumulate exactly and the float ones are batch-invariant by construction,
+so how a backend batches cannot change a bit.  That contract is what lets
+the golden-logits suite pin one set of bytes regardless of the selected
+backend.
 
 Backends are selected by name through :func:`make_backend`; the
 ``REPRO_BACKEND`` environment variable overrides the default for executors

@@ -1,9 +1,10 @@
 """Reference loop backend: one branch at a time, one NumPy call per layer.
 
-This is the pre-backend execution strategy preserved verbatim — it simply
-drives :meth:`~repro.patch.executor.PatchExecutor.run_branch` — and it is the
-bit-exactness oracle the vectorized and multiprocess backends are tested
-against.  It is also the automatic fallback whenever ``run_branch`` has been
+This is the pre-backend execution strategy — it simply drives
+:meth:`~repro.patch.executor.PatchExecutor.run_branch`, which runs the
+executor's compiled kernels one branch at a time with its own region
+bookkeeping — and it is the bit-exactness oracle the vectorized and
+multiprocess backends are tested against.  It is also the automatic fallback whenever ``run_branch`` has been
 overridden (subclassed or monkeypatched), so instrumentation that wraps the
 per-branch entry point keeps observing every branch.
 """

@@ -1,107 +1,56 @@
 """Vectorized NumPy backend: geometry-grouped branches stacked into the batch.
 
 Branches whose region geometry is identical up to translation (interior
-patches of a grid, matching border patches, ...) are compiled into *groups*.
+patches of a grid, matching border patches, ...) and whose quantization
+grids are identical share one compiled program
+(:func:`repro.nn.inference.compile_nodes`) and are compiled into *groups*.
 Each group executes the patch stage over **compact, channels-last values**:
 per node, one fresh contiguous ``(g, n, h, w, C)`` array holding exactly the
 node's clamped region, the rect the loop reference
 (:meth:`~repro.patch.executor.PatchExecutor.run_branch`) computes, with the
 ``g`` group members side by side in a leading batch axis.  Per node, one
-NumPy call then covers the whole group: input gather, elementwise layers,
-depthwise convolutions and static quantization hooks all batch.
+kernel call then covers the whole group: one GEMM per convolution, one tap
+loop per depthwise convolution or pooling, one fused requantization
+epilogue per feature map.  The kernels are exact over integer codes and
+batch-invariant by construction over floats, so stacking members cannot
+change a bit.
 
 A spatial window is zero-padded only where it crosses the feature-map
 border, exactly where the reference pads
 (:meth:`~repro.patch.executor.PatchExecutor._extract_padded`); interior
-windows are views of their source value, with the reference's strides.
+windows are views of their source value.
 
 Why channels-last: in ``(H, W, C)`` order a row is ``w * C`` contiguous
 floats instead of ``w`` (4 to 23 in the zoo models), so each NumPy call
-streams whole rows, and per-channel constants (BatchNorm, depthwise taps)
-are tiled to that row length when the recipe is compiled.  A convolution's
-GEMM rows ``(n * oh * ow, C_out)`` are already channels-last, and a 1x1
-convolution's im2col is a reshape of its window.  Tiles leave the backend
-as logical ``(N, C, h, w)`` views, and the executor's split map
-(:meth:`~repro.patch.executor.PatchExecutor._allocate_split`) is
-channels-last in memory too, so stitching copies whole rows.
+streams whole rows, and per-channel constants (epilogues, depthwise taps)
+are tiled to that row length.  A convolution's GEMM rows
+``(n * oh * ow, C_out)`` are already channels-last, and a 1x1 convolution's
+im2col is a reshape of its window.  Tiles leave the backend in real units,
+dequantized in the copy that stitches them into the executor's split map
+(:meth:`~repro.patch.executor.PatchExecutor._allocate_split`, channels-last
+in memory too, so stitching copies whole rows).
 
-Values are fresh on every call and follow the ownership rule of
-:mod:`repro.nn.inference`: BatchNorm, ReLU6/ReLU and static fake-quant
-overwrite a value that only their step reads (the emitted split value
-counts as read once more).  Nothing is kept between calls, so concurrent
-callers share no buffers.
-
-The one deliberate exception to batching: standard convolutions run **per
-member**.  BLAS GEMM results are not bit-stable under operand stacking or
-sub-view execution — the reduction blocking changes with the output shape
-and with operand alignment (observed with OpenBLAS: a
-``matmul(col_view_block, w.T, out=view)`` over a stacked col matrix differs
-from the reference ``col @ w.T`` in degenerate shapes) — and the backend
-contract is bit-identity with the loop reference.  Per-member execution
-hands BLAS the same im2col matrix the reference builds (same values, shape
-and C order), so the GEMM call is the same call.
-
-Reductions whose accumulation order follows memory layout — pooling, and
-depthwise convolution at ``out_w == 1`` — sum in the layout the
-reference's window had: a C-order copy where the reference zero-pads it
-with ``np.pad``, the source node's layout where it slices it out of the
-source's array.  The recipe propagates each node's reference layout when
-it is compiled; such reductions are rare in the zoo models.
-
-What remains per-branch is a thin Python loop around one large GEMM each —
-the per-branch dict bookkeeping, region slicing, ``np.pad`` calls, hook
-dispatch and small elementwise calls that dominated the loop reference are
-all hoisted into batched operations or compile-time recipes.  Every recipe
-step runs a pure inference kernel (:func:`repro.nn.inference.layer_kernel`,
-compiled with the recipe), never ``Layer.forward``, so concurrent callers
-share the graph without writing to it.
+Values are fresh on every call and nothing is kept between calls, so
+concurrent callers share no buffers.  Every recipe step runs a pure
+compiled kernel, never ``Layer.forward``, so concurrent callers share the
+graph without writing to it.  Content-dependent hooks are the one per-member
+step: each member's hook sees exactly the clamped region the reference
+would have passed it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..nn import (
-    Add,
-    AvgPool2d,
-    BatchNorm2d,
-    Concat,
-    Conv2d,
-    DepthwiseConv2d,
-    Identity,
-    LeakyReLU,
-    MaxPool2d,
-    ReLU,
-    ReLU6,
-    Sigmoid,
-)
 from ..nn.graph import INPUT_NODE
-from ..nn.inference import NCHW, layer_kernel, ownership, quantize_kernel
+from ..patch.executor import SPATIAL
 from ..patch.regions import Region, backward_region
-from ..quant.quantizers import AffineQuantizer
 from ..quant.quantizers import fake_quantize  # noqa: F401 - profilers wrap it by module attribute
 from .base import Backend
 
 __all__ = ["VectorizedBackend"]
-
-_SPATIAL = (Conv2d, DepthwiseConv2d, MaxPool2d, AvgPool2d)
-#: Elementwise layers proven safe to run on a merged ``(g*n, H, W, C)`` batch:
-#: no cross-element reductions, so batching cannot perturb float results.
-#: Anything else falls back to per-member kernel calls (still batched
-#: gather/hooks), which keeps correctness independent of the layer zoo.
-_STACK_SAFE_ELEMENTWISE = (
-    Add,
-    BatchNorm2d,
-    Concat,
-    Identity,
-    LeakyReLU,
-    ReLU,
-    ReLU6,
-    Sigmoid,
-)
 
 
 @dataclass(frozen=True)
@@ -109,18 +58,15 @@ class _Step:
     """One node of a group recipe (offsets relative to clamped regions)."""
 
     name: str
-    #: Pure channels-last inference kernel
-    #: (:func:`repro.nn.inference.layer_kernel`), with spatial layers compiled
-    #: for the pre-padded window and elementwise ones for the rect width;
+    #: The node's compiled kernel (spatial ones take pre-padded windows);
     #: None for the input.
     fn: object
-    kind: str  # "input" | "conv" | "batched" | "member"
     #: One ``(src, r0, r1, c0, c1)`` rect per graph input, within the source
     #: value: a spatial layer's window (before padding), an elementwise
     #: layer's exact rect.
     src_rects: tuple[tuple, ...]
-    #: ("none",) | ("batched", quantize kernel) | ("member", fm)
-    hook: tuple
+    #: The feature map of a content-dependent branch hook, applied per member.
+    fm: object = None
     #: Spatial layers: the window's zero padding outside the feature map,
     #: ``(top, bottom, left, right)``.
     pads: tuple[int, int, int, int] = (0, 0, 0, 0)
@@ -130,12 +76,14 @@ class _Step:
 
 @dataclass
 class _Group:
-    """A set of geometry-identical branches plus their compiled recipe."""
+    """A set of geometry- and grid-identical branches plus their recipe."""
 
     index: int
     steps: list[_Step] = field(default_factory=list)
     #: The split value's tile, ``(r0, r1, c0, c1)`` within it.
     tile: tuple[int, int, int, int] = (0, 0, 0, 0)
+    #: Dequantization factor of the split value; None in real units.
+    scale: np.float32 | None = None
 
 
 def _offsets(region: Region, within: Region) -> tuple[int, int, int, int]:
@@ -154,13 +102,6 @@ def _zero_pad(window: np.ndarray, top: int, bottom: int, left: int, right: int) 
     out = np.zeros((g, n, top + h + bottom, left + w + right, c), window.dtype)
     out[:, :, top : top + h, left : left + w] = window
     return out
-
-
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """Per-member results as one contiguous ``(g, ...)`` value."""
-    if len(arrays) == 1:
-        return np.ascontiguousarray(arrays[0])[None]
-    return np.stack(arrays)
 
 
 def _channels_last(x: np.ndarray) -> np.ndarray:
@@ -185,8 +126,9 @@ class VectorizedBackend(Backend):
         branches = self.plan.branches
         tiles: dict[int, np.ndarray] = {}
 
-        def emit(patch_id: int, view: np.ndarray) -> None:
-            tiles[patch_id] = view  # a view of this call's own value
+        def emit(patch_id: int, view: np.ndarray, scale) -> None:
+            tile = view if scale is None else view * scale  # a view of this call's value
+            tiles[patch_id] = tile.transpose(0, 3, 1, 2)
 
         x = _channels_last(x)
         for group, subset in self._partition(branch_ids):
@@ -196,10 +138,15 @@ class VectorizedBackend(Backend):
     def run_patch_stage(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         self._ensure_compiled()
         branches = self.plan.branches
+        out_rows = out.transpose(0, 2, 3, 1)
 
-        def emit(patch_id: int, view: np.ndarray) -> None:
+        def emit(patch_id: int, view: np.ndarray, scale) -> None:
             tile = branches[patch_id].output_region
-            out[:, :, tile.row_start : tile.row_stop, tile.col_start : tile.col_stop] = view
+            target = out_rows[:, tile.row_start : tile.row_stop, tile.col_start : tile.col_stop]
+            if scale is None:
+                target[...] = view
+            else:
+                np.multiply(view, scale, out=target)
 
         all_ids = [branch.patch_id for branch in branches]
         x = _channels_last(x)
@@ -233,11 +180,12 @@ class VectorizedBackend(Backend):
         return [INPUT_NODE, *self.plan.prefix_nodes]
 
     def _signature(self, branch) -> tuple:
-        """Geometry key: branches with equal signatures are translates of each
-        other at every node, so one recipe (buffer shapes, window offsets,
-        padding) serves them all."""
+        """Geometry and program key: branches with equal signatures are
+        translates of each other at every node and run the same program, so
+        one recipe (buffer shapes, window offsets, padding, kernels) serves
+        them all."""
         graph = self.plan.graph
-        parts = []
+        parts = [self.executor._branch_keys[branch.patch_id]]
         for name in self._node_order():
             clamped = branch.clamped_regions.get(name)
             if clamped is None:
@@ -248,7 +196,7 @@ class VectorizedBackend(Backend):
             if name != INPUT_NODE:
                 node = graph.nodes[name]
                 layer = node.layer
-                if isinstance(layer, _SPATIAL):
+                if isinstance(layer, SPATIAL):
                     kernel, stride, padding = layer.spatial_params()
                     window = backward_region(clamped, kernel, stride, padding)
                     entry += _offsets(window, branch.node_regions[node.inputs[0]])[::2]
@@ -259,34 +207,25 @@ class VectorizedBackend(Backend):
         return tuple(parts)
 
     def _compile_group(self, index: int, members: list) -> _Group:
+        executor = self.executor
         plan = self.plan
         graph = plan.graph
-        shapes = self.executor._shapes
+        shapes = executor._shapes
         rep = members[0]  # geometry representative; any member works
         regions = rep.clamped_regions
+        program = executor._programs[executor._branch_keys[rep.patch_id]]
         group = _Group(index=index)
         group.tile = _offsets(rep.output_region, regions[plan.split_output_node])
-        names = [name for name in self._node_order() if name in regions]
-        # Reads per value, the emitted split value included: the ownership
-        # rule lets a step overwrite only a value it alone reads.
-        readers = Counter([plan.split_output_node])
-        for name in names[1:]:
-            readers.update(graph.nodes[name].inputs)
-        # The memory layout each node's array has in the loop reference
-        # (:func:`~repro.nn.inference.layer_kernel` propagates it), so that
-        # layout-sensitive reductions sum in the reference's order.
-        layouts = {INPUT_NODE: NCHW}
-        owned = {INPUT_NODE: True}
-        for name in names:
-            clamped = regions[name]
-            if name == INPUT_NODE:
-                group.steps.append(_Step(name, None, "input", (), ("none",)))
+        if program.split.scale != 1.0:
+            group.scale = np.float32(program.split.scale)
+        group.steps.append(_Step(INPUT_NODE, None, ()))
+        for node, fm in program.nodes:
+            clamped = regions.get(node.name)
+            if clamped is None:
                 continue
-            node = graph.nodes[name]
-            layer = node.layer
-            src = node.inputs[0]
-            in_place, owned[name] = ownership(layer, owned[src], readers[src])
-            if isinstance(layer, _SPATIAL):
+            layer = graph.nodes[node.head].layer
+            if isinstance(layer, SPATIAL):
+                src = node.inputs[0]
                 kernel, stride, padding = layer.spatial_params()
                 desired = backward_region(clamped, kernel, stride, padding)
                 # The source value covers all of the window inside the map.
@@ -294,27 +233,10 @@ class VectorizedBackend(Backend):
                 r0, r1, c0, c1 = _offsets(inner, desired)
                 pads = (r0, desired.height - r1, c0, desired.width - c1)
                 src_rects = ((src, *_offsets(inner, regions[src])),)
-                window_shape = (shapes[src][0], desired.height, desired.width)
-                kind = "conv" if isinstance(layer, Conv2d) else "batched"
-                # The reference slices its window out of the source's
-                # array, or zero-pads it into a fresh C-order one.
-                source = NCHW if any(pads) else layouts[src]
-                fn, layouts[name] = layer_kernel(layer, window_shape, (source,), padding=0)
             else:
-                # Stack-safe layers run once on the merged group batch;
-                # anything else once per member.  Either way the kernel
-                # sees rect-sized inputs, so it is compiled for that width.
-                kind = "batched" if isinstance(layer, _STACK_SAFE_ELEMENTWISE) else "member"
                 pads = (0, 0, 0, 0)
                 src_rects = tuple((s, *_offsets(clamped, regions[s])) for s in node.inputs)
-                rect_shape = (shapes[src][0], clamped.height, clamped.width)
-                sources = [layouts[s] for s in node.inputs]
-                fn, layouts[name] = layer_kernel(layer, rect_shape, sources, in_place=in_place)
-            hook = self._hook_mode(name, members, owned[name])
-            # A static grid's result is owned, in place or fresh; a
-            # content-dependent hook may return an array it keeps.
-            owned[name] = (owned[name] or hook[0] == "batched") and hook[0] != "member"
-            group.steps.append(_Step(name, fn, kind, src_rects, hook, pads))
+            group.steps.append(_Step(node.name, node.fn, src_rects, fm, pads))
         # Free each value after its last reader (the split value is emitted).
         last_read = {
             src: k for k, step in enumerate(group.steps) for src, *_ in step.src_rects
@@ -326,34 +248,6 @@ class VectorizedBackend(Backend):
         ]
         return group
 
-    def _hook_mode(self, name: str, members: list, owned: bool) -> tuple:
-        """Decide at compile time how the branch hook applies at ``name``.
-
-        Hooks built by :func:`repro.core.quantmcu.make_static_hooks` expose
-        ``static_params``; when every member's parameters are static and equal
-        the hook collapses into one elementwise fake-quantization over the
-        stacked value (in place if it is ``owned``), on a grid resolved here
-        once.  Any content-dependent or non-uniform case falls back to
-        calling the hook per member — on exactly the clamped region the
-        reference would have passed it.
-        """
-        executor = self.executor
-        fm = executor._fm_by_output.get(name)
-        if fm is None or executor.branch_hook is None:
-            return ("none",)
-        static = getattr(executor.branch_hook, "static_params", None)
-        if static is None:
-            return ("member", fm)
-        params = [static(branch.patch_id, fm.index) for branch in members]
-        if any(p is None for p in params):
-            return ("member", fm)
-        if all(p[0] >= 32 for p in params):
-            return ("none",)
-        if any(p[0] >= 32 for p in params) or len(set(params)) > 1:
-            return ("member", fm)
-        bits, low, high = params[0]
-        return ("batched", quantize_kernel(AffineQuantizer(bits).compute_params(low, high), owned))
-
     # ----------------------------------------------------------------- execute
     def _run_group(self, group: _Group, subset: list[int], x: np.ndarray, emit) -> None:
         """Run ``subset`` of ``group`` on the channels-last input ``x``."""
@@ -364,7 +258,7 @@ class VectorizedBackend(Backend):
         values: dict[str, np.ndarray] = {}
 
         for step in group.steps:
-            if step.kind == "input":
+            if step.fn is None:
                 region = members[0].clamped_regions[INPUT_NODE]
                 value = np.empty((g, n, region.height, region.width, x.shape[3]), np.float32)
                 for slot, member in enumerate(members):
@@ -377,35 +271,20 @@ class VectorizedBackend(Backend):
                 inputs = [values[src][:, :, r0:r1, c0:c1] for src, r0, r1, c0, c1 in step.src_rects]
                 if any(step.pads):
                     inputs[0] = _zero_pad(inputs[0], *step.pads)
-                if step.kind == "conv":
-                    # Per member by design: rebuilding the reference's fresh
-                    # im2col matrix is the only GEMM execution proven
-                    # bit-stable (above).
-                    value = _stack([step.fn(inputs[0][slot]) for slot in range(g)])
-                elif step.kind == "batched":
-                    # Merging (g, n) is a view: they lead every value.
-                    out = step.fn(*[a.reshape(g * n, *a.shape[2:]) for a in inputs])
-                    value = out.reshape(g, n, *out.shape[1:])
-                else:  # member
-                    value = _stack([step.fn(*[a[slot] for a in inputs]) for slot in range(g)])
-                if value.dtype != np.float32:
-                    value = value.astype(np.float32)
-
-            mode = step.hook[0]
-            if mode == "batched":
-                value = step.hook[1](value)
-            elif mode == "member":
+                # Merging (g, n) is a view: they lead every value.
+                out = step.fn(*[a.reshape(g * n, *a.shape[2:]) for a in inputs])
+                value = out.reshape(g, n, *out.shape[1:])
+            if step.fm is not None:
                 # Content-dependent hooks see the logical (N, C, h, w) region.
-                fm = step.hook[1]
                 hook = self.executor.branch_hook
-                value = _stack(
+                value = np.stack(
                     [
-                        hook(member.patch_id, fm, value[slot].transpose(0, 3, 1, 2)).transpose(
-                            0, 2, 3, 1
-                        )
+                        hook(member.patch_id, step.fm, value[slot].transpose(0, 3, 1, 2))
+                        .astype(np.float32, copy=False)
+                        .transpose(0, 2, 3, 1)
                         for slot, member in enumerate(members)
                     ]
-                ).astype(np.float32, copy=False)
+                )
             values[step.name] = value
             for name in step.release:
                 del values[name]
@@ -413,4 +292,4 @@ class VectorizedBackend(Backend):
         r0, r1, c0, c1 = group.tile
         split = values[self.plan.split_output_node]
         for slot, member in enumerate(members):
-            emit(member.patch_id, split[slot, :, r0:r1, c0:c1].transpose(0, 3, 1, 2))
+            emit(member.patch_id, split[slot, :, r0:r1, c0:c1], group.scale)

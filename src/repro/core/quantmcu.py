@@ -50,7 +50,13 @@ from ..quant.config import QuantizationConfig
 from ..quant.executor import collect_activations
 from ..quant.memory import feature_map_bytes, tensor_bytes
 from ..quant.points import FeatureMapIndex
-from ..quant.quantizers import SUPPORTED_BITWIDTHS, fake_quantize, quantize_weight_per_channel
+from ..quant.quantizers import (
+    SUPPORTED_BITWIDTHS,
+    AffineQuantizer,
+    QuantParams,
+    fake_quantize,
+    quantize_weight_per_channel,
+)
 from .score import DEFAULT_LAMBDA, QuantizationScoreCalculator
 from .vdpc import DEFAULT_PHI, GaussianOutlierModel, PatchClass, VDPCResult
 from .vdqs import VDQSResult, bitwidth_search, build_branch_items
@@ -106,33 +112,33 @@ def make_static_hooks(
     def suffix_hook(fm, array: np.ndarray) -> np.ndarray:
         return _quantize(array, fm.index, suffix_bits.get(fm.index, 8))
 
-    def _static(bits: int, fm_index: int):
+    def _static(bits: int, fm_index: int) -> QuantParams | None:
         if bits >= 32:
-            return bits, None, None
+            return QuantParams(scale=1.0, zero_point=0, bits=bits)
         calibrated = activation_ranges.get(fm_index)
         if calibrated is None:
             return None
-        # Return the stored range objects verbatim: converting (e.g. float())
-        # could change the dtype the quantizer's scale arithmetic runs in.
-        return bits, calibrated[0], calibrated[1]
+        return AffineQuantizer(bits).compute_params(*calibrated)
 
-    def static_params(patch_id: int, fm_index: int):
-        """``(bits, low, high)`` the hook will apply, or ``None`` if the
-        quantization is content-dependent (uncalibrated range fallback).
+    def static_grid(patch_id: int, fm_index: int) -> QuantParams | None:
+        """The grid the hook quantizes onto (``bits >= 32`` means identity),
+        or ``None`` if the quantization is content-dependent (uncalibrated
+        range fallback).
 
-        The protocol executors use to resolve a hook's quantization grid once
-        at compile time instead of calling the hook per array: ``bits >= 32``
-        means identity (low/high are ``None``), any ``None`` return forces
-        the executor back to calling the hook.
+        The protocol executors use to resolve a hook's quantization once at
+        compile time: on a grid they produce the feature map as centred
+        codes ``q - zero_point`` with one fused requantization epilogue
+        (:mod:`repro.nn.inference`) instead of calling the hook; a ``None``
+        return forces the executor back to calling the hook on real values.
         """
         return _static(branch_bits[patch_id].get(fm_index, 8), fm_index)
 
-    def suffix_static_params(fm_index: int):
-        """:func:`static_params` of the suffix hook (no patch id)."""
+    def suffix_static_grid(fm_index: int) -> QuantParams | None:
+        """:func:`static_grid` of the suffix hook (no patch id)."""
         return _static(suffix_bits.get(fm_index, 8), fm_index)
 
-    branch_hook.static_params = static_params
-    suffix_hook.static_params = suffix_static_params
+    branch_hook.static_grid = static_grid
+    suffix_hook.static_grid = suffix_static_grid
     return branch_hook, suffix_hook
 
 

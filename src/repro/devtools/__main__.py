@@ -179,8 +179,8 @@ def serving_state_scenario(threads: int, iterations: int) -> "RaceMonitor":
     :class:`~repro.streaming.StreamSession` and direct
     :meth:`~repro.serving.CompiledPipeline.infer` calls on a tiny MobileNetV2.
     The serving path runs pure inference kernels, so the frozen graph's layers
-    must see no attribute write at all, and in-place epilogues only ever
-    write to arrays the executors allocated, so the caller's frames keep
+    must see no attribute write at all, and epilogues only ever write to
+    the accumulators their kernels allocated, so the caller's frames keep
     their bytes: any such write is a finding, as are lock hazards on the
     engine and pipeline.
     """

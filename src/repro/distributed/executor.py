@@ -274,6 +274,7 @@ class DistributedExecutor(PatchExecutor):
         """
         if self.num_devices <= 1:
             return super().compute_tiles(x, branch_ids)
+        x = np.asarray(x, dtype=np.float32)  # the executors' entry-point cast
         wanted = set(branch_ids)
         futures = [
             worker.submit_branches(

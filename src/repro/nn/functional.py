@@ -344,10 +344,11 @@ def depthwise_conv2d_taps(
     ascending tap order (``acc = x_0*w_0; acc += x_1*w_1; ...``), then the
     bias is added.  That is the addition order of the reference's reduction
     over the window axis whenever that axis is not the innermost one in
-    memory, i.e. whenever ``out_w > 1``: then the two are bit-identical.  At
-    ``out_w == 1`` the reference reduces contiguous taps with pairwise
-    summation, so callers keep the reference there (see
-    :func:`repro.nn.inference.layer_kernel`).
+    memory, i.e. whenever ``out_w > 1``: then the two are bit-identical (at
+    ``out_w == 1`` the reference sums contiguous taps pairwise).  The order
+    is fixed per output element, so the result never depends on the batch
+    or on the memory layout of ``x``, and over integer codes and taps it is
+    exact.
 
     Channels-last makes every tap a run of ``out_w * C`` contiguous elements
     at stride 1: the per-channel taps are tiled to that row length, so each

@@ -1,58 +1,63 @@
-"""Inference-only layer kernels: the serving path's view of the layer zoo.
+"""Inference-only programs: the serving path's exact integer-domain kernels.
 
-:meth:`Layer.forward` is the training forward: it stores what
-:meth:`Layer.backward` needs (im2col matrices, depthwise windows, BatchNorm
-``x_hat``, activation masks) on the layer object itself.  Serving threads
-share one frozen graph, so they must never call it.  :func:`layer_kernel`
-instead returns a pure function per layer that computes the same output bits
-in inference mode and writes no state anywhere.
+:meth:`Layer.forward` is the training and calibration model: it stores what
+:meth:`Layer.backward` needs on the layer object and fake-quantizes in float.
+Serving threads share one frozen graph and never call it.  :func:`compile_nodes`
+instead compiles a run of graph nodes into pure functions that write no state
+anywhere and compute what a TFLite/CMix-NN deployment computes (Jacob et al.,
+"Quantization and Training of Neural Networks for Efficient
+Integer-Arithmetic-Only Inference", 2018).  ``Layer.forward`` plus the hooks
+stays a cross-check of these programs, within a float tolerance.
 
-Each kernel keeps the training forward's float expression order exactly; only
-work whose sole purpose is the backward pass is dropped.  Weight-carrying
-kernels look their parameters up on every call, so a temporary weight swap
-(:meth:`repro.core.quantmcu.QuantMCUPipeline.quantized_weights`) is honoured;
-BatchNorm constants are derived once, from the running statistics at compile
-time.
+**Codes.**  A value produced under a static quantization grid holds *centred
+codes* ``c = q - zero_point``: small integers stored as float32, so that
+zero padding stays zero and ``real = c * scale``.  Every value carries its
+:class:`Value` metadata, fixed at compile time: the scale that maps it to
+real units and, for integer codes, the largest ``|c|``.  Weightless kernels
+whose output no epilogue needs (max pooling, padding, flattening, the sums of
+average and global pooling) pass codes on with a scale of their own.
 
-**Layout contract.**  Kernels take and return *channels-last* arrays: a
-logical ``(N, C, H, W)`` activation travels as ``(N, H, W, C)``; flat
-``(N, F)`` values are unchanged.  Channels-last turns every per-channel
-operation into runs of ``W * C`` contiguous floats instead of ``W``-float
-fragments (BatchNorm constants and depthwise taps are tiled to that row
-length), and a convolution's GEMM rows come out channels-last with no
-transposing copy.  Public arrays stay logically NCHW: executors cross the
-boundary once per suffix, and content-dependent quantization hooks and
-:class:`Flatten` see the logical order.
+**Exact accumulation.**  Convolution, depthwise convolution, pooling and
+global average pooling accumulate over codes, with weights on a per-channel
+symmetric grid ``w = q_w * s_w`` folded to their integer ``q_w``.  Every
+partial sum is an integer below ``2**24``, so float32 adds it exactly in any
+order: results do not depend on batch size, tiling, grouping or memory
+layout, and one GEMM covers any stack of samples.  The bound
+``K * max|c| * max|q_w| < 2**24`` is checked per layer when its weights are
+folded; a GEMM that could exceed it splits ``K`` into chunks that satisfy it
+and sums the chunks in float64.
 
-**Reductions follow the reference's memory.**  Elementwise results are the
-same bits in any layout, but a reduction's accumulation order follows the
-memory order of its input.  In the eval forward a convolution leaves
-channels-last memory behind (its GEMM rows are ``(n, oh, ow)``) and NumPy's
-``order='K'`` keeps it through BatchNorm, activations and quantization,
-while the depthwise tap loop, pooling, ``np.pad`` and mixed-layout merges
-leave C order.  :func:`layer_kernel` returns that layout with each kernel;
-executors propagate it through the graph at compile time and hand each
-kernel its inputs' layouts as ``source_layouts``.  :class:`GlobalAvgPool`
-(and the other layers :func:`layer_kernel` runs through their NCHW
-reference: pooling, depthwise convolution at ``out_w == 1``, a 4-D softmax)
-then reduces over the logical view of the channels-last array when the
-reference's input was channels-last, and over a C-order copy otherwise.
+**One fused epilogue per feature map.**  The chain of BatchNorm, ReLU/ReLU6,
+Identity and Dropout after a kernel folds into its output: ``acc * M + B``,
+then a clip, then (onto a grid) ``rint``.  ``M`` and ``B`` fold in the input
+scale, the weight scales, the bias, BatchNorm and the output scale; the clip
+absorbs ReLU6 and the grid's ``[-zero_point, qmax - zero_point]`` range.  The
+epilogue is elementwise, so it is batch-invariant whatever its input.  It
+writes into the kernel's fresh accumulator; a kernel that returns its input
+(Identity, Dropout, a flat Flatten, a standalone BatchNorm or activation)
+gets a copy, so caller arrays are never written.
 
-**Ownership.**  An executor's value is *owned* when the executor allocated
-it and no array outside the executor can see its memory.  Most kernels
-allocate their result; :class:`Identity` and :class:`Dropout` return their
-input and :class:`Flatten` may return a view of it, so their results are
-never owned.  BatchNorm, ReLU6/ReLU and static fake-quantization
-(:func:`quantize_kernel`) can instead write their result into their input,
-with the same bits, when that input is owned and the step is its only
-reader (:func:`ownership`); a result whose dtype differs from its input's
-(float64 input, float32 grid) is still allocated.  Executors count readers
-when they compile; caller arrays (the graph input, a stitched split map)
-are never owned, so no kernel ever writes to them.
+**Float kernels.**  Values that are not on a grid stay in float: the image
+the stem convolution reads, the head :class:`Linear` (it reads the pooled
+features), feature maps at ``bits >= 32`` and values under content-dependent
+hooks.  Weights that are not on a per-channel grid (an executor built before
+a :meth:`~repro.core.quantmcu.QuantMCUPipeline.quantized_weights` swap) keep
+float kernels too.  Float GEMMs run once per sample (convolution, on a
+fixed-shape im2col) or per row (:class:`Linear`), and the other float
+kernels reduce per element in a fixed order, so float results are
+batch-invariant by construction as well.
 
-A :class:`Step` binds a kernel to the value slots it reads and the
-quantization applied to its output; executors compile their graphs into
-tuples of steps once and then only run them.
+**Weights.**  Weighted kernels fold ``q_w``, ``M`` and ``B`` from the weight
+array they are called with and refold when ``params["weight"]`` is a
+different object, so a temporary weight swap is honoured.  BatchNorm
+constants are read once, when the program is compiled.
+
+**Layout.**  Kernels take and return *channels-last* arrays: a logical
+``(N, C, H, W)`` activation travels as ``(N, H, W, C)``; flat ``(N, F)``
+values are unchanged.  Per-channel epilogue constants are tiled to one row
+of ``W * C`` contiguous floats, and a convolution's GEMM rows come out
+channels-last.  Executors cross to the logical order once per boundary:
+content-dependent hooks and :class:`Flatten` see the logical order.
 """
 
 from __future__ import annotations
@@ -85,200 +90,420 @@ from .layers import (
     Softmax,
 )
 
-__all__ = ["NCHW", "NHWC", "Kernel", "Step", "layer_kernel", "ownership", "quantize_kernel"]
+__all__ = [
+    "EXACT_LIMIT",
+    "REAL",
+    "Kernel",
+    "Node",
+    "Step",
+    "Value",
+    "compile_nodes",
+    "grid_value",
+    "layer_kernel",
+    "weight_grid",
+]
 
 Kernel = Callable[..., np.ndarray]
-Shape = tuple[int, ...]
 
-#: Memory layouts of a logical ``(N, C, H, W)`` activation in the eval forward.
-NCHW = "nchw"
-NHWC = "nhwc"
+#: Float32 adds integers exactly below this magnitude.
+EXACT_LIMIT = 1 << 24
+#: Symmetric weight grids recognised by :func:`weight_grid`: 8-, 4-, 2-bit ``qmax``.
+_WEIGHT_QMAX = (127, 7, 1)
 
-#: Kernels whose result is, or may be a view of, their first input.
-_ALIASING = (Identity, Dropout, Flatten)
-#: Kernels that can write their result into their first input.
-_IN_PLACE = (BatchNorm2d, ReLU, ReLU6)
+#: Layers that are all epilogue: one following a kernel joins its epilogue,
+#: and one that cannot runs its epilogue on its input.
+_FUSIBLE = (BatchNorm2d, ReLU, ReLU6, Identity, Dropout)
+
+
+class Value(NamedTuple):
+    """Compile-time metadata of a value: ``real = array * scale``; ``bound`` is
+    the largest ``|array|`` when the array holds integer codes, else None."""
+
+    scale: float
+    bound: int | None
+
+
+#: A value in real units.
+REAL = Value(1.0, None)
+
+
+def grid_value(grid) -> Value:
+    """The :class:`Value` of codes on ``grid`` (a
+    :class:`~repro.quant.quantizers.QuantParams`)."""
+    return Value(float(grid.scale), max(grid.zero_point, grid.qmax - grid.zero_point))
+
+
+class Node(NamedTuple):
+    """One compiled value: ``fn(*values[inputs])`` runs the chain from ``head``
+    (whose layer reads ``inputs``) to ``name`` (the value it produces)."""
+
+    name: str
+    head: str
+    inputs: tuple[str, ...]
+    fn: Kernel
+    value: Value
 
 
 class Step(NamedTuple):
-    """One compiled node: ``quant(fn(*values[inputs]))`` (``quant`` optional).
+    """One compiled suffix node over value slots: ``fn(*values[inputs])``,
+    then ``hook`` (a content-dependent quantization hook) when given.
 
     ``release`` lists the value slots this step reads for the last time.
     """
 
     inputs: tuple[int, ...]
     fn: Kernel
-    quant: Callable[[np.ndarray], np.ndarray] | None
+    hook: Callable[[np.ndarray], np.ndarray] | None
     release: tuple[int, ...] = ()
 
 
-def layer_kernel(
-    layer: Layer,
-    input_shape: Shape,
-    source_layouts: Sequence[str | None],
-    padding: int | None = None,
-    in_place: bool = False,
-) -> tuple[Kernel, str | None]:
-    """Pure channels-last inference function of ``layer``, bit-identical to its
-    eval-mode forward, and the memory layout of that forward's output.
+# ------------------------------------------------------------------ compile
+class _Chain:
+    """A kernel plus the elementwise layers its epilogue absorbs."""
 
-    ``input_shape`` is the static logical ``(C, H, W)`` of the first input;
-    the depthwise kernel is chosen from it and per-channel constants are
-    tiled to its row length ``W * C``.  ``source_layouts`` are the memory
-    layouts the eval forward sees on the inputs (:data:`NCHW` or
-    :data:`NHWC`; ignored for flat inputs): the kernels that run the
-    reference reduction read them, and the returned layout (``None`` for a
-    flat output) is what a consumer's ``source_layouts`` entry should be.
-    ``padding`` overrides a spatial layer's own padding (the patch stage
-    hands it pre-padded windows).  ``in_place`` (see :func:`ownership`)
-    makes an in-place layer's kernel write into its input.  Raises
-    :class:`TypeError` for a layer type with no inference kernel.
+    def __init__(self, head: str, layer: Layer, inputs: tuple[str, ...]) -> None:
+        self.head = head
+        self.name = head
+        self.layer = layer
+        self.inputs = inputs
+        self.affine: tuple[np.ndarray, np.ndarray] | None = None
+        self.lo: float | None = None
+        self.hi: float | None = None
+        if isinstance(layer, _FUSIBLE):  # a standalone epilogue layer
+            self.absorb(head, layer)
+
+    def absorb(self, name: str, layer: Layer) -> bool:
+        """Fold ``layer`` (reading this chain's output) into the epilogue."""
+        if isinstance(layer, BatchNorm2d):
+            if self.lo is not None or self.hi is not None:
+                return False  # a clip does not commute with the affine map
+            inv_std = 1.0 / np.sqrt(layer.running_var.astype(np.float64) + layer.eps)
+            a = layer.params["gamma"].astype(np.float64) * inv_std
+            c = layer.params["beta"].astype(np.float64) - layer.running_mean * a
+            if self.affine is not None:
+                a0, c0 = self.affine
+                a, c = a0 * a, c0 * a + c
+            self.affine = (a, c)
+        elif isinstance(layer, (ReLU, ReLU6)):
+            self.lo = 0.0 if self.lo is None else max(self.lo, 0.0)
+            if isinstance(layer, ReLU6):
+                self.hi = 6.0 if self.hi is None else min(self.hi, 6.0)
+        self.name = name
+        return True
+
+
+def compile_nodes(
+    graph,
+    names: Sequence[str],
+    sources: dict[str, Value],
+    outputs: dict[str, object],
+    prepadded: bool = False,
+) -> list[Node]:
+    """Compile ``names`` (graph nodes in topological order) into fused nodes.
+
+    ``sources`` gives the :class:`Value` of every value the nodes read from
+    outside ``names``.  ``outputs`` names the values that must be
+    materialized and how: a grid (codes on it), ``REAL`` (real units, for a
+    content-dependent hook or the graph output) or None (any
+    representation, e.g. the split map, which executors dequantize).  A
+    fusible layer joins the chain it reads unless that chain's value is
+    named in ``outputs`` or has another reader.  With ``prepadded``, spatial
+    kernels expect windows their callers have already zero-padded.
     """
-    reference = _reference_fn(layer, input_shape, padding)
-    if reference is not None:
-        return (
-            _on_reference(reference, source_layouts[0]),
-            _probe_layout(reference, input_shape, source_layouts[0]),
+    consumers = graph.consumers()
+    shapes = graph.shapes()
+    chains: list[_Chain] = []
+    open_by_name: dict[str, _Chain] = {}
+    for name in names:
+        node = graph.nodes[name]
+        layer = node.layer
+        src = node.inputs[0]
+        chain = open_by_name.get(src)
+        if (
+            chain is not None
+            and isinstance(layer, _FUSIBLE)
+            and len(node.inputs) == 1
+            and src not in outputs
+            and len(consumers.get(src, ())) == 1
+            and chain.absorb(name, layer)
+        ):
+            del open_by_name[src]
+            open_by_name[name] = chain
+            continue
+        chain = _Chain(name, layer, tuple(node.inputs))
+        chains.append(chain)
+        open_by_name[name] = chain
+
+    values = dict(sources)
+    nodes = []
+    for chain in chains:
+        padding = 0 if prepadded else getattr(chain.layer, "padding", 0)
+        fn, value = _build(
+            chain,
+            [values[src] for src in chain.inputs],
+            shapes[chain.inputs[0]],
+            padding,
+            outputs.get(chain.name),
         )
-    pad = getattr(layer, "padding", 0) if padding is None else padding
-    kernel = _kernel(layer, input_shape, pad, in_place)
-    return kernel, _output_layout(layer, input_shape, source_layouts)
+        values[chain.name] = value
+        nodes.append(Node(chain.name, chain.head, chain.inputs, fn, value))
+    return nodes
 
 
-def ownership(layer: Layer, input_owned: bool, readers: int) -> tuple[bool, bool]:
-    """The ownership rule (module docstring) for one compiled step of ``layer``.
+def layer_kernel(layer: Layer, input_shape: tuple[int, ...], padding: int | None = None) -> Kernel:
+    """The channels-last kernel of one layer, real units in and out.
 
-    ``input_owned`` says whether the step's first input is an owned value and
-    ``readers`` how many reads that value has in total, counting the caller
-    of the executor's result.  Returns ``(in_place, owned)``: whether the
-    step may overwrite its first input, and whether its result is owned.
+    ``input_shape`` is the static logical ``(C, H, W)`` (or ``(F,)``) of the
+    first input; ``padding`` overrides a spatial layer's own padding.
+    Raises :class:`TypeError` for a layer type with no inference kernel.
     """
-    in_place = isinstance(layer, _IN_PLACE) and input_owned and readers == 1
-    return in_place, not isinstance(layer, _ALIASING)
+    pad = getattr(layer, "padding", 0) if padding is None else padding
+    arity = 2 if isinstance(layer, (Add, Concat)) else 1
+    chain = _Chain("layer", layer, ("x",) * arity)
+    return _build(chain, [REAL] * arity, input_shape, pad, REAL)[0]
 
 
-def quantize_kernel(params, in_place: bool) -> Kernel:
-    """Static fake-quantization on ``params``' grid
-    (:meth:`~repro.quant.quantizers.QuantParams.fake_quantize`); with
-    ``in_place``, written into the (owned) input when that is float32."""
-    if not in_place:
-        return params.fake_quantize
+# ---------------------------------------------------------------- epilogue
+class _Epilogue:
+    """``acc * M + B``, clipped to ``[lo, hi]``, rounded when onto a grid;
+    per-channel constants are tiled to the row width on first use."""
 
-    def quantize(x: np.ndarray) -> np.ndarray:
-        return params.fake_quantize(x, out=x if x.dtype == np.float32 else None)
+    __slots__ = ("M", "B", "lo", "hi", "rint", "identity", "_tiles")
 
-    return quantize
+    def __init__(self, M, B, lo, hi, rint: bool) -> None:
+        self.M, self.B, self.lo, self.hi, self.rint = M, B, lo, hi, rint
+        self.identity = all(k is None for k in (M, B, lo, hi)) and not rint
+        self._tiles: dict[int, tuple] = {}
+
+    def __call__(self, acc: np.ndarray, fresh: bool) -> np.ndarray:
+        if self.identity:
+            return acc
+        shape = acc.shape
+        width = shape[-2] if acc.ndim == 4 else 1
+        rows = (acc if fresh else acc.copy()).reshape(-1, width * shape[-1])
+        tiles = self._tiles.get(width)
+        if tiles is None:
+            tiles = self._tiles[width] = tuple(
+                np.tile(k, width) if isinstance(k, np.ndarray) else k for k in (self.M, self.B)
+            )
+        M, B = tiles
+        if M is not None:
+            np.multiply(rows, M, out=rows)
+        if B is not None:
+            np.add(rows, B, out=rows)
+        if self.lo is not None or self.hi is not None:
+            np.clip(rows, self.lo, self.hi, out=rows)
+        if self.rint:
+            np.rint(rows, out=rows)
+        out = rows.reshape(shape)
+        return out if out.dtype == np.float32 else out.astype(np.float32)
 
 
-def _kernel(layer: Layer, input_shape: Shape, padding: int, in_place: bool) -> Kernel:
-    """The channels-last kernel of a layer the reference reduction does not pin."""
-    if isinstance(layer, Conv2d):
-        return _conv(layer, padding)
-    if isinstance(layer, DepthwiseConv2d):
-        return _depthwise(layer, padding)
-    if isinstance(layer, BatchNorm2d):
-        return _batchnorm(layer, input_shape, in_place)
-    if isinstance(layer, ReLU6):
-        return (lambda x: np.clip(x, 0.0, 6.0, out=x)) if in_place else F.relu6
-    if isinstance(layer, ReLU):
-        return (lambda x: np.maximum(x, 0.0, out=x)) if in_place else F.relu
-    if isinstance(layer, LeakyReLU):
-        slope = layer.negative_slope
-        return lambda x: np.where(x > 0, x, slope * x)
-    if isinstance(layer, Sigmoid):
-        return F.sigmoid
-    if isinstance(layer, Softmax):  # flat input: 4-D has a reference
-        return lambda x: F.softmax(x, axis=-1)
-    if isinstance(layer, Add):
-        return np.add
-    if isinstance(layer, Concat):
-        return lambda *xs: np.concatenate(xs, axis=-1)
+def _epilogue(chain: _Chain, m0, b0, grid) -> _Epilogue:
+    """Fold ``real = acc * m0 + b0``, the chain's BatchNorm and clip, and
+    the output grid (None for real units) into one epilogue."""
+    M = np.asarray(m0, dtype=np.float64)
+    B = np.zeros(()) if b0 is None else b0.astype(np.float64)
+    if chain.affine is not None:
+        a, c = chain.affine
+        M, B = M * a, B * a + c
+    lo, hi = chain.lo, chain.hi
+    if grid is not None:
+        scale = float(grid.scale)
+        M, B = M / scale, B / scale
+        low, high = -grid.zero_point, grid.qmax - grid.zero_point
+        lo = low if lo is None else max(low, float(np.rint(lo / scale)))
+        hi = high if hi is None else min(high, float(np.rint(hi / scale)))
+
+    def constant(k: np.ndarray, neutral: float):
+        if k.ndim == 0:
+            return None if k == neutral else np.float32(k)
+        return None if np.all(k == neutral) else k.astype(np.float32)
+
+    return _Epilogue(
+        constant(M, 1.0),
+        constant(B, 0.0),
+        None if lo is None else np.float32(lo),
+        None if hi is None else np.float32(hi),
+        grid is not None,
+    )
+
+
+# ------------------------------------------------------------------ kernels
+def _build(chain: _Chain, sources: list[Value], input_shape, padding: int, out):
+    """``(fn, value)`` of one chain; ``out`` as in :func:`compile_nodes`."""
+    layer = chain.layer
+    grid = None if out is None or out is REAL else out
+    if isinstance(layer, (Conv2d, DepthwiseConv2d, Linear)):
+        value = REAL if grid is None else grid_value(grid)
+        return _weighted(chain, sources[0], padding, grid), value
+    kernel, m0, bound, fresh = _weightless(layer, sources, input_shape, padding)
+    if out is None and chain.affine is None and chain.lo is None and chain.hi is None:
+        # Nothing to apply: pass the (codes') scale on instead.
+        return kernel, Value(float(m0), bound)
+    epilogue = _epilogue(chain, m0, None, grid)
+    value = REAL if grid is None else grid_value(grid)
+
+    def fn(*xs: np.ndarray) -> np.ndarray:
+        return epilogue(kernel(*xs), fresh)
+
+    return fn, value
+
+
+def _weightless(layer: Layer, sources: list[Value], input_shape, padding: int):
+    """``(kernel, m0, bound, fresh)``: a kernel with no weights, the factor
+    that maps its result to real units, the result's code bound (None when
+    it holds no integer codes) and whether its result is a fresh array."""
+    scale, bound = sources[0]
+
+    def scaled(factor: int):
+        return None if bound is None else bound * factor
+
+    if isinstance(layer, (MaxPool2d, AvgPool2d)):
+        k, stride = layer.kernel_size, layer.stride
+        if isinstance(layer, MaxPool2d):
+            return (lambda x: _pool(x, k, stride, padding, np.maximum)), scale, bound, True
+        return (lambda x: _pool(x, k, stride, padding, np.add)), scale / (k * k), scaled(k * k), True
+    if isinstance(layer, GlobalAvgPool):
+        area = input_shape[1] * input_shape[2]
+
+        def gap(x: np.ndarray) -> np.ndarray:
+            # Contiguous channels-last: a sequential sum per (sample, channel).
+            x = np.ascontiguousarray(x)
+            return np.add.reduce(x.reshape(x.shape[0], -1, x.shape[-1]), axis=1)
+
+        return gap, scale / area, scaled(area), True
+    if isinstance(layer, _FUSIBLE):
+        return (lambda x: x), scale, bound, False
     if isinstance(layer, Flatten):
         if len(input_shape) == 3:  # flatten in logical (C, H, W) order
-            return lambda x: x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)
-        return lambda x: x.reshape(x.shape[0], -1)
-    if isinstance(layer, Linear):
-        return _linear(layer)
-    if isinstance(layer, (Identity, Dropout)):
-        return lambda x: x
+            return (lambda x: x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)), scale, bound, True
+        return (lambda x: x.reshape(x.shape[0], -1)), scale, bound, False
     if isinstance(layer, Pad2d):
-        return lambda x: np.pad(
-            x, [(0, 0), (padding, padding), (padding, padding), (0, 0)], mode="constant"
-        )
+        pad = [(0, 0), (padding, padding), (padding, padding), (0, 0)]
+        return (lambda x: np.pad(x, pad, mode="constant")), scale, bound, True
+    return _dequantizing(layer, [s.scale for s in sources], input_shape), 1.0, None, True
+
+
+def _dequantizing(layer: Layer, scales: list[float], input_shape) -> Kernel:
+    """Kernels of layers that are not linear in their codes: they dequantize
+    their inputs and compute in real units."""
+    factors = [None if s == 1.0 else np.float32(s) for s in scales]
+
+    def real(x: np.ndarray, factor) -> np.ndarray:
+        return x if factor is None else x * factor
+
+    if isinstance(layer, Add):
+
+        def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            ra, rb = real(a, factors[0]), real(b, factors[1])
+            return np.add(ra, rb, out=ra if ra is not a else None)
+
+        return add
+    if isinstance(layer, Concat):
+        return lambda *xs: np.concatenate([real(x, f) for x, f in zip(xs, factors)], axis=-1)
+    factor = factors[0]
+    if isinstance(layer, LeakyReLU):
+        slope = layer.negative_slope
+
+        def leaky_relu(x: np.ndarray) -> np.ndarray:
+            r = real(x, factor)
+            return np.where(r > 0, r, slope * r)
+
+        return leaky_relu
+    if isinstance(layer, Sigmoid):
+        return lambda x: F.sigmoid(real(x, factor))
+    if isinstance(layer, Softmax):
+        # The eval forward normalizes the last logical axis: W of (N, C, H, W).
+        axis = 2 if len(input_shape) == 3 else -1
+        return lambda x: F.softmax(real(x, factor), axis=axis)
     raise TypeError(f"no inference kernel for layer type {type(layer).__name__}")
 
 
-def _output_layout(
-    layer: Layer, input_shape: Shape, source_layouts: Sequence[str | None]
-) -> str | None:
-    """Memory layout of the eval forward's output, for a layer with no reference."""
-    if isinstance(layer, (Flatten, Linear)) or len(input_shape) != 3:
-        return None
-    if isinstance(layer, Conv2d):
-        return NHWC  # the GEMM rows are (n, oh, ow): channels-last
-    if isinstance(layer, (Pad2d, DepthwiseConv2d)):
-        return NCHW  # np.pad and the reference's tap loop allocate C order
-    if len(set(source_layouts)) > 1:
-        return NCHW  # NumPy falls back to C order for mixed operands
-    return source_layouts[0]  # elementwise results keep their operand's order
+def _pool(x: np.ndarray, k: int, stride: int, padding: int, reduce) -> np.ndarray:
+    """Max or sum pooling over channels-last ``x``, one whole-tensor tap at a
+    time in a fixed order: exact over codes, per element in float."""
+    if padding > 0:
+        x = np.pad(x, [(0, 0), (padding, padding), (padding, padding), (0, 0)], mode="constant")
+    _, h, w, _ = x.shape
+    out_h = (h - k) // stride + 1
+    out_w = (w - k) // stride + 1
+    rows = stride * (out_h - 1) + 1
+    cols = stride * (out_w - 1) + 1
+    acc = x[:, 0:rows:stride, 0:cols:stride].copy()
+    for i in range(k):  # repro: noqa[REP007] - k*k whole-tensor taps
+        for j in range(k):
+            if i or j:
+                reduce(acc, x[:, i : i + rows : stride, j : j + cols : stride], out=acc)
+    return acc
 
 
-def _reference_fn(layer: Layer, input_shape: Shape, padding: int | None) -> Kernel | None:
-    """The NCHW eval-forward function of a layer whose reduction order depends
-    on memory layout, or None when the channels-last kernel matches it anyway."""
-    pad = getattr(layer, "padding", 0) if padding is None else padding
-    if isinstance(layer, GlobalAvgPool):
-        return lambda x: x.mean(axis=(2, 3))
-    if isinstance(layer, Softmax) and len(input_shape) == 3:
-        return lambda x: F.softmax(x, axis=-1)
-    if isinstance(layer, MaxPool2d):
-        return lambda x: F.maxpool2d_forward(x, layer.kernel_size, layer.stride, pad)[0]
-    if isinstance(layer, AvgPool2d):
-        return lambda x: F.avgpool2d_forward(x, layer.kernel_size, layer.stride, pad)
-    if isinstance(layer, DepthwiseConv2d):
-        out_w = F.conv_output_size(input_shape[2], layer.kernel_size, layer.stride, pad)
-        if out_w == 1:
-            # The reference reduces contiguous taps pairwise here; keep it.
-            params, stride = layer.params, layer.stride
-            return lambda x: F.depthwise_conv2d_forward(
-                x, params["weight"], params.get("bias"), stride, pad
-            )[0]
+def weight_grid(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(q, s)`` with ``weight == q * s[:, None...]`` per output channel (axis
+    0), ``q`` integers on a symmetric 8-, 4- or 2-bit grid, up to float
+    rounding; None when ``weight`` is not on such a grid (float weights)."""
+    flat = weight.reshape(weight.shape[0], -1).astype(np.float64)
+    peak = np.abs(flat).max(axis=1, initial=0.0)
+    for qmax in _WEIGHT_QMAX:
+        scale = np.where(peak > 0, peak / qmax, 1.0)[:, None]
+        q = np.rint(flat / scale)
+        if np.all(np.abs(flat - q * scale) <= 1e-3 * scale):
+            return q.reshape(weight.shape), scale[:, 0]
     return None
 
 
-def _probe_layout(reference: Kernel, input_shape: Shape, source_layout: str) -> str | None:
-    """Memory layout of a reference function's output: whether its window
-    gather copies or views depends on shapes and strides, so ask it, on a
-    zero array of the real geometry."""
-    c, h, w = input_shape
-    probe = np.zeros((2, h, w, c), dtype=np.float32).transpose(0, 3, 1, 2)
-    if source_layout == NCHW:
-        probe = np.ascontiguousarray(probe)
-    out = reference(probe)
-    if out.ndim != 4:
-        return None
-    return NCHW if out.flags.c_contiguous else NHWC
+def _weighted(chain: _Chain, source: Value, padding: int, grid) -> Kernel:
+    """Convolution, depthwise convolution or :class:`Linear`, folded from the
+    weight array each call sees (refolded after a weight swap)."""
+    layer = chain.layer
+    params = layer.params
+    state: list = [None]
 
+    def fold(weight: np.ndarray):
+        # No lock: every call returns the fold of the weight it was given;
+        # concurrent refolds only race to cache equal values.
+        cached = state[0]
+        if cached is not None and cached[0] is weight:
+            return cached[1]
+        found = None if source.bound is None or isinstance(layer, Linear) else weight_grid(weight)
+        chunk = None
+        if found is None:  # float kernel
+            operand, m0 = weight, source.scale
+        else:
+            q, s_w = found
+            operand, m0 = q.astype(np.float32), source.scale * s_w
+            peak = source.bound * int(np.abs(q).max(initial=0))
+            k = q[0].size
+            if peak and k * peak >= EXACT_LIMIT:
+                chunk = max(1, (EXACT_LIMIT - 1) // peak)
+        if not isinstance(layer, DepthwiseConv2d):
+            operand = operand.reshape(operand.shape[0], -1).T
+        folded = (operand, found is not None, chunk, _epilogue(chain, m0, params.get("bias"), grid))
+        state[0] = (weight, folded)
+        return folded
 
-def _on_reference(reference: Kernel, source_layout: str) -> Kernel:
-    """Run an NCHW reference function on the logical view of a channels-last
-    input, in the memory layout the eval forward saw, and return channels-last."""
+    if isinstance(layer, Linear):
 
-    def kernel(x: np.ndarray) -> np.ndarray:
-        view = x.transpose(0, 3, 1, 2)
-        if source_layout == NCHW:
-            view = np.ascontiguousarray(view)
-        out = reference(view)
-        return np.ascontiguousarray(out.transpose(0, 2, 3, 1)) if out.ndim == 4 else out
+        def linear(x: np.ndarray) -> np.ndarray:
+            matrix, _, _, epilogue = fold(params["weight"])
+            acc = np.empty((x.shape[0], matrix.shape[1]), np.float32)
+            for i in range(x.shape[0]):  # repro: noqa[REP007] - per row: batch-invariant
+                acc[i] = x[i : i + 1] @ matrix
+            return epilogue(acc, True)
 
-    return kernel
+        return linear
+    stride = layer.stride
+    if isinstance(layer, DepthwiseConv2d):
 
+        def depthwise(x: np.ndarray) -> np.ndarray:
+            taps, _, _, epilogue = fold(params["weight"])
+            return epilogue(F.depthwise_conv2d_taps(x, taps, None, stride, padding), True)
 
-def _conv(layer: Conv2d, padding: int) -> Kernel:
-    params, stride = layer.params, layer.stride
+        return depthwise
 
     def conv(x: np.ndarray) -> np.ndarray:
         weight = params["weight"]
+        matrix, exact, chunk, epilogue = fold(weight)
         c_out, c_in, kh, kw = weight.shape
         if padding > 0:
             x = np.pad(x, [(0, 0), (padding, padding), (padding, padding), (0, 0)], mode="constant")
@@ -287,10 +512,9 @@ def _conv(layer: Conv2d, padding: int) -> Kernel:
         out_w = (w - kw) // stride + 1
         if kh == kw == 1:
             # Channels-last, a 1x1 im2col is the (strided) input itself.
-            col = x[:, ::stride, ::stride].reshape(n * out_h * out_w, c_in)
+            windows = x[:, ::stride, ::stride]
         else:
-            # The reference's im2col matrix, element for element: rows
-            # (n, oh, ow), columns (c, kh, kw).
+            # Rows (n, oh, ow), columns (c, kh, kw).
             sn, sh, sw, sc = x.strides
             windows = as_strided(
                 x,
@@ -298,54 +522,26 @@ def _conv(layer: Conv2d, padding: int) -> Kernel:
                 strides=(sn, sh * stride, sw * stride, sc, sh, sw),
                 writeable=False,
             )
-            col = windows.reshape(n * out_h * out_w, c_in * kh * kw)
-        out = col @ weight.reshape(c_out, -1).T
-        if "bias" in params:
-            out += params["bias"]
-        return out.reshape(n, out_h, out_w, c_out)
+        if exact:
+            acc = _exact_gemm(windows.reshape(n * out_h * out_w, -1), matrix, chunk)
+        else:
+            # Float operands: one fixed-shape GEMM per sample, so a sample's
+            # result never depends on what shares its batch.
+            acc = np.empty((n, out_h * out_w, c_out), np.float32)
+            for i in range(n):  # repro: noqa[REP007] - per sample: batch-invariant
+                acc[i] = windows[i].reshape(out_h * out_w, -1) @ matrix
+        return epilogue(acc.reshape(n, out_h, out_w, c_out), True)
 
     return conv
 
 
-def _depthwise(layer: DepthwiseConv2d, padding: int) -> Kernel:
-    params, stride = layer.params, layer.stride
-
-    def depthwise(x: np.ndarray) -> np.ndarray:
-        return F.depthwise_conv2d_taps(x, params["weight"], params.get("bias"), stride, padding)
-
-    return depthwise
-
-
-def _batchnorm(layer: BatchNorm2d, input_shape: Shape, in_place: bool) -> Kernel:
-    # The eval-mode forward's constants, in its own expression order, tiled
-    # to one channels-last row of the compiled width.
-    inv_std = 1.0 / np.sqrt(layer.running_var + layer.eps)
-    per_channel = (layer.running_mean, inv_std, layer.params["gamma"], layer.params["beta"])
-    constants = np.result_type(*per_channel)
-    mean, inv_std, gamma, beta = (np.tile(k, input_shape[-1]) for k in per_channel)
-
-    def batchnorm(x: np.ndarray) -> np.ndarray:
-        # gamma * ((x - mean) * inv_std) + beta, chained in one buffer of the
-        # dtype the unchained expression would end in: x's own, if it may.
-        rows = x.reshape(*x.shape[:-2], -1)
-        dtype = np.result_type(x, constants)
-        out = rows if in_place and dtype == x.dtype else None
-        result = np.subtract(rows, mean, dtype=dtype, out=out)
-        np.multiply(result, inv_std, out=result)
-        np.multiply(gamma, result, out=result)
-        np.add(result, beta, out=result)
-        return result.reshape(x.shape)
-
-    return batchnorm
-
-
-def _linear(layer: Linear) -> Kernel:
-    params = layer.params
-
-    def linear(x: np.ndarray) -> np.ndarray:
-        out = x @ params["weight"].T
-        if "bias" in params:
-            out = out + params["bias"]
-        return out
-
-    return linear
+def _exact_gemm(col: np.ndarray, matrix: np.ndarray, chunk: int | None) -> np.ndarray:
+    """``col @ matrix`` over integer operands: one float32 GEMM when every
+    partial sum stays below :data:`EXACT_LIMIT`, else float64 sums of
+    ``chunk``-wide float32 GEMMs that each do."""
+    if chunk is None:
+        return col @ matrix
+    acc = np.zeros((col.shape[0], matrix.shape[1]), np.float64)
+    for k0 in range(0, matrix.shape[0], chunk):  # repro: noqa[REP007] - a few K chunks
+        acc += col[:, k0 : k0 + chunk] @ matrix[k0 : k0 + chunk]
+    return acc

@@ -3,11 +3,11 @@
 :class:`PatchExecutor` runs a model according to a :class:`~repro.patch.plan.PatchPlan`:
 each dataflow branch computes only the spatial region its patch needs (with
 halo), the split feature map is stitched together from the branch outputs, and
-the remaining layers run layer-by-layer.  The result is numerically identical
-to ordinary layer-based execution — the integration tests assert bit-exact
-stitching — which is the defining property of patch-based inference: it trades
-extra (redundant) computation for a smaller activation working set, never
-accuracy.
+the remaining layers run layer-by-layer.  Every value at a position is the
+value layer-based execution of the same programs computes there — exactly,
+wherever the kernels accumulate integer codes — which is the defining
+property of patch-based inference: it trades extra (redundant) computation
+for a smaller activation working set, never accuracy.
 
 Quantization is injected through two optional hooks so that the QuantMCU core
 (and the baselines) can apply per-branch, per-feature-map bitwidths without
@@ -19,15 +19,24 @@ the patch machinery knowing anything about quantization:
     Called with every feature-map activation computed in the suffix.
 
 Both return the (possibly fake-quantized) array to propagate.  A hook that
-exposes ``static_params`` (see :func:`repro.core.quantmcu.make_static_hooks`)
-has its quantization grid resolved once, when the executor is built.
+exposes ``static_grid`` (see :func:`repro.core.quantmcu.make_static_hooks`)
+has its quantization grid resolved once, when the executor is built: the
+feature map then holds centred integer codes on that grid, produced by one
+fused requantization epilogue (:mod:`repro.nn.inference`).  Hooks without
+one are called with real-valued arrays, as content-dependent hooks.
 
-The suffix is compiled at construction into a tuple of pure inference steps
-(:class:`repro.nn.inference.Step`): no ``Layer.forward`` call, so serving
-threads share the graph without writing to it.  The per-branch loop
-reference (:meth:`PatchExecutor.run_branch`) deliberately keeps calling
-``Layer.forward``: it is the independent oracle the compiled kernels are
-tested against.
+Every node runs a compiled program (:func:`repro.nn.inference.compile_nodes`)
+built once per executor: the suffix as a tuple of steps over value slots,
+the patch stage as one program per distinct set of branch grids.  No
+``Layer.forward`` call is made, so serving threads share the graph without
+writing to it.  The per-branch loop reference (:meth:`PatchExecutor.run_branch`)
+runs the same programs one branch at a time, with its own region
+bookkeeping: it is the oracle the batched backends are tested against.
+Public boundaries stay in real units: tiles, the stitched split map and the
+output are dequantized (``codes * scale``) where they are copied out, and
+the suffix recovers the split map's codes with ``rint(map / scale)``, exact
+for the grids' small integers.  Executors cast their input to float32 once,
+at their entry points.
 
 *How* the branches are computed is delegated to a pluggable compute backend
 (:mod:`repro.backend`): the serial per-branch loop reference, the batched
@@ -40,17 +49,14 @@ seeing every branch.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from ..nn import AvgPool2d, Conv2d, DepthwiseConv2d, MaxPool2d
-from ..nn import functional as F
 from ..nn.graph import INPUT_NODE
-from ..nn.inference import NCHW, Step, layer_kernel, ownership, quantize_kernel
+from ..nn.inference import REAL, Node, Step, Value, compile_nodes
 from ..quant.points import FeatureMap
-from ..quant.quantizers import AffineQuantizer
 from .plan import BranchPlan, PatchPlan
 from .regions import Region, backward_region
 
@@ -62,6 +68,37 @@ __all__ = ["PatchExecutor"]
 
 BranchHook = Callable[[int, FeatureMap, np.ndarray], np.ndarray]
 SuffixHook = Callable[[FeatureMap, np.ndarray], np.ndarray]
+
+SPATIAL = (Conv2d, DepthwiseConv2d, MaxPool2d, AvgPool2d)
+#: Hook mode of a content-dependent hook: called on real-valued arrays.
+MEMBER = "member"
+
+
+def _as_input(x: np.ndarray) -> np.ndarray:
+    """The executors' one input cast: programs compute in float32."""
+    return np.asarray(x, dtype=np.float32)
+
+
+def _hook_mode(hook, *key):
+    """How ``hook`` applies at ``key`` (``(patch_id, fm_index)`` or
+    ``(fm_index,)``): None (no hook, or the identity at ``bits >= 32``), a
+    grid (its :class:`~repro.quant.quantizers.QuantParams`) or :data:`MEMBER`."""
+    if hook is None:
+        return None
+    static = getattr(hook, "static_grid", None)
+    grid = None if static is None else static(*key)
+    if grid is None:
+        return MEMBER
+    return None if grid.bits >= 32 else grid
+
+
+class _Program(NamedTuple):
+    """A compiled patch-stage program: each node with the feature map of its
+    content-dependent branch hook (None when the node has none), and the
+    :class:`~repro.nn.inference.Value` of the split map it leaves."""
+
+    nodes: tuple[tuple[Node, FeatureMap | None], ...]
+    split: Value
 
 
 class PatchExecutor:
@@ -92,7 +129,8 @@ class PatchExecutor:
         # executors revive their pools on next use" lifecycle.
         self._runtime = runtime
         self._private_runtime: "Runtime | None" = None
-        self._suffix_steps, self._suffix_output = self._compile_suffix()
+        self._compile_prefix()
+        self._suffix_steps, self._suffix_output, self._output_scale = self._compile_suffix()
         self._suffix_reads_input = any(0 in step.inputs for step in self._suffix_steps)
 
     # ---------------------------------------------------------------- runtime
@@ -196,6 +234,7 @@ class PatchExecutor:
     # ----------------------------------------------------------------- public
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Run patch-based inference on a batch ``x`` of shape ``(N, C, H, W)``."""
+        x = _as_input(x)
         stitched = self._run_patch_stage(x)
         return self.run_suffix(x, stitched)
 
@@ -203,7 +242,7 @@ class PatchExecutor:
 
     def stitched_split_feature_map(self, x: np.ndarray) -> np.ndarray:
         """Return only the stitched split feature map (useful for testing)."""
-        return self._run_patch_stage(x)
+        return self._run_patch_stage(_as_input(x))
 
     def compute_tiles(
         self, x: np.ndarray, branch_ids: list[int]
@@ -217,7 +256,7 @@ class PatchExecutor:
         base implementation hands the subset to the compute backend.  The
         returned tiles are owned by the caller (no later call writes to them).
         """
-        return self._active_backend().run_branches(x, list(branch_ids))
+        return self._active_backend().run_branches(_as_input(x), list(branch_ids))
 
     def stitch_tiles(
         self, x: np.ndarray, branch_ids: list[int], out: np.ndarray
@@ -242,7 +281,7 @@ class PatchExecutor:
         the stitched buffer themselves (the streaming session keeps it alive
         across frames) can finish the forward pass through the same hooks.
         """
-        return self._active_backend().run_suffix(x, stitched)
+        return self._active_backend().run_suffix(_as_input(x), stitched)
 
     def run_branch(self, branch: BranchPlan, x: np.ndarray) -> np.ndarray:
         """Run one dataflow branch and return its tile of the split feature map.
@@ -252,30 +291,39 @@ class PatchExecutor:
         the device shards of :mod:`repro.distributed` — may run branches
         concurrently and stitch the returned tiles in any order.  The returned
         array has shape ``(N, C, tile.height, tile.width)`` where ``tile`` is
-        ``branch.output_region``.
+        ``branch.output_region``, in real units.
         """
-        plan = self.plan
+        graph = self.plan.graph
+        program = self._programs[self._branch_keys[branch.patch_id]]
         values: dict[str, tuple[np.ndarray, Region]] = {}
-        input_region = branch.clamped_regions[INPUT_NODE]
+        region = branch.clamped_regions[INPUT_NODE]
         values[INPUT_NODE] = (
-            x[:, :, input_region.row_start : input_region.row_stop,
-              input_region.col_start : input_region.col_stop],
-            input_region,
+            x[:, :, region.row_start : region.row_stop, region.col_start : region.col_stop]
+            .transpose(0, 2, 3, 1),
+            region,
         )
-        for name in plan.prefix_nodes:
-            if name not in branch.clamped_regions:
+        for node, fm in program.nodes:
+            out_region = branch.clamped_regions.get(node.name)
+            if out_region is None:
                 continue
-            out_array, out_region = self._compute_node(branch, name, values)
-            fm = self._fm_by_output.get(name)
-            if fm is not None and self.branch_hook is not None:
-                out_array = self.branch_hook(branch.patch_id, fm, out_array)
-            values[name] = (out_array, out_region)
+            layer = graph.nodes[node.head].layer
+            if isinstance(layer, SPATIAL):
+                kernel, stride, padding = layer.spatial_params()
+                desired = backward_region(out_region, kernel, stride, padding)
+                out = node.fn(self._extract_padded(*values[node.inputs[0]], desired, node.name))
+            else:
+                out = node.fn(
+                    *[self._extract_exact(*values[src], out_region, node.name) for src in node.inputs]
+                )
+            if fm is not None:  # content-dependent: the logical (N, C, h, w) region
+                out = self.branch_hook(branch.patch_id, fm, out.transpose(0, 3, 1, 2))
+                out = out.astype(np.float32, copy=False).transpose(0, 2, 3, 1)
+            values[node.name] = (out, out_region)
 
-        split_array, split_region = values[plan.split_output_node]
-        tile = branch.output_region
-        row0 = tile.row_start - split_region.row_start
-        col0 = tile.col_start - split_region.col_start
-        return split_array[:, :, row0 : row0 + tile.height, col0 : col0 + tile.width]
+        split_array, split_region = values[self.plan.split_output_node]
+        tile = self._extract_exact(split_array, split_region, branch.output_region, "tile")
+        scale = program.split.scale
+        return (tile if scale == 1.0 else tile * np.float32(scale)).transpose(0, 3, 1, 2)
 
     # ------------------------------------------------------------ patch stage
     def _allocate_split(self, x: np.ndarray) -> np.ndarray:
@@ -289,38 +337,11 @@ class PatchExecutor:
     def _run_patch_stage(self, x: np.ndarray) -> np.ndarray:
         return self._active_backend().run_patch_stage(x, self._allocate_split(x))
 
-    def _compute_node(
-        self,
-        branch: BranchPlan,
-        name: str,
-        values: dict[str, tuple[np.ndarray, Region]],
-    ) -> tuple[np.ndarray, Region]:
-        """Compute the clamped demanded region of ``name`` for one branch."""
-        graph = self.plan.graph
-        node = graph.nodes[name]
-        layer = node.layer
-        out_region = branch.clamped_regions[name]
-        kernel, stride, padding = layer.spatial_params()
-
-        if isinstance(layer, (Conv2d, DepthwiseConv2d, MaxPool2d, AvgPool2d)):
-            desired = backward_region(out_region, kernel, stride, padding)
-            src_array, src_region = values[node.inputs[0]]
-            window = self._extract_padded(src_array, src_region, desired, name)
-            out = self._run_spatial_layer(layer, window)
-            return out, out_region
-
-        # Elementwise / merge layers: gather each input over exactly out_region.
-        inputs = []
-        for src in node.inputs:
-            src_array, src_region = values[src]
-            inputs.append(self._extract_exact(src_array, src_region, out_region, name))
-        return layer.forward(*inputs), out_region
-
     def _extract_padded(
         self, array: np.ndarray, available: Region, desired: Region, consumer: str
     ) -> np.ndarray:
-        """Slice ``desired`` out of ``array`` (covering ``available``), zero-padding
-        the parts of ``desired`` that fall outside the feature map."""
+        """Slice ``desired`` out of channels-last ``array`` (covering ``available``),
+        zero-padding the parts of ``desired`` that fall outside the feature map."""
         inner = Region(
             max(desired.row_start, available.row_start),
             min(desired.row_stop, available.row_stop),
@@ -330,7 +351,6 @@ class PatchExecutor:
         if inner.height <= 0 or inner.width <= 0:  # pragma: no cover - defensive
             raise RuntimeError(f"empty overlap while computing {consumer}")
         sliced = array[
-            :,
             :,
             inner.row_start - available.row_start : inner.row_stop - available.row_start,
             inner.col_start - available.col_start : inner.col_stop - available.col_start,
@@ -342,7 +362,7 @@ class PatchExecutor:
         if pad_top or pad_bottom or pad_left or pad_right:
             sliced = np.pad(
                 sliced,
-                [(0, 0), (0, 0), (pad_top, pad_bottom), (pad_left, pad_right)],
+                [(0, 0), (pad_top, pad_bottom), (pad_left, pad_right), (0, 0)],
                 mode="constant",
             )
         return sliced
@@ -351,7 +371,8 @@ class PatchExecutor:
     def _extract_exact(
         array: np.ndarray, available: Region, wanted: Region, consumer: str
     ) -> np.ndarray:
-        """Slice exactly ``wanted`` (must lie inside ``available``)."""
+        """Slice exactly ``wanted`` out of channels-last ``array`` (must lie
+        inside ``available``)."""
         if not available.contains(wanted):  # pragma: no cover - defensive
             raise RuntimeError(
                 f"branch region bookkeeping error at {consumer}: "
@@ -359,65 +380,86 @@ class PatchExecutor:
             )
         return array[
             :,
-            :,
             wanted.row_start - available.row_start : wanted.row_stop - available.row_start,
             wanted.col_start - available.col_start : wanted.col_stop - available.col_start,
         ]
 
-    @staticmethod
-    def _run_spatial_layer(layer, window: np.ndarray) -> np.ndarray:
-        """Run a spatial layer on a pre-padded window (padding handled by caller)."""
-        if isinstance(layer, Conv2d):
-            out, _ = F.conv2d_forward(
-                window, layer.params["weight"], layer.params.get("bias"), layer.stride, 0
-            )
-            return out
-        if isinstance(layer, DepthwiseConv2d):
-            out, _ = F.depthwise_conv2d_forward(
-                window, layer.params["weight"], layer.params.get("bias"), layer.stride, 0
-            )
-            return out
-        if isinstance(layer, MaxPool2d):
-            out, _ = F.maxpool2d_forward(window, layer.kernel_size, layer.stride, 0)
-            return out
-        if isinstance(layer, AvgPool2d):
-            return F.avgpool2d_forward(window, layer.kernel_size, layer.stride, 0)
-        raise TypeError(f"unsupported spatial layer {type(layer).__name__}")  # pragma: no cover
+    # ---------------------------------------------------------------- compile
+    def _compile_prefix(self) -> None:
+        """One patch-stage program per distinct tuple of branch grids.
 
-    # ---------------------------------------------------------------- suffix
-    def _compile_suffix(self) -> tuple[tuple[Step, ...], int]:
+        Branches of a uniform plan share one program; the vectorized backend
+        groups branches by it, and the loop reference runs the same one.
+        """
+        plan = self.plan
+        hooked = [name for name in plan.prefix_nodes if name in self._fm_by_output]
+        self._programs: dict[tuple, _Program] = {}
+        self._branch_keys = []
+        for branch in plan.branches:  # repro: noqa[REP007] - one-time compile
+            key = tuple(
+                _hook_mode(self.branch_hook, branch.patch_id, self._fm_by_output[name].index)
+                for name in hooked
+            )
+            self._branch_keys.append(key)
+            if key in self._programs:
+                continue
+            modes = dict(zip(hooked, key))
+            outputs = {
+                name: REAL if mode is MEMBER else mode
+                for name, mode in modes.items()
+                if mode is not None
+            }
+            outputs.setdefault(plan.split_output_node, None)
+            nodes = compile_nodes(
+                plan.graph, plan.prefix_nodes, {INPUT_NODE: REAL}, outputs, prepadded=True
+            )
+            entries = tuple(
+                (node, self._fm_by_output[node.name] if modes.get(node.name) is MEMBER else None)
+                for node in nodes
+            )
+            split = next(node.value for node in nodes if node.name == plan.split_output_node)
+            self._programs[key] = _Program(entries, split)
+
+    def _compile_suffix(self) -> tuple[tuple[Step, ...], int, float]:
         """Compile the suffix into pure channels-last steps over value slots.
 
-        Slot 0 holds the graph input, slot 1 the stitched split feature map
-        and slot ``k + 2`` the output of step ``k``.  Returns the steps and
-        the slot of the graph output.  The memory layout every activation had
-        in the eval forward (which :func:`~repro.nn.inference.layer_kernel`
-        returns with each kernel) is propagated alongside, so that each
-        reduction sums in its order.  Slots 0 and 1 are the caller's arrays
-        and never owned: only steps the ownership rule
-        (:func:`~repro.nn.inference.ownership`) allows write into a slot.
+        Slot 0 holds the graph input, slot 1 the split feature map (codes
+        when every branch leaves it on one grid, else real units) and slot
+        ``k + 2`` the output of step ``k``.  Returns the steps, the slot of
+        the graph output and the scale that maps it to real units.
         """
         plan = self.plan
         graph = plan.graph
+        splits = {program.split for program in self._programs.values()}
+        split = splits.pop() if len(splits) == 1 else REAL
+        self._split_value = REAL if split.bound is None else split
+        modes = {
+            name: _hook_mode(self.suffix_hook, self._fm_by_output[name].index)
+            for name in plan.suffix_nodes
+            if name in self._fm_by_output
+        }
+        outputs = {
+            name: REAL if mode is MEMBER else mode for name, mode in modes.items() if mode is not None
+        }
+        outputs.setdefault(graph.output_node, None)
+        nodes = compile_nodes(
+            graph,
+            plan.suffix_nodes,
+            {INPUT_NODE: REAL, plan.split_output_node: self._split_value},
+            outputs,
+        )
         slots = {INPUT_NODE: 0, plan.split_output_node: 1}
-        for name in plan.suffix_nodes:
-            slots[name] = len(slots)
+        for node in nodes:
+            slots[node.name] = len(slots)
         output = slots[graph.output_node]
-        reads = [slots[src] for name in plan.suffix_nodes for src in graph.nodes[name].inputs]
-        readers = Counter([*reads, output])
-        layouts = {INPUT_NODE: NCHW, plan.split_output_node: NCHW}
-        owned = [False, False]
-        steps = []
-        for name in plan.suffix_nodes:
-            node = graph.nodes[name]
-            shape = self._shapes[node.inputs[0]]
-            sources = [layouts[src] for src in node.inputs]
-            inputs = tuple(slots[src] for src in node.inputs)
-            in_place, is_owned = ownership(node.layer, owned[inputs[0]], readers[inputs[0]])
-            fn, layouts[name] = layer_kernel(node.layer, shape, sources, in_place=in_place)
-            quant, owned_after = self._suffix_quant(name, is_owned)
-            steps.append(Step(inputs, fn, quant))
-            owned.append(owned_after)
+        steps = [
+            Step(
+                tuple(slots[src] for src in node.inputs),
+                node.fn,
+                self._suffix_member(node.name) if modes.get(node.name) is MEMBER else None,
+            )
+            for node in nodes
+        ]
         # A slot is released after its last reader, so dead activations free
         # their memory for the next step's output instead of piling up.
         last_read = {slot: k for k, step in enumerate(steps) for slot in step.inputs}
@@ -426,42 +468,42 @@ class PatchExecutor:
             if slot != output:
                 released[k].append(slot)
         steps = [step._replace(release=tuple(free)) for step, free in zip(steps, released)]
-        return tuple(steps), output
+        produced = {plan.split_output_node: self._split_value}
+        produced.update((node.name, node.value) for node in nodes)
+        return tuple(steps), output, produced[graph.output_node].scale
 
-    def _suffix_quant(self, name: str, owned: bool):
-        """The suffix hook at ``name``, static grids resolved once (applied in
-        place to an ``owned`` result), and whether the hooked result is owned:
-        a content-dependent hook may return an array it keeps."""
-        fm = self._fm_by_output.get(name)
+    def _suffix_member(self, name: str):
+        """The content-dependent suffix hook at ``name``: it sees the logical
+        ``(N, C, H, W)`` array."""
+        fm = self._fm_by_output[name]
         hook = self.suffix_hook
-        if fm is None or hook is None:
-            return None, owned
-        static = getattr(hook, "static_params", None)
-        params = static(fm.index) if static is not None else None
-        if params is None:
-            # Content-dependent hooks see the logical (N, C, H, W) array.
-            def member(array: np.ndarray) -> np.ndarray:
-                if array.ndim != 4:
-                    return hook(fm, array)
-                out = hook(fm, array.transpose(0, 3, 1, 2))
-                return np.ascontiguousarray(out.transpose(0, 2, 3, 1))
 
-            return member, False
-        bits, low, high = params
-        if bits >= 32:
-            return None, owned
-        return quantize_kernel(AffineQuantizer(bits).compute_params(low, high), owned), True
+        def member(array: np.ndarray) -> np.ndarray:
+            if array.ndim != 4:
+                return hook(fm, array)
+            out = hook(fm, array.transpose(0, 3, 1, 2)).astype(np.float32, copy=False)
+            return np.ascontiguousarray(out.transpose(0, 2, 3, 1))
+
+        return member
 
     def _run_suffix(self, x: np.ndarray, stitched: np.ndarray) -> np.ndarray:
-        # The one layout crossing: free for an executor-allocated split map.
+        # The one layout crossing, fused with the split map's requantization.
+        split = stitched.transpose(0, 2, 3, 1)
+        if self._split_value.bound is None:
+            split = np.ascontiguousarray(split)
+        else:
+            split = np.divide(split, np.float32(self._split_value.scale), out=np.empty(split.shape, np.float32))
+            np.rint(split, out=split)
         values = [
             np.ascontiguousarray(x.transpose(0, 2, 3, 1)) if self._suffix_reads_input else x,
-            np.ascontiguousarray(stitched.transpose(0, 2, 3, 1)),
+            split,
         ]
-        for inputs, fn, quant, release in self._suffix_steps:
+        for inputs, fn, hook, release in self._suffix_steps:
             out = fn(*[values[i] for i in inputs])
-            values.append(out if quant is None else quant(out))
+            values.append(out if hook is None else hook(out))
             for slot in release:
                 values[slot] = None
         out = values[self._suffix_output]
+        if self._output_scale != 1.0:
+            out = out * np.float32(self._output_scale)
         return out.transpose(0, 3, 1, 2) if out.ndim == 4 else out

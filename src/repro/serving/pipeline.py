@@ -20,8 +20,8 @@ per-request cleanup to race against.
 
 The serving execution is bit-identical to the experiment-side
 :meth:`~repro.core.quantmcu.QuantMCUPipeline.make_executor` path: the same
-:class:`~repro.patch.executor.PatchExecutor` machinery runs under hooks that
-apply the same calibrated fake-quantization.
+:class:`~repro.patch.executor.PatchExecutor` machinery compiles the same
+static hooks into the same exact integer-domain programs.
 """
 
 from __future__ import annotations

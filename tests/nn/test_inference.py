@@ -1,8 +1,9 @@
-"""Inference-only kernels against the training forward they replace, bit for bit.
+"""Inference-only kernels: exact over integer codes, batch- and layout-invariant,
+and within a float tolerance of the training forward they replace.
 
-The kernels take and return channels-last arrays; every comparison here
-feeds them the channels-last form of the eval forward's input and compares
-the logical ``(N, C, H, W)`` view of their output, byte for byte."""
+The kernels take and return channels-last arrays; comparisons against the
+eval forward feed them the channels-last form of its input and compare the
+logical ``(N, C, H, W)`` view of their output."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from repro.nn import (
     Dropout,
     Flatten,
     GlobalAvgPool,
+    Graph,
     Identity,
     Layer,
     LeakyReLU,
@@ -33,8 +35,21 @@ from repro.nn import (
     Softmax,
 )
 from repro.nn import functional as F
-from repro.nn.inference import NCHW, NHWC, layer_kernel, ownership, quantize_kernel
-from repro.quant.quantizers import AffineQuantizer
+from repro.nn.graph import INPUT_NODE
+from repro.nn.inference import (
+    EXACT_LIMIT,
+    REAL,
+    _exact_gemm,
+    compile_nodes,
+    grid_value,
+    layer_kernel,
+    weight_grid,
+)
+from repro.quant.quantizers import AffineQuantizer, quantize_weight_per_channel
+
+#: Tolerance of the compiled float kernels against ``Layer.forward``: they
+#: fold bias and BatchNorm into one epilogue, so the last bits may differ.
+RTOL = ATOL = 1e-5
 
 
 def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -50,18 +65,9 @@ def _logical(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 3, 1, 2) if a.ndim == 4 else a
 
 
-def _memory_layout(a: np.ndarray) -> str | None:
-    if a.ndim != 4:
-        return None
-    if a.flags.c_contiguous:
-        return NCHW
-    assert a.transpose(0, 2, 3, 1).flags.c_contiguous
-    return NHWC
-
-
 def _in_layout(x: np.ndarray, layout: str) -> np.ndarray:
-    """``x`` (logical NCHW) with the given memory layout."""
-    return x if layout == NCHW else _nhwc(x).transpose(0, 3, 1, 2)
+    """``x`` (logical NCHW) with C-order (``"nchw"``) or channels-last memory."""
+    return x if layout == "nchw" else _nhwc(x).transpose(0, 3, 1, 2)
 
 
 @given(
@@ -79,12 +85,14 @@ def _in_layout(x: np.ndarray, layout: str) -> np.ndarray:
 def test_depthwise_kernel_matches_reference(
     seed, batch, channels, height, width, kernel, stride, padding, layout
 ):
-    """The depthwise step equals ``depthwise_conv2d_forward`` bit for bit,
-    including ``out_w == 1`` and strided views of a larger buffer."""
+    """The depthwise kernel equals ``depthwise_conv2d_forward`` bit for bit
+    wherever that sums its taps in the same order (``out_w > 1``), and within
+    float tolerance at ``out_w == 1``, on strided views of a larger buffer too;
+    over integer codes and weights it is exact."""
     if min(height, width) + 2 * padding < kernel:
         return
     rng = np.random.default_rng(seed)
-    if layout == "cropped":  # a sub-rect of a stacked scratch buffer
+    if layout == "cropped":  # a sub-rect of a stacked buffer
         x = rng.standard_normal((batch, channels, height + 3, width + 2)).astype(np.float32)
         x = x[:, :, 1 : 1 + height, 2:]
     elif layout == "transposed":  # channels-last memory
@@ -97,15 +105,16 @@ def test_depthwise_kernel_matches_reference(
     reference, _ = F.depthwise_conv2d_forward(
         x, layer.params["weight"], layer.params["bias"], stride, padding
     )
-    # The channels-last view of x's own memory: at out_w == 1 the kernel
-    # reduces over exactly the strides the reference saw.
-    step, _ = layer_kernel(layer, (channels, height, width), (NHWC,))
-    assert _bits_equal(_logical(step(x.transpose(0, 2, 3, 1))), reference)
-    if reference.shape[3] > 1:  # the tap kernel is the one chosen here
-        taps = F.depthwise_conv2d_taps(
-            x.transpose(0, 2, 3, 1), layer.params["weight"], layer.params["bias"], stride, padding
-        )
-        assert _bits_equal(_logical(taps), reference)
+    out = _logical(layer_kernel(layer, (channels, height, width))(x.transpose(0, 2, 3, 1)))
+    if reference.shape[3] > 1:
+        assert _bits_equal(out, reference)
+    np.testing.assert_allclose(out, reference, rtol=RTOL, atol=ATOL)
+
+    codes = rng.integers(-128, 128, x.shape).astype(np.float32)
+    taps = rng.integers(-127, 128, layer.params["weight"].shape).astype(np.float32)
+    exact = F.depthwise_conv2d_taps(_nhwc(codes), taps, None, stride, padding)
+    wide, _ = F.depthwise_conv2d_forward(codes.astype(np.int64), taps.astype(np.int64), None, stride, padding)
+    assert np.array_equal(_logical(exact), wide)
 
 
 def _layer_cases(rng):
@@ -137,12 +146,15 @@ def _layer_cases(rng):
     ]
 
 
-@pytest.mark.parametrize("index", range(len(_layer_cases(np.random.default_rng(0)))))
+_NUM_CASES = len(_layer_cases(np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("index", range(_NUM_CASES))
 def test_layer_kernel_matches_eval_forward(index):
     """Fed the channels-last form of the eval forward's inputs, each kernel
-    returns the same bytes, whichever memory layout the eval forward saw
-    (the reductions, GlobalAvgPool here, must follow it)."""
-    for layout in (NCHW, NHWC):
+    returns its result within float tolerance, whichever memory layout the
+    eval forward saw."""
+    for layout in ("nchw", "nhwc"):
         rng = np.random.default_rng(index)
         layer, arity = _layer_cases(rng)[index]
         inputs = [
@@ -150,32 +162,36 @@ def test_layer_kernel_matches_eval_forward(index):
             for _ in range(arity)
         ]
         expected = layer.forward(*inputs)
-        step, _ = layer_kernel(layer, inputs[0].shape[1:], (layout,) * arity)
-        assert _bits_equal(_logical(step(*[_nhwc(x) for x in inputs])), expected), layout
+        out = _logical(layer_kernel(layer, (4, 7, 7))(*[_nhwc(x) for x in inputs]))
+        assert out.shape == expected.shape and out.dtype == np.float32, layout
+        np.testing.assert_allclose(out, expected, rtol=RTOL, atol=ATOL)
 
 
-@pytest.mark.parametrize("layouts", [(NCHW, NCHW), (NHWC, NHWC), (NHWC, NCHW), (NCHW, NHWC)])
-@pytest.mark.parametrize("index", range(len(_layer_cases(np.random.default_rng(0)))))
+@pytest.mark.parametrize("layouts", [("nchw",) * 2, ("nhwc",) * 2, ("nhwc", "nchw"), ("nchw", "nhwc")])
+@pytest.mark.parametrize("index", range(_NUM_CASES))
 def test_output_layout_matches_eval_forward(index, layouts):
-    """The layout :func:`layer_kernel` reports agrees with the memory the
-    eval forward actually returns."""
+    """A kernel's bytes do not depend on the memory layout of its inputs: the
+    channels-last view of C-order memory (strided) and a contiguous
+    channels-last array give the same result, per sample whatever the batch."""
     rng = np.random.default_rng(index)
     layer, arity = _layer_cases(rng)[index]
-    layouts = layouts[:arity]
-    inputs = [
-        _in_layout(rng.standard_normal((3, 4, 7, 7)).astype(np.float32), layout)
-        for layout in layouts
-    ]
-    _, predicted = layer_kernel(layer, (4, 7, 7), layouts)
-    assert predicted == _memory_layout(layer.forward(*inputs))
+    logical = [rng.standard_normal((3, 4, 7, 7)).astype(np.float32) for _ in range(arity)]
+    kernel = layer_kernel(layer, (4, 7, 7))
+    strided = [_in_layout(x, layout).transpose(0, 2, 3, 1) for x, layout in zip(logical, layouts)]
+    contiguous = kernel(*[_nhwc(x) for x in logical])
+    assert _bits_equal(kernel(*strided), contiguous)
+    assert _bits_equal(kernel(*[_nhwc(x[1:2]) for x in logical]), contiguous[1:2])
 
 
 @pytest.mark.parametrize("layer", [Linear(12, 5), Flatten(), Softmax()])
 def test_flat_layer_kernels_match_forward(layer, rng):
+    """Flat kernels match the eval forward; the head runs once per row, so a
+    row's bytes do not depend on the rows beside it."""
     x = rng.standard_normal((3, 12)).astype(np.float32)
-    step, layout = layer_kernel(layer, x.shape[1:], (NCHW,))
-    assert layout is None
-    assert _bits_equal(step(x), layer.forward(x))
+    kernel = layer_kernel(layer, x.shape[1:])
+    out = kernel(x)
+    np.testing.assert_allclose(out, layer.forward(x), rtol=RTOL, atol=ATOL)
+    assert _bits_equal(kernel(x[1:2]), out[1:2])
 
 
 def test_kernels_leave_layer_state_untouched(rng):
@@ -184,8 +200,7 @@ def test_kernels_leave_layer_state_untouched(rng):
     for layer in layers:
         arity = 2 if isinstance(layer, (Add, Concat)) else 1
         inputs = [rng.standard_normal((2, 6, 6, 4)).astype(np.float32)] * arity
-        step, _ = layer_kernel(layer, (4, 6, 6), (NHWC,) * arity)
-        step(*inputs)
+        layer_kernel(layer, (4, 6, 6))(*inputs)
     for layer, state in zip(layers, before):
         assert layer.__dict__.keys() == state.keys()
         assert all(layer.__dict__[key] is value for key, value in state.items())
@@ -193,51 +208,129 @@ def test_kernels_leave_layer_state_untouched(rng):
 
 
 def test_weight_swap_is_seen_by_compiled_kernel(rng):
+    """Kernels refold when ``params["weight"]`` is a different object."""
     layer = Conv2d(2, 3, 3, padding=1, rng=rng)
-    step, _ = layer_kernel(layer, (2, 5, 5), (NCHW,))
+    kernel = layer_kernel(layer, (2, 5, 5))
     x = rng.standard_normal((1, 2, 5, 5)).astype(np.float32)
+    kernel(_nhwc(x))
     layer.params["weight"] = layer.params["weight"] * 2
-    assert _bits_equal(_logical(step(_nhwc(x))), layer.forward(x))
+    np.testing.assert_allclose(
+        _logical(kernel(_nhwc(x))), layer.forward(x), rtol=RTOL, atol=ATOL
+    )
 
 
-@pytest.mark.parametrize("index", range(len(_layer_cases(np.random.default_rng(0)))))
-def test_ownership_rule(index):
-    """Only BatchNorm, ReLU and ReLU6 may overwrite their input, and only an
-    owned input with no other reader; only aliasing kernels return values
-    that are not owned."""
-    layer, _ = _layer_cases(np.random.default_rng(index))[index]
-    in_place_layer = isinstance(layer, (BatchNorm2d, ReLU, ReLU6))
-    aliasing = isinstance(layer, (Identity, Dropout, Flatten))
-    assert ownership(layer, True, 1) == (in_place_layer, not aliasing)
-    assert ownership(layer, True, 2) == (False, not aliasing)
-    assert ownership(layer, False, 1) == (False, not aliasing)
-
-
-def _in_place_pairs(rng):
-    """``(fresh, in place)`` kernels of BatchNorm, ReLU, ReLU6 and static
-    fake-quantization."""
-    pairs = [
-        tuple(layer_kernel(layer, (4, 7, 7), (NHWC,), in_place=flag)[0] for flag in (False, True))
-        for layer in (_layer_cases(rng)[2][0], ReLU(), ReLU6())
-    ]
-    params = AffineQuantizer(4).compute_params(-1.5, 2.5)
-    return pairs + [(quantize_kernel(params, False), quantize_kernel(params, True))]
+def _epilogue_cases(rng):
+    """Kernels whose epilogue runs on their input: a standalone BatchNorm,
+    ReLU and ReLU6, and a requantization onto a grid."""
+    grid = AffineQuantizer(4).compute_params(-1.5, 2.5)
+    g = Graph((4, 7, 7))
+    g.add(Identity(), name="quant")
+    requantize = compile_nodes(g, ["quant"], {INPUT_NODE: REAL}, {"quant": grid})[0].fn
+    kernels = [layer_kernel(layer, (4, 7, 7)) for layer in (_layer_cases(rng)[2][0], ReLU(), ReLU6())]
+    return kernels + [requantize]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("index", range(4))
 def test_in_place_kernels_write_the_same_bytes(index, dtype, rng):
-    """An in-place kernel returns the fresh kernel's bytes, written into its
-    input whenever the result has the input's dtype (float64 input to a
-    float32 grid is quantized into a fresh array)."""
-    fresh, in_place = _in_place_pairs(rng)[index]
+    """An epilogue that runs on the kernel's input writes a copy: the input is
+    never written, and the result is float32 whatever the input's dtype."""
+    kernel = _epilogue_cases(rng)[index]
     x = (rng.standard_normal((3, 7, 7, 4)) * 4).astype(dtype)
-    expected = fresh(x.copy())
-    out = in_place(x)
+    expected = kernel(x.copy())
+    x.flags.writeable = False
+    out = kernel(x)
     assert _bits_equal(out, expected)
-    assert np.shares_memory(out, x) == (out.dtype == x.dtype)
+    assert out.dtype == np.float32
+    assert not np.shares_memory(out, x)
+
+
+@pytest.mark.parametrize("index", range(_NUM_CASES))
+def test_ownership_rule(index):
+    """No kernel writes its inputs: read-only inputs give the same bytes, and
+    only the pass-through layers return (a view of) their input."""
+    rng = np.random.default_rng(index)
+    layer, arity = _layer_cases(rng)[index]
+    inputs = [rng.standard_normal((2, 7, 7, 4)).astype(np.float32) for _ in range(arity)]
+    kernel = layer_kernel(layer, (4, 7, 7))
+    expected = kernel(*[x.copy() for x in inputs])
+    for x in inputs:
+        x.flags.writeable = False
+    out = kernel(*inputs)
+    assert _bits_equal(out, expected)
+    assert np.shares_memory(out, inputs[0]) == isinstance(layer, (Identity, Dropout))
 
 
 def test_unknown_layer_type_is_rejected():
     with pytest.raises(TypeError, match="no inference kernel"):
-        layer_kernel(Layer(), (1, 1, 1), (NCHW,))
+        layer_kernel(Layer(), (1, 1, 1))
+
+
+# ----------------------------------------------------------- integer domain
+def _chain_graph(c_in: int, kernel: int, rng) -> Graph:
+    """conv -> BatchNorm -> ReLU6, the zoo models' feature-map chain."""
+    g = Graph((c_in, 6, 6))
+    g.add(Conv2d(c_in, 8, kernel, padding=kernel // 2, bias=False, rng=rng), name="conv")
+    bn = g.add(BatchNorm2d(8), name="bn")
+    g.nodes[bn].layer.running_mean = rng.standard_normal(8).astype(np.float32)
+    g.nodes[bn].layer.running_var = rng.uniform(0.5, 2.0, 8).astype(np.float32)
+    g.add(ReLU6(), name="act")
+    weight = g.nodes["conv"].layer.params["weight"]
+    g.nodes["conv"].layer.params["weight"] = quantize_weight_per_channel(weight, 8)
+    return g
+
+
+@pytest.mark.parametrize("c_in,kernel", [(600, 1), (4, 3)])
+def test_conv_over_codes_is_exact(c_in, kernel, rng):
+    """A convolution over 8-bit codes accumulates exactly: ``K = 600`` breaks
+    the float32 bound ``K * 255 * 127 < 2**24`` and sums float32 GEMMs over
+    chunks of ``K`` in float64, ``K = 36`` runs as one GEMM.  Either way the
+    GEMM equals an int64 product, each sample's codes are its own at any
+    batch size, and the fused epilogue lands within one level of a float64
+    requantization (it rounds ``M`` and ``B`` to float32)."""
+    assert (c_in * kernel * kernel * 255 * 127 >= EXACT_LIMIT) == (c_in == 600)
+    g = _chain_graph(c_in, kernel, rng)
+    src = AffineQuantizer(8).compute_params(-2.0, 3.0)
+    out = AffineQuantizer(8).compute_params(0.0, 6.0)
+    sources = {INPUT_NODE: grid_value(src)}
+    (node,) = compile_nodes(g, ["conv", "bn", "act"], sources, {"act": out})
+    assert node.name == "act" and node.head == "conv" and node.value == grid_value(out)
+    codes = rng.integers(-src.zero_point, src.qmax - src.zero_point + 1, (5, 6, 6, c_in))
+    got = node.fn(codes.astype(np.float32))
+    assert got.dtype == np.float32 and np.all(got == np.rint(got))
+    assert got.min() >= -out.zero_point and got.max() <= out.qmax - out.zero_point
+    for i in range(5):
+        assert _bits_equal(node.fn(codes[i : i + 1].astype(np.float32)), got[i : i + 1])
+
+    layer = g.nodes["conv"].layer
+    q, s_w = weight_grid(layer.params["weight"])
+    # Row 0 x column 0 sums to an odd integer above 2**24 when K = 600: no
+    # float32 result can hold it.
+    col = rng.integers(-255, 256, (50, q[0].size))
+    matrix = rng.integers(-127, 128, (q[0].size, 8))
+    col[0], matrix[:, 0], col[0, 0] = 255, 127, 254
+    peak = 255 * 127
+    chunk = None if q[0].size * peak < EXACT_LIMIT else (EXACT_LIMIT - 1) // peak
+    exact = _exact_gemm(col.astype(np.float32), matrix.astype(np.float32), chunk)
+    assert np.array_equal(exact, col @ matrix)
+
+    # The same accumulation in int64, requantized in float64.
+    wide = F.conv2d_forward(
+        codes.transpose(0, 3, 1, 2).astype(np.int64), q.astype(np.int64), None, 1, kernel // 2
+    )[0]
+    real = wide.transpose(0, 2, 3, 1) * (src.scale * s_w)
+    bn = g.nodes["bn"].layer
+    reference = np.clip(bn.forward(real.transpose(0, 3, 1, 2).astype(np.float64)), 0.0, 6.0)
+    expected = np.clip(np.rint(reference / out.scale), -out.zero_point, out.qmax - out.zero_point)
+    # Folding rounds M and B to float32: a code may move by one level.
+    assert np.abs(_logical(got) - expected).max() <= 1
+
+
+def test_weight_grid_recognises_per_channel_grids(rng):
+    weight = rng.standard_normal((6, 4, 3, 3)).astype(np.float32)
+    assert weight_grid(weight) is None
+    for bits in (8, 4, 2):
+        quantized = quantize_weight_per_channel(weight, bits)
+        q, scale = weight_grid(quantized)
+        assert np.array_equal(q, np.rint(q)) and np.abs(q).max() <= 127
+        np.testing.assert_allclose(q * scale[:, None, None, None], quantized, rtol=1e-6)
