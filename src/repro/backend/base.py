@@ -11,11 +11,14 @@ quantization hooks, the suffix) and dispatches through the backend.
 
 Every backend must be **bit-identical** to the loop reference: it runs the
 same compiled exact kernels (:func:`repro.nn.inference.compile_nodes`), on
-any grouping or stacking of branches and samples.  Over integer codes they
-accumulate exactly and the float ones are batch-invariant by construction,
-so how a backend batches cannot change a bit.  That contract is what lets
-the golden-logits suite pin one set of bytes regardless of the selected
-backend.
+any grouping or stacking of branches and samples, and over any extent that
+contains the requested tiles.  Over integer codes they accumulate exactly
+and the float ones are batch-invariant by construction, so a position's
+value depends only on the input and the branch's program: how a backend
+batches, or whether it recomputes the halo per branch as the reference does
+or computes a merged rectangle once, cannot change a bit.  That contract is
+what lets the golden-logits suite pin one set of bytes regardless of the
+selected backend.
 
 Backends are selected by name through :func:`make_backend`; the
 ``REPRO_BACKEND`` environment variable overrides the default for executors
@@ -75,7 +78,10 @@ class Backend:
 
         Tiles are owned by the caller (no other call writes to them), in
         ``branch_ids`` order, bit-identical to
-        :meth:`~repro.patch.executor.PatchExecutor.run_branch`.
+        :meth:`~repro.patch.executor.PatchExecutor.run_branch`.  A backend
+        may compute more than the requested tiles (a bounding box on their
+        program) and discard the rest; it must be safe to call from several
+        threads at once, including the first calls.
         """
         raise NotImplementedError
 

@@ -1,19 +1,45 @@
-"""Vectorized NumPy backend: geometry-grouped branches stacked into the batch.
+"""Vectorized NumPy backend: merged rectangle runs, else geometry-grouped branches.
 
-Branches whose region geometry is identical up to translation (interior
-patches of a grid, matching border patches, ...) and whose quantization
-grids are identical share one compiled program
-(:func:`repro.nn.inference.compile_nodes`) and are compiled into *groups*.
-Each group executes the patch stage over **compact, channels-last values**:
-per node, one fresh contiguous ``(g, n, h, w, C)`` array holding exactly the
-node's clamped region, the rect the loop reference
+The patch decomposition is the device's SRAM schedule: on a microcontroller
+each branch recomputes the halo it shares with its neighbours so that only
+one branch's activations are live at a time.  A server only has to
+reproduce the bits, and every serving kernel is exact over integer codes
+(:mod:`repro.nn.inference`), so a position's value depends only on the input
+and the program, never on the extent it was computed over.  Branches that
+run the same program (:attr:`PatchExecutor._branch_keys
+<repro.patch.executor.PatchExecutor>`, the tuple of their prefix grids) can
+therefore be computed together, without the halo recompute.
+
+**Merged rectangle runs.**  ``run_branches`` partitions the requested
+branches by program key.  For each key it takes the bounding box of the
+requested tiles on the split map and composes that rectangle's demand
+through the patch stage (:func:`~repro.patch.plan.compose_branch_demand`), a
+:class:`~repro.patch.plan.BranchPlan` for the box.  The box runs as one
+member of its own recipe when its MACs
+(:func:`~repro.patch.analysis.branch_macs`) are no more than the sum of the
+requested branches' MACs; each requested tile is then sliced out of the
+run's split value, and tiles of other keys that the box covers are computed
+on the wrong grids and discarded.  A uniform plan's patch stage is thus one
+layer-by-layer pass over the whole map.  Keys that fail the MAC rule keep
+the grouped path below, and so do keys with a content-dependent hook, which
+must see exactly each branch's clamped region.  Runs are compiled lazily and
+kept per ``(program, rectangle)``: at most ``p^2 (p+1)^2 / 4`` rectangles per
+program on a ``p x p`` grid, so the set is bounded by the plan.
+
+**Geometry groups.**  Branches whose region geometry is identical up to
+translation (interior patches of a grid, matching border patches, ...) and
+whose programs are identical share one recipe.  A group executes the patch
+stage over **compact, channels-last values**: per node, one fresh contiguous
+``(g, n, h, w, C)`` array holding exactly the node's clamped region, the
+rect the loop reference
 (:meth:`~repro.patch.executor.PatchExecutor.run_branch`) computes, with the
 ``g`` group members side by side in a leading batch axis.  Per node, one
 kernel call then covers the whole group: one GEMM per convolution, one tap
 loop per depthwise convolution or pooling, one fused requantization
 epilogue per feature map.  The kernels are exact over integer codes and
 batch-invariant by construction over floats, so stacking members cannot
-change a bit.
+change a bit.  A merged run is a group of one member whose regions are the
+box's.
 
 A spatial window is zero-padded only where it crosses the feature-map
 border, exactly where the reference pads
@@ -30,22 +56,25 @@ dequantized in the copy that stitches them into the executor's split map
 (:meth:`~repro.patch.executor.PatchExecutor._allocate_split`, channels-last
 in memory too, so stitching copies whole rows).
 
-Values are fresh on every call and nothing is kept between calls, so
-concurrent callers share no buffers.  Every recipe step runs a pure
-compiled kernel, never ``Layer.forward``, so concurrent callers share the
-graph without writing to it.  Content-dependent hooks are the one per-member
-step: each member's hook sees exactly the clamped region the reference
-would have passed it.
+Values are fresh on every call, so concurrent callers share no buffers.
+Recipes are immutable once built: the geometry groups are published after
+they are complete, and a merged run is built before it is inserted into the
+run table, so concurrent first calls at worst build the same run twice.
+Every recipe step runs a pure compiled kernel, never ``Layer.forward``, so
+concurrent callers share the graph without writing to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
 from ..nn.graph import INPUT_NODE
-from ..patch.executor import SPATIAL
+from ..patch.analysis import branch_macs
+from ..patch.executor import MEMBER, SPATIAL
+from ..patch.plan import BranchPlan, compose_branch_demand
 from ..patch.regions import Region, backward_region
 from ..quant.quantizers import fake_quantize  # noqa: F401 - profilers wrap it by module attribute
 from .base import Backend
@@ -76,14 +105,20 @@ class _Step:
 
 @dataclass
 class _Group:
-    """A set of geometry- and grid-identical branches plus their recipe."""
+    """A recipe shared by geometry- and grid-identical members."""
 
-    index: int
     steps: list[_Step] = field(default_factory=list)
-    #: The split value's tile, ``(r0, r1, c0, c1)`` within it.
-    tile: tuple[int, int, int, int] = (0, 0, 0, 0)
     #: Dequantization factor of the split value; None in real units.
     scale: np.float32 | None = None
+
+
+@dataclass(frozen=True)
+class _Run:
+    """A merged rectangle run: one member covering a box of the split map."""
+
+    member: BranchPlan
+    group: _Group
+    macs: int
 
 
 def _offsets(region: Region, within: Region) -> tuple[int, int, int, int]:
@@ -118,11 +153,18 @@ class VectorizedBackend(Backend):
     def __init__(self, executor) -> None:
         super().__init__(executor)
         self._groups: list[_Group] | None = None
-        self._group_of: dict[int, int] = {}
+        #: Per branch: its program's index, its geometry group's index, its MACs.
+        self._program_of: list[int] = []
+        self._group_of: list[int] = []
+        self._macs: list[int] = []
+        #: Per program index: its key, or None when a content-dependent hook
+        #: keeps it off merged runs.
+        self._mergeable: list[tuple | None] = []
+        #: ``(program index, box) -> _Run``, bounded by the grid's rectangles.
+        self._runs: dict[tuple[int, Region], _Run] = {}
 
     # ------------------------------------------------------------------- run
     def run_branches(self, x, branch_ids):
-        self._ensure_compiled()
         branches = self.plan.branches
         tiles: dict[int, np.ndarray] = {}
 
@@ -130,13 +172,10 @@ class VectorizedBackend(Backend):
             tile = view if scale is None else view * scale  # a view of this call's value
             tiles[patch_id] = tile.transpose(0, 3, 1, 2)
 
-        x = _channels_last(x)
-        for group, subset in self._partition(branch_ids):
-            self._run_group(group, subset, x, emit)
+        self._execute(_channels_last(x), branch_ids, emit)
         return [(branches[i], tiles[i]) for i in branch_ids]
 
     def run_patch_stage(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        self._ensure_compiled()
         branches = self.plan.branches
         out_rows = out.transpose(0, 2, 3, 1)
 
@@ -149,32 +188,90 @@ class VectorizedBackend(Backend):
                 np.multiply(view, scale, out=target)
 
         all_ids = [branch.patch_id for branch in branches]
-        x = _channels_last(x)
-        for group, subset in self._partition(all_ids):
-            self._run_group(group, subset, x, emit)
+        self._execute(_channels_last(x), all_ids, emit)
         return out
 
-    def _partition(self, branch_ids):
-        """Split ``branch_ids`` into per-group subsets (plan order within each)."""
-        subsets: dict[int, list[int]] = {}
+    def _execute(self, x: np.ndarray, branch_ids, emit) -> None:
+        """Run the cover of ``branch_ids`` and ``emit`` every requested tile
+        as a view of its run's split value."""
+        branches = self.plan.branches
+        split_node = self.plan.split_output_node
+        for group, members, tiles in self._cover(branch_ids):
+            split = self._run_group(group, members, x)
+            for slot, patch_id in tiles:
+                within = members[slot].clamped_regions[split_node]
+                r0, r1, c0, c1 = _offsets(branches[patch_id].output_region, within)
+                emit(patch_id, split[slot, :, r0:r1, c0:c1], group.scale)
+
+    def _cover(self, branch_ids):
+        """``[(group, members, [(slot, patch_id), ...]), ...]`` computing every
+        id in ``branch_ids``: per program, one merged run of the requested
+        tiles' bounding box when it costs no more MACs than they do, else
+        their geometry groups (a lone branch is its own group)."""
+        self._ensure_compiled()
+        branches = self.plan.branches
+        by_program: dict[int, list[int]] = {}
         for patch_id in branch_ids:  # repro: noqa[REP007] - id bookkeeping only
-            subsets.setdefault(self._group_of[patch_id], []).append(patch_id)
-        return [(self._groups[gi], ids) for gi, ids in subsets.items()]
+            by_program.setdefault(self._program_of[patch_id], []).append(patch_id)
+        cover = []
+        for program, ids in by_program.items():
+            if len(ids) > 1 and self._mergeable[program] is not None:
+                run = self._merged_run(program, ids)
+                if run.macs <= sum(self._macs[i] for i in ids):
+                    cover.append((run.group, [run.member], [(0, i) for i in ids]))
+                    continue
+            by_group: dict[int, list[int]] = {}
+            for patch_id in ids:
+                by_group.setdefault(self._group_of[patch_id], []).append(patch_id)
+            cover.extend(
+                (self._groups[gi], [branches[i] for i in members], list(enumerate(members)))
+                for gi, members in by_group.items()
+            )
+        return cover
+
+    def _merged_run(self, program: int, ids: list[int]) -> _Run:
+        """The merged run of the bounding box of ``ids``' tiles (built on first use)."""
+        branches = self.plan.branches
+        box = reduce(Region.union, [branches[i].output_region for i in ids])
+        run = self._runs.get((program, box))
+        if run is None:
+            plan = self.plan
+            demand, clamped = compose_branch_demand(
+                plan.graph, plan.prefix_nodes, plan.split_output_node, box,
+                self.executor._shapes,
+            )
+            member = BranchPlan(-1, box, demand, clamped)
+            group = self._compile_group([member], self._mergeable[program])
+            # Build, then publish: a concurrent first call keeps whichever
+            # identical run landed first.
+            run = self._runs.setdefault((program, box), _Run(member, group, branch_macs(plan, member)))
+        return run
 
     # ----------------------------------------------------------------- compile
     def _ensure_compiled(self) -> None:
         if self._groups is not None:
             return
+        keys = self.executor._branch_keys
+        programs: dict[tuple, int] = {}
         buckets: dict[tuple, list] = {}
+        macs = []
         for branch in self.plan.branches:  # repro: noqa[REP007] - one-time compile
+            programs.setdefault(keys[branch.patch_id], len(programs))
             buckets.setdefault(self._signature(branch), []).append(branch)
+            macs.append(branch_macs(self.plan, branch))
+        group_of = [0] * self.plan.num_branches
         groups: list[_Group] = []
         for members in buckets.values():
-            group = self._compile_group(len(groups), members)
             for branch in members:
-                self._group_of[branch.patch_id] = group.index
-            groups.append(group)
-        self._groups = groups
+                group_of[branch.patch_id] = len(groups)
+            groups.append(self._compile_group(members, keys[members[0].patch_id]))
+        self._program_of = [programs[key] for key in keys]
+        self._group_of = group_of
+        self._macs = macs
+        self._mergeable = [
+            None if any(mode is MEMBER for mode in key) else key for key in programs
+        ]
+        self._groups = groups  # published last: the flag concurrent callers test
 
     def _node_order(self):
         return [INPUT_NODE, *self.plan.prefix_nodes]
@@ -206,16 +303,15 @@ class VectorizedBackend(Backend):
             parts.append(tuple(entry))
         return tuple(parts)
 
-    def _compile_group(self, index: int, members: list) -> _Group:
+    def _compile_group(self, members: list[BranchPlan], key: tuple) -> _Group:
+        """The recipe of ``members`` (translates of each other) on program ``key``."""
         executor = self.executor
         plan = self.plan
         graph = plan.graph
         shapes = executor._shapes
-        rep = members[0]  # geometry representative; any member works
-        regions = rep.clamped_regions
-        program = executor._programs[executor._branch_keys[rep.patch_id]]
-        group = _Group(index=index)
-        group.tile = _offsets(rep.output_region, regions[plan.split_output_node])
+        regions = members[0].clamped_regions  # geometry representative; any member works
+        program = executor._programs[key]
+        group = _Group()
         if program.split.scale != 1.0:
             group.scale = np.float32(program.split.scale)
         group.steps.append(_Step(INPUT_NODE, None, ()))
@@ -249,10 +345,9 @@ class VectorizedBackend(Backend):
         return group
 
     # ----------------------------------------------------------------- execute
-    def _run_group(self, group: _Group, subset: list[int], x: np.ndarray, emit) -> None:
-        """Run ``subset`` of ``group`` on the channels-last input ``x``."""
-        branches = self.plan.branches
-        members = [branches[patch_id] for patch_id in subset]
+    def _run_group(self, group: _Group, members: list[BranchPlan], x: np.ndarray) -> np.ndarray:
+        """Run ``members`` through ``group``'s recipe on the channels-last input
+        ``x``; returns the split value, ``(g, n, h, w, C)``."""
         g = len(members)
         n = x.shape[0]
         values: dict[str, np.ndarray] = {}
@@ -288,8 +383,4 @@ class VectorizedBackend(Backend):
             values[step.name] = value
             for name in step.release:
                 del values[name]
-
-        r0, r1, c0, c1 = group.tile
-        split = values[self.plan.split_output_node]
-        for slot, member in enumerate(members):
-            emit(member.patch_id, split[slot, :, r0:r1, c0:c1], group.scale)
+        return values[self.plan.split_output_node]

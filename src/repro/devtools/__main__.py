@@ -172,17 +172,20 @@ def runtime_stress_scenario(threads: int, iterations: int) -> "RaceMonitor":
 
 def serving_state_scenario(threads: int, iterations: int) -> "RaceMonitor":
     """Serve one compiled pipeline three ways at once; no layer and no input
-    may be written.
+    may be written, and every result must be right.
 
     Workers interleave batched requests through an
     :class:`~repro.serving.InferenceEngine`, frames of their own
     :class:`~repro.streaming.StreamSession` and direct
-    :meth:`~repro.serving.CompiledPipeline.infer` calls on a tiny MobileNetV2.
-    The serving path runs pure inference kernels, so the frozen graph's layers
-    must see no attribute write at all, and epilogues only ever write to
-    the accumulators their kernels allocated, so the caller's frames keep
-    their bytes: any such write is a finding, as are lock hazards on the
-    engine and pipeline.
+    :meth:`~repro.serving.CompiledPipeline.infer` calls on a tiny MobileNetV2,
+    starting on a cold pipeline, so the backend's lazily built recipes are
+    raced too.  The serving path runs pure inference kernels, so the frozen
+    graph's layers must see no attribute write at all, and epilogues only
+    ever write to the accumulators their kernels allocated, so the caller's
+    frames keep their bytes: any such write is a finding, as are lock hazards
+    on the engine and pipeline.  Responses are batch-invariant, so every
+    route's result must also equal, byte for byte, a loop-backend ``infer``
+    of the same frame; a result that does not is a ``wrong-result`` finding.
     """
     import numpy as np
 
@@ -196,25 +199,35 @@ def serving_state_scenario(threads: int, iterations: int) -> "RaceMonitor":
     frames = rng.standard_normal((3, 3, 32, 32)).astype(np.float32)
     frame_bytes = frames.tobytes()
     quant = QuantMCUPipeline(spec.build(), sram_limit_bytes=64 * 1024, num_patches=2)
-    pipeline = CompiledPipeline.from_result(quant, quant.run(calib), spec=spec)
+    result = quant.run(calib)
+    oracle = CompiledPipeline.from_result(quant, result, spec=spec, backend="loop")
+    try:
+        expected = [oracle.infer(frame[None].copy())[0].tobytes() for frame in frames]
+    finally:
+        oracle.close()
+    pipeline = CompiledPipeline.from_result(quant, result, spec=spec)
 
     harness = StressHarness(threads=threads, iterations=iterations, seed=13)
     monitor = RaceMonitor(jitter=harness.pause)
     layers = [layer for _, layer in pipeline.graph.layers()]
+    routes = ("engine", "stream", "infer")
     try:
         with InferenceEngine(pipeline, max_batch_size=4, batch_timeout_s=0.001) as engine:
             instrument([engine, pipeline], monitor)
             streams = [engine.open_stream() for _ in range(threads)]
 
             def workload(worker: int, iteration: int) -> None:
-                frame = frames[(worker + iteration) % len(frames)]
+                index = (worker + iteration) % len(frames)
+                frame = frames[index]
                 route = (worker + iteration) % 3
                 if route == 0:
-                    engine.submit(frame).result(timeout=60)
+                    out = engine.submit(frame).result(timeout=60)
                 elif route == 1:
-                    streams[worker].process(frame)
+                    out = streams[worker].process(frame)
                 else:
-                    pipeline.infer(frame[None])
+                    out = pipeline.infer(frame[None])[0]
+                if out.tobytes() != expected[index]:
+                    monitor.record_mismatch(f"{routes[route]} result")
 
             with forbid_writes(Layer, layers, monitor):
                 report = harness.run(workload)

@@ -20,6 +20,10 @@ invariants worth enforcing *now* are:
 3. **No writes to immutable state.**  :func:`forbid_writes` reports every
    attribute write to objects that must stay read-only while it is active
    (the layers of a frozen serving graph); any such write is flagged.
+4. **No wrong results.**  A scenario that knows the right answer reports
+   each result that differs from it with :meth:`RaceMonitor.record_mismatch`,
+   so a race that corrupts values rather than state (a half-built recipe
+   read by a second thread) is a finding too.
 
 Instrumentation is strictly opt-in (:func:`instrument` swaps the lock
 attributes of live objects) and adds nothing to production code paths.
@@ -51,7 +55,7 @@ LOCK_TYPES = (type(threading.Lock()), type(threading.RLock()))
 class RaceFinding:
     """One hazard the monitor observed."""
 
-    kind: str  # "lock-order-inversion" | "unguarded-shared-state" | "immutable-state-write"
+    kind: str  # "lock-order-inversion" | "unguarded-shared-state" | "immutable-state-write" | "wrong-result"
     subject: str  # the cycle ("A -> B -> A") or the shared-state name
     detail: str
 
@@ -151,6 +155,8 @@ class RaceMonitor:
         self._next_token = 0
         # state name -> number of writes while declared immutable
         self._writes: Counter[str] = Counter()
+        # result name -> number of results that differed from the reference
+        self._mismatches: Counter[str] = Counter()
 
     # ----------------------------------------------------------- lock factory
     def lock(self, name: str) -> TracedLock:
@@ -205,6 +211,11 @@ class RaceMonitor:
         """Mark one write to named state that must not change; always a finding."""
         with self._mutex:
             self._writes[state] += 1
+
+    def record_mismatch(self, result: str) -> None:
+        """Mark one result that differs from its reference; always a finding."""
+        with self._mutex:
+            self._mismatches[result] += 1
 
     def _thread_token(self) -> int:
         try:
@@ -289,6 +300,7 @@ class RaceMonitor:
         findings.extend(self.unguarded_states())
         with self._mutex:
             writes = sorted(self._writes.items())
+            mismatches = sorted(self._mismatches.items())
             edges = sorted(
                 (a, b) for a, successors in self._edges.items() for b in successors
             )
@@ -301,6 +313,14 @@ class RaceMonitor:
                 detail=f"written {count} time(s) while declared immutable",
             )
             for state, count in writes
+        )
+        findings.extend(
+            RaceFinding(
+                kind="wrong-result",
+                subject=result,
+                detail=f"{count} result(s) differ from the reference bytes",
+            )
+            for result, count in mismatches
         )
         return RaceReport(
             findings=findings, lock_edges=edges, locks_seen=locks, states_seen=states

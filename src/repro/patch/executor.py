@@ -41,6 +41,12 @@ at their entry points.
 *How* the branches are computed is delegated to a pluggable compute backend
 (:mod:`repro.backend`): the serial per-branch loop reference, the batched
 vectorized default, or a fork-pool multiprocess backend — all bit-identical.
+The halo is recomputed per branch by the loop reference, as it is on the
+device, whose SRAM that overlap buys; the vectorized serving backend does
+not pay it.  Because a position's value does not depend on the extent it was
+computed over, it runs branches that share a program as one rectangle over
+their tiles' bounding box when that costs fewer MACs
+(:mod:`repro.backend.vectorized`).
 :meth:`PatchExecutor.run_branch` remains the single-branch reference kernel;
 whenever it is overridden (subclassed or monkeypatched, as instrumentation
 does), dispatch automatically drops to the loop backend so the override keeps
@@ -286,11 +292,13 @@ class PatchExecutor:
     def run_branch(self, branch: BranchPlan, x: np.ndarray) -> np.ndarray:
         """Run one dataflow branch and return its tile of the split feature map.
 
-        This is the independent unit of patch-stage work: branches share no
-        intermediate state (each recomputes its halo), so callers — notably
-        the device shards of :mod:`repro.distributed` — may run branches
-        concurrently and stitch the returned tiles in any order.  The returned
-        array has shape ``(N, C, tile.height, tile.width)`` where ``tile`` is
+        This is the independent unit of patch-stage work, the device's:
+        branches share no intermediate state (each recomputes its halo), so
+        callers may run branches concurrently and stitch the returned tiles
+        in any order.  It is the oracle the serving backends are tested
+        against; they compute the same bytes without recomputing the halo
+        (:mod:`repro.backend.vectorized`).  The returned array has shape
+        ``(N, C, tile.height, tile.width)`` where ``tile`` is
         ``branch.output_region``, in real units.
         """
         graph = self.plan.graph

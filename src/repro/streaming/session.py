@@ -66,6 +66,12 @@ class FrameStats:
     halo-only-dirty branches may be skipped instead).  ``stale_branches``
     lists branches whose served tile currently lags its halo; the drift
     fields are populated only on sampled stale-tier frames.
+
+    ``executed_macs`` (and :attr:`mac_fraction`) count the re-executed
+    branches' MACs as the patch plan schedules them, halos included: the
+    device's cost of the frame.  The serving backend may compute the same
+    tiles with fewer MACs (a merged run over their bounding box, see
+    :mod:`repro.backend.vectorized`); that is not what is counted here.
     """
 
     frame_index: int

@@ -12,11 +12,18 @@ flipped sign of zero counts as a difference.
 from __future__ import annotations
 
 import multiprocessing
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from fixtures import property_cases, quantize_zoo_model, random_property_graph
+from fixtures import (
+    DEEP_SPLIT_CASES,
+    deep_split_deployment,
+    property_cases,
+    quantize_zoo_model,
+    random_property_graph,
+)
 
 from repro.backend import BackendUnavailable, MultiprocessBackend
 from repro.core.quantmcu import make_static_hooks
@@ -39,6 +46,7 @@ from repro.nn import (
 )
 from repro.nn.graph import INPUT_NODE
 from repro.patch import PatchExecutor, build_patch_plan, candidate_split_nodes
+from repro.patch.regions import Region
 from repro.runtime import ExecutionPolicy, cluster
 from repro.serving.pipeline import CompiledPipeline
 
@@ -177,6 +185,76 @@ def test_branches_on_different_grids(model_name, resolution):
         assert _bits_equal(vec_ex.forward(x), reference)
         for i in range(3):
             assert _bits_equal(vec_ex.forward(x[i : i + 1]), reference[i : i + 1])
+
+
+#: VDPC's shape on a 4x4 grid: a contiguous 2x2 block of outlier branches
+#: keeps 8 bits, the other 12 branches run at 4.
+OUTLIERS = (5, 6, 9, 10)
+
+
+def _cover(executor, ids):
+    """The runs the vectorized backend chooses for ``ids``: ``(box, ids)`` per
+    merged rectangle run, ``(None, ids)`` per geometry group."""
+    return [
+        (members[0].output_region if members[0].patch_id < 0 else None, sorted(i for _, i in tiles))
+        for _, members, tiles in executor.backend._cover(ids)
+    ]
+
+
+def _box(plan, ids):
+    return reduce(Region.union, [plan.branches[i].output_region for i in ids])
+
+
+@pytest.mark.parametrize("model_name,resolution,split", DEEP_SPLIT_CASES)
+def test_mixed_bit_plan(model_name, resolution, split):
+    """A VDPC-shaped plan: the 12 low-bit branches' bounding box is the whole
+    map and covers the outlier tiles, yet costs fewer MACs than the 12 with
+    their halos, so it runs as one merged run that discards the outlier tiles
+    it computed on the wrong grid; the outlier block is a second run.  Every
+    output, map and tile is the loop oracle's bytes."""
+    pipeline, plan, hooks = deep_split_deployment(
+        model_name, resolution, split, lambda b: 8 if b in OUTLIERS else 4
+    )
+    rest = [i for i in range(plan.num_branches) if i not in OUTLIERS]
+    x = np.random.default_rng(8).standard_normal((3, 3, resolution, resolution))
+    x = x.astype(np.float32)
+    with pipeline.quantized_weights(), PatchExecutor(
+        plan, *hooks, backend="loop"
+    ) as loop_ex, PatchExecutor(plan, *hooks, backend="vectorized") as vec_ex:
+        assert len(vec_ex._programs) == 2
+        full_map = _box(plan, range(plan.num_branches))
+        assert _cover(vec_ex, list(range(plan.num_branches))) == [
+            (full_map, rest),
+            (_box(plan, OUTLIERS), list(OUTLIERS)),
+        ]
+        assert _bits_equal(vec_ex.forward(x), loop_ex.forward(x))
+        assert _bits_equal(
+            vec_ex.stitched_split_feature_map(x), loop_ex.stitched_split_feature_map(x)
+        )
+        for subset in ([0, 1, 4, 5], [5, 6, 9, 10, 11], [0, 15], [15, 2, 6, 9], rest):
+            expected = loop_ex.compute_tiles(x, subset)
+            got = vec_ex.compute_tiles(x, subset)
+            assert [b.patch_id for b, _ in got] == subset
+            for (_, ref), (_, tile) in zip(expected, got):
+                assert _bits_equal(tile, ref)
+
+
+@pytest.mark.parametrize("model_name,resolution,split", DEEP_SPLIT_CASES)
+def test_checkerboard_plan_stays_grouped(model_name, resolution, split):
+    """On a checkerboard of two grids each key's bounding box is the whole
+    map, dearer than its 8 branches: both keys keep the geometry groups."""
+    pipeline, plan, hooks = deep_split_deployment(
+        model_name, resolution, split, lambda b: 4 if (b // 4 + b % 4) % 2 else 8
+    )
+    x = np.random.default_rng(9).standard_normal((2, 3, resolution, resolution))
+    x = x.astype(np.float32)
+    with pipeline.quantized_weights(), PatchExecutor(
+        plan, *hooks, backend="loop"
+    ) as loop_ex, PatchExecutor(plan, *hooks, backend="vectorized") as vec_ex:
+        cover = _cover(vec_ex, list(range(plan.num_branches)))
+        assert all(box is None for box, _ in cover)
+        assert sorted(i for _, ids in cover for i in ids) == list(range(plan.num_branches))
+        assert _bits_equal(vec_ex.forward(x), loop_ex.forward(x))
 
 
 def test_float64_input_is_computed_in_float32():

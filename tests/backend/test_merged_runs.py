@@ -1,0 +1,237 @@
+"""Merged rectangle runs of the vectorized backend.
+
+Branches on one program are computed as one run over the bounding box of
+their tiles whenever that costs no more MACs than the branches with their
+halos.  Pinned here: the MAC accounting of that rule, byte equality with
+the loop oracle on random branch subsets through every caller (direct
+calls, distributed shards, stream frames), and a cold backend's lazily
+built runs under concurrent first calls.
+"""
+
+from __future__ import annotations
+
+import threading
+from functools import lru_cache, reduce
+
+import numpy as np
+import pytest
+
+from fixtures import DEEP_SPLIT_CASES, deep_split_deployment, property_cases
+
+from repro.devtools.stress import switch_interval
+from repro.distributed import DistributedExecutor
+from repro.hardware import make_cluster
+from repro.models import build_model
+from repro.nn.graph import INPUT_NODE
+from repro.patch import PatchExecutor, build_patch_plan
+from repro.patch.analysis import branch_macs, layer_based_prefix_macs, patch_stage_macs
+from repro.patch.regions import Region
+from repro.streaming import StreamSession
+
+
+def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@lru_cache(maxsize=None)
+def _deployment(case):
+    return deep_split_deployment(*case)
+
+
+def _box(plan, ids) -> Region:
+    return reduce(Region.union, [plan.branches[i].output_region for i in ids])
+
+
+def _runs(executor, ids):
+    """``[(merged member or None, ids)]``: the cover the backend chooses."""
+    return [
+        (members[0] if members[0].patch_id < 0 else None, [i for _, i in tiles])
+        for _, members, tiles in executor.backend._cover(ids)
+    ]
+
+
+# ------------------------------------------------------------------ MACs
+def test_uniform_cover_is_one_layer_based_run():
+    """At the ``serve_deep`` shape (MobileNetV2 at 128 px, 4x4 grid, split
+    after block ``s1_b1``) the plan schedules 9,783,680 patch-stage MACs; the
+    cover of every branch of a uniform plan is one run over the whole map
+    that does the layer-based 6,520,832."""
+    graph = build_model("mobilenetv2", resolution=128, num_classes=4, width_mult=0.35, seed=3)
+    plan = build_patch_plan(graph, "s1_b1_add", 4)
+    assert patch_stage_macs(plan) == 9_783_680
+    assert layer_based_prefix_macs(plan) == 6_520_832
+    with PatchExecutor(plan, backend="vectorized") as executor:
+        ((member, ids),) = _runs(executor, list(range(plan.num_branches)))
+    assert ids == list(range(plan.num_branches))
+    assert member.output_region == _box(plan, ids)
+    assert branch_macs(plan, member) == 6_520_832
+
+
+@pytest.mark.parametrize("case", DEEP_SPLIT_CASES)
+def test_uniform_cover_on_zoo_plans(case):
+    _, plan, _ = _deployment(case)
+    with PatchExecutor(plan, backend="vectorized") as executor:
+        ((member, _),) = _runs(executor, list(range(plan.num_branches)))
+    assert branch_macs(plan, member) == layer_based_prefix_macs(plan) < patch_stage_macs(plan)
+
+
+@property_cases(max_examples=25)
+def test_merged_run_never_costs_more_than_its_members(seed):
+    """The MAC rule, both ways: a merged run costs at most its branches'
+    MACs, and a set of two or more branches left in its geometry groups
+    would have cost more as a box."""
+    rng = np.random.default_rng(seed)
+    _, plan, _ = _deployment(DEEP_SPLIT_CASES[seed % len(DEEP_SPLIT_CASES)])
+    ids = [int(i) for i in rng.permutation(plan.num_branches)[: rng.integers(1, plan.num_branches + 1)]]
+    with PatchExecutor(plan, backend="vectorized") as executor:
+        runs = _runs(executor, ids)
+        backend = executor.backend
+        members = sum(branch_macs(plan, plan.branches[i]) for i in ids)
+        (merged, covered), *rest = runs
+        if merged is not None:
+            assert not rest and sorted(covered) == sorted(ids)
+            assert branch_macs(plan, merged) <= members
+        elif len(ids) > 1:
+            assert backend._merged_run(0, ids).macs > members
+            assert all(m is None for m, _ in rest)
+
+
+def test_opposite_corners_stay_grouped():
+    _, plan, _ = _deployment(DEEP_SPLIT_CASES[0])
+    with PatchExecutor(plan, backend="vectorized") as executor:
+        assert [m for m, _ in _runs(executor, [0, 15])] == [None, None]
+        ((block, _),) = _runs(executor, [0, 1, 4, 5])
+        assert block.output_region == _box(plan, [0, 1, 4, 5])
+
+
+# ------------------------------------------------------------ bit-exactness
+@property_cases(max_examples=12)
+def test_random_subsets_match_loop(seed):
+    """``compute_tiles`` and ``stitch_tiles`` on random branch subsets give
+    the loop oracle's bytes, called directly and through distributed shards,
+    on both zoo models at batch 1 and 3."""
+    rng = np.random.default_rng(seed)
+    case = DEEP_SPLIT_CASES[seed % len(DEEP_SPLIT_CASES)]
+    batch = (1, 3)[seed // len(DEEP_SPLIT_CASES) % 2]
+    pipeline, plan, hooks = _deployment(case)
+    resolution = case[1]
+    x = rng.standard_normal((batch, 3, resolution, resolution)).astype(np.float32)
+    ids = [int(i) for i in rng.permutation(plan.num_branches)[: rng.integers(1, plan.num_branches + 1)]]
+    with pipeline.quantized_weights(), PatchExecutor(
+        plan, *hooks, backend="loop"
+    ) as loop_ex, PatchExecutor(plan, *hooks, backend="vectorized") as vec_ex, DistributedExecutor(
+        plan, make_cluster("stm32h743", 2), *hooks, backend="vectorized"
+    ) as dist_ex:
+        expected = {b.patch_id: tile for b, tile in loop_ex.compute_tiles(x, ids)}
+        stitched = loop_ex.stitch_tiles(x, ids, loop_ex._allocate_split(x))
+        for executor in (vec_ex, dist_ex):
+            got = executor.compute_tiles(x, ids)
+            assert sorted(b.patch_id for b, _ in got) == sorted(ids)
+            for branch, tile in got:
+                assert _bits_equal(tile, expected[branch.patch_id])
+            assert _bits_equal(executor.stitch_tiles(x, ids, executor._allocate_split(x)), stitched)
+        assert [b.patch_id for b, _ in vec_ex.compute_tiles(x, ids)] == ids
+
+
+def _dirtying(plan, frame: np.ndarray, targets) -> np.ndarray:
+    """``frame`` with, per target branch, one pixel changed that only target
+    branches read: exactly ``targets`` are dirty against ``frame``."""
+    _, height, width = plan.graph.input_shape
+    reads = np.zeros((plan.num_branches, height, width), bool)
+    for branch in plan.branches:
+        r = branch.clamped_regions[INPUT_NODE]
+        reads[branch.patch_id, r.row_start : r.row_stop, r.col_start : r.col_stop] = True
+    others = reads[[i for i in range(plan.num_branches) if i not in targets]].any(axis=0)
+    out = frame.copy()
+    for target in targets:
+        rows, cols = np.nonzero(reads[target] & ~others)
+        out[..., rows[rows.size // 2], cols[rows.size // 2]] += 1.0
+    return out
+
+
+#: Dirty sets on the 4x4 grid, with whether each runs as one merged run: a
+#: 3x3 block (its box is its tiles), an L shape and two opposite corners
+#: (dearer as boxes: geometry groups), and two rows plus one tile (a box that
+#: computes three clean tiles and discards them).
+DIRTY_SETS = [
+    ((0, 1, 2, 4, 5, 6, 8, 9, 10), True),
+    ((0, 4, 8, 9, 10), False),
+    ((0, 15), False),
+    ((0, 1, 2, 3, 4, 5, 6, 7, 8), True),
+]
+
+
+@pytest.mark.parametrize("distributed", [False, True])
+@pytest.mark.parametrize("case", DEEP_SPLIT_CASES)
+def test_stream_frames_match_infer(case, distributed):
+    """Every frame of a stream equals ``infer`` of that frame on the loop
+    oracle, on vectorized executors local or sharded over two devices."""
+    pipeline, plan, hooks = _deployment(case)
+    resolution = case[1]
+    frame = np.random.default_rng(5).standard_normal((1, 3, resolution, resolution))
+    frame = frame.astype(np.float32)
+    with pipeline.quantized_weights(), PatchExecutor(plan, *hooks, backend="loop") as loop_ex:
+        if distributed:
+            executor = DistributedExecutor(
+                plan, make_cluster("stm32h743", 2), *hooks, backend="vectorized"
+            )
+        else:
+            executor = PatchExecutor(plan, *hooks, backend="vectorized")
+        with executor:
+            session = StreamSession(executor)
+            assert _bits_equal(session.process(frame), loop_ex.forward(frame))
+            for dirty, merged in DIRTY_SETS:
+                if not distributed:
+                    runs = _runs(executor, list(dirty))
+                    assert [m is not None for m, _ in runs] == [merged] * (1 if merged else len(runs))
+                frame = _dirtying(plan, frame, dirty)
+                assert _bits_equal(session.process(frame), loop_ex.forward(frame))
+                assert session.last_frame.dirty_branches == dirty
+            session.close()
+
+
+# ------------------------------------------------------------- concurrency
+SUBSETS = [
+    # All but one branch: eight distinct subsets whose box is the whole map,
+    # so their first calls race to build the same run.
+    *[[i for i in range(16) if i != k] for k in (0, 3, 5, 6, 9, 10, 12, 15)],
+    [0, 1, 4, 5],
+    [5, 6, 9, 10, 11],
+    [0, 15],
+    [1, 2, 3, 5, 6, 7],
+]
+
+
+def test_cold_backend_serves_concurrent_first_calls():
+    """Threads on a cold backend each compute every subset, starting at
+    different ones, so some build runs while others already use them; each
+    result is the loop oracle's bytes, whichever thread built a run."""
+    pipeline, plan, hooks = _deployment(DEEP_SPLIT_CASES[0])
+    x = np.random.default_rng(4).standard_normal((2, 3, 32, 32)).astype(np.float32)
+    count = len(SUBSETS)
+    with pipeline.quantized_weights(), PatchExecutor(plan, *hooks, backend="loop") as loop_ex:
+        expected = [loop_ex.compute_tiles(x, ids) for ids in SUBSETS]
+        for _ in range(8):
+            with PatchExecutor(plan, *hooks, backend="vectorized") as vec_ex:
+                barrier = threading.Barrier(count)
+                results: list[dict] = [{} for _ in range(count)]
+
+                def work(k: int) -> None:
+                    barrier.wait()
+                    for j in range(count):
+                        index = (k + j) % count
+                        results[k][index] = vec_ex.compute_tiles(x, SUBSETS[index])
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(count)]
+                with switch_interval(1e-6):
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join()
+                for calls in results:
+                    assert sorted(calls) == list(range(count))
+                    for index, got in calls.items():
+                        want = expected[index]
+                        assert [b.patch_id for b, _ in got] == [b.patch_id for b, _ in want]
+                        for (_, ref), (_, tile) in zip(want, got):
+                            assert _bits_equal(tile, ref)

@@ -205,7 +205,26 @@ class TestForbidWrites:
 
         monkeypatch.setattr(PatchExecutor, "forward", scribbling)
         report = serving_state_scenario(threads=2, iterations=3).report()
-        assert [f.subject for f in report.findings] == ["input frames"]
+        writes = [f.subject for f in report.findings if f.kind == "immutable-state-write"]
+        assert writes == ["input frames"]
+        # Routes then serve zeroed frames: any other finding is a wrong result.
+        assert {f.kind for f in report.findings} <= {"immutable-state-write", "wrong-result"}
+
+    def test_serving_scenario_reports_wrong_results(self, monkeypatch):
+        """Every route's result is compared with a loop-backend ``infer`` of
+        its frame: corrupted stream tiles are reported as wrong results of
+        the stream route, and of no other."""
+        from repro.backend import VectorizedBackend
+        from repro.devtools.__main__ import serving_state_scenario
+
+        run_branches = VectorizedBackend.run_branches
+
+        def off_by_one(self, x, branch_ids):
+            return [(branch, tile + 1.0) for branch, tile in run_branches(self, x, branch_ids)]
+
+        monkeypatch.setattr(VectorizedBackend, "run_branches", off_by_one)
+        report = serving_state_scenario(threads=3, iterations=6).report()
+        assert [(f.kind, f.subject) for f in report.findings] == [("wrong-result", "stream result")]
 
 
 # --------------------------------------------------------- instrumentation

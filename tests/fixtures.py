@@ -105,6 +105,37 @@ def quantize_and_compile(**kwargs):
     return pipeline, result, compile_pipeline(pipeline, result, spec=spec)
 
 
+#: The two zoo deployments re-planned on a 4x4 grid at a split deep enough
+#: for neighbouring branches' halos to overlap: ``(model, resolution, split)``.
+DEEP_SPLIT_CASES = [
+    ("mobilenetv2", 32, "s0_b0_project_bn"),
+    ("mcunet", 48, "s1_b0_project_bn"),
+]
+
+
+def deep_split_deployment(model_name: str, resolution: int, split: str, bits_of=None):
+    """``(pipeline, plan, (branch_hook, suffix_hook))`` for a
+    :data:`DEEP_SPLIT_CASES` entry.
+
+    The zoo deployment's calibrated ranges quantize every patch-stage feature
+    map of branch ``b`` to ``bits_of(b)`` bits (8 for all when ``None``).
+    Executors built from it serve the quantized model inside
+    ``pipeline.quantized_weights()``.
+    """
+    from repro.core.quantmcu import make_static_hooks
+    from repro.patch import build_patch_plan
+
+    _, pipeline, result = quantize_zoo_model(model_name=model_name, resolution=resolution)
+    plan = build_patch_plan(pipeline.graph, split, 4)
+    prefix = plan.prefix_feature_maps()
+    branch_bits = [
+        {fm: 8 if bits_of is None else bits_of(branch.patch_id) for fm in prefix}
+        for branch in plan.branches
+    ]
+    hooks = make_static_hooks(result.activation_ranges, branch_bits, result.suffix_bits)
+    return pipeline, plan, hooks
+
+
 def property_cases(max_examples: int = 20):
     """Decorator running a ``seed``-taking property check many times.
 
