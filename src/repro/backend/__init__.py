@@ -7,9 +7,10 @@ hooks, the suffix) from *how* the dataflow branches are executed:
 ``loop``
     The serial per-branch reference — the bit-exactness oracle.
 ``vectorized``
-    Geometry-grouped branches stacked into the batch dimension; one kernel
-    call per feature map per group over compact per-call values (one GEMM
-    per convolution, one fused requantization epilogue).  The default.
+    The requested branches as a cover of rectangle runs per program, each a
+    bounding box of tiles without halo recompute or a single branch; one
+    kernel call per feature map per run over compact per-call values (one
+    GEMM per convolution, one fused requantization epilogue).  The default.
 ``multiprocess``
     Forked worker processes over shared memory, for GIL-free patch stages.
 

@@ -2,8 +2,8 @@
 
 A :class:`Backend` owns *how* the dataflow branches of a
 :class:`~repro.patch.plan.PatchPlan` are computed — one at a time
-(:class:`~repro.backend.loop.LoopBackend`, the reference), batched across
-branches per layer (:class:`~repro.backend.vectorized.VectorizedBackend`), or
+(:class:`~repro.backend.loop.LoopBackend`, the reference), as rectangle runs
+over several tiles at once (:class:`~repro.backend.vectorized.VectorizedBackend`), or
 fanned out to forked worker processes over shared memory
 (:class:`~repro.backend.multiprocess.MultiprocessBackend`).  The executor in
 :mod:`repro.patch.executor` owns *what* is computed (the plan, the
@@ -11,14 +11,16 @@ quantization hooks, the suffix) and dispatches through the backend.
 
 Every backend must be **bit-identical** to the loop reference: it runs the
 same compiled exact kernels (:func:`repro.nn.inference.compile_nodes`), on
-any grouping or stacking of branches and samples, and over any extent that
-contains the requested tiles.  Over integer codes they accumulate exactly
-and the float ones are batch-invariant by construction, so a position's
-value depends only on the input and the branch's program: how a backend
-batches, or whether it recomputes the halo per branch as the reference does
-or computes a merged rectangle once, cannot change a bit.  That contract is
-what lets the golden-logits suite pin one set of bytes regardless of the
-selected backend.
+any batch of samples and over any extent that contains the requested
+tiles.  Over integer codes they accumulate exactly and the float ones are
+batch-invariant by construction, so a position's value depends only on the
+input and the branch's program: whether a backend recomputes the halo per
+branch as the reference does or computes a rectangle of tiles once cannot
+change a bit.  A content-dependent hook is the exception that a backend
+must respect: it sees exactly one branch's clamped region, with its
+``patch_id``, as in the reference.  That contract is what lets the
+golden-logits suite pin one set of bytes regardless of the selected
+backend.
 
 Backends are selected by name through :func:`make_backend`; the
 ``REPRO_BACKEND`` environment variable overrides the default for executors
@@ -79,14 +81,16 @@ class Backend:
         Tiles are owned by the caller (no other call writes to them), in
         ``branch_ids`` order, bit-identical to
         :meth:`~repro.patch.executor.PatchExecutor.run_branch`.  A backend
-        may compute more than the requested tiles (a bounding box on their
-        program) and discard the rest; it must be safe to call from several
-        threads at once, including the first calls.
+        may compute more than the requested tiles (a rectangle on their
+        program) and discard the rest, except where a content-dependent hook
+        applies; it must be safe to call from several threads at once,
+        including the first calls.
         """
         raise NotImplementedError
 
     def run_patch_stage(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Run every branch and stitch the tiles into ``out`` in place."""
+        """Run every branch and stitch the tiles into ``out`` in place; the
+        loop reference and the multiprocess backend use it as is."""
         all_ids = [branch.patch_id for branch in self.plan.branches]
         for branch, tile_array in self.run_branches(x, all_ids):
             tile = branch.output_region

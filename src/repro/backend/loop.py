@@ -11,8 +11,6 @@ per-branch entry point keeps observing every branch.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .base import Backend
 
 __all__ = ["LoopBackend"]
@@ -29,11 +27,3 @@ class LoopBackend(Backend):
             (branches[i], self.executor.run_branch(branches[i], x))
             for i in branch_ids
         ]
-
-    def run_patch_stage(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        for branch in self.plan.branches:  # repro: noqa[REP007] - the loop reference itself
-            tile = branch.output_region
-            out[:, :, tile.row_start : tile.row_stop, tile.col_start : tile.col_stop] = (
-                self.executor.run_branch(branch, x)
-            )
-        return out

@@ -44,9 +44,10 @@ vectorized default, or a fork-pool multiprocess backend — all bit-identical.
 The halo is recomputed per branch by the loop reference, as it is on the
 device, whose SRAM that overlap buys; the vectorized serving backend does
 not pay it.  Because a position's value does not depend on the extent it was
-computed over, it runs branches that share a program as one rectangle over
-their tiles' bounding box when that costs fewer MACs
-(:mod:`repro.backend.vectorized`).
+computed over, it covers branches that share a program with rectangles of
+tiles that cost no more MACs than the branches, cut at gaps between
+occupied tiles, and runs a lone branch, or one whose hook is
+content-dependent, as itself (:mod:`repro.backend.vectorized`).
 :meth:`PatchExecutor.run_branch` remains the single-branch reference kernel;
 whenever it is overridden (subclassed or monkeypatched, as instrumentation
 does), dispatch automatically drops to the loop backend so the override keeps
@@ -397,7 +398,7 @@ class PatchExecutor:
         """One patch-stage program per distinct tuple of branch grids.
 
         Branches of a uniform plan share one program; the vectorized backend
-        groups branches by it, and the loop reference runs the same one.
+        partitions branches by it, and the loop reference runs the same one.
         """
         plan = self.plan
         hooked = [name for name in plan.prefix_nodes if name in self._fm_by_output]

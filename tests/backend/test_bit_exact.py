@@ -193,11 +193,16 @@ OUTLIERS = (5, 6, 9, 10)
 
 
 def _cover(executor, ids):
-    """The runs the vectorized backend chooses for ``ids``: ``(box, ids)`` per
-    merged rectangle run, ``(None, ids)`` per geometry group."""
+    """The runs the vectorized backend chooses for ``ids``, program by
+    program: ``(box, ids)`` per merged rectangle run, ``(None, [id])`` per
+    single branch."""
+    by_key: dict[tuple, list[int]] = {}
+    for i in ids:
+        by_key.setdefault(executor._branch_keys[i], []).append(i)
     return [
-        (members[0].output_region if members[0].patch_id < 0 else None, sorted(i for _, i in tiles))
-        for _, members, tiles in executor.backend._cover(ids)
+        (run.member.output_region if run.member.patch_id < 0 else None, sorted(covered))
+        for key, part in by_key.items()
+        for run, covered in executor.backend._cover(key, part)
     ]
 
 
@@ -240,9 +245,10 @@ def test_mixed_bit_plan(model_name, resolution, split):
 
 
 @pytest.mark.parametrize("model_name,resolution,split", DEEP_SPLIT_CASES)
-def test_checkerboard_plan_stays_grouped(model_name, resolution, split):
-    """On a checkerboard of two grids each key's bounding box is the whole
-    map, dearer than its 8 branches: both keys keep the geometry groups."""
+def test_checkerboard_plan_runs_single_branches(model_name, resolution, split):
+    """On a checkerboard of two grids no box of two or more same-grid tiles
+    costs less than its branches: every key's cover is its single branches,
+    16 runs in all, and the output is the loop oracle's bytes."""
     pipeline, plan, hooks = deep_split_deployment(
         model_name, resolution, split, lambda b: 4 if (b // 4 + b % 4) % 2 else 8
     )
@@ -252,7 +258,8 @@ def test_checkerboard_plan_stays_grouped(model_name, resolution, split):
         plan, *hooks, backend="loop"
     ) as loop_ex, PatchExecutor(plan, *hooks, backend="vectorized") as vec_ex:
         cover = _cover(vec_ex, list(range(plan.num_branches)))
-        assert all(box is None for box, _ in cover)
+        assert len(cover) == plan.num_branches
+        assert all(box is None and len(ids) == 1 for box, ids in cover)
         assert sorted(i for _, ids in cover for i in ids) == list(range(plan.num_branches))
         assert _bits_equal(vec_ex.forward(x), loop_ex.forward(x))
 
@@ -332,23 +339,45 @@ def test_vectorized_matches_loop_on_random_graphs(seed):
 
 @property_cases(max_examples=8)
 def test_vectorized_matches_loop_under_content_dependent_hook(seed):
-    """A hook without ``static_grid`` forces per-member application; the
-    batched execution must still reproduce the reference bytes exactly."""
+    """A hook without ``static_grid`` is never merged: on 2x2 and 4x4 grids
+    the vectorized backend reproduces the reference bytes exactly, on whole
+    maps and random subsets, and calls the hook exactly as the loop does,
+    once per branch and feature map with the branch's ``patch_id`` and
+    clamped region."""
     rng = np.random.default_rng(seed)
     graph = random_property_graph(rng)
     split = candidate_split_nodes(graph)[0]
-    plan = build_patch_plan(graph, split, 2)
 
-    def crush(patch_id, fm, array):
-        # Content-dependent (per-array max) and patch-dependent: exercises the
-        # "member" hook mode on exactly the clamped regions.
-        scale = np.float32(np.abs(array).max() + 1.0 + patch_id)
-        return np.round(array * scale) / scale
+    def crush(calls):
+        def hook(patch_id, fm, array):
+            # Content-dependent (per-array max) and patch-dependent: exercises
+            # the "member" hook mode on exactly the clamped regions.
+            calls.append((patch_id, fm.index, array.shape))
+            scale = np.float32(np.abs(array).max() + 1.0 + patch_id)
+            return np.round(array * scale) / scale
 
-    x = rng.standard_normal((1, *graph.input_shape)).astype(np.float32)
-    with PatchExecutor(plan, branch_hook=crush, backend="loop") as loop_ex:
-        with PatchExecutor(plan, branch_hook=crush, backend="vectorized") as vec_ex:
-            assert _bits_equal(vec_ex.forward(x), loop_ex.forward(x))
+        return hook
+
+    x = rng.standard_normal((int(rng.integers(1, 3)), *graph.input_shape)).astype(np.float32)
+    assert min(graph.shapes()[split][1:]) >= 4
+    for grid in (2, 4):
+        plan = build_patch_plan(graph, split, grid)
+        subsets = [
+            [int(i) for i in rng.permutation(plan.num_branches)[: rng.integers(1, plan.num_branches + 1)]]
+            for _ in range(3)
+        ]
+        calls: dict[str, list] = {"loop": [], "vectorized": []}
+        results: dict[str, list] = {}
+        for name in calls:
+            with PatchExecutor(plan, branch_hook=crush(calls[name]), backend=name) as executor:
+                results[name] = [executor.forward(x)]
+                for subset in subsets:
+                    results[name] += [tile for _, tile in executor.compute_tiles(x, subset)]
+        assert len(results["vectorized"]) == len(results["loop"])
+        for got, ref in zip(results["vectorized"], results["loop"]):
+            assert _bits_equal(got, ref)
+        assert calls["loop"]
+        assert sorted(calls["vectorized"]) == sorted(calls["loop"])
 
 
 # ------------------------------------------------------------ reduction layout
