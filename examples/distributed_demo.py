@@ -92,8 +92,7 @@ def main() -> None:
     reference = compiled.infer(x)
     distributed = compiled.infer(x, policy=policy)
     print(f"distributed output == sequential output: {np.array_equal(distributed, reference)}")
-    # Compare per micro-batch: results across *different* batch sizes are only
-    # float-rounding-equal (BLAS picks shape-dependent GEMM kernels).
+    # Each pipelined micro-batch against direct inference of the same samples.
     microbatches = [images[i : i + 2] for i in range(0, 8, 2)]
     pipelined = PipelineParallelScheduler(executor).run(microbatches)
     identical = all(

@@ -57,8 +57,9 @@ class BackendUnavailable(RuntimeError):
 class Backend:
     """Base class: patch-stage compute strategy bound to one executor.
 
-    Subclasses implement :meth:`run_branches`; the stitching entry points and
-    the suffix default to the executor's reference implementations.  A
+    Subclasses implement :meth:`run_branches`; :meth:`run_patch_stage`
+    stitches its tiles unless a backend has a faster way.  The suffix is the
+    executor's own (:meth:`~repro.patch.executor.PatchExecutor.run_suffix`).  A
     backend holds no model state of its own — the plan, hooks and weights all
     live on the executor — so backends are cheap to construct and swap.
     """
@@ -98,15 +99,6 @@ class Backend:
                 tile_array
             )
         return out
-
-    def run_suffix(self, x: np.ndarray, stitched: np.ndarray) -> np.ndarray:
-        """Run the layer-by-layer suffix on a stitched split feature map.
-
-        The suffix executes whole feature maps through the executor's
-        compiled inference steps (one kernel call per layer), so backends
-        share it unless they have a reason not to.
-        """
-        return self.executor._run_suffix(x, stitched)
 
     def close(self) -> None:
         """Release backend resources (idempotent)."""

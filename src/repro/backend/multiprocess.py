@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 from itertools import count
 
 import numpy as np
@@ -71,19 +72,23 @@ class MultiprocessBackend(Backend):
         self._workers = max(1, min(self.plan.num_branches, requested))
         self._pool = None
         self._pool_runtime = None
+        # Held across the fork, so racing first calls share one pool.
+        self._pool_lock = threading.Lock()
         self._token = next(_TOKENS)
         # Registered before the pool ever forks, so workers inherit the entry.
         _FORK_STATE[self._token] = executor
 
     def _ensure_pool(self):
-        if self._pool is None:
-            # Fork pools are runtime-tracked but never shared: the workers
-            # inherit _FORK_STATE at fork time, so this pool only knows
-            # executors registered before it was created.
-            runtime = self.executor.runtime
-            self._pool = runtime.fork_pool(self._workers)
-            self._pool_runtime = runtime
-        return self._pool
+        """``(pool, runtime)``, forking the pool on first use."""
+        with self._pool_lock:
+            if self._pool is None:
+                # Fork pools are runtime-tracked but never shared: the workers
+                # inherit _FORK_STATE at fork time, so this pool only knows
+                # executors registered before it was created.
+                runtime = self.executor.runtime
+                self._pool = runtime.fork_pool(self._workers)
+                self._pool_runtime = runtime
+            return self._pool, self._pool_runtime
 
     def run_branches(self, x, branch_ids):
         if not branch_ids:
@@ -102,8 +107,7 @@ class MultiprocessBackend(Backend):
             jobs.append((patch_id, cursor, shape))
             cursor += int(np.prod(shape)) * 4
 
-        pool = self._ensure_pool()
-        runtime = self._pool_runtime
+        pool, runtime = self._ensure_pool()
         shm = runtime.shared_segment(cursor)
         try:
             np.ndarray(x.shape, dtype=np.float32, buffer=shm.buf)[...] = x

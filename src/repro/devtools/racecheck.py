@@ -1,11 +1,11 @@
 """Opt-in runtime race detector: lock-order graph + shared-state tracer.
 
 The serving/distributed/streaming layers synchronize with a handful of
-``threading.Lock`` instances (engine submit lock, breakdown-memo lock,
-pipeline-cache lock, compiled-pipeline executor lock).  Today every one of
-them is a leaf lock, and the ROADMAP items (pipeline-parallel scheduling,
-multi-tenant fleets, elastic re-sharding) will multiply that surface — so the
-invariants worth enforcing *now* are:
+``threading.Lock`` instances (engine submit lock, pipeline-cache lock,
+compiled-pipeline executor lock).  Today every one of them is a leaf lock,
+and the ROADMAP items (pipeline-parallel scheduling, multi-tenant fleets,
+elastic re-sharding) will multiply that surface — so the invariants worth
+enforcing *now* are:
 
 1. **No ABBA inversions.**  :class:`RaceMonitor` wraps locks in
    :class:`TracedLock`; every acquisition records a directed edge from each
@@ -337,8 +337,8 @@ def instrument(
     :class:`~repro.serving.engine.InferenceEngine`, its
     :class:`~repro.serving.cache.PipelineCache` and a
     :class:`~repro.serving.pipeline.CompiledPipeline` yields the monitored
-    set ``InferenceEngine._submit_lock``, ``InferenceEngine._breakdown_lock``,
-    ``PipelineCache._lock``, ``CompiledPipeline._executor_lock``, …
+    set ``InferenceEngine._submit_lock``, ``PipelineCache._lock``,
+    ``CompiledPipeline._executor_lock``, …
 
     Returns the monitor (a fresh one when not supplied).
     """

@@ -284,11 +284,33 @@ class PatchExecutor:
     def run_suffix(self, x: np.ndarray, stitched: np.ndarray) -> np.ndarray:
         """Run the layer-by-layer suffix on an already-stitched split feature map.
 
-        Public counterpart of the internal suffix pass so callers that manage
-        the stitched buffer themselves (the streaming session keeps it alive
-        across frames) can finish the forward pass through the same hooks.
+        :meth:`forward` ends here, and callers that manage the stitched
+        buffer themselves (the streaming session keeps it alive across
+        frames) finish the forward pass through it.  The suffix runs whole
+        feature maps through the compiled steps (one kernel call per layer)
+        on every backend.
         """
-        return self._active_backend().run_suffix(_as_input(x), stitched)
+        x = _as_input(x)
+        # The one layout crossing, fused with the split map's requantization.
+        split = stitched.transpose(0, 2, 3, 1)
+        if self._split_value.bound is None:
+            split = np.ascontiguousarray(split)
+        else:
+            split = np.divide(split, np.float32(self._split_value.scale), out=np.empty(split.shape, np.float32))
+            np.rint(split, out=split)
+        values = [
+            np.ascontiguousarray(x.transpose(0, 2, 3, 1)) if self._suffix_reads_input else x,
+            split,
+        ]
+        for inputs, fn, hook, release in self._suffix_steps:
+            out = fn(*[values[i] for i in inputs])
+            values.append(out if hook is None else hook(out))
+            for slot in release:
+                values[slot] = None
+        out = values[self._suffix_output]
+        if self._output_scale != 1.0:
+            out = out * np.float32(self._output_scale)
+        return out.transpose(0, 3, 1, 2) if out.ndim == 4 else out
 
     def run_branch(self, branch: BranchPlan, x: np.ndarray) -> np.ndarray:
         """Run one dataflow branch and return its tile of the split feature map.
@@ -494,25 +516,3 @@ class PatchExecutor:
             return np.ascontiguousarray(out.transpose(0, 2, 3, 1))
 
         return member
-
-    def _run_suffix(self, x: np.ndarray, stitched: np.ndarray) -> np.ndarray:
-        # The one layout crossing, fused with the split map's requantization.
-        split = stitched.transpose(0, 2, 3, 1)
-        if self._split_value.bound is None:
-            split = np.ascontiguousarray(split)
-        else:
-            split = np.divide(split, np.float32(self._split_value.scale), out=np.empty(split.shape, np.float32))
-            np.rint(split, out=split)
-        values = [
-            np.ascontiguousarray(x.transpose(0, 2, 3, 1)) if self._suffix_reads_input else x,
-            split,
-        ]
-        for inputs, fn, hook, release in self._suffix_steps:
-            out = fn(*[values[i] for i in inputs])
-            values.append(out if hook is None else hook(out))
-            for slot in release:
-                values[slot] = None
-        out = values[self._suffix_output]
-        if self._output_scale != 1.0:
-            out = out * np.float32(self._output_scale)
-        return out.transpose(0, 3, 1, 2) if out.ndim == 4 else out

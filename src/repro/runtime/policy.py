@@ -22,7 +22,6 @@ To change one axis of an existing policy, use :func:`dataclasses.replace`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from ..hardware.cluster import ClusterSpec
@@ -118,9 +117,3 @@ class ExecutionPolicy:
             raise ValueError("drift_sample_every must be >= 0")
         if self.max_stale_frames is not None and self.max_stale_frames < 0:
             raise ValueError("max_stale_frames must be >= 0 (or None for unbounded)")
-
-    def resolved_backend(self) -> str:
-        """The backend name after ``REPRO_BACKEND``/default resolution."""
-        from ..backend import DEFAULT_BACKEND
-
-        return self.backend or os.environ.get("REPRO_BACKEND") or DEFAULT_BACKEND

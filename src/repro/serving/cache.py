@@ -89,12 +89,6 @@ class PipelineCache:
         with self._lock:
             return list(self._entries)
 
-    def peek(self, key: Hashable):
-        """The resident pipeline for ``key`` (or ``None``) — no factory, no
-        counters, no LRU refresh."""
-        with self._lock:
-            return self._entries.get(key)
-
     def get(self, key: Hashable):
         """Return the pipeline for ``key``, building it on a miss."""
         with self._lock:

@@ -8,14 +8,10 @@ reaches ``max_batch_size`` samples **or** its oldest request has waited
 ``batch_timeout_s`` — the standard dynamic-batching latency/throughput
 trade-off.
 
-Batching is numerically faithful: every operator in the NumPy framework
-treats batch rows independently in inference mode (convolutions, pooling,
-eval-mode batch norm, per-tensor fake quantization with calibrated ranges),
-so a sample's result does not depend on *which* other samples share its
-micro-batch.  The one caveat is batch *size*: BLAS may select a different
-GEMM kernel for different matrix shapes, which perturbs results at the level
-of float32 rounding (~1e-6 relative).  Cluster placement, by contrast, is
-bit-exact — it never changes any array shape.
+Batching is bit-exact: the serving kernels are exact over integer codes and
+run their float GEMMs once per sample (stem) or per row (head), so a sample's
+result depends neither on which other samples share its micro-batch nor on
+how many there are.  Cluster placement is bit-exact too.
 
 Pipelines come from a :class:`~repro.serving.cache.PipelineCache` keyed by
 ``(model, device, quant config)``; the engine mirrors the cache's hit/miss/
@@ -41,7 +37,7 @@ from typing import Hashable
 import numpy as np
 
 from ..distributed.planner import ShardPlanner
-from ..hardware.cluster import ClusterSpec, estimate_cluster_serving_latency
+from ..hardware.cluster import estimate_cluster_serving_latency
 from ..hardware.device import MCUDevice
 from ..hardware.latency import estimate_serving_latency
 from ..runtime.policy import ExecutionPolicy
@@ -91,10 +87,9 @@ class _Group:
 
 _SHUTDOWN = object()
 
-#: Bound on memoized modelled-latency entries per pipeline fingerprint.  Batch
-#: sizes are mostly confined to ``1..max_batch_size``, but multi-sample
-#: requests can exceed the bound, so the memo is LRU-capped rather than sized
-#: exactly.
+#: Bound on memoized modelled-latency entries per pipeline.  Batch sizes are
+#: mostly confined to ``1..max_batch_size``, but multi-sample requests can
+#: exceed the bound, so the memo is LRU-capped rather than sized exactly.
 _MAX_BATCH_MEMO = 32
 
 
@@ -172,26 +167,14 @@ class InferenceEngine:
         # Serializes the closed-check + enqueue against close(), so no request
         # can slip into the queue after the shutdown sentinel.
         self._submit_lock = threading.Lock()
-        # Modelled-latency memo: fingerprint -> LRU of batch_size -> seconds.
-        # Bounded two ways: entries for a pipeline die with its cache entry
-        # (the eviction hook below) and batch-size keys are capped per
-        # fingerprint, so a long-lived engine cannot grow it without bound.
-        self._device_breakdowns: dict[str, OrderedDict[int, float]] = {}
-        # Shard-assignment memo for the cluster latency model, keyed by
-        # fingerprint.  Planned directly (ShardPlanner is deterministic LPT)
-        # instead of read off a DistributedExecutor: building an executor just
-        # to inspect its plan used to leak device worker pools into the
-        # pipeline's executor cache.
-        self._shard_assignments: dict[str, dict[int, int]] = {}
-        self._breakdown_lock = threading.Lock()
-        # Chain onto the cache's eviction callback (preserving any existing
-        # one) so a pipeline leaving the cache drops its memoized latencies.
-        # The hook holds the engine weakly: if close-order interleaving on a
-        # shared cache strands the hook mid-chain, it delegates onward without
-        # keeping the dead engine (and its telemetry) alive.
-        self._chained_on_evict = self.cache.on_evict
-        self._evict_hook = _eviction_hook(weakref.ref(self), self._chained_on_evict)
-        self.cache.on_evict = self._evict_hook
+        # Per-pipeline memos of the latency model, weakly keyed so each entry
+        # dies with its pipeline; only the batcher thread touches them.
+        # Modelled latency: LRU of batch_size -> seconds.  Shard assignment
+        # of the cluster model: planned directly (ShardPlanner is
+        # deterministic LPT), never read off a DistributedExecutor, whose
+        # device worker pools would then sit in the pipeline's executor cache.
+        self._device_breakdowns = weakref.WeakKeyDictionary()
+        self._shard_assignments = weakref.WeakKeyDictionary()
         self._batcher = threading.Thread(
             target=self._batch_loop, name="inference-batcher", daemon=True
         )
@@ -307,16 +290,9 @@ class InferenceEngine:
         by the closed-guard).
         """
         with self._submit_lock:
-            already_closed = self._closed
-            if not already_closed:
+            if not self._closed:
                 self._closed = True
                 self._queue.put(_SHUTDOWN)
-        # Unhook from the (possibly shared, possibly longer-lived) cache when
-        # we are at the head of the chain.  If a later engine wrapped on top
-        # of us we must stay mid-chain — but the hook only weak-references us,
-        # so staying costs a small closure, not the engine.
-        if not already_closed and self.cache.on_evict is self._evict_hook:
-            self.cache.on_evict = self._chained_on_evict
         if wait:
             self._batcher.join()
 
@@ -372,6 +348,9 @@ class InferenceEngine:
             ]
             for key in expired:
                 self._flush(groups.pop(key))
+            # An idle batcher must not pin the last request it served, nor
+            # through it a pipeline the cache has since evicted.
+            items = item = request = group = None
 
     def _next_timeout(self, groups: dict[Hashable, _Group]) -> float | None:
         if not groups:
@@ -450,85 +429,33 @@ class InferenceEngine:
         cluster = self.policy.placement.cluster
         if self.device is None and cluster is None:
             return 0.0
-        with self._breakdown_lock:
-            memo = self._device_breakdowns.get(pipeline.fingerprint)
-            seconds = memo.get(batch_size) if memo is not None else None
-            if seconds is not None:
-                memo.move_to_end(batch_size)
+        memo = self._device_breakdowns.setdefault(pipeline, OrderedDict())
+        seconds = memo.get(batch_size)
         if seconds is None:
             suffix_config, branch_configs = pipeline.quantization_configs()
             if cluster is not None:
-                breakdown = estimate_cluster_serving_latency(
+                assignment = self._shard_assignments.get(pipeline)
+                if assignment is None:
+                    assignment = ShardPlanner(cluster).plan_shards(pipeline.plan).assignment()
+                    self._shard_assignments[pipeline] = assignment
+                seconds = estimate_cluster_serving_latency(
                     pipeline.plan,
-                    self._shard_assignment(pipeline, cluster),
+                    assignment,
                     cluster,
                     batch_size=batch_size,
                     config=suffix_config,
                     branch_configs=branch_configs,
-                )
-                seconds = breakdown.makespan_seconds
+                ).makespan_seconds
             else:
-                breakdown = estimate_serving_latency(
+                seconds = estimate_serving_latency(
                     pipeline.plan,
                     self.device,
                     batch_size=batch_size,
                     config=suffix_config,
                     branch_configs=branch_configs,
-                )
-                seconds = breakdown.total_seconds
-            with self._breakdown_lock:
-                memo = self._device_breakdowns.setdefault(pipeline.fingerprint, OrderedDict())
-                memo[batch_size] = seconds
-                memo.move_to_end(batch_size)
-                while len(memo) > _MAX_BATCH_MEMO:
-                    memo.popitem(last=False)
+                ).total_seconds
+            memo[batch_size] = seconds
+            while len(memo) > _MAX_BATCH_MEMO:
+                memo.popitem(last=False)
+        memo.move_to_end(batch_size)
         return seconds / batch_size
-
-    def _shard_assignment(
-        self, pipeline: CompiledPipeline, cluster: ClusterSpec
-    ) -> dict[int, int]:
-        """Branch→device assignment of ``cluster`` for ``pipeline``.
-
-        Planned directly (and memoized by fingerprint) rather than read off
-        ``pipeline.executor(policy)``: the planner is deterministic, so
-        the assignment is identical to the one a flush's executor uses, and
-        no :class:`~repro.distributed.DistributedExecutor` (with its device
-        worker pools) is constructed just to model latency.
-        """
-        with self._breakdown_lock:
-            assignment = self._shard_assignments.get(pipeline.fingerprint)
-        if assignment is None:
-            assignment = (
-                ShardPlanner(cluster).plan_shards(pipeline.plan).assignment()
-            )
-            with self._breakdown_lock:
-                self._shard_assignments.setdefault(pipeline.fingerprint, assignment)
-        return assignment
-
-    def _drop_pipeline_breakdowns(self, key: Hashable, pipeline: object) -> None:
-        """On cache eviction, drop the evicted pipeline's modelled latencies.
-
-        A compile-race discard releases a *duplicate* whose fingerprint
-        matches the still-resident winner; its memo entries are still valid
-        (they are keyed by fingerprint, not object), so they are kept.
-        """
-        fingerprint = getattr(pipeline, "fingerprint", None)
-        if fingerprint is not None:
-            resident = self.cache.peek(key)
-            if getattr(resident, "fingerprint", None) != fingerprint:
-                with self._breakdown_lock:
-                    self._device_breakdowns.pop(fingerprint, None)
-                    self._shard_assignments.pop(fingerprint, None)
-
-
-def _eviction_hook(engine_ref: "weakref.ref[InferenceEngine]", chained):
-    """A cache ``on_evict`` callback that does not root its engine."""
-
-    def hook(key: Hashable, pipeline: object) -> None:
-        engine = engine_ref()
-        if engine is not None:
-            engine._drop_pipeline_breakdowns(key, pipeline)
-        if chained is not None:
-            chained(key, pipeline)
-
-    return hook

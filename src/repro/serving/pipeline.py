@@ -161,17 +161,11 @@ class CompiledPipeline:
         # The shared resource runtime every executor leases pools from; None
         # means each executor manages a private runtime (historical lifecycle).
         self._runtime = runtime
-        self._sequential = PatchExecutor(
-            plan,
-            branch_hook=self._branch_hook,
-            suffix_hook=self._suffix_hook,
-            backend=backend,
-            runtime=runtime,
-        )
-        # Sequential executors for non-default (backend, runtime) policies.
-        self._sequential_variants: dict[tuple, PatchExecutor] = {}
-        self._distributed: dict[tuple, DistributedExecutor] = {}
+        # Executors keyed by (placement, backend name, runtime token); the
+        # default local one is built eagerly.
+        self._executors: dict[tuple, PatchExecutor] = {}
         self._executor_lock = threading.Lock()
+        self.executor()
 
     # ----------------------------------------------------------- construction
     @classmethod
@@ -215,47 +209,30 @@ class CompiledPipeline:
         resource runtime executors lease pools from (defaults to the
         pipeline's).
 
-        Caches are keyed by placement identity *plus* backend name and
-        runtime token, so ``policy.backend`` overrides and injected runtimes
-        get their own executors instead of silently reusing one built for a
+        One cache keyed by placement identity, backend name and runtime
+        token, so ``policy.backend`` overrides and injected runtimes get
+        their own executors instead of silently reusing one built for a
         different backend or pool set.
         """
         policy = policy if policy is not None else ExecutionPolicy()
         runtime = runtime if runtime is not None else self._runtime
         backend = policy.backend if policy.backend is not None else self._backend_spec
-        token = runtime.token if runtime is not None else None
         placement = policy.placement
-        if placement.kind == "cluster":
-            key = (placement.cluster.cache_key, backend, token)
-            with self._executor_lock:
-                executor = self._distributed.get(key)
-                if executor is None:
-                    executor = DistributedExecutor(
-                        self.plan,
-                        placement.cluster,
-                        branch_hook=self._branch_hook,
-                        suffix_hook=self._suffix_hook,
-                        backend=backend,
-                        runtime=runtime,
-                    )
-                    self._distributed[key] = executor
-                return executor
-        # Local placement: the eagerly-built sequential executor, unless the
-        # policy asks for a different backend or runtime than the pipeline's.
-        if backend == self._backend_spec and runtime is self._runtime:
-            return self._sequential
-        key = (backend, token)
+        key = (placement.cache_key, backend, runtime.token if runtime is not None else None)
         with self._executor_lock:
-            executor = self._sequential_variants.get(key)
+            executor = self._executors.get(key)
             if executor is None:
-                executor = PatchExecutor(
-                    self.plan,
+                if placement.kind == "cluster":
+                    cls, args = DistributedExecutor, (self.plan, placement.cluster)
+                else:
+                    cls, args = PatchExecutor, (self.plan,)
+                executor = self._executors[key] = cls(
+                    *args,
                     branch_hook=self._branch_hook,
                     suffix_hook=self._suffix_hook,
                     backend=backend,
                     runtime=runtime,
                 )
-                self._sequential_variants[key] = executor
             return executor
 
     def infer(
@@ -325,13 +302,9 @@ class CompiledPipeline:
         the runtime itself is its owner's job.
         """
         with self._executor_lock:
-            self._sequential.close()
-            for executor in self._sequential_variants.values():
+            for executor in self._executors.values():
                 executor.close()
-            self._sequential_variants.clear()
-            for executor in self._distributed.values():
-                executor.close()
-            self._distributed.clear()
+            self._executors.clear()
 
     # ----------------------------------------------------------- fingerprint
     def _fingerprint(self) -> str:

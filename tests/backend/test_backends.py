@@ -169,6 +169,55 @@ class TestMultiprocessLifecycle:
         assert ref() is None
         assert reference.shape[0] == small_input.shape[0]
 
+    def test_racing_first_calls_fork_one_pool(self, small_plan, small_input, monkeypatch):
+        """Regression: ``_ensure_pool`` checked and set the pool with no lock,
+        so concurrent first ``run_branches`` calls each forked a pool, and
+        all but one outlived ``close()``."""
+        import threading
+        import time
+
+        from repro.backend.base import BackendUnavailable
+        from repro.backend.multiprocess import MultiprocessBackend
+        from repro.runtime import Runtime
+
+        runtime = Runtime()
+        fork_pool = runtime.fork_pool
+
+        def slow_fork_pool(processes):
+            time.sleep(0.2)  # widens the check-then-set window
+            return fork_pool(processes)
+
+        monkeypatch.setattr(runtime, "fork_pool", slow_fork_pool)
+        try:
+            with PatchExecutor(small_plan, runtime=runtime) as executor:
+                try:
+                    backend = MultiprocessBackend(executor, workers=1)
+                except BackendUnavailable:
+                    pytest.skip("platform has no fork start method")
+                ids = [branch.patch_id for branch in small_plan.branches]
+                barrier = threading.Barrier(3, timeout=30)
+                errors: list[Exception] = []
+
+                def first_call():
+                    try:
+                        barrier.wait()
+                        backend.run_branches(small_input, ids)
+                    except Exception as exc:  # pragma: no cover - reported below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=first_call) for _ in range(3)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert runtime.stats().fork_pools == 1
+                backend.close()
+                assert runtime.stats().fork_pools == 0
+        finally:
+            runtime.close()
+
     def test_close_pops_token_even_when_pool_teardown_raises(self, small_plan):
         from repro.backend.base import BackendUnavailable
         from repro.backend.multiprocess import _FORK_STATE, MultiprocessBackend

@@ -263,7 +263,7 @@ def test_run_iter_finish_failure_settles_in_flight_futures():
     def boom(x, stitched):
         raise RuntimeError("suffix exploded")
 
-    executor._run_suffix = boom
+    executor.run_suffix = boom
     try:
         scheduler = PipelineParallelScheduler(executor, max_in_flight=2)
         with pytest.raises(RuntimeError, match="suffix exploded"):

@@ -50,7 +50,7 @@ def _closeables(compiled):
         "sequential": lambda: PatchExecutor(plan),
         "distributed": lambda: _distributed(plan),
         "device_shard": lambda: DeviceShard(
-            0, plan.branches[:1], run_branch=lambda branch, x: x
+            0, plan.branches[:1], run_branches=lambda x, branches: [(b, x) for b in branches]
         ),
         "runtime": Runtime,
         "stream_session": compiled.open_stream,

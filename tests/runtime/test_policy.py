@@ -82,15 +82,6 @@ class TestExecutionPolicy:
         with pytest.raises(ValueError, match="max_stale_frames"):
             ExecutionPolicy(max_stale_frames=-1)
 
-    def test_resolved_backend_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert ExecutionPolicy().resolved_backend() == "vectorized"
-        assert ExecutionPolicy(backend="loop").resolved_backend() == "loop"
-        monkeypatch.setenv("REPRO_BACKEND", "loop")
-        assert ExecutionPolicy().resolved_backend() == "loop"
-        # An explicit policy backend beats the environment.
-        assert ExecutionPolicy(backend="vectorized").resolved_backend() == "vectorized"
-
     def test_placement_kinds_exported(self):
         assert set(PLACEMENT_KINDS) == {"local", "cluster"}
 

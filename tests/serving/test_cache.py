@@ -32,20 +32,6 @@ def test_lru_order_and_eviction():
     assert stats.size == 2
 
 
-def test_peek_does_not_build_count_or_refresh():
-    built: list[str] = []
-    cache = PipelineCache(factory=lambda key: built.append(key) or key, capacity=2)
-    assert cache.peek("a") is None
-    assert built == []  # no factory call
-    cache.get("a")
-    cache.get("b")
-    assert cache.peek("a") == "a"
-    cache.get("c")  # "a" was NOT refreshed by peek: it is the LRU victim
-    assert cache.peek("a") is None
-    stats = cache.stats()
-    assert (stats.hits, stats.misses) == (0, 3)  # peeks touched no counters
-
-
 def test_capacity_validation():
     with pytest.raises(ValueError):
         PipelineCache(factory=lambda key: key, capacity=0)

@@ -17,11 +17,9 @@ from repro.serving import (
 )
 
 
-# A sample's result does not depend on which other samples share its batch,
-# but BLAS may pick a different GEMM kernel per batch *size*, perturbing
-# results at float32 rounding level — so comparisons against a reference
-# computed at a different batch size use a tolerance instead of bit equality.
-BATCH_SIZE_TOL = dict(rtol=1e-4, atol=5e-2)
+# A sample's result depends neither on which other samples share its batch
+# nor on how many there are (the serving kernels are batch-invariant), so
+# served rows are compared with direct inference for exact equality.
 
 
 def test_results_match_direct_inference(compiled_mobilenet, rng):
@@ -31,7 +29,7 @@ def test_results_match_direct_inference(compiled_mobilenet, rng):
         futures = [engine.submit(x[i]) for i in range(6)]
         outputs = [f.result(timeout=30) for f in futures]
     for i, out in enumerate(outputs):
-        assert np.allclose(out, direct[i], **BATCH_SIZE_TOL)
+        assert np.array_equal(out, direct[i])
 
 
 def test_single_mini_batch_request_is_bit_exact(compiled_mobilenet, rng):
@@ -87,7 +85,7 @@ def test_concurrent_clients(compiled_mobilenet, rng):
             try:
                 for _ in range(3):
                     out = engine.infer(x[i])
-                    assert np.allclose(out, direct[i], **BATCH_SIZE_TOL)
+                    assert np.array_equal(out, direct[i])
             except Exception as exc:  # pragma: no cover - assertion carrier
                 errors.append(exc)
 
@@ -211,8 +209,8 @@ def test_max_batch_size_never_exceeded_by_multi_sample_requests(compiled_mobilen
     assert histogram, "no batches recorded"
     assert max(histogram) <= 4, f"served a batch over the bound: {histogram}"
     for i, out in enumerate(singles):
-        assert np.allclose(out, direct[i], **BATCH_SIZE_TOL)
-    assert np.allclose(multi, direct[3:6], **BATCH_SIZE_TOL)
+        assert np.array_equal(out, direct[i])
+    assert np.array_equal(multi, direct[3:6])
 
 
 def test_oversized_single_request_is_served_alone(compiled_mobilenet, rng):
@@ -236,59 +234,58 @@ def test_device_breakdown_memo_is_bounded(compiled_mobilenet):
     try:
         for batch_size in range(1, 200):
             engine._modelled_device_seconds(compiled_mobilenet, batch_size)
-        memo = engine._device_breakdowns[compiled_mobilenet.fingerprint]
-        assert len(memo) <= 32
-        # LRU: the most recent batch sizes are the ones retained.
-        assert max(memo) == 199
-        assert 1 not in memo
+        engine._modelled_device_seconds(compiled_mobilenet, 170)  # a hit refreshes
+        memo = engine._device_breakdowns[compiled_mobilenet]
+        assert len(memo) == 32
+        # LRU: the most recently used batch sizes are the ones retained.
+        assert list(memo) == [*range(168, 170), *range(171, 200), 170]
     finally:
         engine.close()
 
 
 def test_device_breakdowns_dropped_when_pipeline_evicted(tiny_mobilenet, rng):
-    """Regression: latency memo entries outlived their evicted pipeline."""
+    """Regression: latency memo entries outlived their evicted pipeline.
+
+    The memo is weakly keyed by the pipeline, so no eviction hook is needed:
+    once the cache drops a pipeline and nothing else holds it, the pipeline
+    is freed and its entry goes with it.
+    """
+    import gc
+    import weakref
+
     from repro.hardware import ARDUINO_NANO_33_BLE
 
     calib = rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
-    compiled_by_key = {}
+    built = []
 
     def factory(key):
         pipeline = QuantMCUPipeline(
             tiny_mobilenet, sram_limit_bytes=64 * 1024, num_patches=2, weight_bits=key[1]
         )
-        compiled_by_key[key] = compile_pipeline(pipeline, pipeline.run(calib))
-        return compiled_by_key[key]
+        compiled = compile_pipeline(pipeline, pipeline.run(calib))
+        built.append(weakref.ref(compiled))
+        return compiled
 
     cache = PipelineCache(factory, capacity=1)
     x = rng.standard_normal((3, 32, 32)).astype(np.float32)
     with InferenceEngine(
         cache, max_batch_size=2, batch_timeout_s=0.002, device=ARDUINO_NANO_33_BLE
     ) as engine:
+        assert cache.on_evict is None  # the engine installs no eviction hook
         engine.infer(x, key=("mobilenetv2", 8))
-        fingerprint_8 = compiled_by_key[("mobilenetv2", 8)].fingerprint
-        assert fingerprint_8 in engine._device_breakdowns
-        engine.infer(x, key=("mobilenetv2", 4))  # capacity 1: evicts the 8-bit one
-        assert fingerprint_8 not in engine._device_breakdowns
-        assert compiled_by_key[("mobilenetv2", 4)].fingerprint in engine._device_breakdowns
-
-
-def test_race_discard_keeps_resident_pipeline_breakdowns(compiled_mobilenet):
-    """Releasing a compile-race duplicate must not drop the resident's memo:
-    both carry the same fingerprint, and the memo entries are still valid."""
-    from repro.hardware import ARDUINO_NANO_33_BLE
-
-    cache = PipelineCache(lambda key: compiled_mobilenet, capacity=2)
-    engine = InferenceEngine(cache, batch_timeout_s=0.001, device=ARDUINO_NANO_33_BLE)
-    try:
-        cache.get("model")
-        engine._modelled_device_seconds(compiled_mobilenet, 2)
-        assert compiled_mobilenet.fingerprint in engine._device_breakdowns
-        # A losing duplicate carries the resident's fingerprint; the eviction
-        # hook must see the key still resident and keep the memo.
-        engine._drop_pipeline_breakdowns("model", compiled_mobilenet)
-        assert compiled_mobilenet.fingerprint in engine._device_breakdowns
-    finally:
-        engine.close()
+        eight_bit = built[0]
+        assert eight_bit() in engine._device_breakdowns
+        cache.get(("mobilenetv2", 4))  # capacity 1: evicts the 8-bit one
+        # The batcher drops its last request once idle; nothing else holds
+        # the evicted pipeline.
+        deadline = time.monotonic() + 10
+        while eight_bit() is not None and time.monotonic() < deadline:
+            gc.collect()
+            time.sleep(0.01)
+        assert eight_bit() is None
+        assert len(engine._device_breakdowns) == 0
+        engine.infer(x, key=("mobilenetv2", 4))
+        assert list(engine._device_breakdowns.keys()) == [built[1]()]
 
 
 def test_engine_chains_existing_cache_on_evict(compiled_mobilenet):
@@ -409,7 +406,7 @@ def test_modelling_cluster_latency_builds_no_executor(compiled_mobilenet):
     DistributedExecutor (device worker pools included) just to read the shard
     plan's branch->device assignment, leaking it into the pipeline's executor
     cache even when no batch was ever served on the cluster."""
-    from repro.distributed import ShardPlanner
+    from repro.distributed import DistributedExecutor, ShardPlanner
     from repro.hardware import get_cluster
     from repro.runtime import ExecutionPolicy
     from repro.runtime import cluster as cluster_placement
@@ -424,10 +421,13 @@ def test_modelling_cluster_latency_builds_no_executor(compiled_mobilenet):
         seconds = engine._modelled_device_seconds(compiled_mobilenet, 2)
         assert seconds > 0
         # Latency was modelled without ever instantiating a cluster executor.
-        assert compiled_mobilenet._distributed == {}
+        assert not any(
+            isinstance(executor, DistributedExecutor)
+            for executor in compiled_mobilenet._executors.values()
+        )
         # And the memoized assignment matches what a real executor would use.
         planned = ShardPlanner(spec).plan_shards(compiled_mobilenet.plan).assignment()
-        assert engine._shard_assignments[compiled_mobilenet.fingerprint] == planned
+        assert engine._shard_assignments[compiled_mobilenet] == planned
         executor = compiled_mobilenet.executor(engine.policy)
         assert executor.shard_plan.assignment() == planned
     finally:
