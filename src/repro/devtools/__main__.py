@@ -20,11 +20,6 @@
     backend, batched throughput, streaming reuse) and write
     ``BENCH_kernels.json``.
 
-``stale-bench``
-    Measure the displaced (stale-halo) pipeline schedule against the
-    blocking halo exchange across cluster sizes and write
-    ``BENCH_stale_halo.json``.
-
 ``perfgate``
     Compare a fresh benchmark snapshot against the checked-in baseline and
     exit 1 if any gated metric regressed by more than the tolerance.
@@ -37,12 +32,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import (
-    compare_snapshots,
-    run_kernel_bench,
-    run_lint_bench,
-    run_stale_halo_bench,
-)
+from .bench import compare_snapshots, run_kernel_bench, run_lint_bench
 from .lint import (
     Baseline,
     diff_against_baseline,
@@ -59,7 +49,6 @@ __all__ = [
     "run_racecheck",
     "run_bench",
     "run_kernel_bench_cli",
-    "run_stale_bench_cli",
     "run_perfgate",
     "abba_selftest",
     "cache_stress_scenario",
@@ -284,22 +273,6 @@ def run_kernel_bench_cli(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_stale_bench_cli(args: argparse.Namespace) -> int:
-    snapshot = run_stale_halo_bench(out=args.out)
-    at4 = next(row for row in snapshot["scaling"] if row["devices"] == 4)
-    print(
-        f"4-device pipelined makespan {at4['blocking_pipelined_ms']:.2f} ms blocking -> "
-        f"{at4['stale_pipelined_ms']:.2f} ms stale "
-        f"({snapshot['stale_speedup_4dev']:.3f}x, "
-        f"{snapshot['stale_savings_ms_4dev']:.2f} ms saved); "
-        f"verify {snapshot['verify_speedup_slowlink_4dev']:.3f}x on the slow link; "
-        f"verify execution bit-identical over "
-        f"{snapshot['execution']['displaced_branch_rounds']} displaced branch rounds; "
-        f"wrote {args.out}"
-    )
-    return 0
-
-
 def run_perfgate(args: argparse.Namespace) -> int:
     current = json.loads(Path(args.current).read_text())
     baseline = json.loads(Path(args.baseline).read_text())
@@ -354,13 +327,6 @@ def main(argv: list[str] | None = None) -> int:
     kernel_parser.add_argument("--out", default="BENCH_kernels.json")
     kernel_parser.add_argument("--repeats", type=int, default=5)
     kernel_parser.set_defaults(func=run_kernel_bench_cli)
-
-    stale_parser = sub.add_parser(
-        "stale-bench",
-        help="measure the displaced pipeline schedule, write BENCH_stale_halo.json",
-    )
-    stale_parser.add_argument("--out", default="BENCH_stale_halo.json")
-    stale_parser.set_defaults(func=run_stale_bench_cli)
 
     gate_parser = sub.add_parser(
         "perfgate", help="fail if a fresh snapshot regressed vs the baseline"

@@ -11,12 +11,6 @@ Two benchmark runners live here:
     headline speedup), full-forward latency, batched throughput, streaming
     reuse, and the im2col micro-kernel; writes ``BENCH_kernels.json``.
 
-:func:`run_stale_halo_bench`
-    The displaced (stale-halo) pipeline schedule vs the blocking halo
-    exchange: modelled pipelined makespans across cluster sizes, a real
-    verify-and-patch execution checked bit-identical to sequential, and the
-    stale tier's sampled drift; writes ``BENCH_stale_halo.json``.
-
 :func:`compare_snapshots` is the regression gate they all feed: a fresh snapshot
 is compared metric-by-metric against the checked-in baseline, and any gated
 metric that regressed by more than the tolerance fails CI
@@ -34,7 +28,6 @@ from .lint import lint_paths
 __all__ = [
     "run_lint_bench",
     "run_kernel_bench",
-    "run_stale_halo_bench",
     "compare_snapshots",
 ]
 
@@ -232,199 +225,6 @@ def run_kernel_bench(
         "gate_metrics": [
             "patch_stage_speedup",
             "forward_speedup",
-        ],
-    }
-    if out is not None:
-        Path(out).write_text(json.dumps(snapshot, indent=2) + "\n")
-    return snapshot
-
-
-def run_stale_halo_bench(
-    out: str | None = "BENCH_stale_halo.json",
-    model_name: str = "mobilenetv2",
-    resolution: int = 32,
-    num_patches: int = 4,
-    num_microbatches: int = 8,
-    device_counts: tuple[int, ...] = (1, 2, 4, 6, 8),
-    link_bytes_per_second: float = 2e5,
-    slow_link_bytes_per_second: float = 1e5,
-) -> dict:
-    """Measure the displaced pipeline schedule and write the snapshot JSON.
-
-    Three schedules over the same shard assignments, as pipelined makespans
-    across growing clusters:
-
-    * **blocking** — fresh halo exchange on the critical path every round;
-    * **stale** — displaced rounds, correction skipped (approximate tier);
-    * **verify** — displaced rounds plus the rim recomputation that restores
-      bit-exactness.
-
-    The sweep runs on a link-bound cluster (``link_bytes_per_second``,
-    default 200 KB/s — a serial inter-MCU link): displaced scheduling removes
-    halo bytes from the critical path, so its advantage scales with how much
-    of the round the link occupies, and at the default 10 MB/s the win on
-    this small model is real but fractions of a percent.  The stale tier wins
-    everywhere in the swept regime, so its 4- and max-device speedups plus
-    the absolute makespan savings are the gated headline.  The verify tier
-    only wins when the skipped halo wait exceeds the rim recompute, so its
-    gated ratio is measured on the even slower ``slow_link_bytes_per_second``
-    link.  All gated metrics are deterministic cost-model numbers — no
-    wall-clock noise.
-
-    The snapshot also records a *real* displaced execution: verify-and-patch
-    outputs are asserted bit-identical to sequential execution before
-    anything is written, and the stale tier's sampled drift is included.
-    """
-    import numpy as np
-
-    from ..core import QuantMCUPipeline
-    from ..distributed import DistributedExecutor, PipelineParallelScheduler, ShardPlanner
-    from ..hardware import (
-        estimate_cluster_latency,
-        estimate_displaced_cluster_latency,
-        make_cluster,
-    )
-    from ..models import build_model
-    from ..runtime import ExecutionPolicy
-
-    rng = np.random.default_rng(0)
-    model = build_model(
-        model_name, resolution=resolution, num_classes=4, width_mult=0.35, seed=3
-    )
-    calib = rng.standard_normal((4, 3, resolution, resolution)).astype(np.float32)
-    pipeline = QuantMCUPipeline(
-        model, sram_limit_bytes=64 * 1024, num_patches=num_patches
-    )
-    result = pipeline.run(calib)
-    plan = result.plan
-
-    def _pipelined_ms(breakdown) -> float:
-        return breakdown.pipelined_makespan_seconds(num_microbatches) * 1e3
-
-    rows = []
-    by_devices: dict[int, dict] = {}
-    for num_devices in device_counts:
-        cluster = make_cluster(
-            "stm32h743", num_devices, link_bytes_per_second=link_bytes_per_second
-        )
-        assignment = ShardPlanner(cluster).plan_shards(plan).assignment()
-        blocking = estimate_cluster_latency(plan, assignment, cluster)
-        verify = estimate_displaced_cluster_latency(
-            plan, assignment, cluster, tier="displaced"
-        )
-        stale = estimate_displaced_cluster_latency(
-            plan, assignment, cluster, tier="stale_halo"
-        )
-        row = {
-            "devices": num_devices,
-            "blocking_stage_ms": blocking.stage_seconds * 1e3,
-            "verify_stage_ms": verify.stage_seconds * 1e3,
-            "stale_stage_ms": stale.stage_seconds * 1e3,
-            "blocking_pipelined_ms": _pipelined_ms(blocking),
-            "verify_pipelined_ms": _pipelined_ms(verify),
-            "stale_pipelined_ms": _pipelined_ms(stale),
-        }
-        rows.append(row)
-        by_devices[num_devices] = row
-        if num_devices >= 4 and row["stale_pipelined_ms"] >= row["blocking_pipelined_ms"]:
-            raise AssertionError(
-                f"stale tier lost to blocking at {num_devices} devices; "
-                "refusing to snapshot a schedule that does not pay for itself"
-            )
-
-    # The verify tier's regime: a link slow enough that skipping the halo
-    # wait buys more than the rim recompute costs.
-    slow_cluster = make_cluster(
-        "stm32h743", 4, link_bytes_per_second=slow_link_bytes_per_second
-    )
-    slow_assignment = ShardPlanner(slow_cluster).plan_shards(plan).assignment()
-    slow_blocking = estimate_cluster_latency(plan, slow_assignment, slow_cluster)
-    slow_verify = estimate_displaced_cluster_latency(
-        plan, slow_assignment, slow_cluster, tier="displaced"
-    )
-
-    # Real displaced execution on 4 devices: verify-and-patch must match
-    # sequential execution bit-for-bit, and the stale tier reports drift.
-    branch_hook, suffix_hook = pipeline.make_hooks(result)
-    base = rng.standard_normal((1, 3, resolution, resolution)).astype(np.float32)
-    batches = [base]
-    for _ in range(num_microbatches - 1):
-        nxt = batches[-1].copy()
-        r0 = int(rng.integers(0, resolution // 2))
-        c0 = int(rng.integers(0, resolution // 2))
-        nxt[:, :, r0 : r0 + resolution // 2, c0 : c0 + resolution // 2] += (
-            rng.standard_normal((1, 3, resolution // 2, resolution // 2)).astype(np.float32)
-        )
-        batches.append(nxt)
-    cluster = make_cluster("stm32h743", 4)
-    shard_plan = ShardPlanner(cluster).plan_shards(plan)
-    with pipeline.quantized_weights():
-        with DistributedExecutor(
-            plan, branch_hook=branch_hook, suffix_hook=suffix_hook, shard_plan=shard_plan
-        ) as executor:
-            reference = [executor.forward(x) for x in batches]
-            verify_sched = PipelineParallelScheduler(
-                executor, policy=ExecutionPolicy(tier="displaced")
-            )
-            started = time.perf_counter()
-            outputs = verify_sched.run(batches)
-            verify_wall = time.perf_counter() - started
-            if not all(np.array_equal(a, b) for a, b in zip(outputs, reference)):
-                raise AssertionError(
-                    "displaced verify-and-patch diverged from sequential execution; "
-                    "refusing to benchmark a wrong schedule"
-                )
-            corrected = sum(r.corrected_branches for r in verify_sched.rounds)
-            total = sum(r.total_branches for r in verify_sched.rounds if r.displaced)
-            stale_sched = PipelineParallelScheduler(
-                executor,
-                policy=ExecutionPolicy(tier="stale_halo", drift_sample_every=2),
-            )
-            started = time.perf_counter()
-            stale_sched.run(batches)
-            stale_wall = time.perf_counter() - started
-            drift_max_abs = max((s.max_abs for s in stale_sched.drift_samples), default=0.0)
-
-    at4, at8 = by_devices.get(4), by_devices.get(max(device_counts))
-    snapshot = {
-        "benchmark": "stale_halo_pipeline",
-        "config": {
-            "model": model_name,
-            "resolution": resolution,
-            "num_patches": num_patches,
-            "num_microbatches": num_microbatches,
-            "device_counts": list(device_counts),
-            "link_bytes_per_second": link_bytes_per_second,
-            "slow_link_bytes_per_second": slow_link_bytes_per_second,
-        },
-        "scaling": rows,
-        "execution": {
-            "devices": 4,
-            "verify_bit_identical": True,
-            "corrected_branches": corrected,
-            "displaced_branch_rounds": total,
-            "verify_wall_ms": verify_wall * 1e3,
-            "stale_wall_ms": stale_wall * 1e3,
-            "drift_samples": len(stale_sched.drift_samples),
-            "drift_max_abs": drift_max_abs,
-        },
-        "stale_speedup_4dev": at4["blocking_pipelined_ms"] / at4["stale_pipelined_ms"],
-        "stale_speedup_maxdev": at8["blocking_pipelined_ms"] / at8["stale_pipelined_ms"],
-        "stale_savings_ms_4dev": at4["blocking_pipelined_ms"] - at4["stale_pipelined_ms"],
-        "verify_speedup_slowlink_4dev": (
-            slow_blocking.pipelined_makespan_seconds(num_microbatches)
-            / slow_verify.pipelined_makespan_seconds(num_microbatches)
-        ),
-        # Deterministic cost-model numbers (higher-is-better): safe to gate
-        # tightly — the wall-clock fields above stay informational.  The
-        # absolute savings metric is the sharp one: a schedule regression
-        # that erodes the displaced advantage barely moves a ~1.0x ratio but
-        # collapses the savings.
-        "gate_metrics": [
-            "stale_speedup_4dev",
-            "stale_speedup_maxdev",
-            "stale_savings_ms_4dev",
-            "verify_speedup_slowlink_4dev",
         ],
     }
     if out is not None:

@@ -18,7 +18,7 @@ cluster and scales serving beyond one device:
 
 The matching hardware model (:class:`~repro.hardware.cluster.ClusterSpec`,
 makespan estimates) lives in :mod:`repro.hardware.cluster`; the serving
-integration is ``InferenceEngine(..., cluster=...)``.
+integration is ``InferenceEngine(..., policy=ExecutionPolicy(placement=cluster(spec)))``.
 
 Quickstart::
 
@@ -31,15 +31,9 @@ Quickstart::
     print(executor.modelled_latency().makespan_ms)
 """
 
-from .executor import DisplacedSubmission, DistributedExecutor
+from .executor import DistributedExecutor
 from .planner import Shard, ShardPlan, ShardPlanner
-from .scheduler import (
-    DriftSample,
-    PipelineParallelScheduler,
-    RoundRecord,
-    StageSlot,
-    pipeline_timeline,
-)
+from .scheduler import PipelineParallelScheduler, StageSlot, pipeline_timeline
 from .workers import DeviceShard
 
 __all__ = [
@@ -47,11 +41,8 @@ __all__ = [
     "ShardPlan",
     "ShardPlanner",
     "DeviceShard",
-    "DisplacedSubmission",
     "DistributedExecutor",
-    "DriftSample",
     "PipelineParallelScheduler",
-    "RoundRecord",
     "StageSlot",
     "pipeline_timeline",
 ]

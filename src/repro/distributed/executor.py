@@ -15,44 +15,16 @@ assignment and completion order cannot affect the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from ..hardware.cluster import (
-    ClusterLatencyBreakdown,
-    ClusterSpec,
-    estimate_cluster_latency,
-    estimate_displaced_cluster_latency,
-)
+from ..hardware.cluster import ClusterLatencyBreakdown, ClusterSpec, estimate_cluster_latency
 from ..patch.executor import BranchHook, PatchExecutor, SuffixHook
 from ..patch.plan import PatchPlan
-from ..patch.stale import StaleGeometry, halo_changed, plan_stale_geometry
 from ..quant.config import QuantizationConfig
 from .planner import ShardPlan, ShardPlanner
 from .workers import DeviceShard
 
-__all__ = ["DisplacedSubmission", "DistributedExecutor"]
-
-
-@dataclass
-class DisplacedSubmission:
-    """In-flight state of one displaced patch round.
-
-    ``displaced`` holds one future per device computing the round on the
-    stale composite; in the ``displaced`` tier ``corrections`` holds one
-    future per device recomputing (at full shape, on the fresh frame) just
-    the branches whose halo content changed — their rim elements get spliced
-    over the displaced tiles at stitch time.  ``corrected_branch_ids`` is the
-    union of those branches, for telemetry and the cost model.
-    """
-
-    displaced: list
-    corrections: list | None = None
-    corrected_branch_ids: list[int] = field(default_factory=list)
-
-    def futures(self) -> list:
-        return list(self.displaced) + list(self.corrections or [])
+__all__ = ["DistributedExecutor"]
 
 
 class DistributedExecutor(PatchExecutor):
@@ -105,7 +77,6 @@ class DistributedExecutor(PatchExecutor):
         self.cluster = shard_plan.cluster
         self.config = config
         self._workers: list[DeviceShard] | None = None
-        self._stale_geometry: dict[int, StaleGeometry] | None = None
 
     # --------------------------------------------------------------- workers
     @property
@@ -174,103 +145,15 @@ class DistributedExecutor(PatchExecutor):
             return super()._run_patch_stage(x)
         return self._stitch(x, self._submit_patch_stage(x))
 
-    # -------------------------------------------------------- displaced stage
-    def stale_geometry(self) -> dict[int, StaleGeometry]:
-        """Displaced-execution geometry per branch (computed once per plan)."""
-        if self._stale_geometry is None:
-            self._stale_geometry = plan_stale_geometry(self.plan)
-        return self._stale_geometry
-
-    def _submit_displaced_stage(
-        self, x: np.ndarray, stale: np.ndarray, tier: str = "displaced"
-    ) -> DisplacedSubmission:
-        """Fan out one displaced round: every device starts from ``stale``
-        (the previous micro-batch's frame) with only its owned input regions
-        refreshed from ``x``.
-
-        In the ``displaced`` tier a correction pass is also submitted for the
-        branches whose halo bytes actually changed between the two frames;
-        branches with unchanged halos compute on a composite equal to the
-        fresh frame over their whole input region, so their displaced tiles
-        are already exact and skip the correction.  Only the ``stale_halo``
-        tier skips corrections; any other value is rejected.
-        """
-        if tier not in ("displaced", "stale_halo"):
-            raise ValueError(
-                f"displaced rounds serve tier 'displaced' or 'stale_halo', got {tier!r}"
-            )
-        geometry = self.stale_geometry()
-        workers = self._ensure_workers()
-        displaced = [
-            worker.submit_displaced(
-                x,
-                stale,
-                [geometry[branch.patch_id].owned_input for branch in worker.branches],
-                worker.branches,
-            )
-            for worker in workers
-        ]
-        if tier == "stale_halo":
-            return DisplacedSubmission(displaced=displaced)
-        corrections = []
-        corrected: list[int] = []
-        for worker in workers:
-            changed = [
-                branch
-                for branch in worker.branches
-                if halo_changed(x, stale, geometry[branch.patch_id])
-            ]
-            corrected.extend(branch.patch_id for branch in changed)
-            corrections.append(worker.submit_branches(x, changed))
-        return DisplacedSubmission(
-            displaced=displaced,
-            corrections=corrections,
-            corrected_branch_ids=sorted(corrected),
-        )
-
-    def _stitch_displaced(
-        self, x: np.ndarray, submission: DisplacedSubmission
-    ) -> np.ndarray:
-        """Stitch a displaced round, splicing corrected rims over stale tiles.
-
-        The displaced tiles are written first; for every corrected branch the
-        rim bands (elements whose receptive field touches the halo) are then
-        overwritten from the fresh full-shape recompute.  Interior elements
-        keep their displaced values: they were computed from owned (fresh)
-        bytes only, through per-element shape-stable kernels at the branch's
-        full shapes, so they already carry the exact bits — making the
-        verify-and-patch result bit-identical to sequential execution.
-        """
-        stitched = self._allocate_split(x)
-        geometry = self.stale_geometry()
-        for future in submission.displaced:
-            for branch, tile_array in future.result():
-                tile = branch.output_region
-                stitched[
-                    :, :, tile.row_start : tile.row_stop, tile.col_start : tile.col_stop
-                ] = tile_array
-        for future in submission.corrections or []:
-            for branch, fresh_tile in future.result():
-                tile = branch.output_region
-                for rim in geometry[branch.patch_id].rims:
-                    stitched[
-                        :, :, rim.row_start : rim.row_stop, rim.col_start : rim.col_stop
-                    ] = fresh_tile[
-                        :,
-                        :,
-                        rim.row_start - tile.row_start : rim.row_stop - tile.row_start,
-                        rim.col_start - tile.col_start : rim.col_stop - tile.col_start,
-                    ]
-        return stitched
-
     def compute_tiles(self, x: np.ndarray, branch_ids: list[int]):
         """Run only ``branch_ids``, each on the device its shard plan assigns.
 
         Streaming reuse is per-shard: every device receives just its own
         dirty branches, and a device whose shard is entirely clean does no
         work for the frame (its empty submission resolves without waking the
-        worker thread).  Tiles come back in the same ``(branch, tile)`` shape
-        as the full patch stage, so assignment cannot affect the result.
+        worker thread).  Tiles come back as ``(branch, tile)`` pairs in
+        ``branch_ids`` order, like every backend's ``run_branches``, so
+        assignment cannot affect the result.
         """
         if self.num_devices <= 1:
             return super().compute_tiles(x, branch_ids)
@@ -282,7 +165,12 @@ class DistributedExecutor(PatchExecutor):
             )
             for worker in self._ensure_workers()
         ]
-        return [pair for future in futures for pair in future.result()]
+        pairs = {
+            branch.patch_id: (branch, tile)
+            for future in futures
+            for branch, tile in future.result()
+        }
+        return [pairs[branch_id] for branch_id in branch_ids]
 
     # -------------------------------------------------------------- modelling
     def modelled_latency(
@@ -297,23 +185,4 @@ class DistributedExecutor(PatchExecutor):
             self.cluster,
             config=config if config is not None else self.config,
             branch_configs=branch_configs,
-        )
-
-    def modelled_displaced_latency(
-        self,
-        config: QuantizationConfig | None = None,
-        branch_configs: list[QuantizationConfig] | None = None,
-        tier: str = "displaced",
-        corrected_branch_ids: list[int] | None = None,
-    ) -> ClusterLatencyBreakdown:
-        """Displaced-schedule latency model of this executor's assignment."""
-        return estimate_displaced_cluster_latency(
-            self.plan,
-            self.shard_plan.assignment(),
-            self.cluster,
-            config=config if config is not None else self.config,
-            branch_configs=branch_configs,
-            tier=tier,
-            corrected_branch_ids=corrected_branch_ids,
-            geometry=self.stale_geometry(),
         )

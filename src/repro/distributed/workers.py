@@ -21,8 +21,6 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from ..patch.plan import BranchPlan
-from ..patch.regions import Region
-from ..patch.stale import composite_input
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.resources import Runtime, ThreadPoolLease
@@ -124,33 +122,6 @@ class DeviceShard:
             future.set_result([])
             return future
         return self._ensure_pool().submit(self._run_branches, x, list(branches))
-
-    def submit_displaced(
-        self,
-        fresh: np.ndarray,
-        stale: np.ndarray,
-        owned_regions: list[Region],
-        branches: list[BranchPlan] | None = None,
-    ) -> "Future[list[tuple[BranchPlan, np.ndarray]]]":
-        """Run a displaced (stale-halo) round: compute ``branches`` on last
-        round's frame with only ``owned_regions`` refreshed from ``fresh``.
-
-        The composite frame is assembled on the device thread, mirroring the
-        hardware schedule it simulates: the device still holds the previous
-        micro-batch's bytes and receives only its owned input rows before
-        starting to compute — halo rows from neighbours arrive later (or, in
-        ``stale_halo`` mode, never) and are served stale from ``stale``.
-        """
-        branches = self.branches if branches is None else list(branches)
-        if not branches:
-            future: Future = Future()
-            future.set_result([])
-            return future
-
-        def _run() -> list[tuple[BranchPlan, np.ndarray]]:
-            return self._run_branches(composite_input(fresh, stale, owned_regions), branches)
-
-        return self._ensure_pool().submit(_run)
 
     def __enter__(self) -> "DeviceShard":
         return self

@@ -7,7 +7,6 @@ from .cluster import (
     estimate_cluster_latency,
     estimate_cluster_serving_latency,
     estimate_cluster_streaming_latency,
-    estimate_displaced_cluster_latency,
     get_cluster,
     make_cluster,
 )
@@ -16,7 +15,6 @@ from .latency import (
     LatencyBreakdown,
     OpCost,
     branch_op_costs,
-    branch_plan_op_costs,
     estimate_layer_based_latency,
     estimate_patch_based_latency,
     estimate_serving_latency,
@@ -40,11 +38,9 @@ __all__ = [
     "estimate_cluster_latency",
     "estimate_cluster_serving_latency",
     "estimate_cluster_streaming_latency",
-    "estimate_displaced_cluster_latency",
     "OpCost",
     "LatencyBreakdown",
     "branch_op_costs",
-    "branch_plan_op_costs",
     "suffix_op_costs",
     "estimate_layer_based_latency",
     "estimate_patch_based_latency",

@@ -30,14 +30,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 
 from ..patch.plan import PatchPlan
-from ..patch.stale import StaleGeometry, plan_stale_geometry
 from ..quant.config import QuantizationConfig
 from ..quant.memory import tensor_bytes
 from .device import MCUDevice, get_device
 from .latency import (
     LatencyBreakdown,
     branch_op_costs,
-    branch_plan_op_costs,
     suffix_op_costs,
     _accumulate,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "estimate_cluster_latency",
     "estimate_cluster_serving_latency",
     "estimate_cluster_streaming_latency",
-    "estimate_displaced_cluster_latency",
 ]
 
 
@@ -268,117 +265,6 @@ def estimate_cluster_latency(
             gather = sum(_branch_tile_bytes(plan, b, config) for b in branch_ids)
             # One scatter message and one gather message per device round.
             transfers.append(cluster.transfer_seconds(scatter + gather, messages=2))
-
-    suffix = _accumulate(
-        suffix_op_costs(plan, config),
-        cluster.devices[cluster.head_device],
-        num_ops_overhead=len(plan.suffix_feature_maps()),
-        num_branches=0,
-    )
-    return ClusterLatencyBreakdown(
-        per_device=per_device,
-        transfer_seconds_per_device=transfers,
-        suffix=suffix,
-    )
-
-
-def _region_bytes(plan: PatchPlan, area: int, config: QuantizationConfig) -> int:
-    channels = plan.graph.input_shape[0]
-    return tensor_bytes(channels * area, config.input_bits)
-
-
-def estimate_displaced_cluster_latency(
-    plan: PatchPlan,
-    assignment: list[list[int]],
-    cluster: ClusterSpec,
-    config: QuantizationConfig | None = None,
-    branch_configs: list[QuantizationConfig] | None = None,
-    tier: str = "displaced",
-    corrected_branch_ids: list[int] | None = None,
-    geometry: dict[int, StaleGeometry] | None = None,
-) -> ClusterLatencyBreakdown:
-    """Latency of one displaced (stale-halo) round of ``plan`` on ``cluster``.
-
-    The displaced schedule breaks the blocking halo exchange: a worker starts
-    round ``k`` holding round ``k-1``'s frame, so the head scatters only the
-    *owned* regions (an exact partition of the input — no halo overlap) on
-    the critical path.  Fresh halo bytes still travel, but overlapped with
-    the round's compute; only their spill past the compute time —
-    ``max(0, halo_transfer - compute)`` — can lengthen the stage.
-
-    The ``displaced`` tier additionally charges each corrected
-    branch its rim sub-branches (the elements whose receptive field touches
-    the halo, recomputed once fresh halos arrive).  ``corrected_branch_ids``
-    restricts the correction to branches whose halo content actually changed
-    (``None`` means all of them — the content-independent worst case); the
-    ``stale_halo`` tier skips the correction entirely.
-
-    The head device owns the fresh input, so its branches pay neither
-    transfers nor rim corrections; at one device the estimate coincides with
-    :func:`estimate_cluster_latency`.
-    """
-    if len(assignment) != cluster.num_devices:
-        raise ValueError(
-            f"assignment covers {len(assignment)} devices, cluster has {cluster.num_devices}"
-        )
-    if tier not in ("displaced", "stale_halo"):
-        raise ValueError(f"unknown displaced tier {tier!r}")
-    config = config if config is not None else QuantizationConfig.uniform(8)
-    geometry = geometry if geometry is not None else plan_stale_geometry(plan)
-    corrected = (
-        None if corrected_branch_ids is None else set(corrected_branch_ids)
-    )
-
-    def _branch_config(branch_id: int) -> QuantizationConfig:
-        if branch_configs is not None and branch_id < len(branch_configs):
-            return branch_configs[branch_id]
-        return config
-
-    per_device: list[LatencyBreakdown] = []
-    transfers: list[float] = []
-    for device_id, branch_ids in enumerate(assignment):
-        device = cluster.devices[device_id]
-        is_head = device_id == cluster.head_device
-        ops = []
-        num_launches = len(branch_ids)
-        for branch_id in branch_ids:
-            branch_config = _branch_config(branch_id)
-            ops.extend(branch_op_costs(plan, branch_id, branch_config))
-            needs_rim = (
-                tier == "displaced"
-                and not is_head
-                and (corrected is None or branch_id in corrected)
-            )
-            if needs_rim:
-                for rim_plan in geometry[branch_id].rim_plans:
-                    ops.extend(branch_plan_op_costs(plan, rim_plan, branch_config))
-                num_launches += len(geometry[branch_id].rim_plans)
-        breakdown = _accumulate(
-            ops, device, num_ops_overhead=len(ops), num_branches=num_launches
-        )
-        per_device.append(breakdown)
-        if is_head or not branch_ids:
-            transfers.append(0.0)
-        else:
-            owned = sum(
-                _region_bytes(plan, geometry[b].owned_input.area, config)
-                for b in branch_ids
-            )
-            halo = sum(
-                _region_bytes(
-                    plan, sum(band.area for band in geometry[b].halo_bands), config
-                )
-                for b in branch_ids
-            )
-            gather = sum(_branch_tile_bytes(plan, b, config) for b in branch_ids)
-            critical = cluster.transfer_seconds(owned + gather, messages=2)
-            # Halo bytes ride behind the owned scatter, hidden under this
-            # round's compute; only the spill reaches the critical path.
-            halo_spill = max(
-                0.0,
-                cluster.transfer_seconds(halo, messages=1) - breakdown.total_seconds,
-            )
-            transfers.append(critical + halo_spill)
 
     suffix = _accumulate(
         suffix_op_costs(plan, config),

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from ..patch.analysis import macs_for_region
-from ..patch.plan import BranchPlan, PatchPlan
+from ..patch.plan import PatchPlan
 from ..quant.config import QuantizationConfig
 from ..quant.memory import feature_map_bytes, input_bytes, tensor_bytes
 from ..quant.points import FeatureMapIndex
@@ -38,7 +38,6 @@ __all__ = [
     "OpCost",
     "LatencyBreakdown",
     "branch_op_costs",
-    "branch_plan_op_costs",
     "suffix_op_costs",
     "estimate_layer_based_latency",
     "estimate_patch_based_latency",
@@ -143,19 +142,7 @@ def branch_op_costs(
     the multi-device cluster model: a shard's compute cost is the sum of its
     branches' op costs, accumulated against that shard's device.
     """
-    return branch_plan_op_costs(plan, plan.branches[branch_id], config)
-
-
-def branch_plan_op_costs(
-    plan: PatchPlan, branch: BranchPlan, config: QuantizationConfig
-) -> list[OpCost]:
-    """Per-operator costs of any :class:`BranchPlan` against ``plan``'s graph.
-
-    Unlike :func:`branch_op_costs` the branch need not live in
-    ``plan.branches``: the stale-halo cost model prices rim sub-branches
-    (synthesized by :mod:`repro.patch.stale` for the verify-and-patch
-    correction pass) through the same machinery.
-    """
+    branch = plan.branches[branch_id]
     fm_index = plan.fm_index
     prefix = set(plan.prefix_nodes)
     ops: list[OpCost] = []

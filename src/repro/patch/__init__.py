@@ -22,15 +22,7 @@ from .executor import PatchExecutor
 from .plan import BranchPlan, PatchPlan, build_patch_plan, compose_branch_demand
 from .regions import Region, backward_region, region_overlap, split_into_patches
 from .scheduler import PatchScheduleResult, candidate_split_nodes, find_patch_schedule
-from .stale import (
-    StaleGeometry,
-    composite_input,
-    frame_bands,
-    halo_changed,
-    interior_output_region,
-    owned_input_region,
-    plan_stale_geometry,
-)
+from .stale import owned_input_region
 
 __all__ = [
     "Region",
@@ -41,13 +33,7 @@ __all__ = [
     "PatchPlan",
     "build_patch_plan",
     "compose_branch_demand",
-    "StaleGeometry",
-    "composite_input",
-    "frame_bands",
-    "halo_changed",
-    "interior_output_region",
     "owned_input_region",
-    "plan_stale_geometry",
     "macs_for_region",
     "branch_macs",
     "patch_stage_macs",

@@ -116,8 +116,7 @@ def compose_branch_demand(
     :class:`BranchPlan`: for every prefix node (plus ``"input"``) the unclamped
     region the output region depends on, and the same region clipped to the
     node's spatial bounds.  Shared by :func:`build_patch_plan` and the
-    stale-halo rim planner in :mod:`repro.patch.stale`, which builds
-    sub-branches for arbitrary sub-rectangles of a tile.
+    vectorized backend's rectangle runs, which cover several tiles at once.
     """
     shapes = shapes if shapes is not None else graph.shapes()
     demand: dict[str, Region] = {split_output_node: out_region}

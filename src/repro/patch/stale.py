@@ -1,91 +1,18 @@
-"""Geometry for displaced (stale-halo) patch execution.
+"""Input ownership for the ``stale_halo`` stream tier.
 
-PipeFusion-style displaced execution lets a device start micro-batch ``k``'s
-patch round from micro-batch ``k-1``'s frame, refreshing only the input rows
-the device *owns* and reusing last round's bytes for the halo overlap.  This
-module provides the region arithmetic that makes the scheme analyzable and —
-in verify-and-patch mode — bit-exact:
-
-* :func:`owned_input_region` — the slice of the model input a branch owns.
-  Tile boundaries of the split map are scaled back to input coordinates, so
-  the owned regions of a patch grid exactly partition the input plane.
-* :func:`interior_output_region` — the largest sub-rectangle of a branch's
-  output tile whose (clamped) input receptive field lies entirely inside the
-  owned region.  Every interior element of a displaced run is computed from
-  fresh bytes only, and because all patch-stage kernels are per-element
-  shape-stable (conv im2col GEMM rows, fixed-window pool/depthwise
-  reductions, elementwise ops, fake-quant hooks), interior elements are
-  bit-identical to a fully-fresh run of the same branch at the same shape.
-* :func:`frame_bands` / ``StaleGeometry.rims`` — the complement of the
-  interior inside the tile as up to four disjoint bands: exactly the elements
-  a verify-and-patch correction pass has to recompute and splice.
-* ``StaleGeometry.rim_plans`` — :class:`~repro.patch.plan.BranchPlan`
-  sub-branches (same ``patch_id``) for each rim band, so MAC/latency models
-  can price the correction pass with the ordinary branch cost machinery.
-
-Interior search exploits that :func:`~repro.patch.regions.backward_region`
-start/stop arithmetic is separable and monotone per side, and that bounding
-box union plus clamping preserve that monotonicity — so each tile side can be
-shrunk independently by binary search.  Out-of-bounds demand is convolution
-zero padding, which is never stale, hence edge tiles need no shrink on their
-boundary sides.
+A stream in the ``stale_halo`` tier lets a branch skip recompute when only
+its halo changed, i.e. when every changed input pixel lies outside the slice
+of the input the branch *owns*.  :func:`owned_input_region` defines that
+slice: tile boundaries of the split map scaled back to input coordinates, so
+the owned regions of a patch grid exactly partition the input plane.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from ..nn.graph import INPUT_NODE
-from .plan import BranchPlan, PatchPlan, compose_branch_demand
+from .plan import BranchPlan, PatchPlan
 from .regions import Region
 
-__all__ = [
-    "StaleGeometry",
-    "composite_input",
-    "frame_bands",
-    "halo_changed",
-    "interior_output_region",
-    "owned_input_region",
-    "plan_stale_geometry",
-]
-
-
-@dataclass(frozen=True)
-class StaleGeometry:
-    """Displaced-execution regions for one branch.
-
-    Attributes
-    ----------
-    patch_id:
-        The branch this geometry describes.
-    owned_input:
-        Input rows/cols this branch's device refreshes every round.
-    interior:
-        Output sub-rectangle computable from ``owned_input`` alone (zero area
-        when the receptive field always spills into the halo).
-    rims:
-        ``output_region`` minus ``interior`` as disjoint bands — the elements
-        a correction pass recomputes.
-    rim_plans:
-        A :class:`BranchPlan` per rim band (same ``patch_id`` as the parent),
-        consumed by the cost models.
-    halo_bands:
-        Clamped input region minus ``owned_input`` as disjoint bands — the
-        bytes served stale in a displaced round.
-    """
-
-    patch_id: int
-    owned_input: Region
-    interior: Region
-    rims: tuple[Region, ...]
-    rim_plans: tuple[BranchPlan, ...]
-    halo_bands: tuple[Region, ...]
-
-    @property
-    def has_halo(self) -> bool:
-        return any(band.area > 0 for band in self.halo_bands)
+__all__ = ["owned_input_region"]
 
 
 def owned_input_region(plan: PatchPlan, branch: BranchPlan) -> Region:
@@ -106,177 +33,3 @@ def owned_input_region(plan: PatchPlan, branch: BranchPlan) -> Region:
         tile.col_start * in_w // split_w,
         tile.col_stop * in_w // split_w,
     )
-
-
-def frame_bands(outer: Region, inner: Region) -> tuple[Region, ...]:
-    """``outer`` minus ``inner`` as up to four disjoint bands.
-
-    ``inner`` is intersected with ``outer`` first; an empty intersection
-    yields the whole outer region as a single band.
-    """
-    inner = Region(
-        max(inner.row_start, outer.row_start),
-        min(inner.row_stop, outer.row_stop),
-        max(inner.col_start, outer.col_start),
-        min(inner.col_stop, outer.col_stop),
-    )
-    if outer.area == 0:
-        return ()
-    if inner.height <= 0 or inner.width <= 0:
-        return (outer,)
-    bands = []
-    if inner.row_start > outer.row_start:
-        bands.append(Region(outer.row_start, inner.row_start, outer.col_start, outer.col_stop))
-    if inner.row_stop < outer.row_stop:
-        bands.append(Region(inner.row_stop, outer.row_stop, outer.col_start, outer.col_stop))
-    if inner.col_start > outer.col_start:
-        bands.append(Region(inner.row_start, inner.row_stop, outer.col_start, inner.col_start))
-    if inner.col_stop < outer.col_stop:
-        bands.append(Region(inner.row_start, inner.row_stop, inner.col_stop, outer.col_stop))
-    return tuple(bands)
-
-
-def _input_demand(plan: PatchPlan, region: Region, shapes) -> Region:
-    _, clamped = compose_branch_demand(
-        plan.graph, plan.prefix_nodes, plan.split_output_node, region, shapes
-    )
-    return clamped[INPUT_NODE]
-
-
-def _shrink(max_shrink: int, predicate) -> int | None:
-    """Smallest shrink in ``[0, max_shrink]`` satisfying a monotone predicate."""
-    if predicate(0):
-        return 0
-    if max_shrink == 0 or not predicate(max_shrink):
-        return None
-    lo, hi = 0, max_shrink  # predicate(lo) is False, predicate(hi) is True
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def interior_output_region(
-    plan: PatchPlan, branch: BranchPlan, owned: Region | None = None
-) -> Region:
-    """Largest tile sub-rectangle whose clamped input demand fits ``owned``.
-
-    Returns a zero-area region anchored at the tile origin when no sub-
-    rectangle qualifies (deep prefixes with wide receptive fields).
-    """
-    owned = owned if owned is not None else owned_input_region(plan, branch)
-    tile = branch.output_region
-    shapes = plan.graph.shapes()
-    empty = Region(tile.row_start, tile.row_start, tile.col_start, tile.col_start)
-
-    def demand_of(row_start, row_stop, col_start, col_stop):
-        return _input_demand(plan, Region(row_start, row_stop, col_start, col_stop), shapes)
-
-    # Each side's constraint depends only on that side's coordinate (backward
-    # start/stop arithmetic is separable; union and clamp are monotone), so
-    # the four shrinks are searched independently and then combined.
-    top = _shrink(
-        tile.height - 1,
-        lambda k: demand_of(
-            tile.row_start + k, tile.row_stop, tile.col_start, tile.col_stop
-        ).row_start
-        >= owned.row_start,
-    )
-    bottom = _shrink(
-        tile.height - 1,
-        lambda k: demand_of(
-            tile.row_start, tile.row_stop - k, tile.col_start, tile.col_stop
-        ).row_stop
-        <= owned.row_stop,
-    )
-    left = _shrink(
-        tile.width - 1,
-        lambda k: demand_of(
-            tile.row_start, tile.row_stop, tile.col_start + k, tile.col_stop
-        ).col_start
-        >= owned.col_start,
-    )
-    right = _shrink(
-        tile.width - 1,
-        lambda k: demand_of(
-            tile.row_start, tile.row_stop, tile.col_start, tile.col_stop - k
-        ).col_stop
-        <= owned.col_stop,
-    )
-    if top is None or bottom is None or left is None or right is None:
-        return empty
-    interior = Region(
-        tile.row_start + top,
-        tile.row_stop - bottom,
-        tile.col_start + left,
-        tile.col_stop - right,
-    )
-    if interior.height <= 0 or interior.width <= 0:
-        return empty
-    return interior
-
-
-def _rim_plan(plan: PatchPlan, patch_id: int, band: Region, shapes) -> BranchPlan:
-    demand, clamped = compose_branch_demand(
-        plan.graph, plan.prefix_nodes, plan.split_output_node, band, shapes
-    )
-    return BranchPlan(
-        patch_id=patch_id,
-        output_region=band,
-        node_regions=demand,
-        clamped_regions=clamped,
-    )
-
-
-def plan_stale_geometry(plan: PatchPlan) -> dict[int, StaleGeometry]:
-    """Compute :class:`StaleGeometry` for every branch, keyed by ``patch_id``."""
-    shapes = plan.graph.shapes()
-    geometry: dict[int, StaleGeometry] = {}
-    for branch in plan.branches:
-        owned = owned_input_region(plan, branch)
-        interior = interior_output_region(plan, branch, owned)
-        rims = frame_bands(branch.output_region, interior)
-        rim_plans = tuple(
-            _rim_plan(plan, branch.patch_id, band, shapes) for band in rims
-        )
-        halo = frame_bands(branch.clamped_regions[INPUT_NODE], owned)
-        geometry[branch.patch_id] = StaleGeometry(
-            patch_id=branch.patch_id,
-            owned_input=owned,
-            interior=interior,
-            rims=rims,
-            rim_plans=rim_plans,
-            halo_bands=halo,
-        )
-    return geometry
-
-
-def composite_input(
-    fresh: np.ndarray, stale: np.ndarray, owned_regions: list[Region]
-) -> np.ndarray:
-    """The frame a displaced round actually computes on: last round's bytes
-    with the owned regions overwritten by fresh ones."""
-    out = np.array(stale, dtype=np.float32, copy=True)
-    for region in owned_regions:
-        out[..., region.row_start : region.row_stop, region.col_start : region.col_stop] = (
-            fresh[..., region.row_start : region.row_stop, region.col_start : region.col_stop]
-        )
-    return out
-
-
-def halo_changed(fresh: np.ndarray, stale: np.ndarray, geometry: StaleGeometry) -> bool:
-    """Whether a branch's halo bytes differ between two frames.
-
-    When they do not, the displaced composite equals the fresh frame over the
-    branch's whole input region and the displaced tile is already exact — the
-    verify-and-patch correction pass can skip the branch.
-    """
-    for band in geometry.halo_bands:
-        fresh_band = fresh[..., band.row_start : band.row_stop, band.col_start : band.col_stop]
-        stale_band = stale[..., band.row_start : band.row_stop, band.col_start : band.col_stop]
-        if not np.array_equal(fresh_band, stale_band):
-            return True
-    return False

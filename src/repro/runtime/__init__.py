@@ -14,8 +14,7 @@
 
 Consumers: ``InferenceEngine(policy=..., runtime=...)``,
 ``CompiledPipeline.executor/infer/open_stream(policy=..., runtime=...)``,
-``PipelineParallelScheduler(policy=...)``, and every executor's
-``runtime=`` parameter.
+and every executor's ``runtime=`` parameter.
 """
 
 from .policy import (

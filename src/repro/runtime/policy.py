@@ -11,11 +11,11 @@ backend
     ``multiprocess`` (see :mod:`repro.backend`); ``None`` defers to the
     pipeline default and ultimately ``REPRO_BACKEND``.
 tier
-    *How fresh* the served result must be: ``exact`` (bit-identical, the
-    default), ``displaced`` (pipeline-parallel rounds start from the previous
-    micro-batch's frame, verify-and-patched back to bit-identity), or
-    ``stale_halo`` (the explicit approximate tier with bounded per-branch
-    staleness and drift sampling).
+    *How fresh* a stream's frames must be: ``exact`` (bit-identical, the
+    default) or ``stale_halo`` (the explicit approximate tier with bounded
+    per-branch staleness and drift sampling; see
+    :class:`~repro.streaming.StreamSession`).  A one-shot batch has no frame
+    history, so both tiers serve it the same bits.
 
 To change one axis of an existing policy, use :func:`dataclasses.replace`.
 """
@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 PLACEMENT_KINDS = ("local", "cluster")
-FRESHNESS_TIERS = ("exact", "displaced", "stale_halo")
+FRESHNESS_TIERS = ("exact", "stale_halo")
 
 
 @dataclass(frozen=True)

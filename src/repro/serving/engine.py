@@ -137,12 +137,6 @@ class InferenceEngine:
         runtime: Runtime | None = None,
     ) -> None:
         self.policy = policy if policy is not None else ExecutionPolicy()
-        if self.policy.tier == "displaced":
-            raise ValueError(
-                "the 'displaced' tier is a pipeline-parallel schedule over "
-                "micro-batches; InferenceEngine serves 'exact'/'stale_halo' "
-                "policies — use PipelineParallelScheduler instead"
-            )
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if batch_timeout_s < 0:

@@ -244,16 +244,8 @@ class CompiledPipeline:
         """Run quantized patch-based inference on a batch ``(N, C, H, W)``.
 
         A one-shot batch has no frame history, so the ``stale_halo`` tier
-        serves exactly the same bits as ``exact`` here; the ``displaced``
-        tier is a pipeline-parallel schedule and is rejected (drive it
-        through :class:`~repro.distributed.PipelineParallelScheduler`).
+        serves exactly the same bits as ``exact`` here.
         """
-        if policy is not None and policy.tier == "displaced":
-            raise ValueError(
-                "the 'displaced' tier is a pipeline-parallel schedule over "
-                "micro-batches; drive it through PipelineParallelScheduler, "
-                "not CompiledPipeline.infer"
-            )
         return self.executor(policy, runtime).forward(x)
 
     __call__ = infer
@@ -277,16 +269,9 @@ class CompiledPipeline:
         to their halo are served stale (bounded by the policy's
         ``max_stale_frames``), with drift vs the exact path sampled every
         ``drift_sample_every`` frames — see
-        :class:`~repro.streaming.StreamSession`.  The ``displaced`` tier
-        belongs to the pipeline-parallel scheduler and is rejected here.
+        :class:`~repro.streaming.StreamSession`.
         """
         policy = policy if policy is not None else ExecutionPolicy()
-        if policy.tier == "displaced":
-            raise ValueError(
-                "the 'displaced' tier is a pipeline-parallel schedule over "
-                "micro-batches; drive it through PipelineParallelScheduler, "
-                "not a stream"
-            )
         return StreamSession(
             self.executor(policy, runtime),
             tier=policy.tier,

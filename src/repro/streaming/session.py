@@ -16,9 +16,8 @@ byte-for-byte the one full recomputation would have produced.  Reuse is
 exact-match only — no approximation, no drift, no error accumulation across
 frames.
 
-The ``stale_halo`` tier is an explicit approximation borrowed from
-the displaced pipeline schedule: a branch whose *owned* input region (the
-tile's slice of the input plane, see
+The ``stale_halo`` tier is an explicit approximation: a branch whose
+*owned* input region (the tile's slice of the input plane, see
 :func:`~repro.patch.stale.owned_input_region`) is unchanged skips recompute
 even when a neighbour's motion dirtied its halo — the served tile then lags
 its halo by up to ``max_stale_frames`` frames.  Per-branch stale ages bound
@@ -48,13 +47,10 @@ import math
 from ..patch.analysis import branch_macs
 from ..patch.executor import PatchExecutor
 from ..patch.stale import owned_input_region
+from ..runtime.policy import FRESHNESS_TIERS
 from .diff import changed_mask, dirty_branch_ids
 
 __all__ = ["FrameStats", "StreamStats", "StreamSession"]
-
-#: The freshness tiers a stream serves (``displaced`` is a pipeline-parallel
-#: schedule over micro-batches, not a per-stream tier).
-_STREAM_TIERS = ("exact", "stale_halo")
 
 
 @dataclass(frozen=True)
@@ -178,8 +174,8 @@ class StreamSession:
         drift_sample_every: int = 0,
         max_stale_frames: int | None = None,
     ) -> None:
-        if tier not in _STREAM_TIERS:
-            raise ValueError(f"tier must be one of {_STREAM_TIERS}, got {tier!r}")
+        if tier not in FRESHNESS_TIERS:
+            raise ValueError(f"tier must be one of {FRESHNESS_TIERS}, got {tier!r}")
         if drift_sample_every < 0:
             raise ValueError("drift_sample_every must be >= 0")
         if max_stale_frames is not None and max_stale_frames < 0:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
-from fixtures import quantize_and_compile, quantize_zoo_model
+from fixtures import quantize_and_compile, quantize_zoo_model, random_property_plan
 
 from repro.distributed import DistributedExecutor, PipelineParallelScheduler, ShardPlanner
 from repro.hardware import make_cluster
@@ -111,3 +113,81 @@ def test_engine_with_cluster_serves_bit_exact_batches(rng):
     snap = engine.telemetry.snapshot()
     assert snap.mean_modelled_device_ms > 0  # cluster makespan model attached
     compiled.close()
+
+
+# ------------------------------------------------------- lifecycle regression
+def _slow_executor(plan, cluster, delay: float = 0.15) -> DistributedExecutor:
+    executor = DistributedExecutor(plan, cluster=cluster)
+    original = executor._shard_run_branches
+
+    def slow(x, branches):
+        time.sleep(delay)
+        return original(x, branches)
+
+    executor._shard_run_branches = slow
+    return executor
+
+
+def test_run_iter_close_settles_in_flight_futures():
+    """Satellite regression: dropping the generator early must drain the
+    in-flight deque (previously the submitted futures were abandoned)."""
+    rng = np.random.default_rng(41)
+    plan = random_property_plan(rng)
+    batches = [
+        rng.standard_normal((1, *plan.graph.input_shape)).astype(np.float32)
+        for _ in range(4)
+    ]
+    executor = _slow_executor(plan, make_cluster("stm32h743", 2))
+    captured = []
+    original_submit = executor._submit_patch_stage
+
+    def spy(x):
+        futures = original_submit(x)
+        captured.extend(futures)
+        return futures
+
+    executor._submit_patch_stage = spy
+    try:
+        scheduler = PipelineParallelScheduler(executor, max_in_flight=2)
+        gen = scheduler.run_iter(batches)
+        first = next(gen)  # batches 0 and 1 submitted; batch 0 yielded
+        assert np.array_equal(first, executor.forward(batches[0]))
+        assert captured, "spy must have seen the submissions"
+        gen.close()
+        # The finally-drain ran: nothing the scheduler submitted is still
+        # pending once the generator is closed.
+        assert all(future.done() for future in captured)
+    finally:
+        executor.close()
+
+
+def test_run_iter_finish_failure_settles_in_flight_futures():
+    rng = np.random.default_rng(43)
+    plan = random_property_plan(rng)
+    batches = [
+        rng.standard_normal((1, *plan.graph.input_shape)).astype(np.float32)
+        for _ in range(4)
+    ]
+    executor = _slow_executor(plan, make_cluster("stm32h743", 2))
+    captured = []
+    original_submit = executor._submit_patch_stage
+
+    def spy(x):
+        futures = original_submit(x)
+        captured.extend(futures)
+        return futures
+
+    executor._submit_patch_stage = spy
+
+    def boom(x, stitched):
+        raise RuntimeError("suffix exploded")
+
+    executor.run_suffix = boom
+    try:
+        scheduler = PipelineParallelScheduler(executor, max_in_flight=2)
+        with pytest.raises(RuntimeError, match="suffix exploded"):
+            scheduler.run(batches)
+        assert captured
+        assert all(future.done() for future in captured)
+    finally:
+        executor.close()

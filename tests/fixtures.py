@@ -28,6 +28,8 @@ from repro.nn import (
     ReLU,
     ReLU6,
 )
+from repro.nn.graph import INPUT_NODE
+from repro.patch import build_patch_plan, candidate_split_nodes, owned_input_region
 from repro.serving import ModelSpec, compile_pipeline
 
 
@@ -53,6 +55,17 @@ def random_property_graph(rng: np.random.Generator) -> Graph:
     g.add(GlobalAvgPool(), name="gap")
     g.add(Linear(channels * 2, 4), name="fc")
     return g
+
+
+def random_property_plan(rng: np.random.Generator):
+    """A patch plan of :func:`random_property_graph` at a random split and grid."""
+    graph = random_property_graph(rng)
+    candidates = candidate_split_nodes(graph)
+    split = candidates[int(rng.integers(len(candidates)))]
+    _, split_h, split_w = graph.shapes()[split]
+    num_patches = int(rng.integers(2, min(split_h, split_w, 4) + 1))
+    return build_patch_plan(graph, split, num_patches)
+
 
 try:  # property tests use hypothesis when the environment has it ...
     from hypothesis import HealthCheck, given, settings
@@ -123,7 +136,6 @@ def deep_split_deployment(model_name: str, resolution: int, split: str, bits_of=
     ``pipeline.quantized_weights()``.
     """
     from repro.core.quantmcu import make_static_hooks
-    from repro.patch import build_patch_plan
 
     _, pipeline, result = quantize_zoo_model(model_name=model_name, resolution=resolution)
     plan = build_patch_plan(pipeline.graph, split, 4)
@@ -134,6 +146,54 @@ def deep_split_deployment(model_name: str, resolution: int, split: str, bits_of=
     ]
     hooks = make_static_hooks(result.activation_ranges, branch_bits, result.suffix_bits)
     return pipeline, plan, hooks
+
+
+def halo_only_pixel(plan) -> tuple[int, int, int, int] | None:
+    """A pixel one branch reads as halo while another branch owns it.
+
+    Returns ``(row, col, owner_patch_id, halo_patch_id)``: perturbing that
+    pixel core-dirties the owner while only halo-dirtying the other branch,
+    the minimal deterministic scenario for the ``stale_halo`` tier (a
+    wandering-object video on small grids either misses the one-pixel halos
+    or core-dirties every quadrant).  Branches are scanned in plan order, and
+    each branch's halo (its clamped input region minus its owned region) in
+    the order top band, bottom band, left band, right band, taking each
+    band's first pixel.  ``None`` when no branch reads another's pixels.
+    """
+    owned = {branch.patch_id: owned_input_region(plan, branch) for branch in plan.branches}
+
+    def owner_of(row: int, col: int) -> int:
+        return next(
+            pid
+            for pid, region in owned.items()
+            if region.row_start <= row < region.row_stop
+            and region.col_start <= col < region.col_stop
+        )
+
+    for branch in plan.branches:
+        read, own = branch.clamped_regions[INPUT_NODE], owned[branch.patch_id]
+        if read.area == 0:
+            continue
+        top, bottom = max(own.row_start, read.row_start), min(own.row_stop, read.row_stop)
+        left, right = max(own.col_start, read.col_start), min(own.col_stop, read.col_stop)
+        if top >= bottom or left >= right:  # owns none of what it reads
+            corners = [(read.row_start, read.col_start)]
+        else:
+            corners = [
+                corner
+                for corner, is_band in (
+                    ((read.row_start, read.col_start), top > read.row_start),
+                    ((bottom, read.col_start), bottom < read.row_stop),
+                    ((top, read.col_start), left > read.col_start),
+                    ((top, right), right < read.col_stop),
+                )
+                if is_band
+            ]
+        for row, col in corners:
+            owner = owner_of(row, col)
+            if owner != branch.patch_id:
+                return row, col, owner, branch.patch_id
+    return None
 
 
 def property_cases(max_examples: int = 20):

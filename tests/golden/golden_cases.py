@@ -38,11 +38,13 @@ from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 REPO_ROOT = GOLDEN_DIR.parent.parent
-if str(REPO_ROOT / "src") not in sys.path:  # refresh.py runs without PYTHONPATH
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for _path in (REPO_ROOT / "src", REPO_ROOT / "tests"):  # refresh.py runs without PYTHONPATH
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np
 
+from fixtures import halo_only_pixel
 from repro.core import QuantMCUPipeline
 from repro.distributed import ShardPlanner
 from repro.hardware import (
@@ -92,34 +94,6 @@ def golden_path(case_name: str) -> Path:
     return GOLDEN_DIR / f"golden_{case_name}.json"
 
 
-def _halo_only_pixel(plan) -> tuple[int, int, int, int]:
-    """A pixel inside some branch's halo band that another branch owns.
-
-    Perturbing it core-dirties the owner while only halo-dirtying the other
-    branch — the minimal deterministic scenario that exercises the
-    ``stale_halo`` approximation tier (a wandering-object video on these
-    small grids either misses the one-pixel halo bands entirely or
-    core-dirties every quadrant, so the scenario is crafted from geometry).
-    """
-    from repro.patch.stale import plan_stale_geometry
-
-    geometry = plan_stale_geometry(plan)
-    for geo in geometry.values():
-        for band in geo.halo_bands:
-            if band.area == 0:
-                continue
-            row, col = band.row_start, band.col_start
-            owner = next(
-                g.patch_id
-                for g in geometry.values()
-                if g.owned_input.row_start <= row < g.owned_input.row_stop
-                and g.owned_input.col_start <= col < g.owned_input.col_stop
-            )
-            if owner != geo.patch_id:
-                return row, col, owner, geo.patch_id
-    raise AssertionError("plan has no cross-owned halo band")
-
-
 def _stale_drift_record(compiled) -> dict:
     """Fingerprint the stale-halo tier on a crafted halo-only perturbation.
 
@@ -130,7 +104,9 @@ def _stale_drift_record(compiled) -> dict:
     generous ``*4 + 1e-3`` upper bounds that every environment must respect.
     """
     plan = compiled.plan
-    row, col, owner, lagging = _halo_only_pixel(plan)
+    located = halo_only_pixel(plan)
+    assert located is not None, "plan has no cross-owned halo band"
+    row, col, owner, lagging = located
     session = compiled.open_stream(
         policy=ExecutionPolicy(
             tier="stale_halo", drift_sample_every=1, max_stale_frames=None

@@ -1,186 +1,26 @@
-"""Property tests for the displaced (stale-halo) execution geometry.
+"""Property test for the input ownership behind the ``stale_halo`` tier.
 
-The correctness of verify-and-patch mode rests on three invariants of
-:mod:`repro.patch.stale`, each checked here over random graphs and grids:
-
-* the owned input regions of a plan exactly partition the input plane (every
-  pixel owned by exactly one branch);
-* every interior output element's clamped input demand lies inside the owned
-  region, and the interior is maximal (expanding any shrunk side by one
-  element makes the demand spill into the halo);
-* interior plus rim bands exactly partition each output tile, and owned plus
-  halo bands exactly partition each branch's clamped input region.
+A stream serves a branch stale only when every changed pixel lies outside
+the branch's owned input region, so the owned regions of a plan must exactly
+partition the input plane (every pixel owned by exactly one branch).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fixtures import property_cases, random_property_graph
+from fixtures import property_cases, random_property_plan
 
-from repro.nn.graph import INPUT_NODE
-from repro.patch import (
-    build_patch_plan,
-    candidate_split_nodes,
-    compose_branch_demand,
-    composite_input,
-    frame_bands,
-    halo_changed,
-    plan_stale_geometry,
-)
-from repro.patch.regions import Region
-
-
-def _random_plan(rng: np.random.Generator):
-    graph = random_property_graph(rng)
-    candidates = candidate_split_nodes(graph)
-    split = candidates[int(rng.integers(len(candidates)))]
-    _, split_h, split_w = graph.shapes()[split]
-    num_patches = int(rng.integers(2, min(split_h, split_w, 4) + 1))
-    return build_patch_plan(graph, split, num_patches)
-
-
-def _paint(canvas: np.ndarray, region: Region) -> None:
-    canvas[region.row_start : region.row_stop, region.col_start : region.col_stop] += 1
-
-
-def _input_demand(plan, region: Region) -> Region:
-    _, clamped = compose_branch_demand(
-        plan.graph, plan.prefix_nodes, plan.split_output_node, region
-    )
-    return clamped[INPUT_NODE]
+from repro.patch import owned_input_region
 
 
 @property_cases(max_examples=15)
 def test_owned_regions_partition_the_input(seed):
     rng = np.random.default_rng(seed)
-    plan = _random_plan(rng)
-    geometry = plan_stale_geometry(plan)
+    plan = random_property_plan(rng)
     _, in_h, in_w = plan.graph.input_shape
     coverage = np.zeros((in_h, in_w), dtype=np.int64)
-    for geo in geometry.values():
-        _paint(coverage, geo.owned_input)
+    for branch in plan.branches:
+        owned = owned_input_region(plan, branch)
+        coverage[owned.row_start : owned.row_stop, owned.col_start : owned.col_stop] += 1
     assert (coverage == 1).all(), "owned regions must tile the input exactly once"
-
-
-@property_cases(max_examples=15)
-def test_interior_demand_is_contained_and_maximal(seed):
-    rng = np.random.default_rng(seed)
-    plan = _random_plan(rng)
-    geometry = plan_stale_geometry(plan)
-    for branch in plan.branches:
-        geo = geometry[branch.patch_id]
-        tile, interior, owned = branch.output_region, geo.interior, geo.owned_input
-        if interior.area == 0:
-            continue
-        demand = _input_demand(plan, interior)
-        assert demand.row_start >= owned.row_start and demand.row_stop <= owned.row_stop
-        assert demand.col_start >= owned.col_start and demand.col_stop <= owned.col_stop
-        # Maximality: growing any shrunk side by one output element must pull
-        # input demand from outside the owned region (i.e. from the halo).
-        if interior.row_start > tile.row_start:
-            grown = Region(
-                interior.row_start - 1, interior.row_stop, interior.col_start, interior.col_stop
-            )
-            assert _input_demand(plan, grown).row_start < owned.row_start
-        if interior.row_stop < tile.row_stop:
-            grown = Region(
-                interior.row_start, interior.row_stop + 1, interior.col_start, interior.col_stop
-            )
-            assert _input_demand(plan, grown).row_stop > owned.row_stop
-        if interior.col_start > tile.col_start:
-            grown = Region(
-                interior.row_start, interior.row_stop, interior.col_start - 1, interior.col_stop
-            )
-            assert _input_demand(plan, grown).col_start < owned.col_start
-        if interior.col_stop < tile.col_stop:
-            grown = Region(
-                interior.row_start, interior.row_stop, interior.col_start, interior.col_stop + 1
-            )
-            assert _input_demand(plan, grown).col_stop > owned.col_stop
-
-
-@property_cases(max_examples=15)
-def test_rims_and_halo_bands_partition_their_regions(seed):
-    rng = np.random.default_rng(seed)
-    plan = _random_plan(rng)
-    geometry = plan_stale_geometry(plan)
-    _, in_h, in_w = plan.graph.input_shape
-    split_shape = plan.graph.shapes()[plan.split_output_node]
-    for branch in plan.branches:
-        geo = geometry[branch.patch_id]
-        tile = branch.output_region
-        # interior + rims tile the output region exactly once.
-        canvas = np.zeros(split_shape[1:], dtype=np.int64)
-        _paint(canvas, geo.interior)
-        for rim in geo.rims:
-            _paint(canvas, rim)
-        window = canvas[tile.row_start : tile.row_stop, tile.col_start : tile.col_stop]
-        assert (window == 1).all()
-        assert (canvas.sum() == tile.area), "rims must not leak outside the tile"
-        # owned + halo bands tile the clamped input region exactly once.
-        clamped = branch.clamped_regions[INPUT_NODE]
-        canvas = np.zeros((in_h, in_w), dtype=np.int64)
-        _paint(canvas, geo.owned_input)
-        for band in geo.halo_bands:
-            _paint(canvas, band)
-        window = canvas[
-            clamped.row_start : clamped.row_stop, clamped.col_start : clamped.col_stop
-        ]
-        assert (window == 1).all()
-        # rim plans carry the parent's patch_id and cover exactly the rims.
-        assert all(rp.patch_id == branch.patch_id for rp in geo.rim_plans)
-        assert [rp.output_region for rp in geo.rim_plans] == list(geo.rims)
-
-
-def test_frame_bands_edge_cases():
-    outer = Region(2, 10, 4, 12)
-    # Empty inner -> the whole outer region as one band.
-    assert frame_bands(outer, Region(0, 0, 0, 0)) == (outer,)
-    # Inner covering outer -> nothing left.
-    assert frame_bands(outer, outer) == ()
-    assert frame_bands(outer, Region(0, 20, 0, 20)) == ()
-    # Empty outer -> no bands at all.
-    assert frame_bands(Region(3, 3, 4, 4), outer) == ()
-    # Strict interior -> four disjoint bands covering outer minus inner.
-    inner = Region(4, 8, 6, 10)
-    bands = frame_bands(outer, inner)
-    assert len(bands) == 4
-    canvas = np.zeros((16, 16), dtype=np.int64)
-    for band in bands:
-        _paint(canvas, band)
-    _paint(canvas, inner)
-    assert (canvas[2:10, 4:12] == 1).all()
-    assert canvas.sum() == outer.area
-
-
-def test_composite_input_and_halo_changed(rng):
-    plan = _random_plan(np.random.default_rng(5))
-    geometry = plan_stale_geometry(plan)
-    shape = (1, *plan.graph.input_shape)
-    stale = rng.standard_normal(shape).astype(np.float32)
-    fresh = rng.standard_normal(shape).astype(np.float32)
-    owned = [geo.owned_input for geo in geometry.values()]
-    composite = composite_input(fresh, stale, owned)
-    # Owned regions partition the input, so refreshing all of them on one
-    # device reconstructs the fresh frame exactly.
-    assert np.array_equal(composite, fresh)
-    # Refreshing a single branch's owned region leaves its halo stale.
-    for geo in geometry.values():
-        one = composite_input(fresh, stale, [geo.owned_input])
-        region = geo.owned_input
-        assert np.array_equal(
-            one[..., region.row_start : region.row_stop, region.col_start : region.col_stop],
-            fresh[..., region.row_start : region.row_stop, region.col_start : region.col_stop],
-        )
-        if geo.has_halo:
-            band = next(b for b in geo.halo_bands if b.area > 0)
-            assert np.array_equal(
-                one[..., band.row_start : band.row_stop, band.col_start : band.col_stop],
-                stale[..., band.row_start : band.row_stop, band.col_start : band.col_stop],
-            )
-    # halo_changed: random frames differ wherever a halo exists; identical
-    # frames (or halo-free branches) never report a change.
-    for geo in geometry.values():
-        assert halo_changed(fresh, stale, geo) == geo.has_halo
-        assert not halo_changed(fresh, fresh, geo)

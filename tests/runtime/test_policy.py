@@ -63,8 +63,9 @@ class TestExecutionPolicy:
         assert policy.tier == "exact"
 
     def test_tier_validated(self):
-        with pytest.raises(ValueError, match="tier"):
-            ExecutionPolicy(tier="fuzzy")
+        for tier in ("fuzzy", "displaced"):
+            with pytest.raises(ValueError, match="tier"):
+                ExecutionPolicy(tier=tier)
         for tier in FRESHNESS_TIERS:
             assert ExecutionPolicy(tier=tier).tier == tier
 

@@ -4,8 +4,8 @@ The execution contract of the whole stack: for a given freshness tier, every
 valid combination of placement (local / cluster) and kernel backend
 (loop / vectorized / multiprocess) must produce *identical bits* on both zoo
 deployments.  The tier picks the surface it is served through — ``exact``
-via :meth:`CompiledPipeline.infer`, ``stale_halo`` via a stream session,
-``displaced`` via the pipeline-parallel scheduler (cluster placement only).
+via :meth:`CompiledPipeline.infer` and the pipeline-parallel scheduler
+(cluster placement only), ``stale_halo`` via a stream session.
 """
 
 from __future__ import annotations
@@ -99,34 +99,22 @@ class TestStaleHaloTier:
             np.testing.assert_array_equal(out, ref)
 
 
-class TestDisplacedTier:
-    """``displaced`` is a cluster-only tier: the scheduler pipelines
-    micro-batches across devices and verify-patches the stale halos back to
-    exact bits, so its outputs must equal the exact tier's."""
+class TestPipelinedExactTier:
+    """The pipeline-parallel scheduler overlaps one micro-batch's suffix with
+    the next one's patch stage across cluster devices; scheduling changes
+    only when work runs, so its outputs must equal the exact tier's."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cluster_cell_matches_exact(self, deployment, backend):
         compiled, frames = deployment
         batches = [frame[None] for frame in frames]
         spec = make_cluster("stm32h743", 2)
-        policy = ExecutionPolicy(
-            placement=cluster(spec), backend=backend, tier="displaced"
-        )
-        # The executor depends on placement and backend only, not the tier.
+        policy = ExecutionPolicy(placement=cluster(spec), backend=backend)
         executor = compiled.executor(policy=policy)
         expected = [
             compiled.infer(x, policy=ExecutionPolicy(placement=local(), backend="loop"))
             for x in batches
         ]
-        scheduler = PipelineParallelScheduler(executor, policy=policy)
-        outputs = scheduler.run(batches)
+        outputs = PipelineParallelScheduler(executor).run(batches)
         for out, ref in zip(outputs, expected):
             np.testing.assert_array_equal(out, ref)
-
-    def test_displaced_rejected_off_cluster(self, deployment):
-        compiled, frames = deployment
-        policy = ExecutionPolicy(placement=local(), tier="displaced")
-        with pytest.raises(ValueError, match="displaced"):
-            compiled.infer(frames[0][None], policy=policy)
-        with pytest.raises(ValueError, match="displaced"):
-            compiled.open_stream(policy=policy)

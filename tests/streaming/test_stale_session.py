@@ -23,23 +23,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fixtures import property_cases, quantize_and_compile, random_property_graph
+from fixtures import halo_only_pixel, property_cases, quantize_and_compile, random_property_plan
 
-from repro.patch import PatchExecutor, build_patch_plan, candidate_split_nodes
+from repro.patch import PatchExecutor
 from repro.patch.analysis import branch_macs
-from repro.patch.stale import plan_stale_geometry
 from repro.runtime import ExecutionPolicy
 from repro.serving import InferenceEngine
 from repro.streaming import StreamSession
-
-
-def _random_plan(rng: np.random.Generator):
-    graph = random_property_graph(rng)
-    candidates = candidate_split_nodes(graph)
-    split = candidates[int(rng.integers(len(candidates)))]
-    _, split_h, split_w = graph.shapes()[split]
-    num_patches = int(rng.integers(2, min(split_h, split_w, 4) + 1))
-    return build_patch_plan(graph, split, num_patches)
 
 
 def _perturbed(rng: np.random.Generator, frame: np.ndarray) -> np.ndarray:
@@ -53,34 +43,11 @@ def _perturbed(rng: np.random.Generator, frame: np.ndarray) -> np.ndarray:
     return out
 
 
-def _halo_only_pixel(plan) -> tuple[int, int, int, int] | None:
-    """A pixel inside some branch's halo band, with the owning branch.
-
-    Returns ``(row, col, owner_patch_id, halo_patch_id)`` — perturbing that
-    pixel core-dirties the owner while only halo-dirtying the other branch.
-    """
-    geometry = plan_stale_geometry(plan)
-    for geo in geometry.values():
-        for band in geo.halo_bands:
-            if band.area == 0:
-                continue
-            row, col = band.row_start, band.col_start
-            owner = next(
-                g.patch_id
-                for g in geometry.values()
-                if g.owned_input.row_start <= row < g.owned_input.row_stop
-                and g.owned_input.col_start <= col < g.owned_input.col_stop
-            )
-            if owner != geo.patch_id:
-                return row, col, owner, geo.patch_id
-    return None
-
-
 # ------------------------------------------------------------ stale semantics
 @property_cases(max_examples=10)
 def test_max_stale_zero_degenerates_to_exact(seed):
     rng = np.random.default_rng(seed)
-    plan = _random_plan(rng)
+    plan = random_property_plan(rng)
     executor = PatchExecutor(plan)
     session = StreamSession(executor, tier="stale_halo", max_stale_frames=0)
     frame = rng.standard_normal((1, *plan.graph.input_shape)).astype(np.float32)
@@ -92,8 +59,8 @@ def test_max_stale_zero_degenerates_to_exact(seed):
 
 def test_halo_only_change_is_skipped_aged_and_force_recomputed():
     rng = np.random.default_rng(2)
-    plan = _random_plan(rng)
-    located = _halo_only_pixel(plan)
+    plan = random_property_plan(rng)
+    located = halo_only_pixel(plan)
     assert located is not None, "plan should have at least one halo band"
     row, col, owner, lagging = located
 
@@ -127,8 +94,8 @@ def test_halo_only_change_is_skipped_aged_and_force_recomputed():
 
 def test_unbounded_staleness_persists_across_quiet_frames():
     rng = np.random.default_rng(6)
-    plan = _random_plan(rng)
-    located = _halo_only_pixel(plan)
+    plan = random_property_plan(rng)
+    located = halo_only_pixel(plan)
     assert located is not None
     row, col, _, lagging = located
     executor = PatchExecutor(plan)
@@ -150,7 +117,7 @@ def test_unbounded_staleness_persists_across_quiet_frames():
 
 def test_drift_sampling_populates_frame_and_cumulative_fields():
     rng = np.random.default_rng(9)
-    plan = _random_plan(rng)
+    plan = random_property_plan(rng)
     executor = PatchExecutor(plan)
     session = StreamSession(
         executor, tier="stale_halo", drift_sample_every=1
@@ -174,12 +141,10 @@ def test_drift_sampling_populates_frame_and_cumulative_fields():
 
 def test_session_validates_parameters():
     rng = np.random.default_rng(1)
-    plan = _random_plan(rng)
+    plan = random_property_plan(rng)
     executor = PatchExecutor(plan)
     with pytest.raises(ValueError, match="tier"):
         StreamSession(executor, tier="sloppy")
-    with pytest.raises(ValueError, match="tier"):
-        StreamSession(executor, tier="displaced")
     with pytest.raises(ValueError, match="drift_sample_every"):
         StreamSession(executor, drift_sample_every=-1)
     with pytest.raises(ValueError, match="max_stale_frames"):
@@ -209,7 +174,7 @@ def test_executed_macs_keyed_by_patch_id_not_position():
     patch ids — an IndexError (or silent misattribution) whenever ids are
     not dense positional indices."""
     rng = np.random.default_rng(4)
-    base = _random_plan(rng)
+    base = random_property_plan(rng)
     renumbered = replace(
         base,
         branches=[
@@ -238,7 +203,7 @@ def test_executed_macs_keyed_by_patch_id_not_position():
 def test_pipeline_and_engine_streams_carry_stale_telemetry():
     _, _, compiled = quantize_and_compile()
     try:
-        located = _halo_only_pixel(compiled.plan)
+        located = halo_only_pixel(compiled.plan)
         assert located is not None
         row, col, _, lagging = located
         rng = np.random.default_rng(13)

@@ -17,20 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from fixtures import property_cases, random_property_graph
+from fixtures import property_cases, random_property_plan
 
 from repro.nn.graph import INPUT_NODE
-from repro.patch import PatchExecutor, build_patch_plan, candidate_split_nodes
+from repro.patch import PatchExecutor
 from repro.streaming import StreamSession, changed_mask, dirty_branch_ids
-
-
-def _random_plan(rng: np.random.Generator):
-    graph = random_property_graph(rng)
-    candidates = candidate_split_nodes(graph)
-    split = candidates[int(rng.integers(len(candidates)))]
-    _, split_h, split_w = graph.shapes()[split]
-    num_patches = int(rng.integers(2, min(split_h, split_w, 4) + 1))
-    return build_patch_plan(graph, split, num_patches)
 
 
 def _perturbed(rng: np.random.Generator, frame: np.ndarray) -> np.ndarray:
@@ -55,7 +46,7 @@ def _perturbed(rng: np.random.Generator, frame: np.ndarray) -> np.ndarray:
 @property_cases(max_examples=15)
 def test_incremental_recompute_is_bit_identical(seed):
     rng = np.random.default_rng(seed)
-    plan = _random_plan(rng)
+    plan = random_property_plan(rng)
     executor = PatchExecutor(plan)
     session = StreamSession(executor)
 
@@ -88,7 +79,7 @@ def test_incremental_recompute_is_bit_identical(seed):
 def test_multi_frame_streams_never_drift(seed):
     """Chained incremental frames stay bit-identical (no error accumulation)."""
     rng = np.random.default_rng(seed)
-    plan = _random_plan(rng)
+    plan = random_property_plan(rng)
     executor = PatchExecutor(plan)
     session = StreamSession(executor)
     frame = rng.standard_normal((1, *plan.graph.input_shape)).astype(np.float32)
