@@ -99,7 +99,7 @@ class TestStaleHaloTier:
             np.testing.assert_array_equal(out, ref)
 
 
-class TestPipelinedExactTier:
+class TestScheduler:
     """The pipeline-parallel scheduler overlaps one micro-batch's suffix with
     the next one's patch stage across cluster devices; scheduling changes
     only when work runs, so its outputs must equal the exact tier's."""
