@@ -72,6 +72,7 @@ from functools import reduce
 
 import numpy as np
 
+from ..nn import functional as F
 from ..nn.graph import INPUT_NODE
 from ..patch.analysis import branch_macs
 from ..patch.executor import MEMBER, SPATIAL
@@ -122,15 +123,6 @@ def _offsets(region: Region, within: Region) -> tuple[int, int, int, int]:
         region.col_start - within.col_start,
         region.col_stop - within.col_start,
     )
-
-
-def _zero_pad(window: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
-    """Zero rows and columns around an ``(n, h, w, C)`` window: ``np.pad``'s
-    result, at a fraction of its per-call cost."""
-    n, h, w, c = window.shape
-    out = np.zeros((n, top + h + bottom, left + w + right, c), window.dtype)
-    out[:, top : top + h, left : left + w] = window
-    return out
 
 
 def _channels_last(x: np.ndarray) -> np.ndarray:
@@ -296,7 +288,7 @@ class VectorizedBackend(Backend):
             else:
                 inputs = [values[src][:, r0:r1, c0:c1] for src, r0, r1, c0, c1 in step.src_rects]
                 if any(step.pads):
-                    inputs[0] = _zero_pad(inputs[0], *step.pads)
+                    inputs[0] = F.zero_pad_nhwc(inputs[0], *step.pads)
                 value = step.fn(*inputs)
             if step.fm is not None:
                 # Content-dependent hooks see the logical (N, C, h, w) region.

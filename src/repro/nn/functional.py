@@ -56,6 +56,8 @@ __all__ = [
     "conv2d_backward",
     "depthwise_conv2d_forward",
     "depthwise_conv2d_taps",
+    "depthwise_conv2d_exact",
+    "zero_pad_nhwc",
     "depthwise_conv2d_backward",
     "maxpool2d_forward",
     "maxpool2d_backward",
@@ -327,6 +329,27 @@ def depthwise_conv2d_forward(
     return out.reshape(n, c, out_h, out_w), windows
 
 
+def zero_pad_nhwc(
+    x: np.ndarray, top: int, bottom: int | None = None, left: int | None = None, right: int | None = None
+) -> np.ndarray:
+    """Zero rows and columns around a **channels-last** ``(N, H, W, C)`` array;
+    ``bottom``, ``left`` and ``right`` default to ``top``.
+
+    ``np.pad``'s result, a fresh contiguous array, at a fraction of its
+    per-call cost on small maps: only the border is zeroed, and the interior
+    is copied once.
+    """
+    bottom, left, right = (top if k is None else k for k in (bottom, left, right))
+    n, h, w, c = x.shape
+    out = np.empty((n, top + h + bottom, left + w + right, c), x.dtype)
+    out[:, :top] = 0
+    out[:, top + h :] = 0
+    out[:, top : top + h, :left] = 0
+    out[:, top : top + h, left + w :] = 0
+    out[:, top : top + h, left : left + w] = x
+    return out
+
+
 def depthwise_conv2d_taps(
     x: np.ndarray,
     weight: np.ndarray,
@@ -334,7 +357,7 @@ def depthwise_conv2d_taps(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Inference-only depthwise convolution over **channels-last** arrays.
+    """Inference-only depthwise convolution over **channels-last** float arrays.
 
     ``x`` is ``(N, H, W, C)`` and the result ``(N, out_h, out_w, C)``, a fresh
     contiguous array: accumulating in place into a strided view is slower
@@ -347,8 +370,14 @@ def depthwise_conv2d_taps(
     memory, i.e. whenever ``out_w > 1``: then the two are bit-identical (at
     ``out_w == 1`` the reference sums contiguous taps pairwise).  The order
     is fixed per output element, so the result never depends on the batch
-    or on the memory layout of ``x``, and over integer codes and taps it is
-    exact.
+    or on the memory layout of ``x``.
+
+    This kernel is for values whose float sums round: real-unit floats, and
+    integer codes whose partial sums may pass ``2**24``.  Integer codes below
+    that bound take :func:`depthwise_conv2d_exact`, one pass instead of this
+    kernel's ``2 * kh * kw - 1``; it may not replace this one on floats,
+    because its summation order differs from the tap order on some shapes,
+    and rounded sums then differ in their last bits.
 
     Channels-last makes every tap a run of ``out_w * C`` contiguous elements
     at stride 1: the per-channel taps are tiled to that row length, so each
@@ -360,10 +389,7 @@ def depthwise_conv2d_taps(
         raise ValueError(f"depthwise weight has {c_w} channels, input has {c}")
     out_h = conv_output_size(h, kh, stride, padding)
     out_w = conv_output_size(w, kw, stride, padding)
-    if padding > 0:
-        img = np.pad(x, [(0, 0), (padding, padding), (padding, padding), (0, 0)], mode="constant")
-    else:
-        img = x
+    img = zero_pad_nhwc(x, padding) if padding > 0 else x
     out = np.empty((n, out_h, out_w, c), dtype=np.result_type(x, weight))
     taps = weight.reshape(c, kh * kw).T
     row_span = stride * (out_h - 1) + 1
@@ -392,6 +418,58 @@ def depthwise_conv2d_taps(
     if bias is not None:
         acc += bias
     return out
+
+
+def depthwise_conv2d_exact(
+    x: np.ndarray,
+    weight: np.ndarray,
+    stride: int,
+    padding: int,
+    tiles: dict[int, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Single-pass depthwise convolution over **channels-last** integer codes.
+
+    Shapes as in :func:`depthwise_conv2d_taps` (no bias).  ``x`` and
+    ``weight`` must hold integers whose products, summed over any subset of
+    the ``kh*kw`` taps, stay below ``2**24`` in magnitude: float32 then adds
+    them exactly in any order, so one :func:`numpy.einsum` reduces every tap
+    in a single pass over the input instead of a multiply and an add pass per
+    tap.  The result equals an integer convolution.
+
+    With the padded input's rows merged to ``W * C`` contiguous elements,
+    tap ``(i, j)`` of output row ``r`` at stride 1 is the run of
+    ``full_w * C`` elements (``full_w = W_padded - kw + 1``) starting at
+    column ``j`` of padded row ``r * stride + i``: one read-only strided view
+    ``(n, out_h, kh, kw, full_w * C)`` holds them all, reduced against the
+    ``(kh, kw, C)`` taps tiled to ``full_w * C``.  At ``stride > 1`` every
+    ``stride``-th column is kept.  ``tiles`` caches the tiled taps by
+    ``full_w``; pass one dict per ``weight``.
+    """
+    n, _, _, c = x.shape
+    c_w, kh, kw = weight.shape
+    if c_w != c:
+        raise ValueError(f"depthwise weight has {c_w} channels, input has {c}")
+    if padding > 0:
+        x = zero_pad_nhwc(x, padding)
+    elif x.strides[-2] != c * x.itemsize or x.strides[-1] != x.itemsize:
+        x = np.ascontiguousarray(x)  # rows must merge into one run of W * C
+    _, h, w, _ = x.shape
+    out_h = (h - kh) // stride + 1
+    full_w = w - kw + 1
+    taps = None if tiles is None else tiles.get(full_w)
+    if taps is None:
+        taps = np.tile(weight.transpose(1, 2, 0), (1, 1, full_w))
+        if tiles is not None:
+            tiles[full_w] = taps
+    sn, sh, sw, _ = x.strides
+    view = as_strided(
+        x,
+        shape=(n, out_h, kh, kw, full_w * c),
+        strides=(sn, sh * stride, sh, sw, x.itemsize),
+        writeable=False,
+    )
+    out = np.einsum("nhijr,ijr->nhr", view, taps).reshape(n, out_h, full_w, c)
+    return out if stride == 1 else np.ascontiguousarray(out[:, :, ::stride])
 
 
 def _merge_rows(a: np.ndarray) -> np.ndarray | None:

@@ -25,7 +25,13 @@ order: results do not depend on batch size, tiling, grouping or memory
 layout, and one GEMM covers any stack of samples.  The bound
 ``K * max|c| * max|q_w| < 2**24`` is checked per layer when its weights are
 folded; a GEMM that could exceed it splits ``K`` into chunks that satisfy it
-and sums the chunks in float64.
+and sums the chunks in float64.  Because order is free, depthwise
+convolution is the single-pass kernel
+:func:`~repro.nn.functional.depthwise_conv2d_exact`: one :func:`numpy.einsum`
+over a strided view of the padded rows instead of a multiply and an add pass
+per tap.  A depthwise layer that could exceed the bound keeps the ascending
+tap loop of :func:`~repro.nn.functional.depthwise_conv2d_taps`, which rounds
+in a fixed order.
 
 **One fused epilogue per feature map.**  The chain of BatchNorm, ReLU/ReLU6,
 Identity and Dropout after a kernel folds into its output: ``acc * M + B``,
@@ -380,8 +386,7 @@ def _weightless(layer: Layer, sources: list[Value], input_shape, padding: int):
             return (lambda x: x.transpose(0, 3, 1, 2).reshape(x.shape[0], -1)), scale, bound, True
         return (lambda x: x.reshape(x.shape[0], -1)), scale, bound, False
     if isinstance(layer, Pad2d):
-        pad = [(0, 0), (padding, padding), (padding, padding), (0, 0)]
-        return (lambda x: np.pad(x, pad, mode="constant")), scale, bound, True
+        return (lambda x: F.zero_pad_nhwc(x, padding)), scale, bound, True
     return _dequantizing(layer, [s.scale for s in sources], input_shape), 1.0, None, True
 
 
@@ -424,7 +429,7 @@ def _pool(x: np.ndarray, k: int, stride: int, padding: int, reduce) -> np.ndarra
     """Max or sum pooling over channels-last ``x``, one whole-tensor tap at a
     time in a fixed order: exact over codes, per element in float."""
     if padding > 0:
-        x = np.pad(x, [(0, 0), (padding, padding), (padding, padding), (0, 0)], mode="constant")
+        x = F.zero_pad_nhwc(x, padding)
     _, h, w, _ = x.shape
     out_h = (h - k) // stride + 1
     out_w = (w - k) // stride + 1
@@ -478,14 +483,16 @@ def _weighted(chain: _Chain, source: Value, padding: int, grid) -> Kernel:
                 chunk = max(1, (EXACT_LIMIT - 1) // peak)
         if not isinstance(layer, DepthwiseConv2d):
             operand = operand.reshape(operand.shape[0], -1).T
-        folded = (operand, found is not None, chunk, _epilogue(chain, m0, params.get("bias"), grid))
+        epilogue = _epilogue(chain, m0, params.get("bias"), grid)
+        # The last field caches a depthwise kernel's taps tiled per row width.
+        folded = (operand, found is not None, chunk, epilogue, {})
         state[0] = (weight, folded)
         return folded
 
     if isinstance(layer, Linear):
 
         def linear(x: np.ndarray) -> np.ndarray:
-            matrix, _, _, epilogue = fold(params["weight"])
+            matrix, _, _, epilogue, _ = fold(params["weight"])
             acc = np.empty((x.shape[0], matrix.shape[1]), np.float32)
             for i in range(x.shape[0]):  # repro: noqa[REP007] - per row: batch-invariant
                 acc[i] = x[i : i + 1] @ matrix
@@ -496,17 +503,21 @@ def _weighted(chain: _Chain, source: Value, padding: int, grid) -> Kernel:
     if isinstance(layer, DepthwiseConv2d):
 
         def depthwise(x: np.ndarray) -> np.ndarray:
-            taps, _, _, epilogue = fold(params["weight"])
-            return epilogue(F.depthwise_conv2d_taps(x, taps, None, stride, padding), True)
+            taps, exact, chunk, epilogue, tiles = fold(params["weight"])
+            if exact and chunk is None:
+                acc = F.depthwise_conv2d_exact(x, taps, stride, padding, tiles)
+            else:  # float, or integer sums that may round: the ordered taps
+                acc = F.depthwise_conv2d_taps(x, taps, None, stride, padding)
+            return epilogue(acc, True)
 
         return depthwise
 
     def conv(x: np.ndarray) -> np.ndarray:
         weight = params["weight"]
-        matrix, exact, chunk, epilogue = fold(weight)
+        matrix, exact, chunk, epilogue, _ = fold(weight)
         c_out, c_in, kh, kw = weight.shape
         if padding > 0:
-            x = np.pad(x, [(0, 0), (padding, padding), (padding, padding), (0, 0)], mode="constant")
+            x = F.zero_pad_nhwc(x, padding)
         n, h, w, _ = x.shape
         out_h = (h - kh) // stride + 1
         out_w = (w - kw) // stride + 1

@@ -284,3 +284,22 @@ class TestVectorizedKernelEquivalence:
             got = F._strided_windows(img, kh, kw, stride)
             assert got.shape == expected.shape
             assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("pads", [(1,), (2, 0, 0, 3), (0, 1, 2, 0), (0, 0, 0, 0)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_zero_pad_nhwc_matches_np_pad(pads, dtype):
+    """The channels-last zero pad returns ``np.pad``'s bytes in a fresh
+    contiguous array, from strided input too, and writes nothing it reads."""
+    rng = np.random.default_rng(5)
+    top, bottom, left, right = pads * 4 if len(pads) == 1 else pads
+    for x in (
+        rng.standard_normal((2, 5, 4, 3)).astype(dtype),
+        rng.standard_normal((2, 3, 7, 6)).astype(dtype)[:, :, 1:6, 2:].transpose(0, 2, 3, 1),
+    ):
+        x.flags.writeable = False
+        expected = np.pad(x, [(0, 0), (top, bottom), (left, right), (0, 0)], mode="constant")
+        got = F.zero_pad_nhwc(x, *pads)
+        assert got.dtype == expected.dtype and got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes() and got.shape == expected.shape
+        assert not np.shares_memory(got, x)

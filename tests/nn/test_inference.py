@@ -70,36 +70,49 @@ def _in_layout(x: np.ndarray, layout: str) -> np.ndarray:
     return x if layout == "nchw" else _nhwc(x).transpose(0, 3, 1, 2)
 
 
+def _laid_out(draw, layout: str, batch: int, channels: int, height: int, width: int) -> np.ndarray:
+    """A logical ``(N, C, H, W)`` array from ``draw(shape)``: contiguous, a
+    sub-rect of a larger buffer (``"cropped"``), channels-last memory
+    (``"transposed"``) or a sub-rect of a channels-last buffer
+    (``"window"``, as the patch stage reads)."""
+    if layout == "cropped":  # a sub-rect of a stacked buffer
+        return draw((batch, channels, height + 3, width + 2))[:, :, 1 : 1 + height, 2:]
+    if layout == "transposed":  # channels-last memory
+        return draw((batch, height, width, channels)).transpose(0, 3, 1, 2)
+    if layout == "window":  # channels-last rows of a larger map
+        return draw((batch, height + 3, width + 2, channels))[:, 1 : 1 + height, 2:].transpose(0, 3, 1, 2)
+    return draw((batch, channels, height, width))
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     batch=st.integers(1, 16),
     channels=st.integers(1, 6),
     height=st.integers(3, 13),
     width=st.integers(3, 13),
-    kernel=st.sampled_from([1, 3, 5]),
+    kernel=st.sampled_from([1, 3, 5, 7]),
     stride=st.sampled_from([1, 2]),
     padding=st.integers(0, 2),
-    layout=st.sampled_from(["contiguous", "cropped", "transposed"]),
+    layout=st.sampled_from(["contiguous", "cropped", "transposed", "window"]),
 )
 @settings(max_examples=150, deadline=None)
 def test_depthwise_kernel_matches_reference(
     seed, batch, channels, height, width, kernel, stride, padding, layout
 ):
-    """The depthwise kernel equals ``depthwise_conv2d_forward`` bit for bit
-    wherever that sums its taps in the same order (``out_w > 1``), and within
-    float tolerance at ``out_w == 1``, on strided views of a larger buffer too;
-    over integer codes and weights it is exact."""
+    """The float depthwise kernel equals ``depthwise_conv2d_forward`` bit for
+    bit wherever that sums its taps in the same order (``out_w > 1``), and
+    within float tolerance at ``out_w == 1``, on strided views of a larger
+    buffer too.  Over integer codes and weights the single-pass exact kernel
+    equals an int64 convolution, whatever the layout of its input (channels-
+    last views of NCHW memory take its row-copy path, channels-last windows
+    are read in place), and reuses its tiled taps across calls."""
     if min(height, width) + 2 * padding < kernel:
         return
     rng = np.random.default_rng(seed)
-    if layout == "cropped":  # a sub-rect of a stacked buffer
-        x = rng.standard_normal((batch, channels, height + 3, width + 2)).astype(np.float32)
-        x = x[:, :, 1 : 1 + height, 2:]
-    elif layout == "transposed":  # channels-last memory
-        x = rng.standard_normal((batch, height, width, channels)).astype(np.float32)
-        x = x.transpose(0, 3, 1, 2)
-    else:
-        x = rng.standard_normal((batch, channels, height, width)).astype(np.float32)
+    x = _laid_out(
+        lambda shape: rng.standard_normal(shape).astype(np.float32),
+        layout, batch, channels, height, width,
+    )
     layer = DepthwiseConv2d(channels, kernel, stride=stride, padding=padding, rng=rng)
     layer.params["bias"] = rng.standard_normal(channels).astype(np.float32)
     reference, _ = F.depthwise_conv2d_forward(
@@ -110,11 +123,18 @@ def test_depthwise_kernel_matches_reference(
         assert _bits_equal(out, reference)
     np.testing.assert_allclose(out, reference, rtol=RTOL, atol=ATOL)
 
-    codes = rng.integers(-128, 128, x.shape).astype(np.float32)
+    codes = _laid_out(
+        lambda shape: rng.integers(-128, 128, shape).astype(np.float32),
+        layout, batch, channels, height, width,
+    )
     taps = rng.integers(-127, 128, layer.params["weight"].shape).astype(np.float32)
-    exact = F.depthwise_conv2d_taps(_nhwc(codes), taps, None, stride, padding)
     wide, _ = F.depthwise_conv2d_forward(codes.astype(np.int64), taps.astype(np.int64), None, stride, padding)
-    assert np.array_equal(_logical(exact), wide)
+    tiles: dict = {}
+    for _ in range(2):  # the second call reads the cached tiled taps
+        exact = F.depthwise_conv2d_exact(codes.transpose(0, 2, 3, 1), taps, stride, padding, tiles)
+        assert exact.dtype == np.float32 and exact.flags.c_contiguous
+        assert np.array_equal(_logical(exact), wide)
+    assert len(tiles) == 1
 
 
 def _layer_cases(rng):
@@ -324,6 +344,43 @@ def test_conv_over_codes_is_exact(c_in, kernel, rng):
     expected = np.clip(np.rint(reference / out.scale), -out.zero_point, out.qmax - out.zero_point)
     # Folding rounds M and B to float32: a code may move by one level.
     assert np.abs(_logical(got) - expected).max() <= 1
+
+
+@pytest.mark.parametrize("bits", [8, 16])
+def test_depthwise_over_codes_is_exact_within_the_bound(bits, rng, monkeypatch):
+    """Depthwise over 8-bit codes runs the single-pass exact kernel.  A
+    16-bit source grid breaks the float32 bound ``9 * max|c| * 127 < 2**24``:
+    then the layer runs the ordered tap loop, and returns its bytes, never
+    the single-pass kernel's."""
+    g = Graph((4, 6, 6))
+    g.add(DepthwiseConv2d(4, 3, padding=1, bias=False, rng=rng), name="dw")
+    layer = g.nodes["dw"].layer
+    q = np.where(rng.random((4, 3, 3)) < 0.8, 127.0, -127.0)
+    layer.params["weight"] = (q * 0.01).astype(np.float32)
+    src = AffineQuantizer(bits).compute_params(-2.0, 3.0)
+    bound = grid_value(src).bound
+    assert (9 * bound * 127 >= EXACT_LIMIT) == (bits == 16)
+    (node,) = compile_nodes(g, ["dw"], {INPUT_NODE: grid_value(src)}, {"dw": None})
+    # Codes near the top of the grid: 16-bit window sums pass 2**24 and round.
+    codes = rng.integers(bound - bound // 16, bound + 1, (3, 6, 6, 4)).astype(np.float32)
+
+    calls = []
+    single_pass = F.depthwise_conv2d_exact
+    monkeypatch.setattr(F, "depthwise_conv2d_exact", lambda *a: calls.append(a) or single_pass(*a))
+    got = node.fn(codes)
+    assert len(calls) == (bits == 8)
+
+    _, s_w = weight_grid(layer.params["weight"])
+    loop = F.depthwise_conv2d_taps(codes, q.astype(np.float32), None, 1, 1)
+    expected = loop * (src.scale * s_w).astype(np.float32)
+    wide, _ = F.depthwise_conv2d_forward(
+        codes.transpose(0, 3, 1, 2).astype(np.int64), q.astype(np.int64), None, 1, 1
+    )
+    if bits == 8:
+        assert np.array_equal(_logical(loop), wide) and np.array_equal(got, expected)
+    else:
+        assert not np.array_equal(_logical(loop), wide)  # the sums do round
+        assert _bits_equal(got, expected)
 
 
 def test_weight_grid_recognises_per_channel_grids(rng):
