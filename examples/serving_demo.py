@@ -6,7 +6,7 @@ This walks the `repro.serving` subsystem end to end:
 2. compile it into an immutable :class:`CompiledPipeline` (and round-trip it
    through ``save``/``load`` to show the artifact is self-contained);
 3. stand up an :class:`InferenceEngine` with dynamic micro-batching under
-   an explicit ``local`` :class:`~repro.runtime.ExecutionPolicy`;
+   an explicit :class:`~repro.runtime.ExecutionPolicy` (vectorized backend);
 4. fire concurrent requests from client threads and print the telemetry
    (throughput, latency percentiles, batch-size histogram, cache hit rate)
    plus the modelled on-device latency per request.
@@ -31,7 +31,7 @@ import numpy as np
 from repro import QuantMCUPipeline, build_model
 from repro.data import SyntheticImageNet
 from repro.hardware import ARDUINO_NANO_33_BLE
-from repro.runtime import ExecutionPolicy, local
+from repro.runtime import ExecutionPolicy
 from repro.serving import CompiledPipeline, InferenceEngine, ModelSpec, compile_pipeline
 
 
@@ -66,7 +66,7 @@ def main() -> None:
         compiled,
         max_batch_size=8,
         batch_timeout_s=0.002,
-        policy=ExecutionPolicy(placement=local()),
+        policy=ExecutionPolicy(backend="vectorized"),
         device=device,
     )
 

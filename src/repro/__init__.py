@@ -16,7 +16,6 @@ from . import (
     core,
     data,
     devtools,
-    distributed,
     experiments,
     hardware,
     models,
@@ -28,11 +27,10 @@ from . import (
     streaming,
 )
 from .core import QuantMCUPipeline, QuantMCUResult, run_vdqs_whole_model
-from .distributed import DistributedExecutor, ShardPlanner
-from .hardware import ARDUINO_NANO_33_BLE, STM32H743, ClusterSpec, MCUDevice, get_cluster, get_device
+from .hardware import ARDUINO_NANO_33_BLE, STM32H743, MCUDevice, get_device
 from .models import available_models, build_model
 from .quant import FeatureMapIndex, QuantizationConfig
-from .runtime import ExecutionPolicy, Placement, Runtime
+from .runtime import ExecutionPolicy, Runtime
 from .serving import CompiledPipeline, InferenceEngine, ModelSpec, compile_pipeline
 from .streaming import StreamSession
 
@@ -49,19 +47,13 @@ __all__ = [
     "hardware",
     "data",
     "devtools",
-    "distributed",
     "experiments",
     "runtime",
     "serving",
     "streaming",
     "ExecutionPolicy",
-    "Placement",
     "Runtime",
     "StreamSession",
-    "DistributedExecutor",
-    "ShardPlanner",
-    "ClusterSpec",
-    "get_cluster",
     "CompiledPipeline",
     "InferenceEngine",
     "ModelSpec",

@@ -75,8 +75,6 @@ class MultiprocessBackend(Backend):
         # Held across the fork, so racing first calls share one pool.
         self._pool_lock = threading.Lock()
         self._token = next(_TOKENS)
-        # Registered before the pool ever forks, so workers inherit the entry.
-        _FORK_STATE[self._token] = executor
 
     def _ensure_pool(self):
         """``(pool, runtime)``, forking the pool on first use."""
@@ -84,7 +82,10 @@ class MultiprocessBackend(Backend):
             if self._pool is None:
                 # Fork pools are runtime-tracked but never shared: the workers
                 # inherit _FORK_STATE at fork time, so this pool only knows
-                # executors registered before it was created.
+                # executors registered before it was created.  Registering
+                # here, not once in __init__, lets a closed backend (whose
+                # close() dropped the entry) fork a working pool again.
+                _FORK_STATE[self._token] = self.executor
                 runtime = self.executor.runtime
                 self._pool = runtime.fork_pool(self._workers)
                 self._pool_runtime = runtime

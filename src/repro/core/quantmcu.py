@@ -539,8 +539,9 @@ class QuantMCUPipeline:
 
         The hooks are what turn a plain :class:`PatchExecutor` into the
         quantized QuantMCU execution; exposing them separately lets other
-        executors over the same plan (e.g. the distributed executor of
-        :mod:`repro.distributed`) apply an identical quantization.
+        executors over the same plan (e.g. the serving executors of
+        :class:`~repro.serving.CompiledPipeline`) apply an identical
+        quantization.
         """
         ranges = result.activation_ranges
 

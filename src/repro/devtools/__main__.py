@@ -124,38 +124,55 @@ def cache_stress_scenario(threads: int, iterations: int) -> "RaceMonitor":
 def runtime_stress_scenario(threads: int, iterations: int) -> "RaceMonitor":
     """Hammer one shared :class:`~repro.runtime.Runtime` under jitter.
 
-    The shape of PR 10's shared-resource refactor: every executor now leases
-    pools from a runtime other tenants are using concurrently.  Workers
-    lease/submit/release against a small set of pool keys while others read
-    ``stats()`` and churn shared-memory segments, and the last iteration
-    races ``close()`` against in-flight leases — late tenants must see a
-    clean :class:`~repro.runtime.RuntimeClosed`, never a hang or a cycle.
+    Tenants take shared-memory segments from one runtime, read ``stats()``
+    while holding them and release them, and worker 0's last iteration
+    races ``close()`` against tenants still holding theirs.  A tenant that
+    loses the race must see :class:`~repro.runtime.RuntimeClosed`, never a
+    hang, a cycle or another error.  Findings besides lock hazards: a
+    ``stats()`` of an open runtime that misses a held segment, a closed
+    runtime that still owns anything or serves a late caller, and a segment
+    left linked after the run.
     """
-    from ..runtime.resources import Runtime, RuntimeClosed
+    from ..runtime.resources import Runtime, RuntimeClosed, attach_segment
 
     harness = StressHarness(threads=threads, iterations=iterations, seed=11)
     monitor = RaceMonitor(jitter=harness.pause)
     runtime = Runtime(name="racecheck")
     instrument([runtime], monitor)
+    names: list[str] = []  # list.append is atomic; read after the run
 
     def workload(worker: int, iteration: int) -> None:
+        if worker == 0 and iteration == harness.iterations - 1:
+            runtime.close()
+            return
         try:
-            lease = runtime.thread_pool((worker % 2) + 1, tag="stress")
-            lease.submit(int).result()
-            lease.release()  # repro: noqa[REP002] - pool lease, not a lock
-            if iteration % 7 == 0:
-                runtime.stats()
-            if iteration % 13 == 0:
-                runtime.release_segment(runtime.shared_segment(32))
-            if worker == 0 and iteration == harness.iterations - 1:
-                runtime.close()
+            segment = runtime.shared_segment(32)
         except RuntimeClosed:
-            pass  # the closer won the race; the documented contract
+            return  # the closer won the race; the documented contract
+        names.append(segment.name)
+        stats = runtime.stats()
+        if not stats.closed and stats.live_segments < 1:
+            monitor.record_mismatch("stats() while holding a segment")
+        runtime.release_segment(segment)
 
     report = harness.run(workload)
     runtime.close()
     if report.errors:
         raise report.errors[0]
+    stats = runtime.stats()
+    if not stats.closed or stats.live_segments or stats.fork_pools:
+        monitor.record_mismatch("stats() after close")
+    try:
+        runtime.release_segment(runtime.shared_segment(8))
+        monitor.record_mismatch("shared_segment() after close")
+    except RuntimeClosed:
+        pass
+    for name in names:
+        try:
+            attach_segment(name).close()
+            monitor.record_mismatch("segment still linked after release")
+        except FileNotFoundError:
+            pass
     return monitor
 
 

@@ -73,14 +73,21 @@ def run_lint_bench(
     return snapshot
 
 
-def _best_of(fn, repeats: int) -> float:
-    """Best-of-N wall time of ``fn()`` — the standard noise filter for
-    sub-100ms kernels (the minimum estimates the noise-free cost)."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
+def _best_of(repeats: int, *fns) -> list[float]:
+    """Best-of-N wall time of each of ``fns`` — the standard noise filter for
+    sub-100ms kernels (the minimum estimates the noise-free cost).
+
+    The callables take turns within every repeat, each repeat starting with
+    the next one, so a stall on a shared host lands on both sides of a ratio
+    alike instead of on whichever side happened to be running.
+    """
+    best = [float("inf")] * len(fns)
+    for rep in range(repeats):
+        for i in range(len(fns)):
+            k = (rep + i) % len(fns)
+            started = time.perf_counter()
+            fns[k]()
+            best[k] = min(best[k], time.perf_counter() - started)
     return best
 
 
@@ -135,13 +142,17 @@ def run_kernel_bench(
             )
 
         # Single-image patch stage: the headline loop-vs-vectorized number.
-        loop_stage = _best_of(lambda: loop_ex.stitched_split_feature_map(x1), repeats)
-        vec_stage = _best_of(lambda: vec_ex.stitched_split_feature_map(x1), repeats)
+        loop_stage, vec_stage = _best_of(
+            repeats,
+            lambda: loop_ex.stitched_split_feature_map(x1),
+            lambda: vec_ex.stitched_split_feature_map(x1),
+        )
 
         # End-to-end single-image and batched inference (vectorized backend).
-        loop_full = _best_of(lambda: loop_ex.forward(x1), repeats)
-        vec_full = _best_of(lambda: vec_ex.forward(x1), repeats)
-        vec_batched = _best_of(lambda: vec_ex.forward(xb), max(repeats // 2, 1))
+        loop_full, vec_full = _best_of(
+            repeats, lambda: loop_ex.forward(x1), lambda: vec_ex.forward(x1)
+        )
+        (vec_batched,) = _best_of(max(repeats // 2, 1), lambda: vec_ex.forward(xb))
 
         # Streaming reuse: one dirty corner of the frame vs full recompute.
         session = vec.open_stream()
@@ -155,7 +166,7 @@ def run_kernel_bench(
             session.process(frame0)
             session.process(frame1)
 
-        stream_pair = _best_of(_stream_pair, repeats)
+        (stream_pair,) = _best_of(repeats, _stream_pair)
         reuse_rate = session.last_frame.reuse_rate
 
         # im2col micro-kernel vs its loop oracle, timed over repeated calls
@@ -163,14 +174,22 @@ def run_kernel_bench(
         img = rng.standard_normal((4, 16, 32, 32)).astype(np.float32)
         col_args = (img, (3, 3), 1, 1)
 
-        def _many(fn, calls=50):
+        calls = 50
+
+        def _many(fn):
             def run():
                 for _ in range(calls):
                     fn()
-            return _best_of(run, repeats) / calls
+            return run
 
-        im2col_loop = _many(lambda: F.im2col_reference(*col_args))
-        im2col_vec = _many(lambda: F.im2col(*col_args))
+        im2col_loop, im2col_vec = (
+            seconds / calls
+            for seconds in _best_of(
+                repeats,
+                _many(lambda: F.im2col_reference(*col_args)),
+                _many(lambda: F.im2col(*col_args)),
+            )
+        )
 
         # Serving latency distribution: single-image requests through the
         # dynamic-batching engine.  Tail percentiles (not just means) are

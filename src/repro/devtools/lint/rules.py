@@ -9,8 +9,8 @@ REP001    No module-level / shared default RNG in library code.  The
           (deflaked in PR 3).  Inject ``np.random.Generator`` instead.
 REP002    No bare ``Lock.acquire()``/``release()`` — a raised exception
           between the pair leaves the lock held forever.  Use ``with``.
-REP003    Closeable resources (thread pools, distributed
-          executors, device shards) must have an ownership path to
+REP003    Closeable resources (thread pools, process pools, patch
+          executors, engines) must have an ownership path to
           ``close()``: the compile-race of PR 1's ``PipelineCache`` leaked
           whole worker pools because the losing pipeline of a concurrent
           compile was never released.
@@ -33,7 +33,7 @@ REP008    No direct thread-pool / process-pool / shared-memory construction
           :class:`~repro.runtime.Runtime` existed, five classes privately
           owned pools with five slightly different lifecycles (and the
           engine's latency model leaked whole device-pool sets); resources
-          are leased from a runtime so one ``close()`` releases everything.
+          come from a runtime so one ``close()`` releases everything.
 ========  ==================================================================
 """
 
@@ -78,8 +78,7 @@ _CLOSEABLE_CTORS = {
     "multiprocessing.Pool",
     "ThreadPoolExecutor",
     "ProcessPoolExecutor",
-    "DistributedExecutor",
-    "DeviceShard",
+    "PatchExecutor",
     "InferenceEngine",
 }
 
@@ -692,9 +691,9 @@ class ResourceOutsideRuntime(LintRule):
     scope = "library"
     description = (
         "Thread pools, process pools and shared-memory segments are "
-        "constructed only inside repro/runtime/ — everything else leases "
-        "them from a Runtime, so lifecycles are refcounted in one place and "
-        "one Runtime.close() releases every resource.  Code with a genuine "
+        "constructed only inside repro/runtime/ — everything else takes "
+        "them from a Runtime, so one Runtime.close() releases every "
+        "resource.  Code with a genuine "
         "reason to bypass the runtime must say so with "
         "`# repro: noqa[REP008] - <why>`."
     )
@@ -718,6 +717,6 @@ class ResourceOutsideRuntime(LintRule):
                     self,
                     node,
                     f"direct {leaf}(...) construction outside repro/runtime/; "
-                    "lease it from a Runtime (thread_pool/fork_pool/"
-                    "shared_segment) instead",
+                    "take it from a Runtime (fork_pool/shared_segment) "
+                    "instead",
                 )

@@ -1,6 +1,6 @@
 """Opt-in runtime race detector: lock-order graph + shared-state tracer.
 
-The serving/distributed/streaming layers synchronize with a handful of
+The serving/streaming layers synchronize with a handful of
 ``threading.Lock`` instances (engine submit lock, pipeline-cache lock,
 compiled-pipeline executor lock).  Today every one of them is a leaf lock,
 and the ROADMAP items (pipeline-parallel scheduling, multi-tenant fleets,
@@ -318,7 +318,7 @@ class RaceMonitor:
             RaceFinding(
                 kind="wrong-result",
                 subject=result,
-                detail=f"{count} result(s) differ from the reference bytes",
+                detail=f"{count} result(s) differ from what the scenario expects",
             )
             for result, count in mismatches
         )

@@ -221,10 +221,10 @@ def evaluate_patch_quantized(
         low, high = ranges.get(fm.index, (float(array.min()), float(array.max())))
         return fake_quantize(array, bits, low, high)
 
-    executor = PatchExecutor(
+    with PatchExecutor(
         plan,
         branch_hook=lambda patch_id, fm, array: _hook(fm, array),
         suffix_hook=_hook,
-    )
-    logits = executor.forward(trained.eval_images)
+    ) as executor:
+        logits = executor.forward(trained.eval_images)
     return accuracy_from_logits(logits, trained)

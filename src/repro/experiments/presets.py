@@ -40,8 +40,6 @@ class ExperimentScale:
     eval_images: int
     # Search-heavy baselines.
     haq_iterations: int
-    # Device counts swept by the distributed-scaling demo/benchmark.
-    cluster_device_counts: tuple[int, ...] = (1, 2, 4)
 
     @property
     def is_quick(self) -> bool:
@@ -61,7 +59,6 @@ QUICK = ExperimentScale(
     calibration_images=8,
     eval_images=48,
     haq_iterations=10,
-    cluster_device_counts=(1, 2, 4),
 )
 
 PAPER = ExperimentScale(
@@ -77,7 +74,6 @@ PAPER = ExperimentScale(
     calibration_images=16,
     eval_images=160,
     haq_iterations=60,
-    cluster_device_counts=(1, 2, 3, 4, 8),
 )
 
 _SCALES = {"quick": QUICK, "paper": PAPER}

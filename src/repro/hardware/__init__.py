@@ -1,15 +1,5 @@
-"""MCU hardware model: devices, clusters, latency models and SRAM allocator."""
+"""MCU hardware model: devices, latency models and SRAM allocator."""
 
-from .cluster import (
-    CLUSTER_REGISTRY,
-    ClusterLatencyBreakdown,
-    ClusterSpec,
-    estimate_cluster_latency,
-    estimate_cluster_serving_latency,
-    estimate_cluster_streaming_latency,
-    get_cluster,
-    make_cluster,
-)
 from .device import ARDUINO_NANO_33_BLE, DEVICE_REGISTRY, MCUDevice, STM32H743, get_device
 from .latency import (
     LatencyBreakdown,
@@ -30,14 +20,6 @@ __all__ = [
     "STM32H743",
     "DEVICE_REGISTRY",
     "get_device",
-    "ClusterSpec",
-    "ClusterLatencyBreakdown",
-    "CLUSTER_REGISTRY",
-    "make_cluster",
-    "get_cluster",
-    "estimate_cluster_latency",
-    "estimate_cluster_serving_latency",
-    "estimate_cluster_streaming_latency",
     "OpCost",
     "LatencyBreakdown",
     "branch_op_costs",

@@ -138,9 +138,9 @@ def branch_op_costs(
 ) -> list[OpCost]:
     """Per-operator costs of executing one dataflow branch under ``config``.
 
-    The shared building block of the single-device patch latency estimate and
-    the multi-device cluster model: a shard's compute cost is the sum of its
-    branches' op costs, accumulated against that shard's device.
+    The building block of the patch latency, streaming and serving
+    estimates: a set of branches costs the sum of their op costs,
+    accumulated against one device.
     """
     branch = plan.branches[branch_id]
     fm_index = plan.fm_index

@@ -35,8 +35,6 @@ __all__ = [
     "branch_peak_bytes",
     "patch_peak_bytes",
     "shard_macs",
-    "shard_halo_macs",
-    "shard_peak_bytes",
     "incremental_stage_macs",
     "StreamingCostReport",
     "analyze_streaming",
@@ -202,67 +200,8 @@ def patch_peak_bytes(plan: PatchPlan, config: QuantizationConfig) -> int:
 
 
 def shard_macs(plan: PatchPlan, branch_ids: list[int]) -> int:
-    """MACs of a shard: the branches in ``branch_ids`` summed (halo included)."""
+    """MACs of the branches in ``branch_ids`` summed (halo included)."""
     return sum(branch_macs(plan, plan.branches[i]) for i in branch_ids)
-
-
-def shard_halo_macs(plan: PatchPlan, branch_ids: list[int]) -> int:
-    """Redundant (halo) MACs a shard performs beyond its ideal share.
-
-    The ideal share of a shard is the layer-based prefix cost scaled by the
-    fraction of the split feature map its output tiles cover — what the shard
-    would cost if patches could be computed without halo overlap.  The excess
-    is the redundant work this shard re-computes, which is the quantity a
-    device-level load balancer must account for: edge patches carry less halo
-    than interior ones, so equal tile area does not mean equal work.
-    """
-    if not branch_ids:
-        return 0
-    split_shape = plan.graph.shapes()[plan.split_output_node]
-    split_area = split_shape[1] * split_shape[2]
-    tile_area = sum(plan.branches[i].output_region.area for i in branch_ids)
-    ideal = layer_based_prefix_macs(plan) * tile_area / split_area if split_area else 0
-    return max(0, shard_macs(plan, branch_ids) - int(round(ideal)))
-
-
-def shard_peak_bytes(
-    plan: PatchPlan,
-    branch_ids: list[int],
-    config: QuantizationConfig,
-    holds_split_buffer: bool = False,
-) -> int:
-    """Peak SRAM of one device executing ``branch_ids`` serially.
-
-    A device runs its branches one at a time, so its working set is the
-    largest single-branch working set, plus the bytes of the output tiles it
-    must keep resident until they are transferred (or, for the device that
-    stitches, the whole split feature-map buffer plus the suffix working
-    sets — pass ``holds_split_buffer=True`` for that device).
-    """
-    branch_working = max(
-        (branch_peak_bytes(plan, plan.branches[i], config) for i in branch_ids),
-        default=0,
-    )
-    split_idx = plan.split_feature_map()
-    split_bits = config.act_bits(split_idx)
-    split_channels = plan.fm_index[split_idx].shape[0]
-    if holds_split_buffer:
-        resident = feature_map_bytes(plan.fm_index, split_idx, config)
-        suffix_peak = 0
-        for idx in plan.suffix_feature_maps():
-            working = feature_map_bytes(plan.fm_index, idx, config)
-            for src in plan.fm_index.sources[idx]:
-                if src is None:
-                    working += input_bytes(plan.fm_index, config)
-                else:
-                    working += feature_map_bytes(plan.fm_index, src, config)
-            suffix_peak = max(suffix_peak, working)
-        return max(resident + branch_working, suffix_peak)
-    tile_bytes = sum(
-        _region_bytes(split_channels, plan.branches[i].output_region, split_bits)
-        for i in branch_ids
-    )
-    return tile_bytes + branch_working
 
 
 def incremental_stage_macs(plan: PatchPlan, dirty_branch_ids: list[int]) -> int:

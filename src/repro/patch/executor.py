@@ -132,8 +132,8 @@ class PatchExecutor:
         self._inproc_backend: "Backend | None" = None
         # Resource ownership: an injected runtime is shared (close() leaves it
         # alone); without one, a private runtime is created on demand — and
-        # re-created after close(), preserving the historical "closed
-        # executors revive their pools on next use" lifecycle.
+        # re-created after close(), so a closed executor revives its
+        # resources on next use.
         self._runtime = runtime
         self._private_runtime: "Runtime | None" = None
         self._compile_prefix()
@@ -143,7 +143,7 @@ class PatchExecutor:
     # ---------------------------------------------------------------- runtime
     @property
     def runtime(self) -> "Runtime":
-        """The resource runtime this executor leases pools/segments from."""
+        """The resource runtime this executor takes fork pools and segments from."""
         if self._runtime is not None:
             return self._runtime
         if self._private_runtime is None or self._private_runtime.closed:
@@ -195,7 +195,7 @@ class PatchExecutor:
         return self.backend
 
     def _kernel_backend(self) -> "Backend":
-        """In-process compute backend, for worker pools and forked processes.
+        """In-process compute backend, for forked worker processes.
 
         Never the multiprocess backend itself (a worker must not recursively
         fan out), and the loop reference whenever ``run_branch`` is
@@ -213,7 +213,7 @@ class PatchExecutor:
         return self._inproc_backend
 
     def close(self) -> None:
-        """Release backend resources (worker pools, shared memory); idempotent.
+        """Release backend resources (fork pools, shared memory); idempotent.
 
         Backends close first (they release fork pools / segments back to the
         runtime), then a *private* runtime is torn down; an injected runtime
@@ -258,10 +258,9 @@ class PatchExecutor:
 
         The partial-execution entry point used by streaming inference: a
         caller that knows some tiles are still valid (their input regions did
-        not change) asks for just the dirty subset.  Subclasses that own
-        worker pools override this to keep their parallelism structure — the
-        base implementation hands the subset to the compute backend.  The
-        returned tiles are owned by the caller (no later call writes to them).
+        not change) asks for just the dirty subset, which goes to the compute
+        backend.  The returned tiles are owned by the caller (no later call
+        writes to them).
         """
         return self._active_backend().run_branches(_as_input(x), list(branch_ids))
 

@@ -1,11 +1,8 @@
 """Execution policies: one validated description of *how* to execute.
 
 :class:`ExecutionPolicy` is the single spelling every execution entry point
-takes (``policy=``): one immutable value with three orthogonal axes.
+takes (``policy=``): one immutable value with two orthogonal axes.
 
-placement
-    *Where* branches run: :func:`local` (the calling thread) or
-    :func:`cluster` (sharded across simulated devices).
 backend
     *How* a branch chunk is computed: ``loop`` | ``vectorized`` |
     ``multiprocess`` (see :mod:`repro.backend`); ``None`` defers to the
@@ -24,60 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..hardware.cluster import ClusterSpec
+__all__ = ["FRESHNESS_TIERS", "ExecutionPolicy"]
 
-__all__ = [
-    "FRESHNESS_TIERS",
-    "PLACEMENT_KINDS",
-    "ExecutionPolicy",
-    "Placement",
-    "cluster",
-    "local",
-]
-
-PLACEMENT_KINDS = ("local", "cluster")
 FRESHNESS_TIERS = ("exact", "stale_halo")
-
-
-@dataclass(frozen=True)
-class Placement:
-    """Where branch work runs; build one with :func:`local` /
-    :func:`cluster` rather than directly."""
-
-    kind: str = "local"
-    cluster: ClusterSpec | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in PLACEMENT_KINDS:
-            raise ValueError(
-                f"placement kind must be one of {PLACEMENT_KINDS}, got {self.kind!r}"
-            )
-        if self.kind == "cluster":
-            if self.cluster is None:
-                raise ValueError("cluster placement requires a ClusterSpec")
-            if not isinstance(self.cluster, ClusterSpec):
-                raise TypeError(
-                    f"cluster placement takes a ClusterSpec, got {type(self.cluster).__name__}"
-                )
-        elif self.cluster is not None:
-            raise ValueError(f"{self.kind!r} placement does not take a cluster")
-
-    @property
-    def cache_key(self) -> tuple:
-        """Hashable identity for executor caches."""
-        if self.kind == "cluster":
-            return ("cluster", self.cluster.cache_key)
-        return (self.kind,)
-
-
-def local() -> Placement:
-    """Run branches sequentially on the calling thread."""
-    return Placement("local")
-
-
-def cluster(spec: ClusterSpec) -> Placement:
-    """Shard branches across the devices of ``spec``."""
-    return Placement("cluster", cluster=spec)
 
 
 @dataclass(frozen=True)
@@ -90,17 +36,12 @@ class ExecutionPolicy:
     degenerates to exact behaviour; ``None`` leaves staleness unbounded).
     """
 
-    placement: Placement = Placement()
     backend: str | None = None
     tier: str = "exact"
     max_stale_frames: int | None = None
     drift_sample_every: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.placement, Placement):
-            raise TypeError(
-                f"placement must be a Placement, got {type(self.placement).__name__}"
-            )
         if self.backend is not None:
             from ..backend import available_backends
 

@@ -1,25 +1,22 @@
-"""The shared resource runtime: pools, fork workers and shared memory.
+"""The shared resource runtime: fork workers and shared memory.
 
 A :class:`Runtime` is the one place in the codebase that constructs
-concurrency resources — thread pools, fork pools, shared-memory segments
-(enforced by lint rule REP008).  Executors no longer privately own pools;
-they hold :class:`ThreadPoolLease` handles checked out from a runtime, so:
+process-level concurrency resources — fork pools and shared-memory segments
+(enforced by lint rule REP008):
 
-* two engines (or many tenants) given the same runtime transparently share
-  one pool set — pools are keyed by ``(tag, max_workers)`` and refcounted by
-  lease;
-* one :meth:`Runtime.close` tears down every pool, fork worker and segment
-  the process checked out, with ``wait=True`` draining in-flight futures;
-* a lease used after its runtime closed fails with a clear
-  :class:`RuntimeClosed` instead of submitting work to dead threads.
+* two engines (or many tenants) given the same runtime share one registry,
+  so one :meth:`Runtime.close` terminates every fork worker and unlinks
+  every segment they checked out;
+* a call made after its runtime closed fails with a clear
+  :class:`RuntimeClosed`.
 
 Executors that are *not* given a runtime lazily create a **private** one, so
-the historical single-owner lifecycle (``executor.close()`` shuts its own
-pool down, and a later use revives it) is preserved exactly; injection is
-purely opt-in.  Fork pools are tracked but never shared between backends:
-forked workers inherit the parent's token table at fork time, so a pool
-forked before another executor registered itself would not know that
-executor (see :mod:`repro.backend.multiprocess`).
+the single-owner lifecycle (``executor.close()`` releases its own resources,
+and a later use revives them) is preserved exactly; injection is purely
+opt-in.  Fork pools are tracked but never shared between backends: forked
+workers inherit the parent's token table at fork time, so a pool forked
+before another executor registered itself would not know that executor (see
+:mod:`repro.backend.multiprocess`).
 """
 
 from __future__ import annotations
@@ -27,22 +24,19 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Callable
 
 __all__ = [
     "Runtime",
     "RuntimeClosed",
     "RuntimeStats",
-    "ThreadPoolLease",
     "attach_segment",
 ]
 
 
 class RuntimeClosed(RuntimeError):
-    """Raised when using a runtime (or a handle leased from it) after close()."""
+    """Raised when asking a closed runtime for a resource."""
 
 
 def attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -69,76 +63,13 @@ def attach_segment(name: str) -> shared_memory.SharedMemory:
             resource_tracker.register = original
 
 
-class _PoolEntry:
-    """One runtime-owned thread pool plus its live-lease refcount.
-
-    A pool whose refcount drops to zero stays warm (threads are cheap to
-    keep, expensive to respawn per request); only :meth:`Runtime.close`
-    actually shuts it down.
-    """
-
-    def __init__(self, key: tuple, pool: ThreadPoolExecutor, max_workers: int) -> None:
-        self.key = key
-        self.pool = pool
-        self.max_workers = max_workers
-        self.leases = 0
-        self.closed = False
-
-
-class ThreadPoolLease:
-    """A leased handle on a runtime-owned thread pool.
-
-    Quacks like the executor for the two operations lease holders need —
-    :meth:`submit` and introspection — but routes ownership questions back
-    to the runtime: releasing the lease never tears the (possibly shared)
-    pool down, and submitting after the runtime closed raises
-    :class:`RuntimeClosed` instead of ``RuntimeError: cannot schedule new
-    futures after shutdown``.
-    """
-
-    def __init__(self, runtime: "Runtime", entry: _PoolEntry) -> None:
-        self._runtime = runtime
-        self._entry = entry
-        self._released = False
-
-    @property
-    def max_workers(self) -> int:
-        return self._entry.max_workers
-
-    @property
-    def tag(self) -> str:
-        return self._entry.key[0]
-
-    def submit(self, fn: Callable, /, *args, **kwargs) -> Future:
-        if self._released:
-            raise RuntimeClosed(
-                f"lease on pool {self._entry.key!r} was released; "
-                "re-lease from the runtime before submitting"
-            )
-        if self._entry.closed:
-            raise RuntimeClosed(
-                f"runtime {self._runtime.name!r} is closed; the leased pool "
-                f"{self._entry.key!r} no longer accepts work"
-            )
-        return self._entry.pool.submit(fn, *args, **kwargs)
-
-    def release(self) -> None:
-        """Hand the pool back to the runtime (idempotent)."""
-        if not self._released:
-            self._released = True
-            self._runtime._release(self._entry)
-
-
 @dataclass(frozen=True)
 class RuntimeStats:
     """Introspection snapshot: what a runtime currently owns."""
 
-    thread_pools: int
-    active_leases: int
     fork_pools: int
     live_segments: int
     closed: bool
-    pool_keys: tuple[tuple, ...] = ()
 
 
 class Runtime:
@@ -156,39 +87,8 @@ class Runtime:
         self.name = name if name is not None else f"runtime-{self.token}"
         self._lock = threading.Lock()
         self._closed = False
-        self._thread_pools: dict[tuple, _PoolEntry] = {}
         self._fork_pools: list = []
         self._segments: dict[str, shared_memory.SharedMemory] = {}
-
-    # ------------------------------------------------------------ thread pools
-    def thread_pool(self, max_workers: int, tag: str = "worker") -> ThreadPoolLease:
-        """Lease the shared pool for ``(tag, max_workers)`` (created on first
-        lease; later leases with the same key share the same threads)."""
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        key = (tag, max_workers)
-        with self._lock:
-            self._check_open()
-            entry = self._thread_pools.get(key)
-            if entry is None:
-                pool = ThreadPoolExecutor(
-                    max_workers=max_workers, thread_name_prefix=tag
-                )
-                entry = _PoolEntry(key, pool, max_workers)
-                self._thread_pools[key] = entry
-            entry.leases += 1
-            return ThreadPoolLease(self, entry)
-
-    def serial_pool(self, tag: str, index: int) -> ThreadPoolLease:
-        """Lease the single-thread pool ``{tag}-{index}`` (device workers:
-        one serial executor per simulated device, shared across executors
-        leasing from the same runtime)."""
-        return self.thread_pool(1, tag=f"{tag}-{index}")
-
-    def _release(self, entry: _PoolEntry) -> None:
-        with self._lock:
-            if entry.leases > 0:
-                entry.leases -= 1
 
     # -------------------------------------------------------------- fork pools
     def fork_pool(self, processes: int):
@@ -227,11 +127,16 @@ class Runtime:
             return segment
 
     def release_segment(self, segment: shared_memory.SharedMemory) -> None:
-        """Close, unlink and untrack ``segment`` (idempotent)."""
+        """Close, unlink and untrack ``segment`` (idempotent).
+
+        A segment the runtime no longer tracks was released before or torn
+        down by :meth:`close`, which may still be closing it on another
+        thread: closing it here too could close a reused file descriptor.
+        """
         with self._lock:
             tracked = self._segments.pop(segment.name, None) is not None
-        segment.close()
         if tracked:
+            segment.close()
             try:
                 segment.unlink()
             except FileNotFoundError:  # pragma: no cover - already unlinked
@@ -250,35 +155,24 @@ class Runtime:
         """Snapshot of owned resources, for tests and capacity introspection."""
         with self._lock:
             return RuntimeStats(
-                thread_pools=len(self._thread_pools),
-                active_leases=sum(e.leases for e in self._thread_pools.values()),
                 fork_pools=len(self._fork_pools),
                 live_segments=len(self._segments),
                 closed=self._closed,
-                pool_keys=tuple(sorted(self._thread_pools)),
             )
 
     def close(self, wait: bool = True) -> None:
-        """Tear down every pool, fork worker and segment (idempotent).
+        """Terminate every fork worker and unlink every segment (idempotent).
 
-        ``wait=True`` joins pool threads, so futures already submitted
-        complete before close returns; leases observe the closed state and
-        refuse new submissions either way.
+        ``wait=True`` joins the terminated fork workers before returning.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            entries = list(self._thread_pools.values())
             fork_pools = list(self._fork_pools)
             segments = list(self._segments.values())
-            self._thread_pools.clear()
             self._fork_pools.clear()
             self._segments.clear()
-        for entry in entries:
-            entry.closed = True
-        for entry in entries:
-            entry.pool.shutdown(wait=wait)
         for pool in fork_pools:
             pool.terminate()
             if wait:

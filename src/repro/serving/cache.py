@@ -108,8 +108,8 @@ class PipelineCache:
         First writer wins on races: if ``key`` is already mapped to a
         *different* object, the resident one is kept and the losing
         ``pipeline`` is released through ``on_evict`` — it may hold real
-        resources (distributed-executor device pools) that would otherwise leak
-        when two threads miss on the same key concurrently.
+        resources (backend fork pools) that would otherwise leak when two
+        threads miss on the same key concurrently.
         """
         evicted: list[tuple[Hashable, object]] = []
         loser: object | None = None

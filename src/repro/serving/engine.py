@@ -11,7 +11,7 @@ trade-off.
 Batching is bit-exact: the serving kernels are exact over integer codes and
 run their float GEMMs once per sample (stem) or per row (head), so a sample's
 result depends neither on which other samples share its micro-batch nor on
-how many there are.  Cluster placement is bit-exact too.
+how many there are.
 
 Pipelines come from a :class:`~repro.serving.cache.PipelineCache` keyed by
 ``(model, device, quant config)``; the engine mirrors the cache's hit/miss/
@@ -36,8 +36,6 @@ from typing import Hashable
 
 import numpy as np
 
-from ..distributed.planner import ShardPlanner
-from ..hardware.cluster import estimate_cluster_serving_latency
 from ..hardware.device import MCUDevice
 from ..hardware.latency import estimate_serving_latency
 from ..runtime.policy import ExecutionPolicy
@@ -109,19 +107,16 @@ class InferenceEngine:
         the batch is not full.
     policy:
         The :class:`~repro.runtime.ExecutionPolicy` every flush and stream
-        executes under — the one description of placement, kernel backend and
-        freshness tier.  With ``cluster`` placement, flushes dispatch through
-        the multi-device patch-sharded executor (bit-identical), and the
-        modelled telemetry latency switches to the cluster makespan model.
+        executes under — the one description of kernel backend and
+        freshness tier.
     runtime:
         Optional shared :class:`~repro.runtime.Runtime`; executors built for
-        this engine lease their pools from it, so two engines given the same
-        runtime share one pool set and one ``Runtime.close()`` releases
-        everything.  Without one, executors manage private runtimes.
+        this engine take their fork workers and shared memory from it, so one
+        ``Runtime.close()`` releases everything two engines given the same
+        runtime hold.  Without one, executors manage private runtimes.
     device:
         Optional MCU target; attaches an amortized modelled per-request
-        on-device latency to the telemetry.  Ignored for the compute model
-        under ``cluster`` placement (the cluster's own devices are used).
+        on-device latency to the telemetry.
     telemetry:
         Recorder to use; a fresh one is created by default.
     """
@@ -161,14 +156,10 @@ class InferenceEngine:
         # Serializes the closed-check + enqueue against close(), so no request
         # can slip into the queue after the shutdown sentinel.
         self._submit_lock = threading.Lock()
-        # Per-pipeline memos of the latency model, weakly keyed so each entry
-        # dies with its pipeline; only the batcher thread touches them.
-        # Modelled latency: LRU of batch_size -> seconds.  Shard assignment
-        # of the cluster model: planned directly (ShardPlanner is
-        # deterministic LPT), never read off a DistributedExecutor, whose
-        # device worker pools would then sit in the pipeline's executor cache.
+        # Per-pipeline memo of the latency model (LRU of batch_size ->
+        # seconds), weakly keyed so each entry dies with its pipeline; only
+        # the batcher thread touches it.
         self._device_breakdowns = weakref.WeakKeyDictionary()
-        self._shard_assignments = weakref.WeakKeyDictionary()
         self._batcher = threading.Thread(
             target=self._batch_loop, name="inference-batcher", daemon=True
         )
@@ -233,8 +224,8 @@ class InferenceEngine:
         The returned :class:`~repro.streaming.StreamSession` serves successive
         frames of one video/sensor stream with incremental patch
         recomputation — bit-identical to full recomputation in the default
-        ``exact`` tier.  ``policy`` defaults to the engine's, so placement and
-        backend follow batched requests unless overridden.  Frames are
+        ``exact`` tier.  ``policy`` defaults to the engine's, so the
+        backend follows batched requests unless overridden.  Frames are
         processed synchronously in the caller's thread: a stream is stateful
         (each frame diffs against the previous one), so its frames cannot be
         re-ordered or batched with other traffic.  Every processed frame
@@ -413,41 +404,21 @@ class InferenceEngine:
             )
 
     def _modelled_device_seconds(self, pipeline: CompiledPipeline, batch_size: int) -> float:
-        """Amortized modelled on-device seconds per sample of this batch.
-
-        With a cluster attached the model is the multi-device makespan of
-        :func:`~repro.hardware.cluster.estimate_cluster_serving_latency` (for
-        the same shard assignment the flush actually executed); otherwise the
-        single-device serving model against :attr:`device`.
-        """
-        cluster = self.policy.placement.cluster
-        if self.device is None and cluster is None:
+        """Amortized modelled on-device seconds per sample of this batch:
+        the single-device serving model against :attr:`device`."""
+        if self.device is None:
             return 0.0
         memo = self._device_breakdowns.setdefault(pipeline, OrderedDict())
         seconds = memo.get(batch_size)
         if seconds is None:
             suffix_config, branch_configs = pipeline.quantization_configs()
-            if cluster is not None:
-                assignment = self._shard_assignments.get(pipeline)
-                if assignment is None:
-                    assignment = ShardPlanner(cluster).plan_shards(pipeline.plan).assignment()
-                    self._shard_assignments[pipeline] = assignment
-                seconds = estimate_cluster_serving_latency(
-                    pipeline.plan,
-                    assignment,
-                    cluster,
-                    batch_size=batch_size,
-                    config=suffix_config,
-                    branch_configs=branch_configs,
-                ).makespan_seconds
-            else:
-                seconds = estimate_serving_latency(
-                    pipeline.plan,
-                    self.device,
-                    batch_size=batch_size,
-                    config=suffix_config,
-                    branch_configs=branch_configs,
-                ).total_seconds
+            seconds = estimate_serving_latency(
+                pipeline.plan,
+                self.device,
+                batch_size=batch_size,
+                config=suffix_config,
+                branch_configs=branch_configs,
+            ).total_seconds
             memo[batch_size] = seconds
             while len(memo) > _MAX_BATCH_MEMO:
                 memo.popitem(last=False)

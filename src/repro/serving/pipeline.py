@@ -35,7 +35,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..core.quantmcu import QuantMCUPipeline, QuantMCUResult, make_static_hooks
-from ..distributed.executor import DistributedExecutor
 from ..models import build_model
 from ..nn import Graph
 from ..patch.executor import PatchExecutor
@@ -158,11 +157,11 @@ class CompiledPipeline:
         # Compute-backend *name* shared by every executor this pipeline builds
         # (each executor owns its own backend instance; see repro.backend).
         self._backend_spec = backend
-        # The shared resource runtime every executor leases pools from; None
-        # means each executor manages a private runtime (historical lifecycle).
+        # The shared resource runtime every executor takes its resources
+        # from; None means each executor manages a private runtime.
         self._runtime = runtime
-        # Executors keyed by (placement, backend name, runtime token); the
-        # default local one is built eagerly.
+        # Executors keyed by (backend name, runtime token); the default one
+        # is built eagerly.
         self._executors: dict[tuple, PatchExecutor] = {}
         self._executor_lock = threading.Lock()
         self.executor()
@@ -204,30 +203,25 @@ class CompiledPipeline:
     ) -> PatchExecutor:
         """The (cached) executor backing :meth:`infer`.
 
-        ``policy`` selects placement and kernel backend (see
+        ``policy`` selects the kernel backend (see
         :class:`~repro.runtime.ExecutionPolicy`); ``runtime`` overrides the
-        resource runtime executors lease pools from (defaults to the
-        pipeline's).
+        resource runtime executors take their resources from (defaults to
+        the pipeline's).
 
-        One cache keyed by placement identity, backend name and runtime
-        token, so ``policy.backend`` overrides and injected runtimes get
-        their own executors instead of silently reusing one built for a
-        different backend or pool set.
+        One cache keyed by backend name and runtime token, so
+        ``policy.backend`` overrides and injected runtimes get their own
+        executors instead of silently reusing one built for a different
+        backend or runtime.
         """
         policy = policy if policy is not None else ExecutionPolicy()
         runtime = runtime if runtime is not None else self._runtime
         backend = policy.backend if policy.backend is not None else self._backend_spec
-        placement = policy.placement
-        key = (placement.cache_key, backend, runtime.token if runtime is not None else None)
+        key = (backend, runtime.token if runtime is not None else None)
         with self._executor_lock:
             executor = self._executors.get(key)
             if executor is None:
-                if placement.kind == "cluster":
-                    cls, args = DistributedExecutor, (self.plan, placement.cluster)
-                else:
-                    cls, args = PatchExecutor, (self.plan,)
-                executor = self._executors[key] = cls(
-                    *args,
+                executor = self._executors[key] = PatchExecutor(
+                    self.plan,
                     branch_hook=self._branch_hook,
                     suffix_hook=self._suffix_hook,
                     backend=backend,
@@ -280,11 +274,11 @@ class CompiledPipeline:
         )
 
     def close(self) -> None:
-        """Release executor resources: device pools, backend worker pools.
+        """Release executor resources: backend fork pools and segments.
 
-        Executors leasing from an injected :class:`~repro.runtime.Runtime`
-        release their leases here but leave the (shared) pools up; closing
-        the runtime itself is its owner's job.
+        Executors on an injected :class:`~repro.runtime.Runtime` release what
+        they took from it here but leave the runtime up; closing the runtime
+        itself is its owner's job.
         """
         with self._executor_lock:
             for executor in self._executors.values():

@@ -26,11 +26,10 @@ and drift telemetry samples the deviation from the exact path every
 ``drift_sample_every`` frames (max-abs and RMS over the output), feeding the
 golden-pinned error bounds.
 
-Any :class:`~repro.patch.executor.PatchExecutor` works as the backing
-executor: sequential or the multi-device distributed executor — the latter
-re-executes per shard, so devices owning no dirty patch do no work for the
-frame (see
-:meth:`~repro.distributed.DistributedExecutor.compute_tiles`).
+The backing executor is a :class:`~repro.patch.executor.PatchExecutor`;
+dirty branches go through its
+:meth:`~repro.patch.executor.PatchExecutor.compute_tiles`, so any of its
+compute backends serves a frame.
 """
 
 from __future__ import annotations

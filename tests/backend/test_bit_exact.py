@@ -3,7 +3,7 @@
 The contract pinned here is the one :mod:`repro.backend` documents: every
 backend produces the exact same output bytes as the per-branch loop
 reference — on both golden zoo models, across every execution style
-(sequential, distributed, streaming), and on random small
+(sequential, streaming), and on random small
 graphs via the property sweep.  Every comparison is of shape, dtype and raw
 bytes (:func:`_bits_equal`): no tolerances, and unlike ``np.array_equal`` a
 flipped sign of zero counts as a difference.
@@ -27,7 +27,6 @@ from fixtures import (
 
 from repro.backend import BackendUnavailable, MultiprocessBackend
 from repro.core.quantmcu import make_static_hooks
-from repro.hardware import make_cluster
 from repro.nn import (
     Add,
     AvgPool2d,
@@ -47,7 +46,6 @@ from repro.nn import (
 from repro.nn.graph import INPUT_NODE
 from repro.patch import PatchExecutor, build_patch_plan, candidate_split_nodes
 from repro.patch.regions import Region
-from repro.runtime import ExecutionPolicy, cluster
 from repro.serving.pipeline import CompiledPipeline
 
 #: The two golden zoo deployments (matching tests/golden/golden_cases.py).
@@ -84,9 +82,6 @@ class TestZooModelsBitExact:
 
             # Sequential.
             assert _bits_equal(vec.infer(x), reference)
-            # Distributed (per-shard batched kernel on each simulated device).
-            policy = ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
-            assert _bits_equal(vec.infer(x, policy=policy), reference)
 
             # Streaming (incremental recompute through stitch_tiles).
             frame0 = x[:1]

@@ -5,8 +5,7 @@ their tiles whenever that costs no more MACs than the branches with their
 halos; otherwise the set is cut at its widest gap and each half covered
 again, down to single branches.  Pinned here: the covers and MAC
 accounting of that rule, byte equality with the loop oracle on random
-branch subsets through every caller (direct calls, distributed shards,
-stream frames), and a cold backend's lazily built runs under concurrent
+branch subsets through every caller (direct calls and stream frames), and a cold backend's lazily built runs under concurrent
 first calls.
 """
 
@@ -21,8 +20,6 @@ import pytest
 from fixtures import DEEP_SPLIT_CASES, deep_split_deployment, property_cases
 
 from repro.devtools.stress import switch_interval
-from repro.distributed import DistributedExecutor
-from repro.hardware import make_cluster
 from repro.models import build_model
 from repro.nn.graph import INPUT_NODE
 from repro.patch import PatchExecutor, build_patch_plan
@@ -195,8 +192,7 @@ def test_opposite_corners_run_as_singles():
 @property_cases(max_examples=12)
 def test_random_subsets_match_loop(seed):
     """``compute_tiles`` and ``stitch_tiles`` on random branch subsets give
-    the loop oracle's bytes, called directly and through distributed shards,
-    on both zoo models at batch 1 and 3."""
+    the loop oracle's bytes on both zoo models at batch 1 and 3."""
     rng = np.random.default_rng(seed)
     case = DEEP_SPLIT_CASES[seed % len(DEEP_SPLIT_CASES)]
     batch = (1, 3)[seed // len(DEEP_SPLIT_CASES) % 2]
@@ -206,17 +202,14 @@ def test_random_subsets_match_loop(seed):
     ids = [int(i) for i in rng.permutation(plan.num_branches)[: rng.integers(1, plan.num_branches + 1)]]
     with pipeline.quantized_weights(), PatchExecutor(
         plan, *hooks, backend="loop"
-    ) as loop_ex, PatchExecutor(plan, *hooks, backend="vectorized") as vec_ex, DistributedExecutor(
-        plan, make_cluster("stm32h743", 2), *hooks, backend="vectorized"
-    ) as dist_ex:
+    ) as loop_ex, PatchExecutor(plan, *hooks, backend="vectorized") as vec_ex:
         expected = {b.patch_id: tile for b, tile in loop_ex.compute_tiles(x, ids)}
         stitched = loop_ex.stitch_tiles(x, ids, loop_ex._allocate_split(x))
-        for executor in (vec_ex, dist_ex):
-            got = executor.compute_tiles(x, ids)
-            assert [b.patch_id for b, _ in got] == ids
-            for branch, tile in got:
-                assert _bits_equal(tile, expected[branch.patch_id])
-            assert _bits_equal(executor.stitch_tiles(x, ids, executor._allocate_split(x)), stitched)
+        got = vec_ex.compute_tiles(x, ids)
+        assert [b.patch_id for b, _ in got] == ids
+        for branch, tile in got:
+            assert _bits_equal(tile, expected[branch.patch_id])
+        assert _bits_equal(vec_ex.stitch_tiles(x, ids, vec_ex._allocate_split(x)), stitched)
 
 
 def _dirtying(plan, frame: np.ndarray, targets) -> np.ndarray:
@@ -250,32 +243,26 @@ DIRTY_SETS = [
 ]
 
 
-@pytest.mark.parametrize("distributed", [False, True])
 @pytest.mark.parametrize("case", DEEP_SPLIT_CASES)
-def test_stream_frames_match_infer(case, distributed):
+def test_stream_frames_match_infer(case):
     """Every frame of a stream equals ``infer`` of that frame on the loop
-    oracle, on vectorized executors local or sharded over two devices."""
+    oracle, on a vectorized executor, and each dirty set is covered by the
+    expected runs."""
     pipeline, plan, hooks = _deployment(case)
     resolution = case[1]
     frame = np.random.default_rng(5).standard_normal((1, 3, resolution, resolution))
     frame = frame.astype(np.float32)
-    with pipeline.quantized_weights(), PatchExecutor(plan, *hooks, backend="loop") as loop_ex:
-        if distributed:
-            executor = DistributedExecutor(
-                plan, make_cluster("stm32h743", 2), *hooks, backend="vectorized"
-            )
-        else:
-            executor = PatchExecutor(plan, *hooks, backend="vectorized")
-        with executor:
-            session = StreamSession(executor)
+    with pipeline.quantized_weights(), PatchExecutor(
+        plan, *hooks, backend="loop"
+    ) as loop_ex, PatchExecutor(plan, *hooks, backend="vectorized") as executor:
+        session = StreamSession(executor)
+        assert _bits_equal(session.process(frame), loop_ex.forward(frame))
+        for dirty, cover in DIRTY_SETS:
+            assert [covered for _, covered in _runs(executor, list(dirty))] == cover
+            frame = _dirtying(plan, frame, dirty)
             assert _bits_equal(session.process(frame), loop_ex.forward(frame))
-            for dirty, cover in DIRTY_SETS:
-                if not distributed:
-                    assert [covered for _, covered in _runs(executor, list(dirty))] == cover
-                frame = _dirtying(plan, frame, dirty)
-                assert _bits_equal(session.process(frame), loop_ex.forward(frame))
-                assert session.last_frame.dirty_branches == dirty
-            session.close()
+            assert session.last_frame.dirty_branches == dirty
+        session.close()
 
 
 # ------------------------------------------------------------- concurrency

@@ -257,11 +257,11 @@ class TestUnownedCloseable:
     def test_project_executor_types_covered(self):
         findings = lint(
             """
-            from repro.distributed import DistributedExecutor
+            from repro.patch import PatchExecutor
 
             def leak():
-                ex = DistributedExecutor(plan, cluster)
-                ex.map(None, [])
+                ex = PatchExecutor(plan)
+                ex.forward(x)
             """,
             rules=["REP003"],
         )
@@ -573,7 +573,7 @@ class TestResourceOutsideRuntime:
             rules=["REP008"],
         )
         assert codes(findings) == ["REP008"]
-        assert "lease it from a Runtime" in findings[0].message
+        assert "take it from a Runtime" in findings[0].message
 
     def test_context_bound_fork_pool_flagged(self):
         """ctx.Pool(...) has a Call base, which resolve_dotted cannot see

@@ -1,7 +1,7 @@
 """Shared fixtures and helpers for the whole test suite.
 
 Star-imported by ``tests/conftest.py`` so every test directory (including
-``tests/serving/``, ``tests/distributed/`` and ``tests/golden/``) sees one
+``tests/serving/``, ``tests/streaming/`` and ``tests/golden/``) sees one
 set of model/pipeline fixtures instead of re-declaring its own.  Module-level
 helpers (:func:`quantize_and_compile`, :data:`MOBILENET_SPEC`,
 :func:`property_cases`) are importable directly via ``from fixtures import ...``
@@ -36,9 +36,9 @@ from repro.serving import ModelSpec, compile_pipeline
 def random_property_graph(rng: np.random.Generator) -> Graph:
     """A random small CNN with at least one downsampling layer.
 
-    The shared generator behind the property-based tests (shard planning and
-    patch-schedule search): varied resolutions/widths/depths, always with a
-    valid patch-stage split point.
+    The shared generator behind the property-based tests (backend
+    bit-exactness, streaming and the stale tier): varied
+    resolutions/widths/depths, always with a valid patch-stage split point.
     """
     resolution = int(rng.choice([16, 24, 32]))
     channels = int(rng.choice([4, 8, 12]))
@@ -75,7 +75,7 @@ try:  # property tests use hypothesis when the environment has it ...
 except ImportError:  # ... and fall back to fixed-seed randomized sweeps
     HAVE_HYPOTHESIS = False
 
-#: The spec matching :func:`tiny_mobilenet` — shared by serving/distributed
+#: The spec matching :func:`tiny_mobilenet` — shared by serving/streaming
 #: tests so compiled artifacts are reloadable through the registry.
 MOBILENET_SPEC = ModelSpec("mobilenetv2", 32, 4, 0.35, 3)
 
@@ -112,7 +112,7 @@ def quantize_and_compile(**kwargs):
 
     Accepts :func:`quantize_zoo_model` keyword arguments and returns
     ``(pipeline, result, compiled)``; the caller owns ``compiled`` (call
-    ``close()`` if a parallel/distributed executor was created).
+    ``close()`` to release its executors' resources).
     """
     spec, pipeline, result = quantize_zoo_model(**kwargs)
     return pipeline, result, compile_pipeline(pipeline, result, spec=spec)
@@ -283,11 +283,6 @@ def tiny_scale() -> ExperimentScale:
         eval_images=16,
         haq_iterations=3,
     )
-
-
-@pytest.fixture
-def small_batch(rng) -> np.ndarray:
-    return rng.standard_normal((2, 3, 16, 16)).astype(np.float32)
 
 
 # ------------------------------------------------------------------ pipelines

@@ -7,8 +7,8 @@ everything a refactor could silently change:
 * the compiled pipeline fingerprint (weights + deployment configuration);
 * the chosen patch schedule and searched bitwidth totals (BitOPs, peak SRAM);
 * a SHA-256 over the exact output logits bytes for a fixed input batch;
-* the analytic latency-model numbers (single device, serving batch, and the
-  2-/4-device cluster makespans with their pipelined variant);
+* the analytic latency-model numbers (layer-based, patch-based and a
+  batch-4 serving estimate on one device);
 * the ``stale_halo`` approximation tier's behaviour on a crafted halo-only
   perturbation (exact staleness geometry plus bounded drift magnitudes).
 
@@ -46,14 +46,11 @@ import numpy as np
 
 from fixtures import halo_only_pixel
 from repro.core import QuantMCUPipeline
-from repro.distributed import ShardPlanner
 from repro.hardware import (
     STM32H743,
-    estimate_cluster_latency,
     estimate_layer_based_latency,
     estimate_patch_based_latency,
     estimate_serving_latency,
-    make_cluster,
 )
 from repro.runtime import ExecutionPolicy
 from repro.serving import ModelSpec, compile_pipeline
@@ -171,18 +168,6 @@ def compute_case(case_name: str) -> dict:
     serving4 = estimate_serving_latency(
         plan, STM32H743, batch_size=4, config=suffix_config, branch_configs=branch_configs
     )
-    cluster_ms = {}
-    for num_devices in (2, 4):
-        cluster = make_cluster("stm32h743", num_devices)
-        assignment = ShardPlanner(cluster, config=suffix_config).plan_shards(plan).assignment()
-        breakdown = estimate_cluster_latency(
-            plan, assignment, cluster, config=suffix_config, branch_configs=branch_configs
-        )
-        cluster_ms[str(num_devices)] = {
-            "makespan_ms": breakdown.makespan_seconds * 1e3,
-            "stage_ms": breakdown.stage_seconds * 1e3,
-            "pipelined_x4_ms": breakdown.pipelined_makespan_seconds(4) * 1e3,
-        }
 
     streaming = None
     if params.get("streaming"):
@@ -233,7 +218,6 @@ def compute_case(case_name: str) -> dict:
             "layer_based_ms": layer_based.total_ms,
             "patch_based_ms": patch_based.total_ms,
             "serving_batch4_ms": serving4.total_ms,
-            "cluster": cluster_ms,
         },
         "stale_drift": stale_drift,
         **({"streaming": streaming} if streaming is not None else {}),

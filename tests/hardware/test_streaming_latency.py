@@ -1,19 +1,15 @@
-"""Partial-recompute latency models: single device and cluster."""
+"""Partial-recompute latency models on a single device."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import QuantMCUPipeline
-from repro.distributed import ShardPlanner
 from repro.hardware import (
     STM32H743,
-    estimate_cluster_latency,
-    estimate_cluster_streaming_latency,
     estimate_patch_based_latency,
     estimate_streaming_latency,
     estimate_streaming_speedup,
-    make_cluster,
 )
 
 import numpy as np
@@ -62,36 +58,3 @@ def test_streaming_speedup_is_monotone_in_motion(quantized_plan):
     assert speedups[0] > 1.0
     with pytest.raises(ValueError, match="motion_fraction"):
         estimate_streaming_speedup(plan, STM32H743, 1.5)
-
-
-def test_cluster_streaming_filters_per_device(quantized_plan):
-    plan = quantized_plan
-    cluster = make_cluster("stm32h743", 2)
-    assignment = ShardPlanner(cluster).plan_shards(plan).assignment()
-    full = estimate_cluster_latency(plan, assignment, cluster)
-
-    # Every branch dirty: identical to the full cluster estimate.
-    all_dirty = estimate_cluster_streaming_latency(
-        plan, assignment, cluster, list(range(plan.num_branches))
-    )
-    assert all_dirty.makespan_seconds == pytest.approx(full.makespan_seconds, rel=1e-12)
-
-    # Only one device's branches dirty: the other contributes nothing.
-    dirty = list(assignment[1])
-    partial = estimate_cluster_streaming_latency(plan, assignment, cluster, dirty)
-    assert partial.per_device[0].total_seconds == 0.0
-    assert partial.transfer_seconds_per_device[0] == 0.0
-    assert partial.per_device[1].total_seconds == pytest.approx(
-        full.per_device[1].total_seconds, rel=1e-12
-    )
-    # The makespan is a max over devices, so idling one device can never make
-    # it worse — and shrinking every shard makes it strictly better.
-    assert partial.makespan_seconds <= full.makespan_seconds
-    one_each = [branch_ids[0] for branch_ids in assignment if branch_ids]
-    shrunk = estimate_cluster_streaming_latency(plan, assignment, cluster, one_each)
-    assert shrunk.makespan_seconds < full.makespan_seconds
-
-    # No dirty branches: the makespan degenerates to the head's suffix.
-    clean = estimate_cluster_streaming_latency(plan, assignment, cluster, [])
-    assert clean.stage_seconds == 0.0
-    assert clean.makespan_seconds == pytest.approx(full.suffix_seconds, rel=1e-12)

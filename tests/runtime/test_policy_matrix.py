@@ -1,11 +1,10 @@
-"""Bit-identity across the full (placement x backend x tier) policy matrix.
+"""Bit-identity across the full (backend x tier) policy matrix.
 
 The execution contract of the whole stack: for a given freshness tier, every
-valid combination of placement (local / cluster) and kernel backend
-(loop / vectorized / multiprocess) must produce *identical bits* on both zoo
-deployments.  The tier picks the surface it is served through — ``exact``
-via :meth:`CompiledPipeline.infer` and the pipeline-parallel scheduler
-(cluster placement only), ``stale_halo`` via a stream session.
+kernel backend (loop / vectorized / multiprocess) must produce *identical
+bits* on both zoo deployments.  The tier picks the surface it is served
+through — ``exact`` via :meth:`CompiledPipeline.infer`, ``stale_halo`` via a
+stream session.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.distributed import PipelineParallelScheduler
-from repro.hardware.cluster import make_cluster
-from repro.runtime import ExecutionPolicy, cluster, local
+from repro.runtime import ExecutionPolicy
 from repro.serving import compile_pipeline
 
 from fixtures import quantize_zoo_model
@@ -30,13 +27,6 @@ MODELS = [
     pytest.param(dict(model_name="mobilenetv2", resolution=32), id="mobilenetv2@32"),
     pytest.param(dict(model_name="mcunet", resolution=48), id="mcunet@48"),
 ]
-
-
-def _placements():
-    return {
-        "local": local(),
-        "cluster": cluster(make_cluster("stm32h743", 2)),
-    }
 
 
 @pytest.fixture(scope="module", params=MODELS)
@@ -58,29 +48,25 @@ def deployment(request):
 
 
 def _matrix_cells():
-    return [
-        pytest.param(kind, backend, id=f"{kind}-{backend}")
-        for kind in ("local", "cluster")
-        for backend in BACKENDS
-    ]
+    # Every cell runs on this host; the ``local-`` prefix keeps the cells'
+    # reported names stable.
+    return [pytest.param(backend, id=f"local-{backend}") for backend in BACKENDS]
 
 
 class TestExactTier:
-    @pytest.mark.parametrize("kind,backend", _matrix_cells())
-    def test_cell_matches_reference(self, deployment, kind, backend):
+    @pytest.mark.parametrize("backend", _matrix_cells())
+    def test_cell_matches_reference(self, deployment, backend):
         compiled, frames = deployment
         x = frames[0][None]
-        reference = compiled.infer(
-            x, policy=ExecutionPolicy(placement=local(), backend="loop")
-        )
-        policy = ExecutionPolicy(placement=_placements()[kind], backend=backend)
+        reference = compiled.infer(x, policy=ExecutionPolicy(backend="loop"))
+        policy = ExecutionPolicy(backend=backend)
         assert policy.tier == "exact"
         np.testing.assert_array_equal(compiled.infer(x, policy=policy), reference)
 
 
 class TestStaleHaloTier:
-    @pytest.mark.parametrize("kind,backend", _matrix_cells())
-    def test_cell_matches_reference_stream(self, deployment, kind, backend):
+    @pytest.mark.parametrize("backend", _matrix_cells())
+    def test_cell_matches_reference_stream(self, deployment, backend):
         compiled, frames = deployment
 
         def run(policy):
@@ -91,30 +77,8 @@ class TestStaleHaloTier:
                 session.close()
 
         stale = dict(tier="stale_halo", max_stale_frames=2)
-        reference = run(ExecutionPolicy(placement=local(), backend="loop", **stale))
-        outputs = run(
-            ExecutionPolicy(placement=_placements()[kind], backend=backend, **stale)
-        )
+        reference = run(ExecutionPolicy(backend="loop", **stale))
+        outputs = run(ExecutionPolicy(backend=backend, **stale))
         for out, ref in zip(outputs, reference):
             np.testing.assert_array_equal(out, ref)
 
-
-class TestScheduler:
-    """The pipeline-parallel scheduler overlaps one micro-batch's suffix with
-    the next one's patch stage across cluster devices; scheduling changes
-    only when work runs, so its outputs must equal the exact tier's."""
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cluster_cell_matches_exact(self, deployment, backend):
-        compiled, frames = deployment
-        batches = [frame[None] for frame in frames]
-        spec = make_cluster("stm32h743", 2)
-        policy = ExecutionPolicy(placement=cluster(spec), backend=backend)
-        executor = compiled.executor(policy=policy)
-        expected = [
-            compiled.infer(x, policy=ExecutionPolicy(placement=local(), backend="loop"))
-            for x in batches
-        ]
-        outputs = PipelineParallelScheduler(executor).run(batches)
-        for out, ref in zip(outputs, expected):
-            np.testing.assert_array_equal(out, ref)

@@ -1,4 +1,4 @@
-"""Runtime: leased pools, fork-pool tracking, segments, lifecycle."""
+"""Runtime: fork-pool tracking, segments, lifecycle."""
 
 from __future__ import annotations
 
@@ -9,72 +9,6 @@ import pytest
 from repro.runtime import Runtime, RuntimeClosed, attach_segment
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-
-class TestThreadPoolLeases:
-    def test_same_key_shares_one_pool(self):
-        with Runtime() as runtime:
-            a = runtime.thread_pool(2, tag="patch-worker")
-            b = runtime.thread_pool(2, tag="patch-worker")
-            stats = runtime.stats()
-            assert stats.thread_pools == 1
-            assert stats.active_leases == 2
-            assert a._entry is b._entry
-
-    def test_different_keys_get_different_pools(self):
-        with Runtime() as runtime:
-            runtime.thread_pool(2, tag="patch-worker")
-            runtime.thread_pool(3, tag="patch-worker")
-            runtime.thread_pool(2, tag="other")
-            assert runtime.stats().thread_pools == 3
-
-    def test_serial_pool_keyed_by_index(self):
-        with Runtime() as runtime:
-            a = runtime.serial_pool("device", 0)
-            b = runtime.serial_pool("device", 1)
-            a2 = runtime.serial_pool("device", 0)
-            assert runtime.stats().thread_pools == 2
-            assert a._entry is a2._entry
-            assert a._entry is not b._entry
-            assert a.max_workers == 1
-
-    def test_lease_submit_runs_work(self):
-        with Runtime() as runtime:
-            lease = runtime.thread_pool(2)
-            assert lease.submit(lambda: 21 * 2).result() == 42
-            assert lease.tag == "worker"
-
-    def test_release_keeps_pool_warm(self):
-        with Runtime() as runtime:
-            lease = runtime.thread_pool(2)
-            lease.release()
-            stats = runtime.stats()
-            assert stats.active_leases == 0
-            assert stats.thread_pools == 1  # warm, not shut down
-            # Re-leasing reuses the same warm pool.
-            again = runtime.thread_pool(2)
-            assert again.submit(lambda: "ok").result() == "ok"
-
-    def test_release_is_idempotent(self):
-        with Runtime() as runtime:
-            lease = runtime.thread_pool(2)
-            other = runtime.thread_pool(2)
-            lease.release()
-            lease.release()
-            assert runtime.stats().active_leases == 1
-            other.release()
-
-    def test_submit_after_release_raises(self):
-        with Runtime() as runtime:
-            lease = runtime.thread_pool(2)
-            lease.release()
-            with pytest.raises(RuntimeClosed, match="was released"):
-                lease.submit(lambda: None)
-
-    def test_max_workers_validated(self):
-        with Runtime() as runtime:
-            with pytest.raises(ValueError, match=">= 1"):
-                runtime.thread_pool(0)
 
 
 class TestSegments:
@@ -148,7 +82,7 @@ class TestLifecycle:
 
     def test_close_is_idempotent(self):
         runtime = Runtime()
-        runtime.thread_pool(2)
+        runtime.shared_segment(8)
         runtime.close()
         runtime.close()
         assert runtime.closed
@@ -158,31 +92,25 @@ class TestLifecycle:
         runtime = Runtime()
         runtime.close()
         with pytest.raises(RuntimeClosed, match="is closed"):
-            runtime.thread_pool(1)
-        with pytest.raises(RuntimeClosed):
             runtime.shared_segment(8)
+        with pytest.raises(RuntimeClosed, match="is closed"):
+            runtime.fork_pool(1)
 
-    def test_leased_handle_after_runtime_close_raises_clearly(self):
-        runtime = Runtime(name="gone")
-        lease = runtime.thread_pool(2)
-        runtime.close()
-        with pytest.raises(RuntimeClosed, match="'gone' is closed"):
-            lease.submit(lambda: None)
-
-    def test_close_waits_for_inflight_futures(self):
-        import threading
-
+    def test_release_after_close_leaves_segment_to_close(self):
+        # close() already closed and unlinked the segment; a tenant's late
+        # release must not close it a second time (its fd may be reused).
         runtime = Runtime()
-        lease = runtime.thread_pool(1)
-        release = threading.Event()
-        future = lease.submit(release.wait, 5)
-        release.set()
-        runtime.close(wait=True)
-        assert future.done()
+        segment = runtime.shared_segment(8)
+        runtime.close()
+        closes = []
+        segment.close = lambda: closes.append(True)
+        runtime.release_segment(segment)
+        assert closes == []
 
     def test_stats_snapshot_shape(self):
         with Runtime() as runtime:
-            runtime.thread_pool(2, tag="patch-worker")
+            runtime.shared_segment(8)
             stats = runtime.stats()
-            assert stats.pool_keys == (("patch-worker", 2),)
+            assert stats.live_segments == 1
+            assert stats.fork_pools == 0
             assert not stats.closed

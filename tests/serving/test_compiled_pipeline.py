@@ -10,8 +10,6 @@ import pytest
 from fixtures import MOBILENET_SPEC as SPEC
 
 from repro.core import QuantMCUPipeline
-from repro.hardware import make_cluster
-from repro.runtime import ExecutionPolicy, cluster
 from repro.serving import CompiledPipeline, InferenceEngine, compile_pipeline
 
 
@@ -22,8 +20,6 @@ def test_compiled_matches_experiment_executor(quantized_mobilenet, rng):
     with pipeline.quantized_weights():
         reference = pipeline.make_executor(result).forward(x)
     assert np.array_equal(compiled.infer(x), reference)
-    on_cluster = ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
-    assert np.array_equal(compiled.infer(x, policy=on_cluster), reference)
     compiled.close()
 
 
@@ -112,19 +108,13 @@ def test_compile_does_not_copy_calibration_scratch(quantized_mobilenet):
     assert with_scratch - compile_peak() < scratch / 2
 
 
-@pytest.mark.parametrize("placement", ["local", "cluster"])
-def test_serving_leaves_layer_state_unchanged(compiled_mobilenet, rng, placement):
+def test_serving_leaves_layer_state_unchanged(compiled_mobilenet, rng):
     """Direct infer, an engine flush and stream frames write no layer state."""
-    policy = (
-        ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
-        if placement == "cluster"
-        else ExecutionPolicy()
-    )
     x = rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
     state = _layer_state(compiled_mobilenet.graph)
-    compiled_mobilenet.infer(x[:2], policy=policy)
+    compiled_mobilenet.infer(x[:2])
     with InferenceEngine(
-        compiled_mobilenet, max_batch_size=4, batch_timeout_s=0.01, policy=policy
+        compiled_mobilenet, max_batch_size=4, batch_timeout_s=0.01
     ) as engine:
         futures = [engine.submit(sample) for sample in x]
         for future in futures:

@@ -399,37 +399,3 @@ def test_close_wait_after_nonblocking_close_still_joins(compiled_mobilenet, rng)
     for future in futures:
         assert future.done()
         assert future.result().shape == compiled_mobilenet.graph.output_shape()
-
-
-def test_modelling_cluster_latency_builds_no_executor(compiled_mobilenet):
-    """Regression: ``_modelled_device_seconds`` used to construct a
-    DistributedExecutor (device worker pools included) just to read the shard
-    plan's branch->device assignment, leaking it into the pipeline's executor
-    cache even when no batch was ever served on the cluster."""
-    from repro.distributed import DistributedExecutor, ShardPlanner
-    from repro.hardware import get_cluster
-    from repro.runtime import ExecutionPolicy
-    from repro.runtime import cluster as cluster_placement
-
-    spec = get_cluster("stm32h743_x4")
-    engine = InferenceEngine(
-        compiled_mobilenet,
-        batch_timeout_s=0.001,
-        policy=ExecutionPolicy(placement=cluster_placement(spec)),
-    )
-    try:
-        seconds = engine._modelled_device_seconds(compiled_mobilenet, 2)
-        assert seconds > 0
-        # Latency was modelled without ever instantiating a cluster executor.
-        assert not any(
-            isinstance(executor, DistributedExecutor)
-            for executor in compiled_mobilenet._executors.values()
-        )
-        # And the memoized assignment matches what a real executor would use.
-        planned = ShardPlanner(spec).plan_shards(compiled_mobilenet.plan).assignment()
-        assert engine._shard_assignments[compiled_mobilenet] == planned
-        executor = compiled_mobilenet.executor(engine.policy)
-        assert executor.shard_plan.assignment() == planned
-    finally:
-        engine.close()
-        compiled_mobilenet.close()

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import SyntheticVideo
-from repro.hardware import make_cluster
-from repro.runtime import ExecutionPolicy, cluster
+from repro.runtime import ExecutionPolicy
 from repro.serving import EngineClosed, InferenceEngine, PipelineCache
 
 
@@ -46,7 +45,7 @@ def test_open_stream_records_reuse_telemetry(compiled_mobilenet):
 
 
 def test_open_stream_uses_engine_execution_mode(compiled_mobilenet):
-    policy = ExecutionPolicy(placement=cluster(make_cluster("stm32h743", 2)))
+    policy = ExecutionPolicy(backend="loop")
     with InferenceEngine(
         compiled_mobilenet, batch_timeout_s=0.001, policy=policy
     ) as engine:
@@ -55,7 +54,7 @@ def test_open_stream_uses_engine_execution_mode(compiled_mobilenet):
         assert np.array_equal(
             session.process(frame), compiled_mobilenet.infer(frame[None])[0]
         )
-        # The session's executor is the pipeline's cluster one.
+        # The session's executor is the pipeline's loop-backend one.
         assert session.executor is compiled_mobilenet.executor(policy)
 
 
