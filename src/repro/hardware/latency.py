@@ -239,7 +239,10 @@ def estimate_streaming_latency(
     working set, no per-branch launch overhead, and no weight streaming for
     operators that run in no dirty branch.  The suffix always executes (it
     reads the whole stitched split feature map), which is why the modelled
-    speedup saturates as motion approaches zero instead of diverging.
+    speedup saturates as motion approaches zero instead of diverging.  That
+    holds for an empty dirty set too, though the server's
+    :class:`~repro.streaming.StreamSession` then skips the suffix and
+    serves the previous frame's output.
     """
     config = config if config is not None else QuantizationConfig.uniform(8)
     dirty = sorted(set(dirty_branch_ids))

@@ -439,7 +439,7 @@ def depthwise_conv2d_exact(
     With the padded input's rows merged to ``W * C`` contiguous elements,
     tap ``(i, j)`` of output row ``r`` at stride 1 is the run of
     ``full_w * C`` elements (``full_w = W_padded - kw + 1``) starting at
-    column ``j`` of padded row ``r * stride + i``: one read-only strided view
+    column ``j`` of padded row ``r * stride + i``: one strided view
     ``(n, out_h, kh, kw, full_w * C)`` holds them all, reduced against the
     ``(kh, kw, C)`` taps tiled to ``full_w * C``.  At ``stride > 1`` every
     ``stride``-th column is kept.  ``tiles`` caches the tiled taps by
@@ -462,12 +462,12 @@ def depthwise_conv2d_exact(
         if tiles is not None:
             tiles[full_w] = taps
     sn, sh, sw, _ = x.strides
-    view = as_strided(
-        x,
-        shape=(n, out_h, kh, kw, full_w * c),
-        strides=(sn, sh * stride, sh, sw, x.itemsize),
-        writeable=False,
-    )
+    shape = (n, out_h, kh, kw, full_w * c)
+    strides = (sn, sh * stride, sh, sw, x.itemsize)
+    if x.flags.c_contiguous:  # the constructor costs a fraction of as_strided per call
+        view = np.ndarray(shape, x.dtype, buffer=x, strides=strides)
+    else:  # a window of a larger map, whose buffer is not contiguous
+        view = as_strided(x, shape=shape, strides=strides, writeable=False)
     out = np.einsum("nhijr,ijr->nhr", view, taps).reshape(n, out_h, full_w, c)
     return out if stride == 1 else np.ascontiguousarray(out[:, :, ::stride])
 

@@ -71,6 +71,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy._core.umath import clip as _clip_ufunc
 from numpy.lib.stride_tricks import as_strided
 
 from . import functional as F
@@ -272,13 +273,24 @@ def layer_kernel(layer: Layer, input_shape: tuple[int, ...], padding: int | None
 # ---------------------------------------------------------------- epilogue
 class _Epilogue:
     """``acc * M + B``, clipped to ``[lo, hi]``, rounded when onto a grid;
-    per-channel constants are tiled to the row width on first use."""
+    per-channel constants are tiled to the row width on first use.
 
-    __slots__ = ("M", "B", "lo", "hi", "rint", "identity", "_tiles")
+    The clip calls the ufunc that :func:`numpy.clip` dispatches to (``clip``
+    for two bounds, ``maximum`` or ``minimum`` for one), skipping its Python
+    wrapper: the same bytes at about half the cost per call on small maps."""
+
+    __slots__ = ("M", "B", "bounds", "clip", "rint", "identity", "_tiles")
 
     def __init__(self, M, B, lo, hi, rint: bool) -> None:
-        self.M, self.B, self.lo, self.hi, self.rint = M, B, lo, hi, rint
-        self.identity = all(k is None for k in (M, B, lo, hi)) and not rint
+        self.M, self.B, self.rint = M, B, rint
+        self.bounds = tuple(k for k in (lo, hi) if k is not None)
+        self.clip = (
+            _clip_ufunc if len(self.bounds) == 2
+            else np.maximum if lo is not None
+            else np.minimum if hi is not None
+            else None
+        )
+        self.identity = M is None and B is None and self.clip is None and not rint
         self._tiles: dict[int, tuple] = {}
 
     def __call__(self, acc: np.ndarray, fresh: bool) -> np.ndarray:
@@ -297,8 +309,8 @@ class _Epilogue:
             np.multiply(rows, M, out=rows)
         if B is not None:
             np.add(rows, B, out=rows)
-        if self.lo is not None or self.hi is not None:
-            np.clip(rows, self.lo, self.hi, out=rows)
+        if self.clip is not None:
+            self.clip(rows, *self.bounds, out=rows)
         if self.rint:
             np.rint(rows, out=rows)
         out = rows.reshape(shape)

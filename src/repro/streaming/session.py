@@ -5,8 +5,10 @@ patch-based executor.  Each frame is diffed against the previous one at patch
 granularity (:mod:`repro.streaming.diff`): only the *dirty* branches — those
 whose halo-inclusive input region contains a changed pixel — are re-executed,
 while the tiles of clean branches are served from the persistent stitched
-split-feature-map buffer left by earlier frames.  The suffix (which reads the
-whole split feature map) always runs.
+split-feature-map buffer left by earlier frames.  The suffix reads the whole
+split feature map, so it runs whenever a branch was re-executed; a frame
+that re-executes none leaves that map untouched and is served a copy of the
+previous frame's output, unless the suffix also reads the input itself.
 
 In the default ``exact`` tier the result is **bit-identical** to
 full recomputation, by construction rather than by tolerance: a branch is a
@@ -204,6 +206,8 @@ class StreamSession:
         self._stale_age: dict[int, int] = {}
         self._previous: np.ndarray | None = None
         self._stitched: np.ndarray | None = None
+        #: The suffix's output for ``_stitched``; a clean frame is served a copy.
+        self._output: np.ndarray | None = None
         self._frames: deque[FrameStats] = deque(maxlen=max(history_frames, 1))
         # Whole-session counters: frame history is capped, these are not.
         self._frames_total = 0
@@ -254,6 +258,7 @@ class StreamSession:
         """Forget the previous frame and cached tiles (e.g. on a scene cut)."""
         self._previous = None
         self._stitched = None
+        self._output = None
         self._stale_age.clear()
 
     @property
@@ -279,7 +284,9 @@ class StreamSession:
         ``frame`` is a single ``(C, H, W)`` sample (returning the unbatched
         output) or a one-sample ``(1, C, H, W)`` batch (returning the batched
         output).  The first frame after construction or :meth:`reset` is a
-        full recomputation; later frames reuse every clean branch.
+        full recomputation; later frames reuse every clean branch.  A frame
+        that re-executes no branch runs no suffix either (unless the suffix
+        reads the input): it returns a fresh copy of the previous output.
         """
         if self._closed:
             raise RuntimeError(
@@ -313,14 +320,18 @@ class StreamSession:
         stale_now = tuple(sorted(self._stale_age))
 
         try:
-            if self._stitched is None:
-                # The executor's channels-last layout: run_suffix reads it
-                # without a transposing copy on every frame.
-                self._stitched = self.executor._allocate_split(x)
-            # stitch_tiles recomputes just the re-executed tiles in place;
-            # every other tile in the persistent buffer is served as-is.
-            self.executor.stitch_tiles(x, executed, self._stitched)
-            output = self.executor.run_suffix(x, self._stitched)
+            # With no branch re-executed, the stitched buffer is as the last
+            # frame left it, and so is the output of a suffix that reads
+            # only that buffer.
+            if executed or self._output is None or self.executor._suffix_reads_input:
+                if self._stitched is None:
+                    # The executor's channels-last layout: run_suffix reads it
+                    # without a transposing copy on every frame.
+                    self._stitched = self.executor._allocate_split(x)
+                # stitch_tiles recomputes just the re-executed tiles in place;
+                # every other tile in the persistent buffer is served as-is.
+                self.executor.stitch_tiles(x, executed, self._stitched)
+                self._output = self.executor.run_suffix(x, self._stitched)
             self._previous = x.copy()
         except BaseException:
             # The stitched buffer may now hold a mix of frame-t and older
@@ -329,6 +340,7 @@ class StreamSession:
             # cache: the next frame recomputes in full.
             self.reset()
             raise
+        output = self._output.copy()  # the caller's to keep (or to write)
 
         drift_max_abs: float | None = None
         drift_rms: float | None = None

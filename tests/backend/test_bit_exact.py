@@ -20,6 +20,7 @@ import pytest
 from fixtures import (
     DEEP_SPLIT_CASES,
     deep_split_deployment,
+    input_skip_graph,
     property_cases,
     quantize_zoo_model,
     random_property_graph,
@@ -497,21 +498,6 @@ def test_shared_value_is_never_overwritten(split):
 
 
 # ------------------------------------------------------------- caller arrays
-def _caller_graph() -> Graph:
-    """A suffix whose only reader of the graph input is an in-place epilogue
-    (a BatchNorm).  The split map always ends a fused BatchNorm/activation
-    chain, so its suffix readers never are."""
-    rng = np.random.default_rng(5)
-    g = Graph((3, 16, 16), name="caller_arrays")
-    g.add(Conv2d(3, 3, 3, padding=1, rng=rng), name="stem")
-    act = g.add(ReLU6(), name="stem_act")
-    skip = g.add(BatchNorm2d(3), inputs=INPUT_NODE, name="skip_bn")
-    g.add(Add(), inputs=[act, skip], name="merge")
-    g.add(GlobalAvgPool(), name="gap")
-    g.add(Linear(3, 4, rng=rng), name="fc")
-    return g
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a = a.copy(order="K")
     a.flags.writeable = False
@@ -523,7 +509,7 @@ def test_suffix_never_writes_caller_arrays(backend):
     """Slots 0 and 1 of the suffix are the caller's arrays: an in-place
     epilogue that reached them would raise on these read-only inputs.  Both
     are channels-last in memory, so the suffix reads them without a copy."""
-    plan = build_patch_plan(_caller_graph(), "stem_act", 2)
+    plan = build_patch_plan(input_skip_graph(), "stem_act", 2)
     x = np.random.default_rng(3).standard_normal((2, 16, 16, 3)).astype(np.float32)
     x = x.transpose(0, 3, 1, 2)
     with PatchExecutor(plan, backend=backend) as executor:

@@ -33,6 +33,24 @@ from repro.patch import build_patch_plan, candidate_split_nodes, owned_input_reg
 from repro.serving import ModelSpec, compile_pipeline
 
 
+def input_skip_graph() -> Graph:
+    """A graph whose suffix reads the graph input (split it at ``stem_act``).
+
+    The suffix's only reader of the input is an in-place epilogue (a
+    BatchNorm on a skip branch).  The split map always ends a fused
+    BatchNorm/activation chain, so its suffix readers never are.
+    """
+    rng = np.random.default_rng(5)
+    g = Graph((3, 16, 16), name="caller_arrays")
+    g.add(Conv2d(3, 3, 3, padding=1, rng=rng), name="stem")
+    act = g.add(ReLU6(), name="stem_act")
+    skip = g.add(BatchNorm2d(3), inputs=INPUT_NODE, name="skip_bn")
+    g.add(Add(), inputs=[act, skip], name="merge")
+    g.add(GlobalAvgPool(), name="gap")
+    g.add(Linear(3, 4, rng=rng), name="fc")
+    return g
+
+
 def random_property_graph(rng: np.random.Generator) -> Graph:
     """A random small CNN with at least one downsampling layer.
 

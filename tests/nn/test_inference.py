@@ -39,6 +39,7 @@ from repro.nn.graph import INPUT_NODE
 from repro.nn.inference import (
     EXACT_LIMIT,
     REAL,
+    _Epilogue,
     _exact_gemm,
     compile_nodes,
     grid_value,
@@ -73,14 +74,22 @@ def _in_layout(x: np.ndarray, layout: str) -> np.ndarray:
 def _laid_out(draw, layout: str, batch: int, channels: int, height: int, width: int) -> np.ndarray:
     """A logical ``(N, C, H, W)`` array from ``draw(shape)``: contiguous, a
     sub-rect of a larger buffer (``"cropped"``), channels-last memory
-    (``"transposed"``) or a sub-rect of a channels-last buffer
-    (``"window"``, as the patch stage reads)."""
+    (``"transposed"``), a sub-rect of a channels-last buffer
+    (``"window"``, as the patch stage reads), read-only channels-last memory
+    (``"readonly"``) or a contiguous channels-last sub-slice at a nonzero
+    offset into a larger buffer (``"offset"``)."""
     if layout == "cropped":  # a sub-rect of a stacked buffer
         return draw((batch, channels, height + 3, width + 2))[:, :, 1 : 1 + height, 2:]
     if layout == "transposed":  # channels-last memory
         return draw((batch, height, width, channels)).transpose(0, 3, 1, 2)
     if layout == "window":  # channels-last rows of a larger map
         return draw((batch, height + 3, width + 2, channels))[:, 1 : 1 + height, 2:].transpose(0, 3, 1, 2)
+    if layout == "readonly":
+        x = draw((batch, height, width, channels))
+        x.flags.writeable = False
+        return x.transpose(0, 3, 1, 2)
+    if layout == "offset":  # contiguous samples of a larger stack
+        return draw((batch + 2, height, width, channels))[1 : 1 + batch].transpose(0, 3, 1, 2)
     return draw((batch, channels, height, width))
 
 
@@ -93,7 +102,7 @@ def _laid_out(draw, layout: str, batch: int, channels: int, height: int, width: 
     kernel=st.sampled_from([1, 3, 5, 7]),
     stride=st.sampled_from([1, 2]),
     padding=st.integers(0, 2),
-    layout=st.sampled_from(["contiguous", "cropped", "transposed", "window"]),
+    layout=st.sampled_from(["contiguous", "cropped", "transposed", "window", "readonly", "offset"]),
 )
 @settings(max_examples=150, deadline=None)
 def test_depthwise_kernel_matches_reference(
@@ -105,7 +114,9 @@ def test_depthwise_kernel_matches_reference(
     buffer too.  Over integer codes and weights the single-pass exact kernel
     equals an int64 convolution, whatever the layout of its input (channels-
     last views of NCHW memory take its row-copy path, channels-last windows
-    are read in place), and reuses its tiled taps across calls."""
+    are read in place, and contiguous channels-last input, read-only or at
+    an offset into a larger buffer, is viewed through the ``ndarray``
+    constructor), and reuses its tiled taps across calls."""
     if min(height, width) + 2 * padding < kernel:
         return
     rng = np.random.default_rng(seed)
@@ -279,6 +290,49 @@ def test_ownership_rule(index):
     out = kernel(*inputs)
     assert _bits_equal(out, expected)
     assert np.shares_memory(out, inputs[0]) == isinstance(layer, (Identity, Dropout))
+
+
+#: Values an epilogue must clip like ``np.clip``: signed zeros, NaN, infinities.
+_SPECIAL_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf")]
+_FLOAT32S = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    data=st.data(),
+    bounds=st.sampled_from(["both", "lo", "hi"]),
+    scale=st.none() | _FLOAT32S,
+    shift=st.none() | _FLOAT32S,
+    rint=st.booleans(),
+    shape=st.sampled_from([(2, 3, 4, 5), (1, 1, 1, 1), (3, 7)]),
+)
+@settings(max_examples=200, deadline=None)
+def test_epilogue_clip_matches_np_clip(data, bounds, scale, shift, rint, shape):
+    """The epilogue's direct ufunc clip writes the bytes of the ``np.clip``
+    spelling, for two-sided, lo-only and hi-only bounds, on inputs that hold
+    signed zeros, NaN, infinities and values exactly at the bounds."""
+    lo, hi = sorted(data.draw(st.lists(st.sampled_from([0.0, -0.0]) | _FLOAT32S, min_size=2, max_size=2)))
+    lo = np.float32(lo) if bounds != "hi" else None
+    hi = np.float32(hi) if bounds != "lo" else None
+    at_bounds = [b for b in (lo, hi) if b is not None]
+    values = st.sampled_from(_SPECIAL_FLOATS + at_bounds) | st.floats(width=32)
+    acc = np.array(
+        data.draw(st.lists(values, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
+        dtype=np.float32,
+    ).reshape(shape)
+    M = None if scale is None else np.float32(scale)
+    B = None if shift is None else np.float32(shift)
+
+    expected = acc.copy()
+    with np.errstate(all="ignore"):
+        if M is not None:
+            np.multiply(expected, M, out=expected)
+        if B is not None:
+            np.add(expected, B, out=expected)
+        np.clip(expected, lo, hi, out=expected)
+        if rint:
+            np.rint(expected, out=expected)
+        out = _Epilogue(M, B, lo, hi, rint)(acc, fresh=False)
+    assert _bits_equal(out, expected)
 
 
 def test_unknown_layer_type_is_rejected():
