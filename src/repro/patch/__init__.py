@@ -22,7 +22,6 @@ from .executor import PatchExecutor
 from .plan import BranchPlan, PatchPlan, build_patch_plan, compose_branch_demand
 from .regions import Region, backward_region, region_overlap, split_into_patches
 from .scheduler import PatchScheduleResult, candidate_split_nodes, find_patch_schedule
-from .stale import owned_input_region
 
 __all__ = [
     "Region",
@@ -33,7 +32,6 @@ __all__ = [
     "PatchPlan",
     "build_patch_plan",
     "compose_branch_demand",
-    "owned_input_region",
     "macs_for_region",
     "branch_macs",
     "patch_stage_macs",

@@ -107,8 +107,7 @@ class InferenceEngine:
         the batch is not full.
     policy:
         The :class:`~repro.runtime.ExecutionPolicy` every flush and stream
-        executes under — the one description of kernel backend and
-        freshness tier.
+        executes under — the one description of its kernel backend.
     runtime:
         Optional shared :class:`~repro.runtime.Runtime`; executors built for
         this engine take their fork workers and shared memory from it, so one
@@ -223,22 +222,15 @@ class InferenceEngine:
 
         The returned :class:`~repro.streaming.StreamSession` serves successive
         frames of one video/sensor stream with incremental patch
-        recomputation — bit-identical to full recomputation in the default
-        ``exact`` tier.  ``policy`` defaults to the engine's, so the
-        backend follows batched requests unless overridden.  Frames are
-        processed synchronously in the caller's thread: a stream is stateful
-        (each frame diffs against the previous one), so its frames cannot be
-        re-ordered or batched with other traffic.  Every processed frame
+        recomputation — bit-identical to full recomputation.  ``policy``
+        defaults to the engine's, so the backend follows batched requests
+        unless overridden.  Frames are processed synchronously in the
+        caller's thread: a stream is stateful (each frame diffs against the
+        previous one), so its frames cannot be re-ordered or batched with
+        other traffic.  Every processed frame
         records its reuse counters into the engine telemetry
         (``stream_frames``, ``stream_branches_executed``,
         ``stream_branches_reused``, ``stream_reuse_rate``).
-
-        A policy with the ``stale_halo`` tier opts the stream into the
-        approximate tier (halo-only-dirty branches served stale, bounded by
-        the policy's ``max_stale_frames``); its stale tile counts land in
-        ``stream_branches_stale`` and every drift sample (taken each
-        ``drift_sample_every`` frames) updates ``stream_drift_samples`` /
-        ``stream_max_drift_abs`` / ``stream_max_drift_rms``.
         """
         stream_policy = policy if policy is not None else self.policy
         if self._closed:
@@ -251,19 +243,11 @@ class InferenceEngine:
         stats = self.cache.stats()
         self.telemetry.record_cache(stats.hits, stats.misses, stats.evictions)
         session = pipeline.open_stream(policy=stream_policy, runtime=self._runtime)
-
-        def _record(frame) -> None:
-            self.telemetry.record_stream_frame(
-                frame.executed_branches,
-                frame.reused_branches,
-                len(frame.stale_branches),
+        session.add_observer(
+            lambda frame: self.telemetry.record_stream_frame(
+                frame.executed_branches, frame.reused_branches
             )
-            if frame.drift_max_abs is not None:
-                self.telemetry.record_stream_drift(
-                    frame.drift_max_abs, frame.drift_rms or 0.0
-                )
-
-        session.add_observer(_record)
+        )
         return session
 
     def close(self, wait: bool = True) -> None:

@@ -237,8 +237,8 @@ class CompiledPipeline:
     ) -> np.ndarray:
         """Run quantized patch-based inference on a batch ``(N, C, H, W)``.
 
-        A one-shot batch has no frame history, so the ``stale_halo`` tier
-        serves exactly the same bits as ``exact`` here.
+        ``policy`` picks the executor (see :meth:`executor`); every backend
+        serves the same bits.
         """
         return self.executor(policy, runtime).forward(x)
 
@@ -257,21 +257,8 @@ class CompiledPipeline:
         executor exactly as :meth:`infer` does; the executor is owned (and
         eventually closed) by the pipeline, so the session must not outlive
         it.
-
-        The policy's freshness tier becomes the stream's: ``exact`` (the
-        default) or ``stale_halo``, where branches whose changes are confined
-        to their halo are served stale (bounded by the policy's
-        ``max_stale_frames``), with drift vs the exact path sampled every
-        ``drift_sample_every`` frames — see
-        :class:`~repro.streaming.StreamSession`.
         """
-        policy = policy if policy is not None else ExecutionPolicy()
-        return StreamSession(
-            self.executor(policy, runtime),
-            tier=policy.tier,
-            drift_sample_every=policy.drift_sample_every,
-            max_stale_frames=policy.max_stale_frames,
-        )
+        return StreamSession(self.executor(policy, runtime))
 
     def close(self) -> None:
         """Release executor resources: backend fork pools and segments.

@@ -62,11 +62,6 @@ class TelemetrySnapshot:
     stream_frames: int = 0
     stream_branches_executed: int = 0
     stream_branches_reused: int = 0
-    #: Stale-halo drift counters (see :meth:`TelemetryRecorder.record_stream_drift`).
-    stream_branches_stale: int = 0
-    stream_drift_samples: int = 0
-    stream_max_drift_abs: float = 0.0
-    stream_max_drift_rms: float = 0.0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -96,10 +91,6 @@ class TelemetryRecorder:
         self._stream_frames = 0
         self._stream_executed = 0
         self._stream_reused = 0
-        self._stream_stale = 0
-        self._stream_drift_samples = 0
-        self._stream_max_drift_abs = 0.0
-        self._stream_max_drift_rms = 0.0
 
     # ------------------------------------------------------------- recording
     def record_request(self, record: RequestRecord, completed_at: float) -> None:
@@ -129,26 +120,12 @@ class TelemetryRecorder:
             self._cache_misses = misses
             self._cache_evictions = evictions
 
-    def record_stream_frame(
-        self, executed_branches: int, reused_branches: int, stale_branches: int = 0
-    ) -> None:
-        """Count one streaming frame: branches recomputed vs served from cache.
-
-        ``stale_branches`` counts tiles served while lagging their halo (only
-        nonzero for ``stale_halo`` tier sessions).
-        """
+    def record_stream_frame(self, executed_branches: int, reused_branches: int) -> None:
+        """Count one streaming frame: branches recomputed vs served from cache."""
         with self._lock:
             self._stream_frames += 1
             self._stream_executed += executed_branches
             self._stream_reused += reused_branches
-            self._stream_stale += stale_branches
-
-    def record_stream_drift(self, max_abs: float, rms: float) -> None:
-        """Record one stale-halo drift sample (deviation vs the exact path)."""
-        with self._lock:
-            self._stream_drift_samples += 1
-            self._stream_max_drift_abs = max(self._stream_max_drift_abs, max_abs)
-            self._stream_max_drift_rms = max(self._stream_max_drift_rms, rms)
 
     # ------------------------------------------------------------- reporting
     def records(self) -> list[RequestRecord]:
@@ -165,9 +142,6 @@ class TelemetryRecorder:
             first, last = self._first_seconds, self._last_seconds
             stream_frames = self._stream_frames
             stream_executed, stream_reused = self._stream_executed, self._stream_reused
-            stream_stale = self._stream_stale
-            drift_samples = self._stream_drift_samples
-            drift_abs, drift_rms = self._stream_max_drift_abs, self._stream_max_drift_rms
 
         totals = [r.total_seconds for r in records]
         wall = (last - first) if (first is not None and last is not None) else 0.0
@@ -199,8 +173,4 @@ class TelemetryRecorder:
             stream_frames=stream_frames,
             stream_branches_executed=stream_executed,
             stream_branches_reused=stream_reused,
-            stream_branches_stale=stream_stale,
-            stream_drift_samples=drift_samples,
-            stream_max_drift_abs=drift_abs,
-            stream_max_drift_rms=drift_rms,
         )

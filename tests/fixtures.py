@@ -29,7 +29,7 @@ from repro.nn import (
     ReLU6,
 )
 from repro.nn.graph import INPUT_NODE
-from repro.patch import build_patch_plan, candidate_split_nodes, owned_input_region
+from repro.patch import build_patch_plan, candidate_split_nodes
 from repro.serving import ModelSpec, compile_pipeline
 
 
@@ -55,7 +55,7 @@ def random_property_graph(rng: np.random.Generator) -> Graph:
     """A random small CNN with at least one downsampling layer.
 
     The shared generator behind the property-based tests (backend
-    bit-exactness, streaming and the stale tier): varied
+    bit-exactness and streaming): varied
     resolutions/widths/depths, always with a valid patch-stage split point.
     """
     resolution = int(rng.choice([16, 24, 32]))
@@ -164,54 +164,6 @@ def deep_split_deployment(model_name: str, resolution: int, split: str, bits_of=
     ]
     hooks = make_static_hooks(result.activation_ranges, branch_bits, result.suffix_bits)
     return pipeline, plan, hooks
-
-
-def halo_only_pixel(plan) -> tuple[int, int, int, int] | None:
-    """A pixel one branch reads as halo while another branch owns it.
-
-    Returns ``(row, col, owner_patch_id, halo_patch_id)``: perturbing that
-    pixel core-dirties the owner while only halo-dirtying the other branch,
-    the minimal deterministic scenario for the ``stale_halo`` tier (a
-    wandering-object video on small grids either misses the one-pixel halos
-    or core-dirties every quadrant).  Branches are scanned in plan order, and
-    each branch's halo (its clamped input region minus its owned region) in
-    the order top band, bottom band, left band, right band, taking each
-    band's first pixel.  ``None`` when no branch reads another's pixels.
-    """
-    owned = {branch.patch_id: owned_input_region(plan, branch) for branch in plan.branches}
-
-    def owner_of(row: int, col: int) -> int:
-        return next(
-            pid
-            for pid, region in owned.items()
-            if region.row_start <= row < region.row_stop
-            and region.col_start <= col < region.col_stop
-        )
-
-    for branch in plan.branches:
-        read, own = branch.clamped_regions[INPUT_NODE], owned[branch.patch_id]
-        if read.area == 0:
-            continue
-        top, bottom = max(own.row_start, read.row_start), min(own.row_stop, read.row_stop)
-        left, right = max(own.col_start, read.col_start), min(own.col_stop, read.col_stop)
-        if top >= bottom or left >= right:  # owns none of what it reads
-            corners = [(read.row_start, read.col_start)]
-        else:
-            corners = [
-                corner
-                for corner, is_band in (
-                    ((read.row_start, read.col_start), top > read.row_start),
-                    ((bottom, read.col_start), bottom < read.row_stop),
-                    ((top, read.col_start), left > read.col_start),
-                    ((top, right), right < read.col_stop),
-                )
-                if is_band
-            ]
-        for row, col in corners:
-            owner = owner_of(row, col)
-            if owner != branch.patch_id:
-                return row, col, owner, branch.patch_id
-    return None
 
 
 def property_cases(max_examples: int = 20):

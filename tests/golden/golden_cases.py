@@ -8,9 +8,7 @@ everything a refactor could silently change:
 * the chosen patch schedule and searched bitwidth totals (BitOPs, peak SRAM);
 * a SHA-256 over the exact output logits bytes for a fixed input batch;
 * the analytic latency-model numbers (layer-based, patch-based and a
-  batch-4 serving estimate on one device);
-* the ``stale_halo`` approximation tier's behaviour on a crafted halo-only
-  perturbation (exact staleness geometry plus bounded drift magnitudes).
+  batch-4 serving estimate on one device).
 
 Logit *bytes* are only reproducible on one BLAS/NumPy build, so each golden
 file records the environment it was produced on; the test enforces the exact
@@ -44,7 +42,6 @@ for _path in (REPO_ROOT / "src", REPO_ROOT / "tests"):  # refresh.py runs withou
 
 import numpy as np
 
-from fixtures import halo_only_pixel
 from repro.core import QuantMCUPipeline
 from repro.hardware import (
     STM32H743,
@@ -52,7 +49,6 @@ from repro.hardware import (
     estimate_patch_based_latency,
     estimate_serving_latency,
 )
-from repro.runtime import ExecutionPolicy
 from repro.serving import ModelSpec, compile_pipeline
 
 #: The two zoo models pinned by the golden suite.  ``streaming=True`` also
@@ -89,54 +85,6 @@ def environment_fingerprint() -> dict:
 
 def golden_path(case_name: str) -> Path:
     return GOLDEN_DIR / f"golden_{case_name}.json"
-
-
-def _stale_drift_record(compiled) -> dict:
-    """Fingerprint the stale-halo tier on a crafted halo-only perturbation.
-
-    Which branches go stale, how many frames lag, and the sampling counts are
-    pure geometry over deterministically generated frames — pinned exactly.
-    The drift magnitudes are float accumulations and move with the BLAS
-    build, so the record stores the measured values for reference plus
-    generous ``*4 + 1e-3`` upper bounds that every environment must respect.
-    """
-    plan = compiled.plan
-    located = halo_only_pixel(plan)
-    assert located is not None, "plan has no cross-owned halo band"
-    row, col, owner, lagging = located
-    session = compiled.open_stream(
-        policy=ExecutionPolicy(
-            tier="stale_halo", drift_sample_every=1, max_stale_frames=None
-        )
-    )
-    frame = (
-        np.random.default_rng(7)
-        .standard_normal(plan.graph.input_shape)
-        .astype(np.float32)
-    )
-    session.process(frame)
-    stale_per_frame = [list(session.last_frame.stale_branches)]
-    for _ in range(5):
-        frame = frame.copy()
-        frame[:, row, col] += 1.0
-        session.process(frame)
-        stale_per_frame.append(list(session.last_frame.stale_branches))
-    stats = session.stats()
-    assert stats.max_drift_abs > 0.0, "crafted scenario must actually drift"
-    return {
-        "perturbed_pixel": [row, col],
-        "owner_branch": owner,
-        "lagging_branch": lagging,
-        "frames": stats.frames,
-        "stale_frames": stats.stale_frames,
-        "stale_branches_served": stats.stale_branches_served,
-        "drift_samples": stats.drift_samples,
-        "stale_branches_per_frame": stale_per_frame,
-        "max_abs": round(stats.max_drift_abs, 6),
-        "max_rms": round(stats.max_drift_rms, 6),
-        "max_abs_bound": round(4 * stats.max_drift_abs + 1e-3, 6),
-        "max_rms_bound": round(4 * stats.max_drift_rms + 1e-3, 6),
-    }
 
 
 def compute_case(case_name: str) -> dict:
@@ -192,8 +140,6 @@ def compute_case(case_name: str) -> dict:
             "mac_fraction": round(stream_stats.mac_fraction, 6),
         }
 
-    stale_drift = _stale_drift_record(compiled)
-
     return {
         "environment": environment_fingerprint(),
         "model": {"name": model_name, "resolution": resolution},
@@ -219,7 +165,6 @@ def compute_case(case_name: str) -> dict:
             "patch_based_ms": patch_based.total_ms,
             "serving_batch4_ms": serving4.total_ms,
         },
-        "stale_drift": stale_drift,
         **({"streaming": streaming} if streaming is not None else {}),
     }
 

@@ -89,31 +89,6 @@ def test_streaming_reuse_pinned(case_name):
     assert current["streaming"] == golden["streaming"]
 
 
-def test_stale_drift_within_pinned_bounds(case_name):
-    """The stale-halo tier's crafted scenario: geometry pinned exactly, drift
-    nonzero and inside the golden environment-tolerant bounds.
-
-    A geometry mismatch means the staleness bookkeeping (dirty/halo split,
-    aging, sampling cadence) moved; a bound violation means the approximation
-    got meaningfully worse than when the golden was refreshed.
-    """
-    current, golden = _current_and_golden(case_name)
-    ours, pinned = current["stale_drift"], golden["stale_drift"]
-    for key in (
-        "perturbed_pixel",
-        "owner_branch",
-        "lagging_branch",
-        "frames",
-        "stale_frames",
-        "stale_branches_served",
-        "drift_samples",
-        "stale_branches_per_frame",
-    ):
-        assert ours[key] == pinned[key], key
-    assert 0.0 < ours["max_abs"] <= pinned["max_abs_bound"]
-    assert 0.0 < ours["max_rms"] <= pinned["max_rms_bound"]
-
-
 def test_serving_path_matches_direct_logits(case_name):
     """End of the end-to-end: the engine serves the exact pinned logits."""
     from fixtures import quantize_and_compile

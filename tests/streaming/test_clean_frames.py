@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from fixtures import halo_only_pixel, input_skip_graph, random_property_plan
+from fixtures import input_skip_graph
 
 from repro.data import SyntheticVideo
 from repro.patch import PatchExecutor, build_patch_plan
@@ -98,31 +98,6 @@ def test_cached_output_is_dropped(compiled_mobilenet, event):
     assert calls == {"compute_tiles": 1, "run_suffix": 1}
     assert session.last_frame.executed_branches == session.plan.num_branches
     assert out.tobytes() == compiled_mobilenet.infer(frame[None])[0].tobytes()
-
-
-def test_stale_tier_serves_a_quiet_lagging_frame_from_cache():
-    """In the ``stale_halo`` tier, a frame whose only change so far was a
-    halo-only one (the lagging branch is skipped, and nothing is overdue)
-    re-executes nothing and is served the previous output."""
-    rng = np.random.default_rng(6)
-    plan = random_property_plan(rng)
-    located = halo_only_pixel(plan)
-    assert located is not None
-    row, col, _, lagging = located
-    executor = PatchExecutor(plan)
-    session = StreamSession(executor, tier="stale_halo", max_stale_frames=3)
-    frame = rng.standard_normal((1, *plan.graph.input_shape)).astype(np.float32)
-    session.process(frame)
-    frame = frame.copy()
-    frame[0, :, row, col] += 1.0
-    previous = session.process(frame)
-    assert lagging in session.last_frame.stale_branches
-    with _spied(executor) as calls:
-        out = session.process(frame)
-    assert calls == {"compute_tiles": 0, "run_suffix": 0}
-    assert session.last_frame.dirty_branches == ()
-    assert lagging in session.last_frame.stale_branches
-    assert out.tobytes() == previous.tobytes()
 
 
 def test_suffix_reading_the_input_still_runs():

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fixtures import quantize_and_compile
+from fixtures import quantize_and_compile, random_property_plan
 
 from repro.data import SyntheticVideo
 from repro.patch import analyze_streaming
+from repro.patch.analysis import branch_macs
 from repro.streaming import StreamSession, changed_mask, dirty_branch_ids
 
 #: The same two zoo deployments the golden suite pins.
@@ -204,3 +207,57 @@ def test_changed_mask_rejects_shape_changes():
     prev = np.zeros((3, 8, 8), dtype=np.float32)
     with pytest.raises(ValueError, match="shape changed"):
         changed_mask(prev, np.zeros((3, 8, 9), dtype=np.float32))
+
+
+# ----------------------------------------------------------- MAC accounting
+class _StubExecutor:
+    """Just enough executor surface for a session; never computes tiles."""
+
+    def __init__(self, plan) -> None:
+        self.plan = plan
+
+    def _allocate_split(self, x):
+        shape = self.plan.graph.shapes()[self.plan.split_output_node]
+        return np.zeros((x.shape[0], *shape), dtype=np.float32)
+
+    def stitch_tiles(self, x, branch_ids, out):
+        return out
+
+    def run_suffix(self, x, stitched):
+        return np.zeros((x.shape[0], 4), dtype=np.float32)
+
+
+def test_executed_macs_keyed_by_patch_id_not_position():
+    """Regression: ``executed_macs`` used to index a positional list with
+    patch ids — an IndexError (or silent misattribution) whenever ids are
+    not dense positional indices."""
+    rng = np.random.default_rng(4)
+    base = random_property_plan(rng)
+    renumbered = replace(
+        base,
+        branches=[
+            replace(branch, patch_id=branch.patch_id * 10 + 5) for branch in base.branches
+        ],
+    )
+    session = StreamSession(_StubExecutor(renumbered))
+    shape = (1, *renumbered.graph.input_shape)
+    first = rng.standard_normal(shape).astype(np.float32)
+    session.process(first)
+    stats = session.last_frame
+    expected_total = sum(
+        branch_macs(renumbered, branch) for branch in renumbered.branches
+    )
+    assert stats.executed_macs == expected_total  # first frame executes all
+    assert stats.total_macs == expected_total
+
+    _, _, height, width = shape
+    r0, c0 = int(rng.integers(0, height)), int(rng.integers(0, width))
+    r1, c1 = int(rng.integers(r0 + 1, height + 1)), int(rng.integers(c0 + 1, width + 1))
+    second = first.copy()
+    second[:, :, r0:r1, c0:c1] += rng.standard_normal(
+        (1, shape[1], r1 - r0, c1 - c0)
+    ).astype(np.float32)
+    session.process(second)
+    stats = session.last_frame
+    by_id = {b.patch_id: branch_macs(renumbered, b) for b in renumbered.branches}
+    assert stats.executed_macs == sum(by_id[i] for i in stats.dirty_branches)
