@@ -8,8 +8,9 @@ Acceptance benchmark for `repro.serving`: the same request stream is served
   queue.
 
 Recorded numbers: requests/sec plus p50/p99 per-request latency for both
-paths.  Batching amortizes the per-call Python/dispatch overhead across the
-micro-batch, so the engine must beat naive execution on throughput.
+paths, in interleaved paired rounds.  Batching amortizes the per-call
+Python/dispatch overhead across the micro-batch, so the engine must beat
+naive execution on throughput in the median round.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from repro.serving import (
 
 NUM_REQUESTS = 32
 RESOLUTION = 32
+#: Paired naive/engine rounds; an odd count gives the median a middle pair.
+ROUNDS = 5
 
 
 def _compiled_pipeline():
@@ -80,26 +83,36 @@ def test_bench_serving_engine_vs_naive(bench_once):
     xs = _requests()
     compiled.infer(xs[:1])  # warm-up outside the timed region
 
-    # Best of two runs per path: damps scheduler noise on loaded CI runners
-    # without weakening the acceptance assertion below.
-    naive = max(
-        (_naive_serve(compiled, xs).snapshot() for _ in range(2)),
-        key=lambda snap: snap.requests_per_second,
-    )
-    engine_runs = [bench_once(_engine_serve, compiled, xs).snapshot()]
-    engine_runs.append(_engine_serve(compiled, xs).snapshot())
-    engine = max(engine_runs, key=lambda snap: snap.requests_per_second)
+    # Paired rounds: each round serves the stream both ways back to back,
+    # alternating which path goes first, so a stall on a shared host lands
+    # inside one pair instead of on one path.  The acceptance bound is on
+    # the median of the per-round ratios.
+    rounds = []
+    for r in range(ROUNDS):
+        pair = {}
+        for path in ("naive", "engine") if r % 2 == 0 else ("engine", "naive"):
+            if path == "naive":
+                pair[path] = _naive_serve(compiled, xs).snapshot()
+            elif r == 0:  # one engine run is the pytest-benchmark record
+                pair[path] = bench_once(_engine_serve, compiled, xs).snapshot()
+            else:
+                pair[path] = _engine_serve(compiled, xs).snapshot()
+        rounds.append(pair)
     compiled.close()
 
     print()
-    print(f"{'':14}{'req/s':>10}{'p50 ms':>10}{'p99 ms':>10}{'mean batch':>12}")
-    for name, snap in [("naive", naive), ("engine", engine)]:
-        print(
-            f"{name:14}{snap.requests_per_second:>10.1f}{snap.latency_p50_ms:>10.1f}"
-            f"{snap.latency_p99_ms:>10.1f}{snap.mean_batch_size:>12.2f}"
-        )
+    print(f"{'round':8}{'path':8}{'req/s':>10}{'p50 ms':>10}{'p99 ms':>10}{'mean batch':>12}")
+    for r, pair in enumerate(rounds):
+        for name, snap in pair.items():
+            print(
+                f"{r:<8}{name:8}{snap.requests_per_second:>10.1f}{snap.latency_p50_ms:>10.1f}"
+                f"{snap.latency_p99_ms:>10.1f}{snap.mean_batch_size:>12.2f}"
+            )
+    ratios = [pair["engine"].requests_per_second / pair["naive"].requests_per_second for pair in rounds]
+    print(f"engine/naive req/s per round: {', '.join(f'{k:.2f}' for k in ratios)}")
 
-    assert naive.num_requests == engine.num_requests == NUM_REQUESTS
+    for pair in rounds:
+        assert pair["naive"].num_requests == pair["engine"].num_requests == NUM_REQUESTS
     # Acceptance: batching beats naive per-request execution.
-    assert engine.requests_per_second > naive.requests_per_second
-    assert engine.mean_batch_size > 1.0
+    assert float(np.median(ratios)) > 1.0
+    assert float(np.median([pair["engine"].mean_batch_size for pair in rounds])) > 1.0

@@ -36,17 +36,23 @@ gap becomes one box per side of the gap.  Runs are built on first use and
 kept per ``(program key, box)``: at most ``p^2 (p+1)^2 / 4`` boxes per
 program, so the cache is bounded by the plan.
 
-**A run** executes the patch stage over **compact, channels-last values**:
-per node, one fresh ``(n, h, w, C)`` array holding exactly the node's
-clamped region (for a single branch, the rect the loop reference
+**A run** is a program of :class:`~repro.nn.inference.Step` values over
+slots, compiled by the executor's one compile function
+(:meth:`~repro.patch.executor.PatchExecutor._compile_steps`) and run by
+:func:`~repro.nn.inference.run_steps`, the loop that also runs the suffix.
+It computes **compact, channels-last values**: per node, one fresh
+``(n, h, w, C)`` array holding exactly the node's clamped region (for a
+single branch, the rect the loop reference
 :meth:`~repro.patch.executor.PatchExecutor.run_branch` computes), and one
-kernel call per node: one GEMM per convolution, one tap loop per depthwise
-convolution or pooling, one fused requantization epilogue per feature map.
-The input step is a view of the call's channels-last copy.  A spatial
-window is zero-padded only where it crosses the feature-map border,
-exactly where the reference pads
+kernel call per node: one GEMM per convolution, one strided ``einsum`` per
+exact depthwise convolution, one tap loop per pooling, one fused
+requantization epilogue per feature map.  Slot 0 is the call's
+channels-last input copy; every step reads windows of its source slots.  A
+spatial window is zero-padded only where it crosses the feature-map
+border, exactly where the reference pads
 (:meth:`~repro.patch.executor.PatchExecutor._extract_padded`); interior
-windows are views of their source value.
+windows are views of their source value.  A value is released after its
+last reader, so a finished run holds only its split value.
 
 Why channels-last: in ``(H, W, C)`` order a row is ``w * C`` contiguous
 floats instead of ``w`` (4 to 23 in the zoo models), so each NumPy call
@@ -67,17 +73,17 @@ without writing to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from ..nn import functional as F
 from ..nn.graph import INPUT_NODE
+from ..nn.inference import Step, run_steps
 from ..patch.analysis import branch_macs
-from ..patch.executor import MEMBER, SPATIAL
+from ..patch.executor import MEMBER
 from ..patch.plan import BranchPlan, compose_branch_demand
-from ..patch.regions import Region, backward_region
+from ..patch.regions import Region
 from ..quant.quantizers import fake_quantize  # noqa: F401 - profilers wrap it by module attribute
 from .base import Backend
 
@@ -85,44 +91,17 @@ __all__ = ["VectorizedBackend"]
 
 
 @dataclass(frozen=True)
-class _Step:
-    """One node of a run (offsets relative to clamped regions)."""
-
-    name: str
-    #: The node's compiled kernel (spatial ones take pre-padded windows);
-    #: None for the input.
-    fn: object
-    #: One ``(src, r0, r1, c0, c1)`` rect per graph input, within the source
-    #: value: a spatial layer's window (before padding), an elementwise
-    #: layer's exact rect.
-    src_rects: tuple[tuple, ...]
-    #: The feature map of a content-dependent branch hook.
-    fm: object = None
-    #: Spatial layers: the window's zero padding outside the feature map,
-    #: ``(top, bottom, left, right)``.
-    pads: tuple[int, int, int, int] = (0, 0, 0, 0)
-    #: Values read for the last time by this step.
-    release: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class _Run:
-    """One member's recipe: a planned branch, or a box of tiles (``patch_id`` -1)."""
+    """One member's program: a planned branch, or a box of tiles (``patch_id`` -1)."""
 
     member: BranchPlan
-    steps: tuple[_Step, ...]
+    #: Steps over the member's clamped regions; slot 0 is the graph input.
+    steps: tuple[Step, ...]
+    #: The slot of the split value.
+    output: int
     #: Dequantization factor of the split value; None in real units.
     scale: np.float32 | None
     macs: int
-
-
-def _offsets(region: Region, within: Region) -> tuple[int, int, int, int]:
-    return (
-        region.row_start - within.row_start,
-        region.row_stop - within.row_start,
-        region.col_start - within.col_start,
-        region.col_stop - within.col_start,
-    )
 
 
 def _channels_last(x: np.ndarray) -> np.ndarray:
@@ -174,21 +153,26 @@ class VectorizedBackend(Backend):
         return out
 
     def _execute(self, x: np.ndarray, branch_ids, emit) -> None:
-        """Run the cover of ``branch_ids`` and ``emit`` every requested tile
-        as a view of its run's split value."""
+        """Run the cover of ``branch_ids`` on the channels-last input ``x`` and
+        ``emit`` every requested tile as a view of its run's split value."""
         branches = self.plan.branches
-        keys = self.executor._branch_keys
         split_node = self.plan.split_output_node
+        for run, covered in self._partition(branch_ids):
+            split = run_steps(run.steps, [x])[run.output]
+            within = run.member.clamped_regions[split_node]
+            for patch_id in covered:
+                tile = branches[patch_id].output_region.shift(-within.row_start, -within.col_start)
+                view = split[:, tile.row_start : tile.row_stop, tile.col_start : tile.col_stop]
+                emit(patch_id, view, run.scale)
+
+    def _partition(self, branch_ids) -> list[tuple[_Run, list[int]]]:
+        """``[(run, ids), ...]`` computing ``branch_ids``: the ids partitioned
+        by program key, each key's ids covered by :meth:`_cover`."""
+        keys = self.executor._branch_keys
         by_key: dict[tuple, list[int]] = {}
         for patch_id in branch_ids:  # repro: noqa[REP007] - id bookkeeping only
             by_key.setdefault(keys[patch_id], []).append(patch_id)
-        for key, ids in by_key.items():
-            for run, covered in self._cover(key, ids):
-                split = self._run(run, x)
-                within = run.member.clamped_regions[split_node]
-                for patch_id in covered:
-                    r0, r1, c0, c1 = _offsets(branches[patch_id].output_region, within)
-                    emit(patch_id, split[:, r0:r1, c0:c1], run.scale)
+        return [pair for key, ids in by_key.items() for pair in self._cover(key, ids)]
 
     def _cover(self, key: tuple, ids: list[int]) -> list[tuple[_Run, list[int]]]:
         """``[(run, ids), ...]`` computing every id in ``ids`` (all on program
@@ -223,80 +207,23 @@ class VectorizedBackend(Backend):
         planned branch ``member`` when given, else of the box's own demand."""
         run = self._runs.get((key, box))
         if run is None:
+            executor = self.executor
+            plan = self.plan
             if member is None:
-                plan = self.plan
                 demand, clamped = compose_branch_demand(
-                    plan.graph, plan.prefix_nodes, plan.split_output_node, box,
-                    self.executor._shapes,
+                    plan.graph, plan.prefix_nodes, plan.split_output_node, box, executor._shapes
                 )
                 member = BranchPlan(-1, box, demand, clamped)
+            program = executor._programs[key]
+            steps, output = executor._compile_steps(
+                program.nodes, (INPUT_NODE,), plan.split_output_node, member
+            )
+            scale = program.split.scale
+            run = _Run(
+                member, steps, output, None if scale == 1.0 else np.float32(scale),
+                branch_macs(plan, member),
+            )
             # Build, then publish: a concurrent first call keeps whichever
             # identical run landed first.
-            run = self._runs.setdefault((key, box), self._compile(key, member))
+            run = self._runs.setdefault((key, box), run)
         return run
-
-    # ----------------------------------------------------------------- compile
-    def _compile(self, key: tuple, member: BranchPlan) -> _Run:
-        """The run of ``member``'s clamped regions on program ``key``."""
-        executor = self.executor
-        plan = self.plan
-        graph = plan.graph
-        shapes = executor._shapes
-        regions = member.clamped_regions
-        program = executor._programs[key]
-        steps = [_Step(INPUT_NODE, None, ())]
-        for node, fm in program.nodes:
-            clamped = regions.get(node.name)
-            if clamped is None:
-                continue
-            layer = graph.nodes[node.head].layer
-            if isinstance(layer, SPATIAL):
-                src = node.inputs[0]
-                kernel, stride, padding = layer.spatial_params()
-                desired = backward_region(clamped, kernel, stride, padding)
-                # The source value covers all of the window inside the map.
-                inner = desired.clamp(*shapes[src][1:])
-                r0, r1, c0, c1 = _offsets(inner, desired)
-                pads = (r0, desired.height - r1, c0, desired.width - c1)
-                src_rects = ((src, *_offsets(inner, regions[src])),)
-            else:
-                pads = (0, 0, 0, 0)
-                src_rects = tuple((s, *_offsets(clamped, regions[s])) for s in node.inputs)
-            steps.append(_Step(node.name, node.fn, src_rects, fm, pads))
-        # Free each value after its last reader (the split value is emitted).
-        last_read = {src: k for k, step in enumerate(steps) for src, *_ in step.src_rects}
-        last_read.pop(plan.split_output_node, None)
-        steps = tuple(
-            replace(step, release=tuple(name for name, last in last_read.items() if last == k))
-            for k, step in enumerate(steps)
-        )
-        scale = program.split.scale
-        return _Run(
-            member, steps, None if scale == 1.0 else np.float32(scale), branch_macs(plan, member)
-        )
-
-    # ----------------------------------------------------------------- execute
-    def _run(self, run: _Run, x: np.ndarray) -> np.ndarray:
-        """Run ``run`` on the channels-last input ``x``; returns its split
-        value, ``(n, h, w, C)``."""
-        member = run.member
-        values: dict[str, np.ndarray] = {}
-        for step in run.steps:
-            if step.fn is None:
-                region = member.clamped_regions[INPUT_NODE]
-                value = x[:, region.row_start : region.row_stop, region.col_start : region.col_stop]
-            else:
-                inputs = [values[src][:, r0:r1, c0:c1] for src, r0, r1, c0, c1 in step.src_rects]
-                if any(step.pads):
-                    inputs[0] = F.zero_pad_nhwc(inputs[0], *step.pads)
-                value = step.fn(*inputs)
-            if step.fm is not None:
-                # Content-dependent hooks see the logical (N, C, h, w) region.
-                value = self.executor.branch_hook(
-                    member.patch_id, step.fm, value.transpose(0, 3, 1, 2)
-                )
-                value = value.astype(np.float32, copy=False).transpose(0, 2, 3, 1)
-            values[step.name] = value
-            for name in step.release:
-                del values[name]
-        return values[self.plan.split_output_node]

@@ -107,6 +107,7 @@ __all__ = [
     "compile_nodes",
     "grid_value",
     "layer_kernel",
+    "run_steps",
     "weight_grid",
 ]
 
@@ -152,16 +153,42 @@ class Node(NamedTuple):
 
 
 class Step(NamedTuple):
-    """One compiled suffix node over value slots: ``fn(*values[inputs])``,
-    then ``hook`` (a content-dependent quantization hook) when given.
+    """One compiled node over value slots: ``fn`` on its inputs, then ``hook``
+    (a content-dependent quantization hook) when given.
 
-    ``release`` lists the value slots this step reads for the last time.
+    Input ``k`` is ``values[inputs[k]]``, or its window ``rects[k]``,
+    ``(r0, r1, c0, c1)`` within that value, when ``rects`` is given (a
+    patch-stage run over clamped regions; None reads whole values).  With
+    ``pads``, the first input is zero-padded by ``(top, bottom, left,
+    right)`` where its window crosses the feature-map border.  ``release``
+    lists the value slots this step reads for the last time.
     """
 
     inputs: tuple[int, ...]
     fn: Kernel
-    hook: Callable[[np.ndarray], np.ndarray] | None
+    hook: Callable[[np.ndarray], np.ndarray] | None = None
+    rects: tuple[tuple[int, int, int, int], ...] | None = None
+    pads: tuple[int, int, int, int] | None = None
     release: tuple[int, ...] = ()
+
+
+def run_steps(steps: Sequence[Step], values: list) -> list:
+    """Run ``steps`` in order over the value slots ``values`` (the program's
+    sources on entry): step ``k`` appends its output as slot
+    ``len(sources) + k`` and then frees the slots it releases.  Returns
+    ``values``."""
+    for inputs, fn, hook, rects, pads, release in steps:
+        if rects is None:
+            args = [values[i] for i in inputs]
+        else:
+            args = [values[i][:, r0:r1, c0:c1] for i, (r0, r1, c0, c1) in zip(inputs, rects)]
+        if pads is not None:
+            args[0] = F.zero_pad_nhwc(args[0], *pads)
+        out = fn(*args)
+        values.append(out if hook is None else hook(out))
+        for slot in release:
+            values[slot] = None
+    return values
 
 
 # ------------------------------------------------------------------ compile

@@ -26,11 +26,15 @@ fused requantization epilogue (:mod:`repro.nn.inference`).  Hooks without
 one are called with real-valued arrays, as content-dependent hooks.
 
 Every node runs a compiled program (:func:`repro.nn.inference.compile_nodes`)
-built once per executor: the suffix as a tuple of steps over value slots,
-the patch stage as one program per distinct set of branch grids.  No
+built once per executor: the suffix, and the patch stage as one program per
+distinct set of branch grids.  One compile function
+(:meth:`PatchExecutor._compile_steps`) turns the suffix, and each run of the
+vectorized backend, into :class:`~repro.nn.inference.Step` values over
+value slots, with content-dependent hooks bound and release lists set; one
+loop (:func:`~repro.nn.inference.run_steps`) runs them all.  No
 ``Layer.forward`` call is made, so serving threads share the graph without
 writing to it.  The per-branch loop reference (:meth:`PatchExecutor.run_branch`)
-runs the same programs one branch at a time, with its own region
+runs the same compiled nodes one branch at a time, with its own region
 bookkeeping: it is the oracle the batched backends are tested against.
 Public boundaries stay in real units: tiles, the stitched split map and the
 output are dequantized (``codes * scale``) where they are copied out, and
@@ -56,13 +60,14 @@ seeing every branch.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from ..nn import AvgPool2d, Conv2d, DepthwiseConv2d, MaxPool2d
 from ..nn.graph import INPUT_NODE
-from ..nn.inference import REAL, Node, Step, Value, compile_nodes
+from ..nn.inference import REAL, Node, Step, Value, compile_nodes, run_steps
 from ..quant.points import FeatureMap
 from .plan import BranchPlan, PatchPlan
 from .regions import Region, backward_region
@@ -137,7 +142,7 @@ class PatchExecutor:
         self._runtime = runtime
         self._private_runtime: "Runtime | None" = None
         self._compile_prefix()
-        self._suffix_steps, self._suffix_output, self._output_scale = self._compile_suffix()
+        self._compile_suffix()
         self._suffix_reads_input = any(0 in step.inputs for step in self._suffix_steps)
 
     # ---------------------------------------------------------------- runtime
@@ -297,16 +302,9 @@ class PatchExecutor:
         else:
             split = np.divide(split, np.float32(self._split_value.scale), out=np.empty(split.shape, np.float32))
             np.rint(split, out=split)
-        values = [
-            np.ascontiguousarray(x.transpose(0, 2, 3, 1)) if self._suffix_reads_input else x,
-            split,
-        ]
-        for inputs, fn, hook, release in self._suffix_steps:
-            out = fn(*[values[i] for i in inputs])
-            values.append(out if hook is None else hook(out))
-            for slot in release:
-                values[slot] = None
-        out = values[self._suffix_output]
+        if self._suffix_reads_input:
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
+        out = run_steps(self._suffix_steps, [x, split])[self._suffix_output]
         if self._output_scale != 1.0:
             out = out * np.float32(self._output_scale)
         return out.transpose(0, 3, 1, 2) if out.ndim == 4 else out
@@ -431,87 +429,126 @@ class PatchExecutor:
                 for name in hooked
             )
             self._branch_keys.append(key)
-            if key in self._programs:
-                continue
-            modes = dict(zip(hooked, key))
-            outputs = {
-                name: REAL if mode is MEMBER else mode
-                for name, mode in modes.items()
-                if mode is not None
-            }
-            outputs.setdefault(plan.split_output_node, None)
-            nodes = compile_nodes(
-                plan.graph, plan.prefix_nodes, {INPUT_NODE: REAL}, outputs, prepadded=True
-            )
-            entries = tuple(
-                (node, self._fm_by_output[node.name] if modes.get(node.name) is MEMBER else None)
-                for node in nodes
-            )
-            split = next(node.value for node in nodes if node.name == plan.split_output_node)
-            self._programs[key] = _Program(entries, split)
+            if key not in self._programs:
+                nodes = self._compile_nodes(
+                    plan.prefix_nodes, {INPUT_NODE: REAL}, dict(zip(hooked, key)),
+                    plan.split_output_node, prepadded=True,
+                )
+                split = next(node.value for node, _ in nodes if node.name == plan.split_output_node)
+                self._programs[key] = _Program(nodes, split)
 
-    def _compile_suffix(self) -> tuple[tuple[Step, ...], int, float]:
-        """Compile the suffix into pure channels-last steps over value slots.
-
-        Slot 0 holds the graph input, slot 1 the split feature map (codes
-        when every branch leaves it on one grid, else real units) and slot
-        ``k + 2`` the output of step ``k``.  Returns the steps, the slot of
-        the graph output and the scale that maps it to real units.
-        """
+    def _compile_suffix(self) -> None:
+        """Compile the suffix into steps over value slots: slot 0 holds the
+        graph input, slot 1 the split feature map (codes when every branch
+        leaves it on one grid, else real units)."""
         plan = self.plan
         graph = plan.graph
         splits = {program.split for program in self._programs.values()}
         split = splits.pop() if len(splits) == 1 else REAL
         self._split_value = REAL if split.bound is None else split
+        sources = {INPUT_NODE: REAL, plan.split_output_node: self._split_value}
         modes = {
             name: _hook_mode(self.suffix_hook, self._fm_by_output[name].index)
             for name in plan.suffix_nodes
             if name in self._fm_by_output
         }
+        nodes = self._compile_nodes(plan.suffix_nodes, sources, modes, graph.output_node)
+        self._suffix_steps, self._suffix_output = self._compile_steps(
+            nodes, tuple(sources), graph.output_node
+        )
+        values = {plan.split_output_node: self._split_value}
+        values.update((node.name, node.value) for node, _ in nodes)
+        self._output_scale = values[graph.output_node].scale
+
+    def _compile_nodes(self, names, sources, modes, output, prepadded=False):
+        """:func:`~repro.nn.inference.compile_nodes` of ``names`` with each
+        hooked value materialized as its hook mode asks; returns ``(node,
+        fm)`` pairs, ``fm`` the feature map of a content-dependent hook."""
         outputs = {
             name: REAL if mode is MEMBER else mode for name, mode in modes.items() if mode is not None
         }
-        outputs.setdefault(graph.output_node, None)
-        nodes = compile_nodes(
-            graph,
-            plan.suffix_nodes,
-            {INPUT_NODE: REAL, plan.split_output_node: self._split_value},
-            outputs,
-        )
-        slots = {INPUT_NODE: 0, plan.split_output_node: 1}
-        for node in nodes:
-            slots[node.name] = len(slots)
-        output = slots[graph.output_node]
-        steps = [
-            Step(
-                tuple(slots[src] for src in node.inputs),
-                node.fn,
-                self._suffix_member(node.name) if modes.get(node.name) is MEMBER else None,
-            )
+        outputs.setdefault(output, None)
+        nodes = compile_nodes(self.plan.graph, names, sources, outputs, prepadded)
+        return tuple(
+            (node, self._fm_by_output[node.name] if modes.get(node.name) is MEMBER else None)
             for node in nodes
-        ]
-        # A slot is released after its last reader, so dead activations free
-        # their memory for the next step's output instead of piling up.
-        last_read = {slot: k for k, step in enumerate(steps) for slot in step.inputs}
-        released: list[list[int]] = [[] for _ in steps]
-        for slot, k in last_read.items():
-            if slot != output:
-                released[k].append(slot)
-        steps = [step._replace(release=tuple(free)) for step, free in zip(steps, released)]
-        produced = {plan.split_output_node: self._split_value}
-        produced.update((node.name, node.value) for node in nodes)
-        return tuple(steps), output, produced[graph.output_node].scale
+        )
 
-    def _suffix_member(self, name: str):
-        """The content-dependent suffix hook at ``name``: it sees the logical
-        ``(N, C, H, W)`` array."""
-        fm = self._fm_by_output[name]
-        hook = self.suffix_hook
+    def _compile_steps(
+        self, nodes, sources: tuple[str, ...], output: str, member: BranchPlan | None = None
+    ) -> tuple[tuple[Step, ...], int]:
+        """Compile ``(node, fm)`` pairs into :func:`~repro.nn.inference.run_steps`
+        steps; returns them and the slot of ``output``.
 
-        def member(array: np.ndarray) -> np.ndarray:
-            if array.ndim != 4:
-                return hook(fm, array)
-            out = hook(fm, array.transpose(0, 3, 1, 2)).astype(np.float32, copy=False)
-            return np.ascontiguousarray(out.transpose(0, 2, 3, 1))
+        Slot ``k`` holds ``sources[k]``, slot ``len(sources) + k`` step
+        ``k``'s output.  The suffix (``member`` None) reads whole values.  A
+        run over ``member``'s clamped regions skips nodes without one and
+        reads the whole graph input: a spatial layer reads its window,
+        zero-padded where it crosses the border (where :meth:`_extract_padded`
+        pads), an elementwise layer its exact rect.  Content-dependent hooks
+        are bound here (a branch's to ``member.patch_id``).  Every slot but
+        ``output``'s is freed after its last reader, or at once if unread.
+        """
+        slots = {name: k for k, name in enumerate(sources)}
+        regions, bound = None, self.suffix_hook
+        if member is not None:
+            _, height, width = self._shapes[INPUT_NODE]
+            regions = {**member.clamped_regions, INPUT_NODE: Region(0, height, 0, width)}
+            if self.branch_hook is not None:
+                bound = partial(self.branch_hook, member.patch_id)
+        steps = []
+        for node, fm in nodes:
+            rects = pads = None
+            if regions is not None:
+                clamped = regions.get(node.name)
+                if clamped is None:
+                    continue
+                layer = self.plan.graph.nodes[node.head].layer
+                if isinstance(layer, SPATIAL):
+                    src = node.inputs[0]
+                    kernel, stride, padding = layer.spatial_params()
+                    desired = backward_region(clamped, kernel, stride, padding)
+                    # The source value covers all of the window inside the map.
+                    inner = desired.clamp(*self._shapes[src][1:])
+                    r0, r1, c0, c1 = _offsets(inner, desired)
+                    pads = (r0, desired.height - r1, c0, desired.width - c1)
+                    pads = pads if any(pads) else None
+                    rects = (_offsets(inner, regions[src]),)
+                else:
+                    rects = tuple(_offsets(clamped, regions[src]) for src in node.inputs)
+            hook = None if fm is None else _logical_hook(bound, fm)
+            steps.append(Step(tuple(slots[src] for src in node.inputs), node.fn, hook, rects, pads))
+            slots[node.name] = len(slots)
+        last_read = dict.fromkeys(range(len(sources)), 0)
+        for k, step in enumerate(steps):
+            last_read[len(sources) + k] = k
+            last_read.update(dict.fromkeys(step.inputs, k))
+        del last_read[slots[output]]
+        steps = tuple(
+            step._replace(release=tuple(slot for slot, last in last_read.items() if last == k))
+            for k, step in enumerate(steps)
+        )
+        return steps, slots[output]
 
-        return member
+
+def _offsets(region: Region, within: Region) -> tuple[int, int, int, int]:
+    """``region``'s ``(r0, r1, c0, c1)`` relative to ``within``'s origin."""
+    return (
+        region.row_start - within.row_start,
+        region.row_stop - within.row_start,
+        region.col_start - within.col_start,
+        region.col_stop - within.col_start,
+    )
+
+
+def _logical_hook(hook, fm: FeatureMap) -> Callable[[np.ndarray], np.ndarray]:
+    """``hook(fm, array)`` on a channels-last value: the hook sees the logical
+    ``(N, C, H, W)`` array (flat values as they are)."""
+
+    def member(array: np.ndarray) -> np.ndarray:
+        if array.ndim != 4:
+            return hook(fm, array)
+        out = hook(fm, array.transpose(0, 3, 1, 2)).astype(np.float32, copy=False)
+        return np.ascontiguousarray(out.transpose(0, 2, 3, 1))
+
+    return member

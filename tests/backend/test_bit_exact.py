@@ -192,13 +192,9 @@ def _cover(executor, ids):
     """The runs the vectorized backend chooses for ``ids``, program by
     program: ``(box, ids)`` per merged rectangle run, ``(None, [id])`` per
     single branch."""
-    by_key: dict[tuple, list[int]] = {}
-    for i in ids:
-        by_key.setdefault(executor._branch_keys[i], []).append(i)
     return [
         (run.member.output_region if run.member.patch_id < 0 else None, sorted(covered))
-        for key, part in by_key.items()
-        for run, covered in executor.backend._cover(key, part)
+        for run, covered in executor.backend._partition(ids)
     ]
 
 

@@ -41,20 +41,9 @@ def _box(plan, ids) -> Region:
     return reduce(Region.union, [plan.branches[i].output_region for i in ids])
 
 
-def _by_program(executor, ids) -> dict[tuple, list[int]]:
-    by_key: dict[tuple, list[int]] = {}
-    for i in ids:
-        by_key.setdefault(executor._branch_keys[i], []).append(i)
-    return by_key
-
-
 def _runs(executor, ids):
     """``[(run, ids)]``: the cover the backend chooses, program by program."""
-    return [
-        pair
-        for key, part in _by_program(executor, ids).items()
-        for pair in executor.backend._cover(key, part)
-    ]
+    return executor.backend._partition(ids)
 
 
 def _random_ids(rng, plan) -> list[int]:
@@ -161,8 +150,11 @@ def test_cover_is_exact_and_never_dearer(seed):
             assert sorted(i for _, covered in runs for i in covered) == sorted(ids)
             for run, covered in runs:
                 assert len(covered) == 1 or run.macs <= sum(macs[i] for i in covered)
+            by_program: dict[tuple, list[int]] = {}
+            for _, covered in runs:
+                by_program.setdefault(executor._branch_keys[covered[0]], []).extend(covered)
             previous = 0
-            for key, part in _by_program(executor, ids).items():
+            for key, part in by_program.items():
                 branches_macs = sum(macs[i] for i in part)
                 if len(part) > 1:
                     branches_macs = min(backend._run_of(key, _box(plan, part)).macs, branches_macs)
