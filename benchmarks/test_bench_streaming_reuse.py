@@ -7,8 +7,9 @@ video through a :class:`StreamSession` and record, per motion level,
   fraction of full recomputation (steady-state frames, i.e. excluding the
   cold first frame) — must drop roughly with the static fraction of the
   frame, and at 30% motion must be at most **0.5x** of full recompute;
-* the **wall clock** of incremental vs full execution over the same frames —
-  incremental must win at 30% motion;
+* the **wall clock** of incremental vs full execution over the same frames,
+  in interleaved paired rounds — incremental must win at 30% motion in the
+  median round;
 * the **modelled on-device latency** of the dirty sets against the partial-
   recompute latency model, with every frame verified **bit-identical** to
   full recomputation.
@@ -35,6 +36,8 @@ RESOLUTION = 96
 NUM_PATCHES = 8
 NUM_FRAMES = 6
 MOTIONS = (0.1, 0.3, 0.6)
+#: Paired full/incremental rounds; an odd count gives the median a middle pair.
+ROUNDS = 7
 
 
 def _stream_graph() -> Graph:
@@ -50,6 +53,18 @@ def _stream_graph() -> Graph:
     return g
 
 
+def _timed_pass(run, frames):
+    """Outputs of ``run`` over ``frames`` and its steady-state wall seconds
+    (the cold first frame excluded)."""
+    outputs, wall = [], 0.0
+    for index, frame in enumerate(frames):
+        start = time.perf_counter()
+        outputs.append(run(frame))
+        if index > 0:
+            wall += time.perf_counter() - start
+    return outputs, wall
+
+
 def _reuse_sweep():
     plan = build_patch_plan(_stream_graph(), "dw_act", NUM_PATCHES)
     executor = PatchExecutor(plan)
@@ -58,19 +73,22 @@ def _reuse_sweep():
         video = SyntheticVideo(
             num_frames=NUM_FRAMES, resolution=RESOLUTION, motion_fraction=motion, seed=5
         )
-        session = StreamSession(executor)
-        full_wall = 0.0
-        incremental_wall = 0.0
-        for index, frame in enumerate(video):
-            start = time.perf_counter()
-            full = executor.forward(frame[None])
-            full_mid = time.perf_counter()
-            incremental = session.process(frame[None])
-            done = time.perf_counter()
-            assert np.array_equal(incremental, full), f"frame {index} diverged"
-            if index > 0:  # steady state: skip the cold first frame
-                full_wall += full_mid - start
-                incremental_wall += done - full_mid
+        frames = [frame[None] for frame in video]
+        # Paired rounds: each round runs every frame both ways, alternating
+        # which path goes first, so a stall on a shared host lands inside one
+        # pair instead of on one path.  The bound is on the median pair.
+        rounds = []
+        for r in range(ROUNDS):
+            session = StreamSession(executor)
+            paths = {"full": executor.forward, "incremental": session.process}
+            order = ("full", "incremental") if r % 2 == 0 else ("incremental", "full")
+            outputs, walls = {}, {}
+            for path in order:
+                outputs[path], walls[path] = _timed_pass(paths[path], frames)
+            pairs = zip(outputs["full"], outputs["incremental"])
+            for index, (full, incremental) in enumerate(pairs):
+                assert np.array_equal(incremental, full), f"frame {index} diverged"
+            rounds.append(walls)
         warm = session.frame_stats[1:]
         executed = sum(f.executed_macs for f in warm)
         total = sum(f.total_macs for f in warm)
@@ -83,8 +101,9 @@ def _reuse_sweep():
                 mac_fraction=executed / total,
                 mean_dirty=sum(f.executed_branches for f in warm) / len(warm),
                 num_branches=plan.num_branches,
-                full_wall_ms=full_wall * 1e3,
-                incremental_wall_ms=incremental_wall * 1e3,
+                full_wall_ms=float(np.median([w["full"] for w in rounds])) * 1e3,
+                incremental_wall_ms=float(np.median([w["incremental"] for w in rounds])) * 1e3,
+                wall_ratio=float(np.median([w["incremental"] / w["full"] for w in rounds])),
                 modelled_speedup=modelled_full.total_seconds / modelled_part.total_seconds,
             )
         )
@@ -100,12 +119,11 @@ def test_bench_streaming_reuse(bench_once):
         f"{'incr ms':>9}{'wall ratio':>12}{'modelled speedup':>18}"
     )
     for row in rows:
-        wall_ratio = row["incremental_wall_ms"] / row["full_wall_ms"]
         print(
             f"{row['motion']:>7.0%}{row['mac_fraction']:>10.3f}"
             f"{row['mean_dirty']:>8.1f}/{row['num_branches']:<4}"
             f"{row['full_wall_ms']:>9.1f}{row['incremental_wall_ms']:>9.1f}"
-            f"{wall_ratio:>12.2f}{row['modelled_speedup']:>18.2f}"
+            f"{row['wall_ratio']:>12.2f}{row['modelled_speedup']:>18.2f}"
         )
 
     by_motion = {row["motion"]: row for row in rows}
@@ -116,7 +134,8 @@ def test_bench_streaming_reuse(bench_once):
     fractions = [row["mac_fraction"] for row in rows]
     assert all(a < b for a, b in zip(fractions, fractions[1:])), fractions
     # Reuse is real work saved, not just bookkeeping: the incremental wall
-    # clock beats full recomputation over the steady-state frames.
-    assert by_motion[0.3]["incremental_wall_ms"] < by_motion[0.3]["full_wall_ms"]
+    # clock beats full recomputation over the steady-state frames in the
+    # median paired round.
+    assert by_motion[0.3]["wall_ratio"] < 1.0, by_motion[0.3]
     # And the partial-recompute latency model agrees there is a speedup.
     assert by_motion[0.3]["modelled_speedup"] > 1.0

@@ -30,7 +30,7 @@ from .core import QuantMCUPipeline, QuantMCUResult, run_vdqs_whole_model
 from .hardware import ARDUINO_NANO_33_BLE, STM32H743, MCUDevice, get_device
 from .models import available_models, build_model
 from .quant import FeatureMapIndex, QuantizationConfig
-from .runtime import ExecutionPolicy, Runtime
+from .runtime import ExecutionPolicy
 from .serving import CompiledPipeline, InferenceEngine, ModelSpec, compile_pipeline
 from .streaming import StreamSession
 
@@ -52,7 +52,6 @@ __all__ = [
     "serving",
     "streaming",
     "ExecutionPolicy",
-    "Runtime",
     "StreamSession",
     "CompiledPipeline",
     "InferenceEngine",

@@ -26,10 +26,10 @@ import multiprocessing
 import os
 import threading
 from itertools import count
+from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..runtime.resources import attach_segment
 from .base import Backend, BackendUnavailable
 
 __all__ = ["MultiprocessBackend"]
@@ -39,10 +39,34 @@ _FORK_STATE: dict = {}
 _TOKENS = count()
 
 
+def _attach_segment(name: str) -> shared_memory.SharedMemory:
+    """Attach to an existing shared-memory segment without registering it
+    for cleanup.
+
+    The parent owns the segment's lifetime (it unlinks after the tiles are
+    read back); letting a worker's resource tracker also register it
+    produces spurious leak warnings / double unlinks at worker exit.
+    """
+    try:
+        return shared_memory.SharedMemory(name=name, track=False)
+    except TypeError:  # Python < 3.13: no track kwarg; suppress registration.
+        # unregister() after the fact is not enough: the tracker's cache is a
+        # set, so N worker registrations collapse into one entry and the
+        # extra unregisters raise KeyErrors inside the tracker process.
+        from multiprocessing import resource_tracker
+
+        original = resource_tracker.register
+        resource_tracker.register = lambda *args, **kwargs: None
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = original
+
+
 def _run_chunk(token: int, shm_name: str, x_shape: tuple, chunk: list) -> None:
     """Worker side: compute a chunk of branches, writing tiles into shm."""
     executor = _FORK_STATE[token]
-    shm = attach_segment(shm_name)
+    shm = _attach_segment(shm_name)
     try:
         x = np.ndarray(x_shape, dtype=np.float32, buffer=shm.buf)
         ids = [patch_id for patch_id, _, _ in chunk]
@@ -71,25 +95,22 @@ class MultiprocessBackend(Backend):
         requested = workers if workers is not None else (os.cpu_count() or 1)
         self._workers = max(1, min(self.plan.num_branches, requested))
         self._pool = None
-        self._pool_runtime = None
         # Held across the fork, so racing first calls share one pool.
         self._pool_lock = threading.Lock()
         self._token = next(_TOKENS)
 
     def _ensure_pool(self):
-        """``(pool, runtime)``, forking the pool on first use."""
+        """The fork pool, forked on first use."""
         with self._pool_lock:
             if self._pool is None:
-                # Fork pools are runtime-tracked but never shared: the workers
-                # inherit _FORK_STATE at fork time, so this pool only knows
-                # executors registered before it was created.  Registering
-                # here, not once in __init__, lets a closed backend (whose
-                # close() dropped the entry) fork a working pool again.
+                # Fork pools are never shared: the workers inherit _FORK_STATE
+                # at fork time, so this pool only knows executors registered
+                # before it was created.  Registering here, not once in
+                # __init__, lets a closed backend (whose close() dropped the
+                # entry) fork a working pool again.
                 _FORK_STATE[self._token] = self.executor
-                runtime = self.executor.runtime
-                self._pool = runtime.fork_pool(self._workers)
-                self._pool_runtime = runtime
-            return self._pool, self._pool_runtime
+                self._pool = multiprocessing.get_context("fork").Pool(self._workers)
+            return self._pool
 
     def run_branches(self, x, branch_ids):
         if not branch_ids:
@@ -108,8 +129,8 @@ class MultiprocessBackend(Backend):
             jobs.append((patch_id, cursor, shape))
             cursor += int(np.prod(shape)) * 4
 
-        pool, runtime = self._ensure_pool()
-        shm = runtime.shared_segment(cursor)
+        pool = self._ensure_pool()
+        shm = shared_memory.SharedMemory(create=True, size=max(cursor, 1))
         try:
             np.ndarray(x.shape, dtype=np.float32, buffer=shm.buf)[...] = x
             chunk_size = -(-len(jobs) // self._workers)  # ceil division
@@ -126,7 +147,8 @@ class MultiprocessBackend(Backend):
                 for _, offset, shape in jobs
             ]
         finally:
-            runtime.release_segment(shm)
+            shm.close()
+            shm.unlink()
         return [(branches[patch_id], tile) for patch_id, tile in zip(branch_ids, tiles)]
 
     def close(self) -> None:
@@ -134,16 +156,10 @@ class MultiprocessBackend(Backend):
         # a surviving token would keep the executor (plan + weights) alive in
         # the parent for the life of the process.
         try:
-            pool = self._pool
-            if pool is not None:
-                try:
-                    pool.terminate()
-                    pool.join()
-                    self._pool = None
-                finally:
-                    if self._pool_runtime is not None:
-                        self._pool_runtime.discard_fork_pool(pool)
-                        self._pool_runtime = None
+            if self._pool is not None:
+                self._pool.terminate()
+                self._pool.join()
+                self._pool = None
         finally:
             _FORK_STATE.pop(self._token, None)
         super().close()

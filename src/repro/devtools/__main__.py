@@ -52,7 +52,6 @@ __all__ = [
     "run_perfgate",
     "abba_selftest",
     "cache_stress_scenario",
-    "runtime_stress_scenario",
     "serving_state_scenario",
 ]
 
@@ -118,61 +117,6 @@ def cache_stress_scenario(threads: int, iterations: int) -> "RaceMonitor":
     report = harness.run(workload)
     if report.errors:
         raise report.errors[0]
-    return monitor
-
-
-def runtime_stress_scenario(threads: int, iterations: int) -> "RaceMonitor":
-    """Hammer one shared :class:`~repro.runtime.Runtime` under jitter.
-
-    Tenants take shared-memory segments from one runtime, read ``stats()``
-    while holding them and release them, and worker 0's last iteration
-    races ``close()`` against tenants still holding theirs.  A tenant that
-    loses the race must see :class:`~repro.runtime.RuntimeClosed`, never a
-    hang, a cycle or another error.  Findings besides lock hazards: a
-    ``stats()`` of an open runtime that misses a held segment, a closed
-    runtime that still owns anything or serves a late caller, and a segment
-    left linked after the run.
-    """
-    from ..runtime.resources import Runtime, RuntimeClosed, attach_segment
-
-    harness = StressHarness(threads=threads, iterations=iterations, seed=11)
-    monitor = RaceMonitor(jitter=harness.pause)
-    runtime = Runtime(name="racecheck")
-    instrument([runtime], monitor)
-    names: list[str] = []  # list.append is atomic; read after the run
-
-    def workload(worker: int, iteration: int) -> None:
-        if worker == 0 and iteration == harness.iterations - 1:
-            runtime.close()
-            return
-        try:
-            segment = runtime.shared_segment(32)
-        except RuntimeClosed:
-            return  # the closer won the race; the documented contract
-        names.append(segment.name)
-        stats = runtime.stats()
-        if not stats.closed and stats.live_segments < 1:
-            monitor.record_mismatch("stats() while holding a segment")
-        runtime.release_segment(segment)
-
-    report = harness.run(workload)
-    runtime.close()
-    if report.errors:
-        raise report.errors[0]
-    stats = runtime.stats()
-    if not stats.closed or stats.live_segments or stats.fork_pools:
-        monitor.record_mismatch("stats() after close")
-    try:
-        runtime.release_segment(runtime.shared_segment(8))
-        monitor.record_mismatch("shared_segment() after close")
-    except RuntimeClosed:
-        pass
-    for name in names:
-        try:
-            attach_segment(name).close()
-            monitor.record_mismatch("segment still linked after release")
-        except FileNotFoundError:
-            pass
     return monitor
 
 
@@ -255,7 +199,7 @@ def run_racecheck(args: argparse.Namespace) -> int:
         ok = False
     else:
         print("racecheck selftest: seeded ABBA inversion detected (detector live)")
-    for scenario in (cache_stress_scenario, runtime_stress_scenario, serving_state_scenario):
+    for scenario in (cache_stress_scenario, serving_state_scenario):
         monitor = scenario(args.threads, args.iterations)
         report = monitor.report()
         print(f"[{scenario.__name__}]")

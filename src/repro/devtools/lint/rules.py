@@ -1,4 +1,4 @@
-"""The eight project rules, each distilled from a bug (or a measured
+"""The seven project rules, each distilled from a bug (or a measured
 performance cliff) this repo shipped.
 
 ========  ==================================================================
@@ -28,12 +28,6 @@ REP007    No per-element Python loop over a patch grid or kernel offsets in
           3-5x the wall time of the batched backend; kernels belong behind
           ``repro.backend`` as vectorized NumPy.  Reference oracles are the
           sanctioned exception — suppress with a ``noqa`` naming them.
-REP008    No direct thread-pool / process-pool / shared-memory construction
-          outside ``repro/runtime/``.  Before the shared
-          :class:`~repro.runtime.Runtime` existed, five classes privately
-          owned pools with five slightly different lifecycles (and the
-          engine's latency model leaked whole device-pool sets); resources
-          come from a runtime so one ``close()`` releases everything.
 ========  ==================================================================
 """
 
@@ -53,7 +47,6 @@ __all__ = [
     "GlobalRngInTests",
     "DunderAllDrift",
     "HotLoopOverPatchDomain",
-    "ResourceOutsideRuntime",
 ]
 
 #: numpy.random attributes that are *not* the legacy global-state API.
@@ -666,57 +659,3 @@ class HotLoopOverPatchDomain(LintRule):
             isinstance(inner, ast.Call) and id(inner) not in iter_nodes
             for inner in ast.walk(node)
         )
-
-
-# --------------------------------------------------------------------- REP008
-#: The one directory allowed to construct concurrency resources directly.
-_RUNTIME_MODULE_RE = re.compile(r"(?:^|/)repro/runtime/")
-
-#: Leaf names of the resource constructors the runtime owns.  "Pool" covers
-#: both ``multiprocessing.Pool`` and context-bound ``ctx.Pool`` calls (the
-#: dotted resolver cannot see through ``get_context(...).Pool``).
-_RUNTIME_CTORS = {
-    "ThreadPoolExecutor",
-    "ProcessPoolExecutor",
-    "SharedMemory",
-    "Pool",
-}
-
-
-@register_rule
-class ResourceOutsideRuntime(LintRule):
-    code = "REP008"
-    name = "resource-outside-runtime"
-    severity = "error"
-    scope = "library"
-    description = (
-        "Thread pools, process pools and shared-memory segments are "
-        "constructed only inside repro/runtime/ — everything else takes "
-        "them from a Runtime, so one Runtime.close() releases every "
-        "resource.  Code with a genuine "
-        "reason to bypass the runtime must say so with "
-        "`# repro: noqa[REP008] - <why>`."
-    )
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        if _RUNTIME_MODULE_RE.search(module.path):
-            return
-        for node in module.nodes:
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            leaf = (
-                func.id
-                if isinstance(func, ast.Name)
-                else func.attr
-                if isinstance(func, ast.Attribute)
-                else None
-            )
-            if leaf in _RUNTIME_CTORS:
-                yield module.finding(
-                    self,
-                    node,
-                    f"direct {leaf}(...) construction outside repro/runtime/; "
-                    "take it from a Runtime (fork_pool/shared_segment) "
-                    "instead",
-                )

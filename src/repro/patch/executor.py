@@ -74,7 +74,6 @@ from .regions import Region, backward_region
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..backend import Backend
-    from ..runtime.resources import Runtime
 
 __all__ = ["PatchExecutor"]
 
@@ -122,7 +121,6 @@ class PatchExecutor:
         branch_hook: BranchHook | None = None,
         suffix_hook: SuffixHook | None = None,
         backend: "str | Backend | None" = None,
-        runtime: "Runtime | None" = None,
     ) -> None:
         self.plan = plan
         self.branch_hook = branch_hook
@@ -135,37 +133,9 @@ class PatchExecutor:
         self._configured_backend: "Backend | None" = None
         self._loop_backend: "Backend | None" = None
         self._inproc_backend: "Backend | None" = None
-        # Resource ownership: an injected runtime is shared (close() leaves it
-        # alone); without one, a private runtime is created on demand — and
-        # re-created after close(), so a closed executor revives its
-        # resources on next use.
-        self._runtime = runtime
-        self._private_runtime: "Runtime | None" = None
         self._compile_prefix()
         self._compile_suffix()
         self._suffix_reads_input = any(0 in step.inputs for step in self._suffix_steps)
-
-    # ---------------------------------------------------------------- runtime
-    @property
-    def runtime(self) -> "Runtime":
-        """The resource runtime this executor takes fork pools and segments from."""
-        if self._runtime is not None:
-            return self._runtime
-        if self._private_runtime is None or self._private_runtime.closed:
-            from ..runtime.resources import Runtime
-
-            self._private_runtime = Runtime(name=f"{type(self).__name__}-private")
-        return self._private_runtime
-
-    @property
-    def owns_runtime(self) -> bool:
-        """Whether close() tears the runtime down (False when injected)."""
-        return self._runtime is None
-
-    def _close_runtime(self) -> None:
-        if self._private_runtime is not None:
-            self._private_runtime.close()
-            self._private_runtime = None
 
     # ---------------------------------------------------------------- backend
     @property
@@ -218,11 +188,9 @@ class PatchExecutor:
         return self._inproc_backend
 
     def close(self) -> None:
-        """Release backend resources (fork pools, shared memory); idempotent.
+        """Release backend resources (the fork pool); idempotent.
 
-        Backends close first (they release fork pools / segments back to the
-        runtime), then a *private* runtime is torn down; an injected runtime
-        is shared infrastructure and stays up for its other tenants.
+        A closed executor revives its backends' resources on next use.
         """
         from ..backend import Backend
 
@@ -235,7 +203,6 @@ class PatchExecutor:
                 backend.close()
         if isinstance(self._backend_spec, Backend):
             self._backend_spec.close()
-        self._close_runtime()
 
     def __enter__(self) -> "PatchExecutor":
         return self

@@ -9,7 +9,9 @@ backend
     pipeline default and ultimately ``REPRO_BACKEND``.
 
 Every backend serves the same bits, for one-shot batches and stream frames
-alike.  To derive a policy from an existing one, use
+alike.  A policy names a backend and nothing else: the backend owns whatever
+it needs (the multiprocess backend its fork pool and shared-memory
+segments).  To derive a policy from an existing one, use
 :func:`dataclasses.replace`.
 """
 

@@ -39,7 +39,6 @@ import numpy as np
 from ..hardware.device import MCUDevice
 from ..hardware.latency import estimate_serving_latency
 from ..runtime.policy import ExecutionPolicy
-from ..runtime.resources import Runtime
 from ..streaming.session import StreamSession
 from .cache import PipelineCache
 from .pipeline import CompiledPipeline
@@ -107,12 +106,9 @@ class InferenceEngine:
         the batch is not full.
     policy:
         The :class:`~repro.runtime.ExecutionPolicy` every flush and stream
-        executes under — the one description of its kernel backend.
-    runtime:
-        Optional shared :class:`~repro.runtime.Runtime`; executors built for
-        this engine take their fork workers and shared memory from it, so one
-        ``Runtime.close()`` releases everything two engines given the same
-        runtime hold.  Without one, executors manage private runtimes.
+        executes under — the one description of its kernel backend.  The
+        executor it picks, with a multiprocess backend's fork pool, is the
+        pipeline's: ``CompiledPipeline.close()`` releases it, not the engine.
     device:
         Optional MCU target; attaches an amortized modelled per-request
         on-device latency to the telemetry.
@@ -128,7 +124,6 @@ class InferenceEngine:
         device: MCUDevice | None = None,
         telemetry: TelemetryRecorder | None = None,
         policy: ExecutionPolicy | None = None,
-        runtime: Runtime | None = None,
     ) -> None:
         self.policy = policy if policy is not None else ExecutionPolicy()
         if max_batch_size < 1:
@@ -146,7 +141,6 @@ class InferenceEngine:
             self._default_key = None
         self.max_batch_size = max_batch_size
         self.batch_timeout_s = batch_timeout_s
-        self._runtime = runtime
         self.device = device
         self.telemetry = telemetry if telemetry is not None else TelemetryRecorder()
         self._queue: queue.Queue = queue.Queue()
@@ -242,7 +236,7 @@ class InferenceEngine:
         pipeline = self.cache.get(key)
         stats = self.cache.stats()
         self.telemetry.record_cache(stats.hits, stats.misses, stats.evictions)
-        session = pipeline.open_stream(policy=stream_policy, runtime=self._runtime)
+        session = pipeline.open_stream(policy=stream_policy)
         session.add_observer(
             lambda frame: self.telemetry.record_stream_frame(
                 frame.executed_branches, frame.reused_branches
@@ -362,7 +356,7 @@ class InferenceEngine:
                 if len(requests) == 1
                 else np.concatenate([r.x for r in requests], axis=0)
             )
-            output = pipeline.infer(batch, policy=self.policy, runtime=self._runtime)
+            output = pipeline.infer(batch, policy=self.policy)
         except Exception as exc:  # propagate the failure to every caller
             for request in requests:
                 request.future.set_exception(exc)

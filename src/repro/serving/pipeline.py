@@ -42,7 +42,6 @@ from ..patch.plan import PatchPlan, build_patch_plan
 from ..quant.config import QuantizationConfig
 from ..quant.quantizers import quantize_weight_per_channel
 from ..runtime.policy import ExecutionPolicy
-from ..runtime.resources import Runtime
 from ..streaming.session import StreamSession
 
 __all__ = ["ModelSpec", "CompiledPipeline", "compile_pipeline"]
@@ -128,7 +127,6 @@ class CompiledPipeline:
         state: dict,
         spec: ModelSpec | None = None,
         backend: str | None = None,
-        runtime: Runtime | None = None,
     ) -> None:
         if state.get("classification_mode") != "static":
             raise ValueError(
@@ -157,12 +155,8 @@ class CompiledPipeline:
         # Compute-backend *name* shared by every executor this pipeline builds
         # (each executor owns its own backend instance; see repro.backend).
         self._backend_spec = backend
-        # The shared resource runtime every executor takes its resources
-        # from; None means each executor manages a private runtime.
-        self._runtime = runtime
-        # Executors keyed by (backend name, runtime token); the default one
-        # is built eagerly.
-        self._executors: dict[tuple, PatchExecutor] = {}
+        # Executors keyed by backend name; the default one is built eagerly.
+        self._executors: dict[str | None, PatchExecutor] = {}
         self._executor_lock = threading.Lock()
         self.executor()
 
@@ -174,7 +168,6 @@ class CompiledPipeline:
         result: QuantMCUResult,
         spec: ModelSpec | None = None,
         backend: str | None = None,
-        runtime: Runtime | None = None,
     ) -> "CompiledPipeline":
         """Freeze ``result`` into a serving artifact.
 
@@ -195,60 +188,41 @@ class CompiledPipeline:
                         layer.params["weight"], result.weight_bits
                     )
         plan = build_patch_plan(graph, state["split_output_node"], state["num_patches"])
-        return cls(graph, plan, state, spec=spec, backend=backend, runtime=runtime)
+        return cls(graph, plan, state, spec=spec, backend=backend)
 
     # ------------------------------------------------------------- inference
-    def executor(
-        self, policy: ExecutionPolicy | None = None, runtime: Runtime | None = None
-    ) -> PatchExecutor:
+    def executor(self, policy: ExecutionPolicy | None = None) -> PatchExecutor:
         """The (cached) executor backing :meth:`infer`.
 
         ``policy`` selects the kernel backend (see
-        :class:`~repro.runtime.ExecutionPolicy`); ``runtime`` overrides the
-        resource runtime executors take their resources from (defaults to
-        the pipeline's).
-
-        One cache keyed by backend name and runtime token, so
-        ``policy.backend`` overrides and injected runtimes get their own
-        executors instead of silently reusing one built for a different
-        backend or runtime.
+        :class:`~repro.runtime.ExecutionPolicy`).  One cache keyed by backend
+        name, so a ``policy.backend`` override gets its own executor instead
+        of silently reusing one built for a different backend.
         """
         policy = policy if policy is not None else ExecutionPolicy()
-        runtime = runtime if runtime is not None else self._runtime
         backend = policy.backend if policy.backend is not None else self._backend_spec
-        key = (backend, runtime.token if runtime is not None else None)
         with self._executor_lock:
-            executor = self._executors.get(key)
+            executor = self._executors.get(backend)
             if executor is None:
-                executor = self._executors[key] = PatchExecutor(
+                executor = self._executors[backend] = PatchExecutor(
                     self.plan,
                     branch_hook=self._branch_hook,
                     suffix_hook=self._suffix_hook,
                     backend=backend,
-                    runtime=runtime,
                 )
             return executor
 
-    def infer(
-        self,
-        x: np.ndarray,
-        policy: ExecutionPolicy | None = None,
-        runtime: Runtime | None = None,
-    ) -> np.ndarray:
+    def infer(self, x: np.ndarray, policy: ExecutionPolicy | None = None) -> np.ndarray:
         """Run quantized patch-based inference on a batch ``(N, C, H, W)``.
 
         ``policy`` picks the executor (see :meth:`executor`); every backend
         serves the same bits.
         """
-        return self.executor(policy, runtime).forward(x)
+        return self.executor(policy).forward(x)
 
     __call__ = infer
 
-    def open_stream(
-        self,
-        policy: ExecutionPolicy | None = None,
-        runtime: Runtime | None = None,
-    ) -> StreamSession:
+    def open_stream(self, policy: ExecutionPolicy | None = None) -> StreamSession:
         """Open a :class:`~repro.streaming.StreamSession` on this pipeline.
 
         Successive frames fed to the session recompute only the patch
@@ -258,15 +232,10 @@ class CompiledPipeline:
         eventually closed) by the pipeline, so the session must not outlive
         it.
         """
-        return StreamSession(self.executor(policy, runtime))
+        return StreamSession(self.executor(policy))
 
     def close(self) -> None:
-        """Release executor resources: backend fork pools and segments.
-
-        Executors on an injected :class:`~repro.runtime.Runtime` release what
-        they took from it here but leave the runtime up; closing the runtime
-        itself is its owner's job.
-        """
+        """Release executor resources: the fork pools of multiprocess backends."""
         with self._executor_lock:
             for executor in self._executors.values():
                 executor.close()
@@ -377,9 +346,6 @@ def compile_pipeline(
     result: QuantMCUResult,
     spec: ModelSpec | None = None,
     backend: str | None = None,
-    runtime: Runtime | None = None,
 ) -> CompiledPipeline:
     """Functional alias for :meth:`CompiledPipeline.from_result`."""
-    return CompiledPipeline.from_result(
-        pipeline, result, spec=spec, backend=backend, runtime=runtime
-    )
+    return CompiledPipeline.from_result(pipeline, result, spec=spec, backend=backend)

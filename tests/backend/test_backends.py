@@ -173,50 +173,87 @@ class TestMultiprocessLifecycle:
         """Regression: ``_ensure_pool`` checked and set the pool with no lock,
         so concurrent first ``run_branches`` calls each forked a pool, and
         all but one outlived ``close()``."""
+        import multiprocessing
         import threading
         import time
 
         from repro.backend.base import BackendUnavailable
         from repro.backend.multiprocess import MultiprocessBackend
-        from repro.runtime import Runtime
 
-        runtime = Runtime()
-        fork_pool = runtime.fork_pool
+        with PatchExecutor(small_plan) as executor:
+            try:
+                backend = MultiprocessBackend(executor, workers=1)
+            except BackendUnavailable:
+                pytest.skip("platform has no fork start method")
+            context = multiprocessing.get_context("fork")
+            fork_pool = context.Pool
+            forked = []
 
-        def slow_fork_pool(processes):
-            time.sleep(0.2)  # widens the check-then-set window
-            return fork_pool(processes)
+            def slow_pool(processes):
+                time.sleep(0.2)  # widens the check-then-set window
+                forked.append(fork_pool(processes))
+                return forked[-1]
 
-        monkeypatch.setattr(runtime, "fork_pool", slow_fork_pool)
-        try:
-            with PatchExecutor(small_plan, runtime=runtime) as executor:
+            monkeypatch.setattr(context, "Pool", slow_pool)
+            ids = [branch.patch_id for branch in small_plan.branches]
+            barrier = threading.Barrier(3, timeout=30)
+            errors: list[Exception] = []
+
+            def first_call():
                 try:
-                    backend = MultiprocessBackend(executor, workers=1)
-                except BackendUnavailable:
-                    pytest.skip("platform has no fork start method")
-                ids = [branch.patch_id for branch in small_plan.branches]
-                barrier = threading.Barrier(3, timeout=30)
-                errors: list[Exception] = []
+                    barrier.wait()
+                    backend.run_branches(small_input, ids)
+                except Exception as exc:  # pragma: no cover - reported below
+                    errors.append(exc)
 
-                def first_call():
-                    try:
-                        barrier.wait()
-                        backend.run_branches(small_input, ids)
-                    except Exception as exc:  # pragma: no cover - reported below
-                        errors.append(exc)
+            threads = [threading.Thread(target=first_call) for _ in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert len(forked) == 1
+            workers = list(forked[0]._pool)
+            backend.close()
+            assert not any(worker.is_alive() for worker in workers)
 
-                threads = [threading.Thread(target=first_call) for _ in range(3)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in threads)
-                assert errors == []
-                assert runtime.stats().fork_pools == 1
+    def test_failed_chunk_unlinks_segment(self, small_plan, small_input, monkeypatch):
+        """A worker error re-raises in the caller, and ``run_branches``'
+        ``finally`` still unlinks the call's shared-memory segment."""
+        from multiprocessing import shared_memory
+
+        from repro.backend import multiprocess
+        from repro.backend.base import BackendUnavailable
+
+        class _Exploding:
+            def run_branches(self, x, ids):
+                raise ValueError("chunk failed")
+
+        names = []
+
+        class _Recording(shared_memory.SharedMemory):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                names.append(self.name)
+
+        monkeypatch.setattr(multiprocess.shared_memory, "SharedMemory", _Recording)
+        with PatchExecutor(small_plan) as executor:
+            try:
+                backend = multiprocess.MultiprocessBackend(executor, workers=1)
+            except BackendUnavailable:
+                pytest.skip("platform has no fork start method")
+            # Set before the first call forks the pool, so workers inherit it.
+            executor._kernel_backend = _Exploding
+            ids = [branch.patch_id for branch in small_plan.branches]
+            try:
+                with pytest.raises(ValueError, match="chunk failed"):
+                    backend.run_branches(small_input, ids)
+            finally:
                 backend.close()
-                assert runtime.stats().fork_pools == 0
-        finally:
-            runtime.close()
+        assert len(names) == 1
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=names[0])
 
     def test_close_pops_token_even_when_pool_teardown_raises(self, small_plan):
         from repro.backend.base import BackendUnavailable

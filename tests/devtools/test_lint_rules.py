@@ -553,91 +553,3 @@ class TestHotLoopOverPatchDomain:
             rules=["REP007"],
         )
         assert findings == []
-
-
-# ------------------------------------------------------------------- REP008
-class TestResourceOutsideRuntime:
-    def test_thread_pool_outside_runtime_flagged(self):
-        findings = lint(
-            """
-            from concurrent.futures import ThreadPoolExecutor
-
-            class Engine:
-                def __init__(self):
-                    self._pool = ThreadPoolExecutor(max_workers=2)
-
-                def close(self):
-                    self._pool.shutdown()
-            """,
-            path="src/repro/serving/engine.py",
-            rules=["REP008"],
-        )
-        assert codes(findings) == ["REP008"]
-        assert "take it from a Runtime" in findings[0].message
-
-    def test_context_bound_fork_pool_flagged(self):
-        """ctx.Pool(...) has a Call base, which resolve_dotted cannot see
-        through; the rule must match on the leaf attribute name."""
-        findings = lint(
-            """
-            import multiprocessing
-
-            def make_pool(n):
-                return multiprocessing.get_context("fork").Pool(processes=n)
-            """,
-            path="src/repro/backend/multiprocess.py",
-            rules=["REP008"],
-        )
-        assert codes(findings) == ["REP008"]
-        assert "Pool" in findings[0].message
-
-    def test_shared_memory_flagged(self):
-        findings = lint(
-            """
-            from multiprocessing import shared_memory
-
-            def segment(size):
-                return shared_memory.SharedMemory(create=True, size=size)
-            """,
-            path="src/repro/backend/multiprocess.py",
-            rules=["REP008"],
-        )
-        assert codes(findings) == ["REP008"]
-
-    def test_runtime_package_exempt(self):
-        findings = lint(
-            """
-            from concurrent.futures import ThreadPoolExecutor
-
-            class Runtime:
-                def thread_pool(self, n):
-                    return ThreadPoolExecutor(max_workers=n)
-            """,
-            path="src/repro/runtime/resources.py",
-            rules=["REP008"],
-        )
-        assert findings == []
-
-    def test_tests_exempt(self):
-        source = """
-            from concurrent.futures import ThreadPoolExecutor
-
-            def test_concurrent(tmp_path):
-                with ThreadPoolExecutor(max_workers=4) as pool:
-                    pool.submit(print)
-            """
-        assert lint(source, path="tests/runtime/test_runtime.py", rules=["REP008"]) == []
-
-    def test_noqa_with_reason_suppresses(self):
-        findings = lint(
-            """
-            from concurrent.futures import ThreadPoolExecutor
-
-            def probe():
-                pool = ThreadPoolExecutor(max_workers=1)  # repro: noqa[REP008] - probe harness
-                pool.shutdown()
-            """,
-            path="src/repro/devtools/probe.py",
-            rules=["REP008"],
-        )
-        assert findings == []

@@ -1,11 +1,9 @@
 """One lifecycle contract over every resource owner.
 
-Every closeable in the serving stack — the patch executor, stream sessions
-and the :class:`~repro.runtime.Runtime` itself — honours the same contract:
-``close()`` is idempotent, a shared runtime outlives any single tenant, one
-``Runtime.close()`` releases every fork pool and segment, and asking a
-closed runtime for a resource fails with a clear
-:class:`~repro.runtime.RuntimeClosed` (never a hang or a silent no-op).
+Every closeable in the serving stack — the patch executor on each backend
+and stream sessions — honours the same contract: ``close()`` is idempotent,
+a closed executor revives its resources on next use, and one ``close()`` of
+a fork-pool executor releases its whole pool and its fork-state token.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.patch.executor import PatchExecutor
-from repro.runtime import Runtime, RuntimeClosed
 
 from fixtures import quantize_and_compile
 
@@ -37,41 +34,50 @@ def frame(compiled):
     return rng.standard_normal((1, *compiled.plan.graph.input_shape)).astype(np.float32)
 
 
-def _sequential(plan, runtime=None):
-    return PatchExecutor(plan, runtime=runtime)
+def _sequential(plan):
+    return PatchExecutor(plan)
 
 
-def _multiprocess(plan, runtime=None):
-    """The executor whose backend takes a fork pool and segments from its runtime."""
-    return PatchExecutor(plan, backend="multiprocess", runtime=runtime)
+def _multiprocess(plan):
+    """The executor whose backend owns a fork pool and shared-memory segments."""
+    return PatchExecutor(plan, backend="multiprocess")
 
 
 SEQUENTIAL = pytest.param(_sequential, id="sequential")
 MULTIPROCESS = pytest.param(_multiprocess, id="multiprocess", marks=needs_fork)
 
 
-def _closeables(compiled):
+def _closeables(compiled, frame):
+    def multiprocess():
+        executor = _multiprocess(compiled.plan)
+        executor.forward(frame)  # forks the pool, so close() has one to release
+        return executor
+
     return {
         "sequential": lambda: PatchExecutor(compiled.plan),
-        "runtime": Runtime,
+        "multiprocess": multiprocess,
         "stream_session": compiled.open_stream,
     }
 
 
-NAMES = ["sequential", "runtime", "stream_session"]
+NAMES = [
+    "sequential",
+    pytest.param("multiprocess", marks=needs_fork),
+    "stream_session",
+]
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_double_close_is_idempotent(compiled, name):
-    closeable = _closeables(compiled)[name]()
+def test_double_close_is_idempotent(compiled, frame, name):
+    closeable = _closeables(compiled, frame)[name]()
     closeable.close()
     closeable.close()
 
 
 @pytest.mark.parametrize("make", [SEQUENTIAL, MULTIPROCESS])
 def test_close_after_work_then_reuse_revives(compiled, frame, make):
-    # The single-owner lifecycle: a closed executor transparently revives
-    # its private resources when asked to run again.
+    # A closed executor transparently revives its backend's resources (a
+    # fresh fork pool) when asked to run again.
     executor = make(compiled.plan)
     try:
         first = executor.forward(frame)
@@ -108,43 +114,19 @@ def test_pipeline_close_with_live_sessions_is_safe(compiled, frame):
 
 
 @needs_fork
-def test_leased_handle_after_runtime_close_raises(compiled, frame):
-    runtime = Runtime(name="contract")
-    executor = _multiprocess(compiled.plan, runtime)
-    executor.forward(frame)  # forks a pool from the shared runtime
-    runtime.close()
-    with pytest.raises(RuntimeClosed, match="'contract' is closed"):
-        executor.forward(frame)
-    executor.close()  # still safe after the runtime evaporated
+def test_multiprocess_close_releases_pool_and_token(compiled, frame):
+    from repro.backend.multiprocess import _FORK_STATE
 
-
-@pytest.mark.parametrize("make", [SEQUENTIAL, MULTIPROCESS])
-def test_injected_runtime_is_not_closed_by_tenant(compiled, frame, make):
-    with Runtime() as runtime:
-        executor = make(compiled.plan, runtime)
-        assert not executor.owns_runtime
+    executor = _multiprocess(compiled.plan)
+    try:
         executor.forward(frame)
+        backend = executor.backend
+        pool = backend._pool  # held, so only close() can stop its workers
+        workers = list(pool._pool)
+        assert workers and all(worker.is_alive() for worker in workers)
+        assert backend._token in _FORK_STATE
+    finally:
         executor.close()
-        # The tenant released what it took, but the runtime belongs to the
-        # caller.
-        assert not runtime.closed
-        stats = runtime.stats()
-        assert stats.fork_pools == 0 and stats.live_segments == 0
-
-
-@needs_fork
-def test_one_runtime_close_releases_everything(compiled, frame):
-    runtime = Runtime()
-    _multiprocess(compiled.plan, runtime).forward(frame)
-    segment = runtime.shared_segment(64)
-    stats = runtime.stats()
-    assert stats.fork_pools == 1 and stats.live_segments == 1
-    runtime.close()
-    stats = runtime.stats()
-    assert stats.closed
-    assert stats.fork_pools == 0
-    assert stats.live_segments == 0
-    from multiprocessing import shared_memory
-
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=segment.name)
+    children = multiprocessing.active_children()
+    assert not any(worker in children for worker in workers)
+    assert backend._token not in _FORK_STATE

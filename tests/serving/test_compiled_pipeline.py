@@ -10,6 +10,7 @@ import pytest
 from fixtures import MOBILENET_SPEC as SPEC
 
 from repro.core import QuantMCUPipeline
+from repro.runtime import ExecutionPolicy
 from repro.serving import CompiledPipeline, InferenceEngine, compile_pipeline
 
 
@@ -55,6 +56,15 @@ def test_infer_never_writes_caller_arrays(compiled_mobilenet, rng):
     suffix = executor.run_suffix(x.copy(order="K"), stitched.copy(order="K"))
     assert suffix.tobytes() == expected.tobytes()
     assert executor.run_suffix(_read_only(x), _read_only(stitched)).tobytes() == suffix.tobytes()
+
+
+def test_executor_cache_keys_on_backend(compiled_mobilenet):
+    loop = ExecutionPolicy(backend="loop")
+    first = compiled_mobilenet.executor(loop)
+    assert compiled_mobilenet.executor(loop) is first
+    assert first.backend.name == "loop"
+    # Another backend must not reuse an executor built for this one.
+    assert compiled_mobilenet.executor() is not first
 
 
 def _layer_state(graph):
