@@ -34,7 +34,7 @@ import numpy as np
 from ..nn import Graph
 from ..quant.bitops import model_bitops
 from ..quant.config import QuantizationConfig
-from ..quant.executor import QuantizedExecutor
+from ..quant.executor import QuantizedExecutor, collect_activations
 from ..quant.memory import model_storage_bytes, peak_activation_bytes, tensor_bytes
 from ..quant.points import FeatureMapIndex
 from ..quant.quantizers import SUPPORTED_BITWIDTHS
@@ -115,9 +115,8 @@ def run_pact(
     config = QuantizationConfig.uniform(bits)
     # Touch the calibration data so the measured search time includes range
     # estimation, as a real PACT calibration would.
-    _, values = graph.forward(calibration_x, record_activations=True)
-    for fm in fm_index:
-        np.percentile(values[fm.output_node], clip_percentile)
+    for activation in collect_activations(graph, calibration_x, fm_index).values():
+        np.percentile(activation, clip_percentile)
     return _finalize("PACT", f"{bits}/{bits}", fm_index, config, start)
 
 

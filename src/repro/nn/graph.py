@@ -7,9 +7,10 @@ reproduction needs:
 * shape inference and exact per-layer MAC counting *without* executing the
   network (this is how the full-resolution BitOPs / memory / latency numbers of
   the paper's tables are produced);
-* forward execution with optional recording of every intermediate activation
-  (feature maps feed the entropy estimator of VDQS and the outlier analysis of
-  VDPC);
+* forward execution with optional recording of every intermediate
+  activation, and a forward-only pass (:meth:`Graph.activations`) that
+  returns chosen node outputs and keeps no training state (feature maps feed
+  the entropy estimator of VDQS and the outlier analysis of VDPC);
 * reverse-mode backpropagation so that small models can be trained end-to-end
   on the synthetic datasets used by the accuracy experiments.
 
@@ -18,6 +19,7 @@ The special node name ``"input"`` always refers to the graph input.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -183,6 +185,44 @@ class Graph:
         if record_activations:
             return output, values
         return output
+
+    def activations(self, x: np.ndarray, names: Iterable[str]) -> dict[str, np.ndarray]:
+        """Forward-only pass returning the outputs of the nodes in ``names``.
+
+        Runs the same :meth:`Layer.forward` calls as :meth:`forward`, so the
+        arrays are exactly those ``forward(x, record_activations=True)``
+        records, but keeps no training state: each layer's backward scratch
+        is dropped as soon as it returns, every value is freed after its last
+        consumer unless it was requested, and ``_values`` is not set (so
+        :meth:`backward` cannot follow).  This is the calibration pass.
+        """
+        if self.output_node is None:
+            raise ValueError("graph has no layers")
+        wanted = set(names)
+        unknown = wanted - set(self.nodes) - {INPUT_NODE}
+        if unknown:
+            raise KeyError(f"unknown nodes {sorted(unknown)}")
+        # A value is released after the step of its last consumer (or its own
+        # step, if nothing consumes it).
+        last_use: dict[str, int] = {}
+        for step, name in enumerate(self._order):
+            last_use[name] = step
+            for src in self.nodes[name].inputs:
+                last_use[src] = step
+        release: list[list[str]] = [[] for _ in self._order]
+        for name, step in last_use.items():
+            release[step].append(name)
+        values: dict[str, np.ndarray] = {INPUT_NODE: x}
+        out = {INPUT_NODE: x} if INPUT_NODE in wanted else {}
+        for step, name in enumerate(self._order):
+            node = self.nodes[name]
+            values[name] = node.layer.forward(*(values[src] for src in node.inputs))
+            node.layer._cache = {}
+            if name in wanted:
+                out[name] = values[name]
+            for done in release[step]:
+                del values[done]
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Backpropagate ``grad_output`` through the graph.

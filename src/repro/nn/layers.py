@@ -67,8 +67,10 @@ class Layer:
         self.grads: dict[str, np.ndarray] = {}
         self.training: bool = False
         # Per-forward backward-pass scratch, overwritten on every forward — not
-        # a memo.  Only training and the loop-reference oracle call forward;
-        # serving runs the cache-free kernels of repro.nn.inference.
+        # a memo.  Graph.forward and the fake-quant QuantizedExecutor leave it
+        # set; the calibration pass (Graph.activations) drops it as each layer
+        # returns.  Serving, the loop oracle included, runs the cache-free
+        # compiled kernels of repro.nn.inference and never calls forward.
         self._cache: dict[str, object] = {}  # repro: noqa[REP004]
 
     # ------------------------------------------------------------------ API

@@ -28,13 +28,16 @@ __all__ = ["QuantizedExecutor", "collect_activations"]
 def collect_activations(
     graph: Graph, calibration_x: np.ndarray, fm_index: FeatureMapIndex | None = None
 ) -> dict[int, np.ndarray]:
-    """Run a full-precision forward pass and return activations per feature map.
+    """Run a full-precision forward-only pass and return activations per feature map.
 
     Returns a dict mapping feature-map index to the activation ndarray of its
-    (fused) output node.
+    (fused) output node.  The pass is :meth:`Graph.activations`: the arrays
+    are those of the training forward, but no layer keeps backward scratch,
+    intermediate values are freed after their last consumer, and the graph
+    records no ``_values``, so calibrating leaves ``graph`` as it was.
     """
     fm_index = fm_index if fm_index is not None else FeatureMapIndex(graph)
-    _, values = graph.forward(calibration_x, record_activations=True)
+    values = graph.activations(calibration_x, [fm.output_node for fm in fm_index])
     return {fm.index: values[fm.output_node] for fm in fm_index}
 
 
@@ -79,9 +82,9 @@ class QuantizedExecutor:
     def calibrate(self, calibration_x: np.ndarray) -> None:
         """Record activation ranges from a full-precision calibration pass."""
         self._input_observer.observe(calibration_x)
-        _, values = self.graph.forward(calibration_x, record_activations=True)
+        activations = collect_activations(self.graph, calibration_x, self.fm_index)
         for fm in self.fm_index:
-            self.observers[fm.index].observe(values[fm.output_node])
+            self.observers[fm.index].observe(activations[fm.index])
         self._calibrated = True
         self._quantized_weights = None
 

@@ -75,7 +75,9 @@ class ModelSpec:
 def _copy_graph(graph: Graph) -> Graph:
     """Deep copy of ``graph`` without its forward-pass scratch.
 
-    Calibration leaves every layer's backward cache and the graph's recorded
+    Calibration leaves no scratch (it runs the forward-only
+    ``Graph.activations``), but a training-style ``Graph.forward`` on the
+    source graph leaves every layer's backward cache and the recorded
     activations behind (tens of MiB at serving resolutions); the copy starts
     with empty caches instead of duplicating them.  ``graph`` is not touched.
     """

@@ -84,23 +84,26 @@ def _assert_state_unchanged(state):
 
 
 def test_fresh_pipeline_holds_no_layer_cache(quantized_mobilenet):
-    """Calibration leaves backward caches on the source graph; compiling
-    neither copies them nor touches the source."""
+    """Calibration leaves no backward scratch and no recorded values on the
+    source graph; compiling leaves none on the copy and does not touch the
+    source."""
     pipeline, result = quantized_mobilenet
-    assert any(layer._cache for _, layer in pipeline.graph.layers())
-    source_values = pipeline.graph._values
+    assert all(layer._cache == {} for _, layer in pipeline.graph.layers())
+    assert not hasattr(pipeline.graph, "_values")
     source = _layer_state(pipeline.graph)
     compiled = compile_pipeline(pipeline, result, spec=SPEC)
     assert all(layer._cache == {} for _, layer in compiled.graph.layers())
     assert not hasattr(compiled.graph, "_values")
     _assert_state_unchanged(source)
-    assert pipeline.graph._values is source_values
+    assert not hasattr(pipeline.graph, "_values")
 
 
-def test_compile_does_not_copy_calibration_scratch(quantized_mobilenet):
-    """Compiling from a graph that still holds calibration scratch allocates
-    no more than compiling from the same graph without it."""
+def test_compile_does_not_copy_calibration_scratch(quantized_mobilenet, rng):
+    """Compiling from a graph that still holds training-forward scratch
+    allocates no more than compiling from the same graph without it."""
     pipeline, result = quantized_mobilenet
+    pipeline.graph.forward(rng.standard_normal((4, 3, 32, 32)).astype(np.float32))
+    assert any(layer._cache for _, layer in pipeline.graph.layers())
 
     def compile_peak() -> int:
         tracemalloc.start()
