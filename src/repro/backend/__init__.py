@@ -14,10 +14,11 @@ hooks, the suffix) from *how* the dataflow branches are executed:
 ``multiprocess``
     Forked worker processes over shared memory, for GIL-free patch stages.
 
-All backends are bit-identical by contract (and by test).  Select one with
-``PatchExecutor(..., backend="loop")``, per pipeline via
-``CompiledPipeline.from_result(..., backend=...)``, or globally through the
-``REPRO_BACKEND`` environment variable.
+All backends are bit-identical by contract (and by test).  An executor holds
+one, chosen by name when it is built: ``PatchExecutor(plan, backend="loop")``.
+A :class:`~repro.serving.CompiledPipeline` passes its executors the
+``ExecutionPolicy(backend=...)`` name, or else its own default from
+``CompiledPipeline.from_result(..., backend=...)``.
 """
 
 from .base import (

@@ -22,14 +22,13 @@ must respect: it sees exactly one branch's clamped region, with its
 golden-logits suite pin one set of bytes regardless of the selected
 backend.
 
-Backends are selected by name through :func:`make_backend`; the
-``REPRO_BACKEND`` environment variable overrides the default for executors
-that were not given an explicit backend.
+Backends are selected by name through :func:`make_backend`: each
+:class:`~repro.patch.executor.PatchExecutor` builds the one it was named
+(:data:`DEFAULT_BACKEND` when none was) and keeps it for its lifetime.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -61,13 +60,12 @@ class Backend:
     stitches its tiles unless a backend has a faster way.  The suffix is the
     executor's own (:meth:`~repro.patch.executor.PatchExecutor.run_suffix`).  A
     backend holds no model state of its own — the plan, hooks and weights all
-    live on the executor — so backends are cheap to construct and swap.
+    live on the executor, which builds the backend it dispatches to in its
+    constructor.
     """
 
     #: Registry name, set by subclasses.
     name: str = "base"
-    #: Whether compute happens in the calling process (False for multiprocess).
-    in_process: bool = True
 
     def __init__(self, executor: "PatchExecutor") -> None:
         self.executor = executor
@@ -119,19 +117,18 @@ def _registry() -> dict:
 
 
 def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`make_backend` (and ``REPRO_BACKEND``)."""
+    """Names accepted by :func:`make_backend`."""
     return tuple(sorted(_registry()))
 
 
 def make_backend(name: str | None, executor: "PatchExecutor") -> Backend:
     """Build the backend ``name`` for ``executor``.
 
-    ``None`` resolves through the ``REPRO_BACKEND`` environment variable and
-    falls back to :data:`DEFAULT_BACKEND`.  Unknown names raise
-    :class:`ValueError`; a known backend that cannot run here raises
-    :class:`BackendUnavailable`.
+    ``None`` is :data:`DEFAULT_BACKEND`.  Anything but a known name (an
+    unknown one, a :class:`Backend` instance) raises :class:`ValueError`; a
+    known backend that cannot run here raises :class:`BackendUnavailable`.
     """
-    resolved = name or os.environ.get("REPRO_BACKEND") or DEFAULT_BACKEND
+    resolved = name or DEFAULT_BACKEND
     registry = _registry()
     if resolved not in registry:
         raise ValueError(

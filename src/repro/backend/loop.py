@@ -4,9 +4,10 @@ This is the pre-backend execution strategy — it simply drives
 :meth:`~repro.patch.executor.PatchExecutor.run_branch`, which runs the
 executor's compiled kernels one branch at a time with its own region
 bookkeeping — and it is the bit-exactness oracle the vectorized and
-multiprocess backends are tested against.  It is also the automatic fallback whenever ``run_branch`` has been
-overridden (subclassed or monkeypatched), so instrumentation that wraps the
-per-branch entry point keeps observing every branch.
+multiprocess backends are tested against.  It is the only backend that calls
+``run_branch``, so instrumentation that overrides the per-branch entry point
+(subclassed or monkeypatched) asks for ``backend="loop"`` to observe every
+branch.
 """
 
 from __future__ import annotations

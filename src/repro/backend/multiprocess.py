@@ -1,17 +1,18 @@
 """Optional multiprocessing backend: forked workers over shared memory.
 
 Sidesteps the GIL for the patch stage: branches are chunked across a pool of
-**forked** worker processes, each executing its chunk through the executor's
-in-process kernel backend (the vectorized one, unless ``run_branch`` is
-instrumented).  Arrays never travel through pickle — the input image and the
-result tiles live in one :class:`multiprocessing.shared_memory.SharedMemory`
-segment with precomputed per-tile offsets; only patch ids and offsets cross
-the process boundary.
+**forked** worker processes, each executing its chunk through the backend's
+own :class:`~repro.backend.vectorized.VectorizedBackend` kernel.  Arrays
+never travel through pickle — the input image and the result tiles live in
+one :class:`multiprocessing.shared_memory.SharedMemory` segment with
+precomputed per-tile offsets; only patch ids and offsets cross the process
+boundary.
 
-Fork is load-bearing twice over: workers inherit the executor (plan, weights,
-hook closures) by address-space copy instead of serialization, and the
-executor object is looked up through a module-level token table
-(:data:`_FORK_STATE`) so nothing about the executor needs to be picklable.
+Fork is load-bearing twice over: workers inherit the kernel and its executor
+(plan, weights, hook closures) by address-space copy instead of
+serialization, and the kernel is looked up through a module-level token
+table (:data:`_FORK_STATE`) so nothing about the executor needs to be
+picklable.
 On platforms without ``fork`` the constructor raises
 :class:`~repro.backend.base.BackendUnavailable` and callers should select
 another backend.
@@ -31,10 +32,11 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from .base import Backend, BackendUnavailable
+from .vectorized import VectorizedBackend
 
 __all__ = ["MultiprocessBackend"]
 
-#: token -> executor, inherited by forked workers at pool creation time.
+#: token -> kernel backend, inherited by forked workers at pool creation time.
 _FORK_STATE: dict = {}
 _TOKENS = count()
 
@@ -65,12 +67,12 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 
 def _run_chunk(token: int, shm_name: str, x_shape: tuple, chunk: list) -> None:
     """Worker side: compute a chunk of branches, writing tiles into shm."""
-    executor = _FORK_STATE[token]
+    kernel = _FORK_STATE[token]
     shm = _attach_segment(shm_name)
     try:
         x = np.ndarray(x_shape, dtype=np.float32, buffer=shm.buf)
         ids = [patch_id for patch_id, _, _ in chunk]
-        pairs = executor._kernel_backend().run_branches(x, ids)
+        pairs = kernel.run_branches(x, ids)
         for (_, offset, shape), (_, tile) in zip(chunk, pairs):
             np.ndarray(shape, dtype=np.float32, buffer=shm.buf, offset=offset)[...] = tile
     finally:
@@ -81,7 +83,6 @@ class MultiprocessBackend(Backend):
     """Fork-pool patch-stage execution over shared memory (see module docstring)."""
 
     name = "multiprocess"
-    in_process = False
 
     def __init__(self, executor, workers: int | None = None) -> None:
         super().__init__(executor)
@@ -94,6 +95,9 @@ class MultiprocessBackend(Backend):
         # worker at least one chunk, and there are at most num_branches chunks.
         requested = workers if workers is not None else (os.cpu_count() or 1)
         self._workers = max(1, min(self.plan.num_branches, requested))
+        #: What each worker runs its chunk through (never this backend: a
+        #: worker must not fan out again).
+        self._kernel = VectorizedBackend(executor)
         self._pool = None
         # Held across the fork, so racing first calls share one pool.
         self._pool_lock = threading.Lock()
@@ -104,11 +108,11 @@ class MultiprocessBackend(Backend):
         with self._pool_lock:
             if self._pool is None:
                 # Fork pools are never shared: the workers inherit _FORK_STATE
-                # at fork time, so this pool only knows executors registered
+                # at fork time, so this pool only knows kernels registered
                 # before it was created.  Registering here, not once in
                 # __init__, lets a closed backend (whose close() dropped the
                 # entry) fork a working pool again.
-                _FORK_STATE[self._token] = self.executor
+                _FORK_STATE[self._token] = self._kernel
                 self._pool = multiprocessing.get_context("fork").Pool(self._workers)
             return self._pool
 

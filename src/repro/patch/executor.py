@@ -52,10 +52,12 @@ computed over, it covers branches that share a program with rectangles of
 tiles that cost no more MACs than the branches, cut at gaps between
 occupied tiles, and runs a lone branch, or one whose hook is
 content-dependent, as itself (:mod:`repro.backend.vectorized`).
+Each executor builds one backend by name in its constructor (``None`` is
+:data:`~repro.backend.DEFAULT_BACKEND`), and every patch-stage call goes
+through it.
 :meth:`PatchExecutor.run_branch` remains the single-branch reference kernel;
-whenever it is overridden (subclassed or monkeypatched, as instrumentation
-does), dispatch automatically drops to the loop backend so the override keeps
-seeing every branch.
+only the loop backend calls it, so instrumentation that overrides it to see
+every branch runs on a ``backend="loop"`` executor.
 """
 
 from __future__ import annotations
@@ -120,89 +122,27 @@ class PatchExecutor:
         plan: PatchPlan,
         branch_hook: BranchHook | None = None,
         suffix_hook: SuffixHook | None = None,
-        backend: "str | Backend | None" = None,
+        backend: str | None = None,
     ) -> None:
         self.plan = plan
         self.branch_hook = branch_hook
         self.suffix_hook = suffix_hook
         self._shapes = plan.graph.shapes()
         self._fm_by_output = {fm.output_node: fm for fm in plan.fm_index}
-        # Backend instances are built lazily (and the spec may name one by
-        # string) so constructing an executor never pays backend setup costs.
-        self._backend_spec = backend
-        self._configured_backend: "Backend | None" = None
-        self._loop_backend: "Backend | None" = None
-        self._inproc_backend: "Backend | None" = None
         self._compile_prefix()
         self._compile_suffix()
         self._suffix_reads_input = any(0 in step.inputs for step in self._suffix_steps)
+        from ..backend import make_backend  # import cycle: backends import this module
 
-    # ---------------------------------------------------------------- backend
-    @property
-    def backend(self) -> "Backend":
-        """The configured compute backend (built on first access)."""
-        from ..backend import Backend, make_backend
-
-        if isinstance(self._backend_spec, Backend):
-            return self._backend_spec
-        if self._configured_backend is None:
-            self._configured_backend = make_backend(self._backend_spec, self)
-        return self._configured_backend
-
-    def _run_branch_overridden(self) -> bool:
-        return (
-            "run_branch" in self.__dict__
-            or type(self).run_branch is not PatchExecutor.run_branch
-        )
-
-    def _loop(self) -> "Backend":
-        if self._loop_backend is None:
-            from ..backend import LoopBackend
-
-            self._loop_backend = LoopBackend(self)
-        return self._loop_backend
-
-    def _active_backend(self) -> "Backend":
-        """Backend used for dispatch: the configured one, unless ``run_branch``
-        is overridden — then the loop reference, so the override is honoured."""
-        if self._run_branch_overridden():
-            return self._loop()
-        return self.backend
-
-    def _kernel_backend(self) -> "Backend":
-        """In-process compute backend, for forked worker processes.
-
-        Never the multiprocess backend itself (a worker must not recursively
-        fan out), and the loop reference whenever ``run_branch`` is
-        overridden.
-        """
-        if self._run_branch_overridden():
-            return self._loop()
-        configured = self.backend
-        if configured.in_process:
-            return configured
-        if self._inproc_backend is None:
-            from ..backend import VectorizedBackend
-
-            self._inproc_backend = VectorizedBackend(self)
-        return self._inproc_backend
+        #: The one compute backend every patch-stage call goes through.
+        self.backend: "Backend" = make_backend(backend, self)
 
     def close(self) -> None:
         """Release backend resources (the fork pool); idempotent.
 
-        A closed executor revives its backends' resources on next use.
+        A closed executor revives its backend's resources on next use.
         """
-        from ..backend import Backend
-
-        for backend in (
-            self._configured_backend,
-            self._loop_backend,
-            self._inproc_backend,
-        ):
-            if backend is not None:
-                backend.close()
-        if isinstance(self._backend_spec, Backend):
-            self._backend_spec.close()
+        self.backend.close()
 
     def __enter__(self) -> "PatchExecutor":
         return self
@@ -234,7 +174,7 @@ class PatchExecutor:
         backend.  The returned tiles are owned by the caller (no later call
         writes to them).
         """
-        return self._active_backend().run_branches(_as_input(x), list(branch_ids))
+        return self.backend.run_branches(_as_input(x), list(branch_ids))
 
     def stitch_tiles(
         self, x: np.ndarray, branch_ids: list[int], out: np.ndarray
@@ -330,7 +270,7 @@ class PatchExecutor:
         return split.transpose(0, 3, 1, 2)
 
     def _run_patch_stage(self, x: np.ndarray) -> np.ndarray:
-        return self._active_backend().run_patch_stage(x, self._allocate_split(x))
+        return self.backend.run_patch_stage(x, self._allocate_split(x))
 
     def _extract_padded(
         self, array: np.ndarray, available: Region, desired: Region, consumer: str

@@ -6,7 +6,8 @@ takes (``policy=``): one immutable value.
 backend
     *How* a branch chunk is computed: ``loop`` | ``vectorized`` |
     ``multiprocess`` (see :mod:`repro.backend`); ``None`` defers to the
-    pipeline default and ultimately ``REPRO_BACKEND``.
+    pipeline default (``CompiledPipeline.from_result(backend=)``) and
+    ultimately :data:`~repro.backend.DEFAULT_BACKEND`.
 
 Every backend serves the same bits, for one-shot batches and stream frames
 alike.  A policy names a backend and nothing else: the backend owns whatever

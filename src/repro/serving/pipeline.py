@@ -34,6 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..backend import DEFAULT_BACKEND
 from ..core.quantmcu import QuantMCUPipeline, QuantMCUResult, make_static_hooks
 from ..models import build_model
 from ..nn import Graph
@@ -154,11 +155,11 @@ class CompiledPipeline:
         self._branch_hook, self._suffix_hook = make_static_hooks(
             self._ranges, self._branch_bits, self._suffix_bits
         )
-        # Compute-backend *name* shared by every executor this pipeline builds
-        # (each executor owns its own backend instance; see repro.backend).
-        self._backend_spec = backend
+        # The backend a policy without one gets (each executor builds its own
+        # backend instance by this name; see repro.backend).
+        self._default_backend = backend or DEFAULT_BACKEND
         # Executors keyed by backend name; the default one is built eagerly.
-        self._executors: dict[str | None, PatchExecutor] = {}
+        self._executors: dict[str, PatchExecutor] = {}
         self._executor_lock = threading.Lock()
         self.executor()
 
@@ -199,10 +200,11 @@ class CompiledPipeline:
         ``policy`` selects the kernel backend (see
         :class:`~repro.runtime.ExecutionPolicy`).  One cache keyed by backend
         name, so a ``policy.backend`` override gets its own executor instead
-        of silently reusing one built for a different backend.
+        of silently reusing one built for a different backend, and a policy
+        naming the default backend gets the default executor.
         """
         policy = policy if policy is not None else ExecutionPolicy()
-        backend = policy.backend if policy.backend is not None else self._backend_spec
+        backend = policy.backend or self._default_backend
         with self._executor_lock:
             executor = self._executors.get(backend)
             if executor is None:

@@ -1,9 +1,7 @@
 """Unit tests for the compute-backend layer (:mod:`repro.backend`).
 
-Covers backend selection (names, ``REPRO_BACKEND``, defaults) and the
-dispatch rules the executor applies — most importantly the fallback to the loop reference when
-``run_branch`` is overridden, which is what keeps instrumentation-style tests
-(and subclasses) observing every branch.
+Covers backend selection (one backend per executor, built by name at
+construction, with a default) and the executor's dispatch through it.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from fixtures import random_property_graph
 
 from repro.backend import (
     DEFAULT_BACKEND,
-    Backend,
     LoopBackend,
     VectorizedBackend,
     available_backends,
@@ -38,10 +35,7 @@ def small_input(rng, small_plan):
 
 # ---------------------------------------------------------------- selection
 class TestBackendSelection:
-    def test_default_is_vectorized(self, small_plan, monkeypatch):
-        # The env-free default: an inherited REPRO_BACKEND (e.g. the CI
-        # multiprocess smoke job) must not leak into this assertion.
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_default_is_vectorized(self, small_plan):
         assert DEFAULT_BACKEND == "vectorized"
         with PatchExecutor(small_plan) as executor:
             assert isinstance(executor.backend, VectorizedBackend)
@@ -51,31 +45,16 @@ class TestBackendSelection:
             assert isinstance(executor.backend, LoopBackend)
 
     def test_backend_instance_passthrough(self, small_plan):
-        executor = PatchExecutor(small_plan)
-        try:
-            instance = LoopBackend(executor)
-            executor2 = PatchExecutor(small_plan, backend=instance)
-            assert executor2.backend is instance
-        finally:
-            executor.close()
-
-    def test_env_var_override(self, small_plan, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "loop")
+        # A backend instance is bound to the executor that built it: taking
+        # one would run that executor's plan and hooks, so it is rejected.
         with PatchExecutor(small_plan) as executor:
-            assert isinstance(executor.backend, LoopBackend)
-
-    def test_explicit_name_beats_env_var(self, small_plan, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "loop")
-        with PatchExecutor(small_plan, backend="vectorized") as executor:
-            assert isinstance(executor.backend, VectorizedBackend)
+            instance = LoopBackend(executor)
+            with pytest.raises(ValueError, match="unknown backend"):
+                PatchExecutor(small_plan, backend=instance)
 
     def test_unknown_name_raises(self, small_plan):
-        executor = PatchExecutor(small_plan, backend="definitely-not-a-backend")
-        try:
-            with pytest.raises(ValueError, match="unknown backend"):
-                executor.backend
-        finally:
-            executor.close()
+        with pytest.raises(ValueError, match="unknown backend"):
+            PatchExecutor(small_plan, backend="definitely-not-a-backend")
 
     def test_available_backends(self):
         assert set(available_backends()) >= {"loop", "vectorized", "multiprocess"}
@@ -89,46 +68,8 @@ class TestBackendSelection:
 
 # ----------------------------------------------------------------- dispatch
 class TestDispatchRules:
-    def test_run_branch_monkeypatch_falls_back_to_loop(self, small_plan, small_input):
-        with PatchExecutor(small_plan, backend="vectorized") as executor:
-            reference = executor.forward(small_input)
-            observed = []
-            original = executor.run_branch
-
-            def spy(branch, x):
-                observed.append(branch.patch_id)
-                return original(branch, x)
-
-            executor.run_branch = spy
-            assert isinstance(executor._active_backend(), LoopBackend)
-            assert np.array_equal(executor.forward(small_input), reference)
-            assert sorted(observed) == [b.patch_id for b in small_plan.branches]
-
-    def test_run_branch_subclass_falls_back_to_loop(self, small_plan, small_input):
-        calls = []
-
-        class Instrumented(PatchExecutor):
-            def run_branch(self, branch, x):
-                calls.append(branch.patch_id)
-                return super().run_branch(branch, x)
-
-        with Instrumented(small_plan) as instrumented, PatchExecutor(small_plan) as plain:
-            assert isinstance(instrumented._active_backend(), LoopBackend)
-            assert np.array_equal(
-                instrumented.forward(small_input), plain.forward(small_input)
-            )
-            assert calls  # every branch was observed
-        assert sorted(calls) == [b.patch_id for b in small_plan.branches]
-
-    def test_kernel_backend_is_in_process(self, small_plan):
-        with PatchExecutor(small_plan, backend="multiprocess") as executor:
-            kernel = executor._kernel_backend()
-            assert kernel.in_process
-            assert isinstance(kernel, VectorizedBackend)
-
     def test_close_is_idempotent(self, small_plan):
         executor = PatchExecutor(small_plan)
-        executor.backend  # force creation
         executor.close()
         executor.close()
 
@@ -160,10 +101,10 @@ class TestMultiprocessLifecycle:
         except BackendUnavailable:
             pytest.skip("platform has no fork start method")
         reference = executor.forward(small_input)
-        assert any(state is executor for state in _FORK_STATE.values())
+        assert any(state.executor is executor for state in _FORK_STATE.values())
         ref = weakref.ref(executor)
         executor.close()
-        assert all(state is not executor for state in _FORK_STATE.values())
+        assert all(state.executor is not executor for state in _FORK_STATE.values())
         del executor
         gc.collect()  # executor<->backend is a cycle; the token must not pin it
         assert ref() is None
@@ -244,7 +185,7 @@ class TestMultiprocessLifecycle:
             except BackendUnavailable:
                 pytest.skip("platform has no fork start method")
             # Set before the first call forks the pool, so workers inherit it.
-            executor._kernel_backend = _Exploding
+            backend._kernel = _Exploding()
             ids = [branch.patch_id for branch in small_plan.branches]
             try:
                 with pytest.raises(ValueError, match="chunk failed"):

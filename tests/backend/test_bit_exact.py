@@ -276,7 +276,7 @@ def test_float64_input_is_computed_in_float32():
         vec.close()
 
 
-def test_executor_built_before_weight_swap_honours_it(monkeypatch):
+def test_executor_built_before_weight_swap_honours_it():
     """An executor built outside ``quantized_weights(4)`` serves, inside the
     block, the bytes of an executor built inside it: kernels refold their
     weights when ``params["weight"]`` is another array, on both backends."""
@@ -284,8 +284,7 @@ def test_executor_built_before_weight_swap_honours_it(monkeypatch):
     x = np.random.default_rng(6).standard_normal((2, 3, 32, 32)).astype(np.float32)
     outside, before = {}, {}
     for name in ("loop", "vectorized"):
-        monkeypatch.setenv("REPRO_BACKEND", name)
-        outside[name] = pipeline.make_executor(result)
+        outside[name] = PatchExecutor(result.plan, *pipeline.make_hooks(result), backend=name)
         before[name] = outside[name].forward(x)  # folds the float weights first
         assert outside[name].backend.name == name
     assert _bits_equal(before["vectorized"], before["loop"])

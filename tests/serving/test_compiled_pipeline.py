@@ -9,6 +9,7 @@ import pytest
 
 from fixtures import MOBILENET_SPEC as SPEC
 
+from repro.backend import DEFAULT_BACKEND
 from repro.core import QuantMCUPipeline
 from repro.runtime import ExecutionPolicy
 from repro.serving import CompiledPipeline, InferenceEngine, compile_pipeline
@@ -65,6 +66,9 @@ def test_executor_cache_keys_on_backend(compiled_mobilenet):
     assert first.backend.name == "loop"
     # Another backend must not reuse an executor built for this one.
     assert compiled_mobilenet.executor() is not first
+    # A policy naming the default backend gets the default executor.
+    default = ExecutionPolicy(backend=DEFAULT_BACKEND)
+    assert compiled_mobilenet.executor(default) is compiled_mobilenet.executor()
 
 
 def _layer_state(graph):

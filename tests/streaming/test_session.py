@@ -9,9 +9,11 @@ import pytest
 
 from fixtures import quantize_and_compile, random_property_plan
 
+from repro.backend import DEFAULT_BACKEND
 from repro.data import SyntheticVideo
 from repro.patch import analyze_streaming
 from repro.patch.analysis import branch_macs
+from repro.runtime import ExecutionPolicy
 from repro.streaming import StreamSession, changed_mask, dirty_branch_ids
 
 #: The same two zoo deployments the golden suite pins.
@@ -152,10 +154,29 @@ def test_frame_history_is_capped_but_totals_are_not(zoo_compiled):
     assert stats.reused_branches == 4 * session.plan.num_branches
 
 
-def test_reuse_runs_only_dirty_branches(zoo_compiled):
-    """The executor really runs only the dirty branches; clean ones stay idle."""
+def _check_runs_only_dirty(resolution, executor, executed):
+    """First frame runs every branch, an identical frame none, a frame
+    changed in one corner exactly its dirty ones; ``executed`` records the
+    branch ids computed."""
+    session = StreamSession(executor)
+    frame = _video(resolution, num_frames=1).frames[0]
+    session.process(frame)
+    assert sorted(executed) == list(range(session.plan.num_branches))
+    executed.clear()
+    session.process(frame.copy())  # identical: nothing runs
+    assert executed == []
+    moved = frame.copy()
+    moved[..., 0, 0] += 1.0  # only the top-left branch reads this pixel
+    session.process(moved)
+    dirty = list(session.last_frame.dirty_branches)
+    assert dirty and len(dirty) < session.plan.num_branches
+    assert sorted(executed) == dirty
+
+
+def test_reuse_runs_only_dirty_branches(zoo_compiled, monkeypatch):
+    """On the loop oracle, ``run_branch`` sees only the dirty branches."""
     params, compiled = zoo_compiled
-    executor = compiled.executor()
+    executor = compiled.executor(ExecutionPolicy(backend="loop"))
     executed: list[int] = []
     original = executor.run_branch
 
@@ -163,19 +184,25 @@ def test_reuse_runs_only_dirty_branches(zoo_compiled):
         executed.append(branch.patch_id)
         return original(branch, x)
 
-    executor.run_branch = recording_run_branch
-    try:
-        session = StreamSession(executor)
-        video = _video(params["resolution"], num_frames=3)
-        session.process(video.frames[0])
-        assert sorted(executed) == list(range(session.plan.num_branches))
-        executed.clear()
-        session.process(video.frames[0].copy())  # identical: nothing runs
-        assert executed == []
-        session.process(video.frames[1])
-        assert sorted(executed) == list(session.last_frame.dirty_branches)
-    finally:
-        del executor.run_branch  # the instance attribute; dispatch is restored
+    monkeypatch.setattr(executor, "run_branch", recording_run_branch)
+    _check_runs_only_dirty(params["resolution"], executor, executed)
+
+
+def test_default_backend_runs_only_dirty_branches(zoo_compiled, monkeypatch):
+    """On the default backend, ``run_branches`` is asked for exactly the
+    dirty ids: the vectorized stream path does no extra work either."""
+    params, compiled = zoo_compiled
+    executor = compiled.executor()
+    assert executor.backend.name == DEFAULT_BACKEND
+    executed: list[int] = []
+    original = executor.backend.run_branches
+
+    def recording_run_branches(x, branch_ids):
+        executed.extend(branch_ids)
+        return original(x, branch_ids)
+
+    monkeypatch.setattr(executor.backend, "run_branches", recording_run_branches)
+    _check_runs_only_dirty(params["resolution"], executor, executed)
 
 
 # ----------------------------------------------------------------- diffing
