@@ -8,7 +8,7 @@ This walks the `repro.serving` subsystem end to end:
 3. stand up an :class:`InferenceEngine` with dynamic micro-batching under
    an explicit :class:`~repro.runtime.ExecutionPolicy` (vectorized backend);
 4. fire concurrent requests from client threads and print the telemetry
-   (throughput, latency percentiles, batch-size histogram, cache hit rate)
+   (throughput, latency percentiles, batch-size histogram, queue depth)
    plus the modelled on-device latency per request.
 
 Run with::
@@ -90,7 +90,6 @@ def main() -> None:
     print(f"mean batch size      : {snap.mean_batch_size:.2f}")
     print(f"batch histogram      : {dict(sorted(snap.batch_size_histogram.items()))}")
     print(f"max queue depth      : {snap.max_queue_depth}")
-    print(f"pipeline cache hits  : {snap.cache_hit_rate:.0%}")
     print(f"modelled {device.name} latency/request: {snap.mean_modelled_device_ms:.1f} ms")
     compiled.close()
 

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["PatchClass", "GaussianOutlierModel", "VDPCResult", "classify_patches"]
 
@@ -82,7 +82,7 @@ class GaussianOutlierModel:
         if self.std == 0.0:
             return (self.mean, self.mean)
         if self.mode == "coverage":
-            z = float(stats.norm.ppf(0.5 + min(self.phi, 1.0 - 1e-12) / 2.0))
+            z = NormalDist().inv_cdf(0.5 + min(self.phi, 1.0 - 1e-12) / 2.0)
             return (self.mean - z * self.std, self.mean + z * self.std)
         # density mode: pdf(x) > phi  <=>  |x - mean| < sqrt(-2 sigma^2 ln(phi * sigma * sqrt(2 pi)))
         peak = 1.0 / (np.sqrt(2.0 * np.pi) * self.std)

@@ -7,10 +7,9 @@
 
 ``racecheck``
     First self-test the detector (a deliberately seeded ABBA inversion must
-    be caught), then stress the real serving concurrency primitives under
-    instrumented locks and scheduling jitter, and serve one pipeline from
-    the batcher, a stream and direct calls at once without any layer
-    attribute being written; exit 1 on any hazard.
+    be caught), then serve one pipeline from the batcher, a stream and
+    direct calls at once under instrumented locks and scheduling jitter,
+    without any layer attribute being written; exit 1 on any hazard.
 
 ``bench``
     Time the linter over ``src`` and write ``BENCH_devtools.json``.
@@ -51,7 +50,6 @@ __all__ = [
     "run_kernel_bench_cli",
     "run_perfgate",
     "abba_selftest",
-    "cache_stress_scenario",
     "serving_state_scenario",
 ]
 
@@ -86,38 +84,6 @@ def abba_selftest() -> bool:
             pass
     cycles = monitor.lock_order_cycles()
     return any("selftest.A" in cycle and "selftest.B" in cycle for cycle in cycles)
-
-
-def cache_stress_scenario(threads: int, iterations: int) -> "RaceMonitor":
-    """Hammer a :class:`~repro.serving.cache.PipelineCache` under jitter.
-
-    Reproduces the shape of the PR 1 compile-race bug: many threads miss on
-    the same keys concurrently while others read stats and force evictions.
-    The factory returns plain objects (no model compile), so the scenario
-    runs in milliseconds while still exercising every lock transition.
-    """
-    from ..serving.cache import PipelineCache
-
-    harness = StressHarness(threads=threads, iterations=iterations, seed=7)
-    monitor = RaceMonitor(jitter=harness.pause)
-    released: list[object] = []
-    cache = PipelineCache(
-        factory=lambda key: object(), capacity=2, on_evict=lambda k, p: released.append(p)
-    )
-    instrument([cache], monitor)
-
-    def workload(worker: int, iteration: int) -> None:
-        key = f"model-{(worker + iteration) % 3}"
-        cache.get(key)
-        if iteration % 5 == 0:
-            cache.stats()
-        if iteration % 11 == 0:
-            cache.clear()
-
-    report = harness.run(workload)
-    if report.errors:
-        raise report.errors[0]
-    return monitor
 
 
 def serving_state_scenario(threads: int, iterations: int) -> "RaceMonitor":
@@ -199,13 +165,11 @@ def run_racecheck(args: argparse.Namespace) -> int:
         ok = False
     else:
         print("racecheck selftest: seeded ABBA inversion detected (detector live)")
-    for scenario in (cache_stress_scenario, serving_state_scenario):
-        monitor = scenario(args.threads, args.iterations)
-        report = monitor.report()
-        print(f"[{scenario.__name__}]")
-        print(report.render())
-        if report.findings:
-            ok = False
+    report = serving_state_scenario(args.threads, args.iterations).report()
+    print(f"[{serving_state_scenario.__name__}]")
+    print(report.render())
+    if report.findings:
+        ok = False
     print("racecheck: OK" if ok else "racecheck: FAILED")
     return 0 if ok else 1
 

@@ -1,11 +1,9 @@
 """Opt-in runtime race detector: lock-order graph + shared-state tracer.
 
 The serving/streaming layers synchronize with a handful of
-``threading.Lock`` instances (engine submit lock, pipeline-cache lock,
-compiled-pipeline executor lock).  Today every one of them is a leaf lock,
-and the ROADMAP items (pipeline-parallel scheduling, multi-tenant fleets,
-elastic re-sharding) will multiply that surface — so the invariants worth
-enforcing *now* are:
+``threading.Lock`` instances (engine submit lock, compiled-pipeline executor
+lock, telemetry lock).  Today every one of them is a leaf lock; the
+invariants worth enforcing as that surface grows are:
 
 1. **No ABBA inversions.**  :class:`RaceMonitor` wraps locks in
    :class:`TracedLock`; every acquisition records a directed edge from each
@@ -335,9 +333,9 @@ def instrument(
 
     Lock names are ``ClassName.attribute`` — e.g. instrumenting a live
     :class:`~repro.serving.engine.InferenceEngine`, its
-    :class:`~repro.serving.cache.PipelineCache` and a
+    :class:`~repro.serving.telemetry.TelemetryRecorder` and its
     :class:`~repro.serving.pipeline.CompiledPipeline` yields the monitored
-    set ``InferenceEngine._submit_lock``, ``PipelineCache._lock``,
+    set ``InferenceEngine._submit_lock``, ``TelemetryRecorder._lock``,
     ``CompiledPipeline._executor_lock``, …
 
     Returns the monitor (a fresh one when not supplied).

@@ -7,10 +7,10 @@ concurrent inference service:
   quantization configuration and its patch plan, with ``save``/``load``
   round-tripping (:mod:`repro.serving.pipeline`);
 * :class:`InferenceEngine` — a thread-safe request queue with dynamic
-  micro-batching and an LRU :class:`PipelineCache` of compiled pipelines
-  (:mod:`repro.serving.engine`, :mod:`repro.serving.cache`);
+  micro-batching in front of one compiled pipeline
+  (:mod:`repro.serving.engine`);
 * :class:`TelemetryRecorder` — per-request latency, queue depth, batch-size
-  histogram, cache hit rate and streaming reuse counters
+  histogram and streaming reuse counters
   (:mod:`repro.serving.telemetry`);
 * :class:`StreamSession` (re-exported from :mod:`repro.streaming`) — open one
   with :meth:`CompiledPipeline.open_stream` or
@@ -27,7 +27,6 @@ Quickstart::
 """
 
 from ..streaming import FrameStats, StreamSession, StreamStats
-from .cache import CacheStats, PipelineCache
 from .engine import EngineClosed, InferenceEngine
 from .pipeline import CompiledPipeline, ModelSpec, compile_pipeline
 from .telemetry import RequestRecord, TelemetryRecorder, TelemetrySnapshot, percentile
@@ -36,8 +35,6 @@ __all__ = [
     "CompiledPipeline",
     "ModelSpec",
     "compile_pipeline",
-    "PipelineCache",
-    "CacheStats",
     "InferenceEngine",
     "EngineClosed",
     "TelemetryRecorder",

@@ -288,12 +288,6 @@ class CompiledPipeline:
             )
         return suffix_config, branch_configs
 
-    @property
-    def cache_key(self) -> tuple:
-        """Default :class:`~repro.serving.cache.PipelineCache` key."""
-        model = self.spec.name if self.spec is not None else self.graph.name
-        return (model, self.fingerprint)
-
     # ------------------------------------------------------------- save/load
     def save(self, path: str) -> None:
         """Serialize to a single ``.npz`` file.

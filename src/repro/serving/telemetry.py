@@ -1,9 +1,10 @@
-"""Serving telemetry: per-request latency, queue depth, batching and caching.
+"""Serving telemetry: per-request latency, queue depth, batching and stream reuse.
 
 The engine records one :class:`RequestRecord` per completed request plus the
 batch sizes it executed and samples of the queue depth; :meth:`snapshot`
 aggregates them into the numbers the throughput benchmark (and an operator)
-cares about — requests/sec, p50/p99 latency, mean batch size, cache hit rate.
+cares about — requests/sec, p50/p99 latency, mean batch size, stream reuse
+rate.
 
 The recorder is thread-safe and append-only; ``snapshot()`` is cheap enough
 to call while traffic is flowing.
@@ -54,19 +55,11 @@ class TelemetrySnapshot:
     mean_batch_size: float
     batch_size_histogram: dict[int, int]
     max_queue_depth: int
-    cache_hits: int
-    cache_misses: int
-    cache_evictions: int
     mean_modelled_device_ms: float = 0.0
     #: Streaming-session reuse counters (see :meth:`TelemetryRecorder.record_stream_frame`).
     stream_frames: int = 0
     stream_branches_executed: int = 0
     stream_branches_reused: int = 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
 
     @property
     def stream_reuse_rate(self) -> float:
@@ -83,9 +76,6 @@ class TelemetryRecorder:
         self._records: list[RequestRecord] = []
         self._batch_histogram: dict[int, int] = {}
         self._queue_depths: list[int] = []
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._cache_evictions = 0
         self._first_seconds: float | None = None
         self._last_seconds: float | None = None
         self._stream_frames = 0
@@ -113,13 +103,6 @@ class TelemetryRecorder:
         with self._lock:
             self._queue_depths.append(depth)
 
-    def record_cache(self, hits: int, misses: int, evictions: int) -> None:
-        """Overwrite the cache counters (mirrored from :class:`PipelineCache`)."""
-        with self._lock:
-            self._cache_hits = hits
-            self._cache_misses = misses
-            self._cache_evictions = evictions
-
     def record_stream_frame(self, executed_branches: int, reused_branches: int) -> None:
         """Count one streaming frame: branches recomputed vs served from cache."""
         with self._lock:
@@ -138,7 +121,6 @@ class TelemetryRecorder:
             records = list(self._records)
             histogram = dict(self._batch_histogram)
             depths = list(self._queue_depths)
-            hits, misses, evictions = self._cache_hits, self._cache_misses, self._cache_evictions
             first, last = self._first_seconds, self._last_seconds
             stream_frames = self._stream_frames
             stream_executed, stream_reused = self._stream_executed, self._stream_reused
@@ -162,9 +144,6 @@ class TelemetryRecorder:
             mean_batch_size=batch_total / batch_count if batch_count else 0.0,
             batch_size_histogram=histogram,
             max_queue_depth=max(depths, default=0),
-            cache_hits=hits,
-            cache_misses=misses,
-            cache_evictions=evictions,
             mean_modelled_device_ms=(
                 sum(r.modelled_device_seconds for r in records) / len(records) * 1e3
                 if records

@@ -66,6 +66,27 @@ class TestGaussianOutlierModel:
         wide = GaussianOutlierModel.fit(data, phi=0.99).non_outlier_band()
         assert wide[1] - wide[0] > narrow[1] - narrow[0]
 
+    # z = Phi^-1(0.5 + phi / 2) for the Fig. 5 sweep and the default phi, as
+    # the Cephes ``ndtri`` inverse normal CDF computes it; phi = 1 is clamped
+    # to 1 - 1e-12.
+    @pytest.mark.parametrize(
+        "phi, z",
+        [
+            (0.90, 1.6448536269514722),
+            (0.92, 1.7506860712521692),
+            (0.94, 1.8807936081512509),
+            (0.95, 1.959963984540054),
+            (0.96, 2.0537489106318225),
+            (0.98, 2.3263478740408408),
+            (0.99, 2.5758293035489004),
+            (1.00, 7.130494613066504),
+        ],
+    )
+    def test_coverage_band_z_matches_reference(self, phi, z):
+        low, high = GaussianOutlierModel(mean=0.0, std=1.0, phi=phi).non_outlier_band()
+        assert abs(high - z) <= 1e-12 * z
+        assert low == -high
+
     def test_density_mode(self, rng):
         data = rng.normal(0.0, 0.3, 10_000)
         model = GaussianOutlierModel.fit(data, phi=0.5, mode="density")

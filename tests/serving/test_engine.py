@@ -1,4 +1,4 @@
-"""InferenceEngine: dynamic batching, correctness under concurrency, caching."""
+"""InferenceEngine: dynamic batching, correctness under concurrency, shutdown."""
 
 from __future__ import annotations
 
@@ -8,13 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import QuantMCUPipeline
-from repro.serving import (
-    EngineClosed,
-    InferenceEngine,
-    PipelineCache,
-    compile_pipeline,
-)
+from repro.serving import EngineClosed, InferenceEngine
 
 
 # A sample's result depends neither on which other samples share its batch
@@ -117,44 +111,6 @@ def test_submit_after_close_raises(compiled_mobilenet, rng):
         engine.submit(rng.standard_normal((3, 32, 32)).astype(np.float32))
 
 
-def test_cache_eviction_under_multi_model_serving(tiny_mobilenet, rng):
-    """LRU capacity 2 serving 3 configs: the coldest pipeline is evicted."""
-    calib = rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
-    closed: list = []
-
-    def factory(key):
-        weight_bits = key[1]
-        pipeline = QuantMCUPipeline(
-            tiny_mobilenet, sram_limit_bytes=64 * 1024, num_patches=2, weight_bits=weight_bits
-        )
-        return compile_pipeline(pipeline, pipeline.run(calib))
-
-    cache = PipelineCache(factory, capacity=2, on_evict=lambda k, p: closed.append(k))
-    x = rng.standard_normal((3, 32, 32)).astype(np.float32)
-    with InferenceEngine(cache, max_batch_size=2, batch_timeout_s=0.002) as engine:
-        engine.infer(x, key=("mobilenetv2", 8))
-        engine.infer(x, key=("mobilenetv2", 4))
-        engine.infer(x, key=("mobilenetv2", 2))   # evicts the 8-bit pipeline
-        engine.infer(x, key=("mobilenetv2", 4))   # still resident -> hit
-
-    stats = cache.stats()
-    assert stats.misses == 3
-    assert stats.hits == 1
-    assert stats.evictions == 1
-    assert closed == [("mobilenetv2", 8)]
-    assert engine.telemetry.snapshot().cache_evictions == 1
-
-
-def test_engine_requires_key_for_multi_model_cache(tiny_mobilenet, rng):
-    cache = PipelineCache(lambda key: None, capacity=2)
-    engine = InferenceEngine(cache, batch_timeout_s=0.001)
-    try:
-        with pytest.raises(ValueError, match="key"):
-            engine.submit(rng.standard_normal((3, 32, 32)).astype(np.float32))
-    finally:
-        engine.close()
-
-
 def test_modelled_device_latency_recorded(compiled_mobilenet, rng):
     from repro.hardware import ARDUINO_NANO_33_BLE
 
@@ -233,9 +189,9 @@ def test_device_breakdown_memo_is_bounded(compiled_mobilenet):
     )
     try:
         for batch_size in range(1, 200):
-            engine._modelled_device_seconds(compiled_mobilenet, batch_size)
-        engine._modelled_device_seconds(compiled_mobilenet, 170)  # a hit refreshes
-        memo = engine._device_breakdowns[compiled_mobilenet]
+            engine._modelled_device_seconds(batch_size)
+        engine._modelled_device_seconds(170)  # a hit refreshes
+        memo = engine._device_breakdowns
         assert len(memo) == 32
         # LRU: the most recently used batch sizes are the ones retained.
         assert list(memo) == [*range(168, 170), *range(171, 200), 170]
@@ -243,145 +199,45 @@ def test_device_breakdown_memo_is_bounded(compiled_mobilenet):
         engine.close()
 
 
-def test_device_breakdowns_dropped_when_pipeline_evicted(tiny_mobilenet, rng):
-    """Regression: latency memo entries outlived their evicted pipeline.
-
-    The memo is weakly keyed by the pipeline, so no eviction hook is needed:
-    once the cache drops a pipeline and nothing else holds it, the pipeline
-    is freed and its entry goes with it.
-    """
-    import gc
-    import weakref
-
-    from repro.hardware import ARDUINO_NANO_33_BLE
-
-    calib = rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
-    built = []
-
-    def factory(key):
-        pipeline = QuantMCUPipeline(
-            tiny_mobilenet, sram_limit_bytes=64 * 1024, num_patches=2, weight_bits=key[1]
-        )
-        compiled = compile_pipeline(pipeline, pipeline.run(calib))
-        built.append(weakref.ref(compiled))
-        return compiled
-
-    cache = PipelineCache(factory, capacity=1)
+def test_flushes_keep_submission_order(compiled_mobilenet, rng):
+    """Served micro-batches are runs of consecutive requests, in submission order."""
     x = rng.standard_normal((3, 32, 32)).astype(np.float32)
-    with InferenceEngine(
-        cache, max_batch_size=2, batch_timeout_s=0.002, device=ARDUINO_NANO_33_BLE
-    ) as engine:
-        assert cache.on_evict is None  # the engine installs no eviction hook
-        engine.infer(x, key=("mobilenetv2", 8))
-        eight_bit = built[0]
-        assert eight_bit() in engine._device_breakdowns
-        cache.get(("mobilenetv2", 4))  # capacity 1: evicts the 8-bit one
-        # The batcher drops its last request once idle; nothing else holds
-        # the evicted pipeline.
-        deadline = time.monotonic() + 10
-        while eight_bit() is not None and time.monotonic() < deadline:
-            gc.collect()
-            time.sleep(0.01)
-        assert eight_bit() is None
-        assert len(engine._device_breakdowns) == 0
-        engine.infer(x, key=("mobilenetv2", 4))
-        assert list(engine._device_breakdowns.keys()) == [built[1]()]
-
-
-def test_engine_chains_existing_cache_on_evict(compiled_mobilenet):
-    """Wrapping the cache's eviction hook must preserve a caller-installed one."""
-    seen: list = []
-    cache = PipelineCache(lambda key: compiled_mobilenet, capacity=1, on_evict=lambda k, p: seen.append(k))
-    engine = InferenceEngine(cache, batch_timeout_s=0.001)
-    try:
-        cache.get("a")
-        cache.get("b")  # evicts "a"; the engine hook must delegate onward
-        assert seen == ["a"]
-    finally:
-        engine.close()
-
-
-def test_close_unhooks_engine_from_shared_cache(compiled_mobilenet):
-    """Sequentially created engines on one shared cache must not chain up."""
-    sentinel_calls: list = []
-
-    def sentinel(key, pipeline):
-        sentinel_calls.append(key)
-
-    cache = PipelineCache(lambda key: compiled_mobilenet, capacity=1, on_evict=sentinel)
-    for _ in range(3):
-        engine = InferenceEngine(cache, batch_timeout_s=0.001)
-        engine.close()
-    # Every closed engine restored the hook it found; the caller's survives.
-    assert cache.on_evict is sentinel
-    cache.get("a")
-    cache.get("b")  # evicts "a"
-    assert sentinel_calls == ["a"]
-
-
-def test_non_lifo_close_does_not_retain_closed_engines(compiled_mobilenet):
-    """An engine stranded mid-chain by out-of-order closes must not be rooted
-    by the shared cache: its eviction hook holds it weakly and delegates."""
-    import gc
-    import weakref
-
-    sentinel_calls: list = []
-    cache = PipelineCache(
-        lambda key: compiled_mobilenet, capacity=1, on_evict=lambda k, p: sentinel_calls.append(k)
-    )
-    first = InferenceEngine(cache, batch_timeout_s=0.001)
-    second = InferenceEngine(cache, batch_timeout_s=0.001)
-    first.close()   # not at the head of the chain: must stay installed...
-    second.close()  # ...and second's unhook re-exposes first's hook
-    telemetry_ref = weakref.ref(first.telemetry)
-    del first
-    gc.collect()
-    assert telemetry_ref() is None  # the stranded hook kept no engine alive
-    cache.get("x")
-    cache.get("y")  # evicts "x"; the chain still reaches the caller's hook
-    assert sentinel_calls == ["x"]
-
-
-def test_mixed_key_batching_never_mixes_deployments(tiny_mobilenet, rng):
-    """Requests for different deployment keys must never share a micro-batch.
-
-    Each compiled pipeline's ``infer`` is wrapped to assert every row of every
-    batch it serves carries that deployment's marker sign; interleaved
-    submission under a batch size large enough to fit all requests would
-    surface any cross-key mixing.
-    """
-    calib = rng.standard_normal((4, 3, 32, 32)).astype(np.float32)
-    served: list[tuple[tuple, int]] = []
-
-    def factory(key):
-        pipeline = QuantMCUPipeline(
-            tiny_mobilenet, sram_limit_bytes=64 * 1024, num_patches=2, weight_bits=key[1]
-        )
-        compiled = compile_pipeline(pipeline, pipeline.run(calib))
-        marker = 1.0 if key[1] == 8 else -1.0
-        original = compiled.infer
-
-        def recording_infer(x, *args, _marker=marker, _original=original, _key=key, **kwargs):
-            assert np.all(np.sign(x[:, 0, 0, 0]) == _marker), "batch mixes deployments"
-            served.append((_key, x.shape[0]))
-            return _original(x, *args, **kwargs)
-
-        compiled.infer = recording_infer
-        return compiled
-
-    cache = PipelineCache(factory, capacity=2)
-    eight_bit = np.abs(rng.standard_normal((3, 3, 32, 32))).astype(np.float32) + 0.01
-    four_bit = -np.abs(rng.standard_normal((3, 3, 32, 32))).astype(np.float32) - 0.01
-    with InferenceEngine(cache, max_batch_size=6, batch_timeout_s=0.05) as engine:
-        futures = []
-        for i in range(3):  # interleave the two deployments
-            futures.append(engine.submit(eight_bit[i], key=("mobilenetv2", 8)))
-            futures.append(engine.submit(four_bit[i], key=("mobilenetv2", 4)))
+    sizes = [1] * 6 + [2] + [1] * 4
+    with InferenceEngine(compiled_mobilenet, max_batch_size=3, batch_timeout_s=0.01) as engine:
+        futures = [engine.submit(x if n == 1 else np.stack([x] * n)) for n in sizes]
         for future in futures:
             future.result(timeout=30)
+    records = engine.telemetry.records()
+    assert [r.request_id for r in records] == list(range(len(sizes)))
+    start = 0
+    while start < len(records):
+        batch_size = records[start].batch_size
+        end, samples = start, 0
+        while samples < batch_size:
+            samples += sizes[records[end].request_id]
+            end += 1
+        assert samples == batch_size
+        assert all(r.batch_size == batch_size for r in records[start:end])
+        start = end
 
-    assert sum(n for key, n in served if key == ("mobilenetv2", 8)) == 3
-    assert sum(n for key, n in served if key == ("mobilenetv2", 4)) == 3
+
+def test_idle_batcher_releases_its_last_request(compiled_mobilenet, rng):
+    """Once a request is served, the idle batcher holds no reference to it."""
+    import gc
+    import weakref
+
+    x = rng.standard_normal((3, 32, 32)).astype(np.float32)
+    with InferenceEngine(compiled_mobilenet, max_batch_size=4, batch_timeout_s=0.001) as engine:
+        future = engine.submit(x)
+        future.result(timeout=30)
+        x_ref = weakref.ref(x)
+        del x, future
+        deadline = time.monotonic() + 10
+        while x_ref() is not None and time.monotonic() < deadline:
+            gc.collect()
+            time.sleep(0.01)
+        assert x_ref() is None
+        assert engine._batcher.is_alive()
 
 
 def test_close_wait_after_nonblocking_close_still_joins(compiled_mobilenet, rng):

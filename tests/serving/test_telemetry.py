@@ -39,7 +39,6 @@ def test_snapshot_aggregates():
     recorder.record_batch(1)
     recorder.record_queue_depth(1)
     recorder.record_queue_depth(5)
-    recorder.record_cache(hits=3, misses=1, evictions=2)
 
     snap = recorder.snapshot()
     assert snap.num_requests == 3
@@ -48,8 +47,6 @@ def test_snapshot_aggregates():
     assert snap.mean_batch_size == pytest.approx(5 / 3)
     assert snap.batch_size_histogram == {2: 2, 1: 1}
     assert snap.max_queue_depth == 5
-    assert snap.cache_hit_rate == pytest.approx(0.75)
-    assert snap.cache_evictions == 2
     assert snap.mean_modelled_device_ms == pytest.approx(1.0)
     # wall clock spans first request start to last completion
     assert snap.wall_seconds == pytest.approx(1.11 - (1.01 - 0.010))
@@ -62,7 +59,6 @@ def test_empty_snapshot_is_all_zero():
     assert snap.requests_per_second == 0.0
     assert snap.latency_p50_ms == 0.0
     assert snap.mean_batch_size == 0.0
-    assert snap.cache_hit_rate == 0.0
 
 
 def test_serving_latency_model_batching_amortization(tiny_mobilenet):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.data import SyntheticVideo
 from repro.runtime import ExecutionPolicy
-from repro.serving import EngineClosed, InferenceEngine, PipelineCache
+from repro.serving import EngineClosed, InferenceEngine
 
 
 def _video(num_frames=3, resolution=32, seed=1):
@@ -63,13 +63,3 @@ def test_open_stream_after_close_raises(compiled_mobilenet):
     engine.close()
     with pytest.raises(EngineClosed):
         engine.open_stream()
-
-
-def test_open_stream_requires_key_for_multi_model_cache():
-    cache = PipelineCache(lambda key: None, capacity=2)
-    engine = InferenceEngine(cache, batch_timeout_s=0.001)
-    try:
-        with pytest.raises(ValueError, match="key"):
-            engine.open_stream()
-    finally:
-        engine.close()
