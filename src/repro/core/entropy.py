@@ -7,13 +7,25 @@ Equations 3-5).  The estimator follows the paper exactly: the activation value
 range is divided uniformly into ``k`` bins, the empirical distribution over
 bins approximates the activation distribution, and the entropy is the Shannon
 entropy of that histogram.
+
+:func:`quantized_entropy` never builds the fake-quantized tensor.  A ``b``-bit
+tensor holds at most ``2**b`` distinct values, so it counts the integer grid
+codes with ``np.bincount`` and histograms only the present levels, each
+weighted by its count.  The levels are dequantized by the same float32
+``(code - zero_point) * scale`` as :func:`repro.quant.fake_quantize`, and the
+histogram range is their min and max, which are the fake-quantized tensor's
+min and max.  Each value therefore lands in the bin it takes in the
+fake-quantized tensor's histogram, the bins hold the same counts, and the
+entropy is bit-identical.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..quant.quantizers import fake_quantize
+from ..quant.quantizers import AffineQuantizer, fake_quantize
 
 __all__ = [
     "DEFAULT_NUM_BINS",
@@ -35,14 +47,21 @@ def histogram_entropy(values: np.ndarray, num_bins: int = DEFAULT_NUM_BINS) -> f
     ``-sum_j p_j log p_j`` (Equation 4).
     """
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
-    if flat.size == 0:
+    return _binned_entropy(flat, None, flat.size, num_bins)
+
+
+def _binned_entropy(
+    values: np.ndarray, weights: np.ndarray | None, size: int, num_bins: int
+) -> float:
+    """Entropy of ``size`` samples: ``values`` (float64), each ``weights`` times."""
+    if size == 0:
         return 0.0
-    low = float(flat.min())
-    high = float(flat.max())
+    low = float(values.min())
+    high = float(values.max())
     if high <= low:
         return 0.0
-    counts, _ = np.histogram(flat, bins=num_bins, range=(low, high))
-    probs = counts[counts > 0] / flat.size
+    counts, _ = np.histogram(values, bins=num_bins, range=(low, high), weights=weights)
+    probs = counts[counts > 0] / size
     return float(-(probs * np.log(probs)).sum())
 
 
@@ -57,9 +76,21 @@ def quantized_entropy(
     """Entropy of ``activation`` after fake quantization to ``bits``.
 
     This is the paper's ``H(i, b)``: the entropy of the ith feature map when
-    quantized to ``b`` bits.
+    quantized to ``b`` bits.  Computed from the grid codes (see the module
+    docstring); equal, bit for bit, to
+    ``histogram_entropy(fake_quantize(activation, bits), num_bins)``, which
+    empty and non-finite tensors and ``bits >= 32`` still take.
     """
-    return histogram_entropy(fake_quantize(activation, bits), num_bins)
+    x = np.asarray(activation)
+    if bits >= 32 or x.size == 0 or not (
+        math.isfinite(low := float(x.min())) and math.isfinite(high := float(x.max()))
+    ):
+        return histogram_entropy(fake_quantize(x, bits), num_bins)
+    params = AffineQuantizer(bits).compute_params(low, high)
+    counts = np.bincount(params.codes(x).reshape(-1).astype(np.intp), minlength=params.qmax + 1)
+    present = np.flatnonzero(counts)
+    levels = (present.astype(np.float32) - params.zero_point) * params.scale
+    return _binned_entropy(levels.astype(np.float64), counts[present], x.size, num_bins)
 
 
 def entropy_reduction(

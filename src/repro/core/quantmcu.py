@@ -360,7 +360,13 @@ class QuantMCUPipeline:
 
     # ------------------------------------------------------------------- run
     def run(self, calibration_x: np.ndarray) -> QuantMCUResult:
-        """Quantize the model using ``calibration_x`` for statistics."""
+        """Quantize the model using ``calibration_x`` for statistics.
+
+        Raises ``ValueError`` if ``calibration_x`` holds NaN: no activation
+        range or entropy can be taken from it.
+        """
+        if np.isnan(calibration_x).any():
+            raise ValueError("the calibration batch holds NaN; calibrate on finite inputs")
         total_start = time.perf_counter()
         plan = self.build_plan()
 

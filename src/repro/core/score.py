@@ -34,11 +34,14 @@ import numpy as np
 from ..quant.bitops import baseline_bitops, bitops_reduction
 from ..quant.config import QuantizationConfig
 from ..quant.points import FeatureMapIndex
-from .entropy import DEFAULT_NUM_BINS, activation_entropy, entropy_reduction
+from .entropy import DEFAULT_NUM_BINS, activation_entropy, quantized_entropy
 
 __all__ = ["ScoreBreakdown", "QuantizationScoreCalculator", "DEFAULT_LAMBDA"]
 
 DEFAULT_LAMBDA = 0.6
+
+#: The ``bits`` under which the scorer memoises a feature map's float entropy.
+_FULL_PRECISION_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -103,16 +106,18 @@ class QuantizationScoreCalculator:
             else self._total_bitops
         )
 
+        # H(i, b) per (feature map, bits), with the float entropy under
+        # _FULL_PRECISION_BITS.  Bounded by |feature maps| x (|candidate
+        # bitwidths| + 1) and scoped to one VDQS run (the scorer dies with
+        # the search).
+        self._entropy_cache: dict[tuple[int, int], float] = {}  # repro: noqa[REP004]
         last = last_feature_map if last_feature_map is not None else fm_index.last_index()
         if last not in activations:
             # Fall back to the deepest feature map we have activations for.
             last = max(activations)
-        self._last_entropy = activation_entropy(activations[last], num_bins)
+        self._last_entropy = self._entropy(last, _FULL_PRECISION_BITS)
         if self._last_entropy <= 0.0:
             self._last_entropy = 1.0
-        # Bounded by |feature maps| x |candidate bitwidths| and scoped to one
-        # VDQS run (the scorer dies with the search).
-        self._entropy_cache: dict[tuple[int, int], float] = {}  # repro: noqa[REP004]
 
     # ----------------------------------------------------------------- pieces
     def phi(self, feature_map: int, bits: int) -> float:
@@ -122,16 +127,28 @@ class QuantizationScoreCalculator:
         )
         return reduction / self._phi_normalizer if self._phi_normalizer else 0.0
 
-    def omega(self, feature_map: int, bits: int) -> float:
-        """Normalised entropy reduction ``Omega(i, b)`` (Equation 5)."""
+    def _entropy(self, feature_map: int, bits: int) -> float:
+        """``H(i, b)``, computed once per run; the float entropy at ``_FULL_PRECISION_BITS``."""
         key = (feature_map, bits)
         if key not in self._entropy_cache:
-            activation = self.activations.get(feature_map)
-            if activation is None:
-                self._entropy_cache[key] = 0.0
-            else:
-                self._entropy_cache[key] = entropy_reduction(activation, bits, self.num_bins)
-        return self._entropy_cache[key] / self._last_entropy
+            activation = self.activations[feature_map]
+            self._entropy_cache[key] = (
+                activation_entropy(activation, self.num_bins)
+                if bits >= _FULL_PRECISION_BITS
+                else quantized_entropy(activation, bits, self.num_bins)
+            )
+        return self._entropy_cache[key]
+
+    def omega(self, feature_map: int, bits: int) -> float:
+        """Normalised entropy reduction ``Omega(i, b)`` (Equation 5).
+
+        ``dH(i, b)`` as :func:`repro.core.entropy.entropy_reduction` defines
+        it, with the float entropy computed once per feature map.
+        """
+        if feature_map not in self.activations:
+            return 0.0
+        reduction = self._entropy(feature_map, _FULL_PRECISION_BITS) - self._entropy(feature_map, bits)
+        return max(reduction, 0.0) / self._last_entropy
 
     def score(self, feature_map: int, bits: int) -> float:
         """Quantization score ``S(i, b)`` (Equation 6)."""

@@ -8,7 +8,7 @@ hazards.  The tooling turns those one-off audit findings into permanent,
 CI-enforced invariants:
 
 ``repro.devtools.lint``
-    An AST-based lint framework with seven project rules (REP001–REP007),
+    An AST-based lint framework with eight project rules (REP001–REP007, REP009),
     ``# repro: noqa[RULE]`` suppressions, JSON/text reporters and a
     checked-in baseline for grandfathered findings.
 

@@ -1,5 +1,5 @@
-"""The seven project rules, each distilled from a bug (or a measured
-performance cliff) this repo shipped.
+"""The eight project rules, each distilled from a bug (or a measured
+performance cliff) this repo shipped.  REP008 is retired and stays unused.
 
 ========  ==================================================================
 REP001    No module-level / shared default RNG in library code.  The
@@ -28,6 +28,9 @@ REP007    No per-element Python loop over a patch grid or kernel offsets in
           3-5x the wall time of the batched backend; kernels belong behind
           ``repro.backend`` as vectorized NumPy.  Reference oracles are the
           sanctioned exception — suppress with a ``noqa`` naming them.
+REP009    No local that is assigned and never read.  ``branch_peak_bytes``
+          walked the whole graph for a ``shapes`` it never used, 336 times
+          per deployment, and the walk went unseen until a profile.
 ========  ==================================================================
 """
 
@@ -47,6 +50,7 @@ __all__ = [
     "GlobalRngInTests",
     "DunderAllDrift",
     "HotLoopOverPatchDomain",
+    "DeadLocal",
 ]
 
 #: numpy.random attributes that are *not* the legacy global-state API.
@@ -659,3 +663,65 @@ class HotLoopOverPatchDomain(LintRule):
             isinstance(inner, ast.Call) and id(inner) not in iter_nodes
             for inner in ast.walk(node)
         )
+
+
+# --------------------------------------------------------------------- REP009
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+@register_rule
+class DeadLocal(LintRule):
+    code = "REP009"
+    name = "dead-local"
+    severity = "warning"
+    scope = "library"
+    description = (
+        "A local assigned and never read is dead code, and its right-hand "
+        "side still runs; delete the assignment (keep a call that matters "
+        "for its effect as a bare statement)."
+    )
+
+    def check(self, module: ModuleSource) -> Iterator[Finding]:
+        for func in module.nodes:
+            if not isinstance(func, _FUNCTIONS):
+                continue
+            # Reads anywhere in the function, nested scopes included (a
+            # closure reading the name keeps it alive).
+            read: set[str] = set()
+            for node in ast.walk(func):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    read.add(node.id)
+                elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                    read.update(node.names)
+            for stmt in self._own_statements(func):
+                if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+                    target = stmt.targets[0]
+                elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                    target = stmt.target
+                else:
+                    continue
+                if (
+                    isinstance(target, ast.Name)
+                    and not target.id.startswith("_")
+                    and target.id not in read
+                ):
+                    yield module.finding(
+                        self,
+                        stmt,
+                        f"local {target.id!r} is assigned and never read; "
+                        "delete the assignment",
+                    )
+
+    @staticmethod
+    def _own_statements(func: ast.AST) -> Iterator[ast.stmt]:
+        """Statements of ``func``'s own scope (not of nested defs or classes)."""
+        stack = [func]
+        while stack:
+            node = stack.pop()
+            if node is not func and isinstance(node, ast.stmt):
+                yield node
+            stack.extend(
+                child
+                for child in ast.iter_child_nodes(node)
+                if not isinstance(child, (*_FUNCTIONS, ast.ClassDef))
+            )

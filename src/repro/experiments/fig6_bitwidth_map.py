@@ -46,7 +46,6 @@ def run_fig6(
         )
         result = pipeline.run(trained.dataset.calibration)
         matrix = result.mp_bitwidth_matrix()
-        prefix_fms = result.plan.prefix_feature_maps()
         suffix_bits = [result.suffix_bits[idx] for idx in sorted(result.suffix_bits)]
 
         labels = []

@@ -338,13 +338,12 @@ class BatchNorm2d(Layer):
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
         x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        self._cache = {"x_hat": x_hat, "inv_std": inv_std, "n": x.shape[0] * x.shape[2] * x.shape[3]}
+        self._cache = {"x_hat": x_hat, "inv_std": inv_std}
         return gamma * x_hat + beta
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         x_hat = self._cache["x_hat"]
         inv_std = self._cache["inv_std"]
-        n = self._cache["n"]
         gamma = self.params["gamma"]
 
         self.grads["gamma"] += (grad_out * x_hat).sum(axis=(0, 2, 3))

@@ -143,7 +143,6 @@ def branch_peak_bytes(plan: PatchPlan, branch: BranchPlan, config: QuantizationC
     double counted here (the buffer is added by :func:`patch_peak_bytes`).
     """
     prefix = set(plan.prefix_nodes)
-    shapes = plan.graph.shapes()
     peak = 0
     for fm in plan.fm_index:
         if fm.compute_node not in prefix:

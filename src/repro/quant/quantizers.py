@@ -52,6 +52,18 @@ class QuantParams:
     def qmax(self) -> int:
         return (1 << self.bits) - 1
 
+    def codes(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Grid codes of ``x``, ``clip(round(x/scale)+zp)``, in ``x``'s float dtype.
+
+        The first half of :meth:`fake_quantize`'s chain, so a caller that
+        counts codes sees exactly the values that method dequantizes.
+        """
+        q = np.divide(x, self.scale, out=out)
+        np.round(q, out=q)
+        q += self.zero_point
+        np.clip(q, self.qmin, self.qmax, out=q)
+        return q
+
     def fake_quantize(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Quantize-dequantize ``x`` on this grid, staying in float.
 
@@ -63,10 +75,7 @@ class QuantParams:
         ``+-inf`` clip to the grid ends.  Float64 inputs are rounded and
         clipped in float64 and dequantized in float32, like the integer path.
         """
-        q = np.divide(x, self.scale, out=out)
-        np.round(q, out=q)
-        q += self.zero_point
-        np.clip(q, self.qmin, self.qmax, out=q)
+        q = self.codes(x, out=out)
         if q.dtype != np.float32:
             q = q.astype(np.float32)
         q -= self.zero_point
@@ -160,7 +169,7 @@ def quantize_weight_per_channel(weight: np.ndarray, bits: int, channel_axis: int
     """Fake-quantize a weight tensor per output channel with a symmetric grid."""
     if bits >= 32:
         return weight
-    quantizer = SymmetricQuantizer(bits)
+    _validate_bits(bits)
     moved = np.moveaxis(weight, channel_axis, 0)
     flat = moved.reshape(moved.shape[0], -1)
     max_abs = np.abs(flat).max(axis=1)

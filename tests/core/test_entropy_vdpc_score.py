@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.entropy as entropy_module
 from repro.core import (
     GaussianOutlierModel,
     PatchClass,
@@ -15,7 +16,26 @@ from repro.core import (
     histogram_entropy,
     quantized_entropy,
 )
-from repro.quant import FeatureMapIndex, collect_activations
+from repro.quant import FeatureMapIndex, collect_activations, fake_quantize
+from repro.serving import ModelSpec
+
+
+def _entropy_input(kind: str, dtype, size: int, seed: int) -> np.ndarray:
+    """One tensor of a shape class the code-valued entropy must get exactly right."""
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        x = rng.standard_normal(size) * 10.0 ** rng.uniform(-6, 6)
+    elif kind == "relu6":
+        x = np.clip(rng.standard_normal(size) * 3.0, 0.0, 6.0)
+    elif kind == "constant":
+        x = np.full(size, rng.standard_normal())
+    elif kind == "one_level":
+        # Two values one grid step apart collapse to one level at low bits
+        # once a large outlier stretches the range.
+        x = np.concatenate([np.full(size, 0.25), [0.2501, 1e4]])
+    else:  # "narrow": a span too small for a nonzero float32 step
+        x = 1.0 + rng.standard_normal(size) * 1e-30
+    return x.astype(dtype)
 
 
 class TestEntropy:
@@ -39,6 +59,33 @@ class TestEntropy:
     def test_entropy_reduction_monotone_in_bits(self, rng):
         values = rng.standard_normal(5000)
         assert entropy_reduction(values, 2) >= entropy_reduction(values, 4) >= entropy_reduction(values, 8) >= 0.0
+
+    @given(
+        kind=st.sampled_from(["gaussian", "relu6", "constant", "one_level", "narrow"]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        size=st.sampled_from([1, 2, 7, 300, 5000]),
+        bits=st.sampled_from([2, 4, 8, 16]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_quantized_entropy_from_codes_is_bit_identical(self, kind, dtype, size, bits, seed):
+        x = _entropy_input(kind, dtype, size, seed)
+        assert quantized_entropy(x, bits) == histogram_entropy(fake_quantize(x, bits))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_quantized_entropy_non_finite_takes_the_old_path(self, bad):
+        x = np.array([0.0, 1.0, bad], dtype=np.float32)
+
+        def outcome(entropy):
+            try:
+                with np.errstate(invalid="ignore"):
+                    return entropy()
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(lambda: quantized_entropy(x, 4)) == outcome(
+            lambda: histogram_entropy(fake_quantize(x, 4))
+        )
 
     @given(st.integers(min_value=0, max_value=1000))
     @settings(max_examples=25, deadline=None)
@@ -182,3 +229,38 @@ class TestQuantizationScore:
             QuantizationScoreCalculator(
                 FeatureMapIndex(tiny_mobilenet), {}, phi_normalization="bogus"
             )
+
+
+class TestScoringWork:
+    def test_one_float_histogram_per_feature_map(self, monkeypatch):
+        """Scoring every (feature map, bits) pair at the serving shape
+        (mobilenetv2@128) takes each map's float entropy once, not once per
+        bit-width: 62 float histograms, plus one code histogram per pair."""
+        graph = ModelSpec("mobilenetv2", 128, 4, 0.35, 3).build()
+        fm_index = FeatureMapIndex(graph)
+        x = np.random.default_rng(0).standard_normal((1, 3, 128, 128)).astype(np.float32)
+        activations = collect_activations(graph, x, fm_index)
+
+        calls = {"float": 0, "histogram": 0}
+        original_entropy = entropy_module.histogram_entropy
+        original_histogram = np.histogram
+
+        def spy_entropy(*args, **kwargs):
+            calls["float"] += 1
+            return original_entropy(*args, **kwargs)
+
+        def spy_histogram(*args, **kwargs):
+            calls["histogram"] += 1
+            return original_histogram(*args, **kwargs)
+
+        monkeypatch.setattr(entropy_module, "histogram_entropy", spy_entropy)
+        monkeypatch.setattr(np, "histogram", spy_histogram)
+        calc = QuantizationScoreCalculator(fm_index, activations)
+        for fm in range(len(fm_index)):
+            for bits in (2, 4, 8):
+                calc.score(fm, bits)
+                calc.breakdown(fm, bits)
+
+        assert len(fm_index) == 62
+        assert calls["float"] == 62
+        assert calls["histogram"] <= 62 + 3 * 62

@@ -199,3 +199,20 @@ class TestQuantMCUPipeline:
         assert all(len(row) == len(result.plan.prefix_feature_maps()) for row in matrix)
         assert result.vdpc is not None
         assert len(result.vdpc.classes) == 4
+
+
+class TestCalibrationInput:
+    def test_nan_calibration_raises_typed_error(self, tiny_mobilenet, rng):
+        x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
+        x[1, 2, 5, 7] = np.nan
+        pipeline = QuantMCUPipeline(tiny_mobilenet, sram_limit_bytes=64 * 1024, num_patches=2)
+        with pytest.raises(ValueError, match="calibration batch holds NaN"):
+            pipeline.run(x)
+
+    def test_inf_calibration_still_deploys(self, tiny_mobilenet, rng):
+        # ReLU6 clips +-inf, so every activation range stays finite.
+        x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
+        x[0, 0, 3, 3] = np.inf
+        pipeline = QuantMCUPipeline(tiny_mobilenet, sram_limit_bytes=64 * 1024, num_patches=2)
+        result = pipeline.run(x)
+        assert all(np.isfinite(r).all() for r in result.activation_ranges.values())

@@ -1,4 +1,4 @@
-"""Fixture tests for the eight project lint rules.
+"""Fixture tests for the eight project lint rules (REP008 is retired).
 
 Every rule gets at least one failing fixture (the distilled shape of the
 historical bug it encodes) and one passing fixture (the shape the fix took),
@@ -553,3 +553,102 @@ class TestHotLoopOverPatchDomain:
             rules=["REP007"],
         )
         assert findings == []
+
+
+# ------------------------------------------------------------------- REP009
+class TestDeadLocal:
+    def test_unread_local_flagged(self):
+        # The distilled shape: a whole-graph walk bound to a name nobody reads.
+        findings = lint(
+            """
+            def branch_peak_bytes(plan, branch):
+                prefix = set(plan.prefix_nodes)
+                shapes = plan.graph.shapes()
+                return len(prefix)
+            """,
+            rules=["REP009"],
+        )
+        assert codes(findings) == ["REP009"]
+        assert "'shapes'" in findings[0].message
+
+    def test_unread_local_in_nested_block_flagged(self):
+        findings = lint(
+            """
+            def backward(self, grad_out):
+                try:
+                    n = self._cache["n"]
+                except KeyError:
+                    raise
+                return grad_out
+            """,
+            rules=["REP009"],
+        )
+        assert codes(findings) == ["REP009"]
+
+    def test_read_locals_pass(self):
+        findings = lint(
+            """
+            def f(x):
+                y: int = x + 1
+                z = y * 2
+                total = 0
+                for i in range(z):
+                    total += i
+                return total
+            """,
+            rules=["REP009"],
+        )
+        assert findings == []
+
+    def test_closure_read_keeps_local_alive(self):
+        findings = lint(
+            """
+            def outer(x):
+                scale = 2.0
+                def inner(v):
+                    return v * scale
+                return inner(x)
+            """,
+            rules=["REP009"],
+        )
+        assert findings == []
+
+    def test_nested_scope_is_checked_on_its_own(self):
+        findings = lint(
+            """
+            def outer(x):
+                def inner(v):
+                    unused = v + 1
+                    return v
+                return inner(x)
+            """,
+            rules=["REP009"],
+        )
+        assert codes(findings) == ["REP009"]
+        assert "'unused'" in findings[0].message
+
+    def test_underscore_globals_and_unpacking_pass(self):
+        findings = lint(
+            """
+            COUNT = 0
+
+            def f(pairs):
+                global COUNT
+                COUNT = len(pairs)
+                _ = pairs.sort()
+                first, second = pairs[0]
+                return None
+            """,
+            rules=["REP009"],
+        )
+        assert findings == []
+
+    def test_module_and_test_files_exempt(self):
+        source = """
+            unused_at_module_level = 1
+
+            def test_something():
+                result = compute()
+            """
+        assert lint(source, path="tests/core/test_x.py", rules=["REP009"]) == []
+        assert lint("unused = 1\n", rules=["REP009"]) == []
