@@ -5,8 +5,8 @@ This walks the `repro.serving` subsystem end to end:
 1. build and quantize a small MobileNetV2 with QuantMCU;
 2. compile it into an immutable :class:`CompiledPipeline` (and round-trip it
    through ``save``/``load`` to show the artifact is self-contained);
-3. stand up an :class:`InferenceEngine` with dynamic micro-batching under
-   an explicit :class:`~repro.runtime.ExecutionPolicy` (vectorized backend);
+3. stand up an :class:`InferenceEngine` with dynamic micro-batching on the
+   loaded pipeline's executor (the default ``vectorized`` backend);
 4. fire concurrent requests from client threads and print the telemetry
    (throughput, latency percentiles, batch-size histogram, queue depth)
    plus the modelled on-device latency per request.
@@ -31,7 +31,6 @@ import numpy as np
 from repro import QuantMCUPipeline, build_model
 from repro.data import SyntheticImageNet
 from repro.hardware import ARDUINO_NANO_33_BLE
-from repro.runtime import ExecutionPolicy
 from repro.serving import CompiledPipeline, InferenceEngine, ModelSpec, compile_pipeline
 
 
@@ -66,7 +65,6 @@ def main() -> None:
         compiled,
         max_batch_size=8,
         batch_timeout_s=0.002,
-        policy=ExecutionPolicy(backend="vectorized"),
         device=device,
     )
 

@@ -12,6 +12,7 @@ most often; each subpackage exposes the full detail.
 """
 
 from . import (
+    backend,
     baselines,
     core,
     data,
@@ -22,7 +23,6 @@ from . import (
     nn,
     patch,
     quant,
-    runtime,
     serving,
     streaming,
 )
@@ -30,7 +30,6 @@ from .core import QuantMCUPipeline, QuantMCUResult, run_vdqs_whole_model
 from .hardware import ARDUINO_NANO_33_BLE, STM32H743, MCUDevice, get_device
 from .models import available_models, build_model
 from .quant import FeatureMapIndex, QuantizationConfig
-from .runtime import ExecutionPolicy
 from .serving import CompiledPipeline, InferenceEngine, ModelSpec, compile_pipeline
 from .streaming import StreamSession
 
@@ -42,16 +41,15 @@ __all__ = [
     "models",
     "quant",
     "patch",
+    "backend",
     "core",
     "baselines",
     "hardware",
     "data",
     "devtools",
     "experiments",
-    "runtime",
     "serving",
     "streaming",
-    "ExecutionPolicy",
     "StreamSession",
     "CompiledPipeline",
     "InferenceEngine",

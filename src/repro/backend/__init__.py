@@ -16,16 +16,15 @@ hooks, the suffix) from *how* the dataflow branches are executed:
 
 All backends are bit-identical by contract (and by test).  An executor holds
 one, chosen by name when it is built: ``PatchExecutor(plan, backend="loop")``.
-A :class:`~repro.serving.CompiledPipeline` passes its executors the
-``ExecutionPolicy(backend=...)`` name, or else its own default from
-``CompiledPipeline.from_result(..., backend=...)``.
+A :class:`~repro.serving.CompiledPipeline` holds one executor and passes it
+the name it was built with (``CompiledPipeline.from_result(...,
+backend=...)``); an unknown name raises ``ValueError`` listing the known ones.
 """
 
 from .base import (
     DEFAULT_BACKEND,
     Backend,
     BackendUnavailable,
-    available_backends,
     make_backend,
 )
 from .loop import LoopBackend
@@ -39,6 +38,5 @@ __all__ = [
     "LoopBackend",
     "MultiprocessBackend",
     "VectorizedBackend",
-    "available_backends",
     "make_backend",
 ]

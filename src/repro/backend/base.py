@@ -41,7 +41,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "Backend",
     "BackendUnavailable",
-    "available_backends",
     "make_backend",
 ]
 
@@ -114,11 +113,6 @@ def _registry() -> dict:
         VectorizedBackend.name: VectorizedBackend,
         MultiprocessBackend.name: MultiprocessBackend,
     }
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names accepted by :func:`make_backend`."""
-    return tuple(sorted(_registry()))
 
 
 def make_backend(name: str | None, executor: "PatchExecutor") -> Backend:

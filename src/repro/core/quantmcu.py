@@ -71,6 +71,13 @@ __all__ = [
 ]
 
 
+def _check_calibration(calibration_x: np.ndarray) -> None:
+    """Raise ``ValueError`` if ``calibration_x`` holds NaN: no activation
+    range or entropy can be taken from it.  Inf is left alone."""
+    if np.isnan(calibration_x).any():
+        raise ValueError("the calibration batch holds NaN; calibrate on finite inputs")
+
+
 def _make_range_quantizer(activation_ranges: dict[int, tuple[float, float]]):
     """``quantize(array, fm_index, bits)`` applying calibrated ranges.
 
@@ -365,8 +372,7 @@ class QuantMCUPipeline:
         Raises ``ValueError`` if ``calibration_x`` holds NaN: no activation
         range or entropy can be taken from it.
         """
-        if np.isnan(calibration_x).any():
-            raise ValueError("the calibration batch holds NaN; calibrate on finite inputs")
+        _check_calibration(calibration_x)
         total_start = time.perf_counter()
         plan = self.build_plan()
 
@@ -647,10 +653,13 @@ def run_vdqs_whole_model(
 
     This is the configuration the paper's Table II reports for QuantMCU
     ("8/MP"): weights stay at 8 bits and activations receive mixed precision
-    chosen by the entropy/BitOPs score under the SRAM constraint.
+    chosen by the entropy/BitOPs score under the SRAM constraint.  Raises
+    ``ValueError`` if ``calibration_x`` holds NaN, as
+    :meth:`QuantMCUPipeline.run` does.
     """
     from ..quant.memory import model_storage_bytes, peak_activation_bytes
 
+    _check_calibration(calibration_x)
     fm_index = fm_index if fm_index is not None else FeatureMapIndex(graph)
     start = time.perf_counter()
     activations = collect_activations(graph, calibration_x, fm_index)

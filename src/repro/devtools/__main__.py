@@ -99,7 +99,7 @@ def serving_state_scenario(threads: int, iterations: int) -> "RaceMonitor":
     graph's layers must see no attribute write at all, and epilogues only
     ever write to the accumulators their kernels allocated, so the caller's
     frames keep their bytes: any such write is a finding, as are lock hazards
-    on the engine and pipeline.  Responses are batch-invariant, so every
+    on the engine and its telemetry.  Responses are batch-invariant, so every
     route's result must also equal, byte for byte, a loop-backend ``infer``
     of the same frame; a result that does not is a ``wrong-result`` finding.
     """
@@ -129,7 +129,7 @@ def serving_state_scenario(threads: int, iterations: int) -> "RaceMonitor":
     routes = ("engine", "stream", "infer")
     try:
         with InferenceEngine(pipeline, max_batch_size=4, batch_timeout_s=0.001) as engine:
-            instrument([engine, pipeline], monitor)
+            instrument([engine, engine.telemetry], monitor)
             streams = [engine.open_stream() for _ in range(threads)]
 
             def workload(worker: int, iteration: int) -> None:

@@ -130,7 +130,7 @@ def run_kernel_bench(
     xb = rng.standard_normal((batch, 3, resolution, resolution)).astype(np.float32)
 
     try:
-        loop_ex, vec_ex = loop.executor(), vec.executor()
+        loop_ex, vec_ex = loop.executor, vec.executor
         # Shape, dtype and bytes: unlike array_equal, a flipped sign of zero
         # counts as a difference.
         expected, actual = loop_ex.forward(x1), vec_ex.forward(x1)

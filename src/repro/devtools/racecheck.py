@@ -1,9 +1,9 @@
 """Opt-in runtime race detector: lock-order graph + shared-state tracer.
 
 The serving/streaming layers synchronize with a handful of
-``threading.Lock`` instances (engine submit lock, compiled-pipeline executor
-lock, telemetry lock).  Today every one of them is a leaf lock; the
-invariants worth enforcing as that surface grows are:
+``threading.Lock`` instances (engine submit lock, telemetry lock, a
+multiprocess backend's pool lock).  Today every one of them is a leaf lock;
+the invariants worth enforcing as that surface grows are:
 
 1. **No ABBA inversions.**  :class:`RaceMonitor` wraps locks in
    :class:`TracedLock`; every acquisition records a directed edge from each
@@ -332,11 +332,9 @@ def instrument(
     :class:`TracedLock` reporting to ``monitor``.
 
     Lock names are ``ClassName.attribute`` — e.g. instrumenting a live
-    :class:`~repro.serving.engine.InferenceEngine`, its
-    :class:`~repro.serving.telemetry.TelemetryRecorder` and its
-    :class:`~repro.serving.pipeline.CompiledPipeline` yields the monitored
-    set ``InferenceEngine._submit_lock``, ``TelemetryRecorder._lock``,
-    ``CompiledPipeline._executor_lock``, …
+    :class:`~repro.serving.engine.InferenceEngine` and its
+    :class:`~repro.serving.telemetry.TelemetryRecorder` yields the monitored
+    set ``InferenceEngine._submit_lock`` and ``TelemetryRecorder._lock``.
 
     Returns the monitor (a fresh one when not supplied).
     """

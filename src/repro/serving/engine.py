@@ -34,7 +34,6 @@ import numpy as np
 
 from ..hardware.device import MCUDevice
 from ..hardware.latency import estimate_serving_latency
-from ..runtime.policy import ExecutionPolicy
 from ..streaming.session import StreamSession
 from .pipeline import CompiledPipeline
 from .telemetry import RequestRecord, TelemetryRecorder
@@ -73,17 +72,15 @@ class InferenceEngine:
     Parameters
     ----------
     pipeline:
-        The :class:`CompiledPipeline` every request and stream is served by.
+        The :class:`CompiledPipeline` every request and stream is served by,
+        on its one executor and the kernel backend that executor was built
+        with.  The executor, with a multiprocess backend's fork pool, is the
+        pipeline's: ``CompiledPipeline.close()`` releases it, not the engine.
     max_batch_size:
         Flush pending requests as soon as they hold this many *samples*.
     batch_timeout_s:
         Flush pending requests once the oldest has waited this long, even if
         the batch is not full.
-    policy:
-        The :class:`~repro.runtime.ExecutionPolicy` every flush and stream
-        executes under — the one description of its kernel backend.  The
-        executor it picks, with a multiprocess backend's fork pool, is the
-        pipeline's: ``CompiledPipeline.close()`` releases it, not the engine.
     device:
         Optional MCU target; attaches an amortized modelled per-request
         on-device latency to the telemetry.
@@ -98,9 +95,7 @@ class InferenceEngine:
         batch_timeout_s: float = 0.005,
         device: MCUDevice | None = None,
         telemetry: TelemetryRecorder | None = None,
-        policy: ExecutionPolicy | None = None,
     ) -> None:
-        self.policy = policy if policy is not None else ExecutionPolicy()
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if batch_timeout_s < 0:
@@ -158,25 +153,23 @@ class InferenceEngine:
         """Blocking convenience wrapper around :meth:`submit`."""
         return self.submit(x).result()
 
-    def open_stream(self, policy: ExecutionPolicy | None = None) -> StreamSession:
+    def open_stream(self) -> StreamSession:
         """Open a streaming session against this engine's pipeline.
 
         The returned :class:`~repro.streaming.StreamSession` serves successive
         frames of one video/sensor stream with incremental patch
-        recomputation — bit-identical to full recomputation.  ``policy``
-        defaults to the engine's, so the backend follows batched requests
-        unless overridden.  Frames are processed synchronously in the
-        caller's thread: a stream is stateful (each frame diffs against the
-        previous one), so its frames cannot be re-ordered or batched with
-        other traffic.  Every processed frame
+        recomputation — bit-identical to full recomputation — on the
+        pipeline's executor, the one batched requests run on.  Frames are
+        processed synchronously in the caller's thread: a stream is stateful
+        (each frame diffs against the previous one), so its frames cannot be
+        re-ordered or batched with other traffic.  Every processed frame
         records its reuse counters into the engine telemetry
         (``stream_frames``, ``stream_branches_executed``,
         ``stream_branches_reused``, ``stream_reuse_rate``).
         """
-        stream_policy = policy if policy is not None else self.policy
         if self._closed:
             raise EngineClosed("engine is closed")
-        session = self.pipeline.open_stream(policy=stream_policy)
+        session = self.pipeline.open_stream()
         session.add_observer(
             lambda frame: self.telemetry.record_stream_frame(
                 frame.executed_branches, frame.reused_branches
@@ -288,7 +281,7 @@ class InferenceEngine:
                 if len(requests) == 1
                 else np.concatenate([r.x for r in requests], axis=0)
             )
-            output = self.pipeline.infer(batch, policy=self.policy)
+            output = self.pipeline.infer(batch)
         except Exception as exc:  # propagate the failure to every caller
             for request in requests:
                 request.future.set_exception(exc)

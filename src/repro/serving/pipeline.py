@@ -13,10 +13,16 @@ Compiled pipelines are cheap to invoke, safe to share between threads, and
 round-trip through :meth:`CompiledPipeline.save` / :meth:`CompiledPipeline.load`
 for models built through the registry (:class:`ModelSpec` records the builder
 arguments).  Serving state is immutable by construction: the weights are
-frozen read-only, and every executor compiles the graph once into pure
-inference steps (:mod:`repro.nn.inference`) with the quantization grids
-resolved up front, so no request writes to the shared layers — there is no
-per-request cleanup to race against.
+frozen read-only, and the pipeline's one executor compiles the graph once
+into pure inference steps (:mod:`repro.nn.inference`) with the quantization
+grids resolved up front, so no request writes to the shared layers — there
+is no per-request cleanup to race against.
+
+A pipeline runs on one kernel backend (see :mod:`repro.backend`), named once
+when it is built: ``compile_pipeline(..., backend="loop")``,
+``CompiledPipeline.from_result(..., backend=...)`` or the constructor's
+``backend=``; ``None`` is :data:`~repro.backend.DEFAULT_BACKEND`.  Every
+backend serves the same bits.
 
 The serving execution is bit-identical to the experiment-side
 :meth:`~repro.core.quantmcu.QuantMCUPipeline.make_executor` path: the same
@@ -29,12 +35,10 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..backend import DEFAULT_BACKEND
 from ..core.quantmcu import QuantMCUPipeline, QuantMCUResult, make_static_hooks
 from ..models import build_model
 from ..nn import Graph
@@ -42,7 +46,6 @@ from ..patch.executor import PatchExecutor
 from ..patch.plan import PatchPlan, build_patch_plan
 from ..quant.config import QuantizationConfig
 from ..quant.quantizers import quantize_weight_per_channel
-from ..runtime.policy import ExecutionPolicy
 from ..streaming.session import StreamSession
 
 __all__ = ["ModelSpec", "CompiledPipeline", "compile_pipeline"]
@@ -120,7 +123,14 @@ class CompiledPipeline:
 
     Use :func:`compile_pipeline` (or :meth:`from_result`) to build one from a
     finished :class:`~repro.core.quantmcu.QuantMCUResult`; construct directly
-    only when restoring from :meth:`load`.
+    when restoring from :meth:`load`, or to serve an existing deployment on
+    another backend: ``CompiledPipeline(c.graph, c.plan, c.state, c.spec,
+    backend="loop")``.
+
+    ``backend`` names the kernel backend of :attr:`executor`, the one
+    :class:`~repro.patch.executor.PatchExecutor` that :meth:`infer`,
+    :meth:`open_stream` and an engine over this pipeline run on.  An unknown
+    name raises ``ValueError`` here, before any request.
     """
 
     def __init__(
@@ -155,13 +165,18 @@ class CompiledPipeline:
         self._branch_hook, self._suffix_hook = make_static_hooks(
             self._ranges, self._branch_bits, self._suffix_bits
         )
-        # The backend a policy without one gets (each executor builds its own
-        # backend instance by this name; see repro.backend).
-        self._default_backend = backend or DEFAULT_BACKEND
-        # Executors keyed by backend name; the default one is built eagerly.
-        self._executors: dict[str, PatchExecutor] = {}
-        self._executor_lock = threading.Lock()
-        self.executor()
+        # The one executor every request and stream runs on.
+        self.executor = self._new_executor(backend)
+
+    def _new_executor(self, backend: str | None) -> PatchExecutor:
+        """An executor that builds its backend by name (``None`` is the
+        default; see :mod:`repro.backend`)."""
+        return PatchExecutor(
+            self.plan,
+            branch_hook=self._branch_hook,
+            suffix_hook=self._suffix_hook,
+            backend=backend,
+        )
 
     # ----------------------------------------------------------- construction
     @classmethod
@@ -194,56 +209,36 @@ class CompiledPipeline:
         return cls(graph, plan, state, spec=spec, backend=backend)
 
     # ------------------------------------------------------------- inference
-    def executor(self, policy: ExecutionPolicy | None = None) -> PatchExecutor:
-        """The (cached) executor backing :meth:`infer`.
-
-        ``policy`` selects the kernel backend (see
-        :class:`~repro.runtime.ExecutionPolicy`).  One cache keyed by backend
-        name, so a ``policy.backend`` override gets its own executor instead
-        of silently reusing one built for a different backend, and a policy
-        naming the default backend gets the default executor.
-        """
-        policy = policy if policy is not None else ExecutionPolicy()
-        backend = policy.backend or self._default_backend
-        with self._executor_lock:
-            executor = self._executors.get(backend)
-            if executor is None:
-                executor = self._executors[backend] = PatchExecutor(
-                    self.plan,
-                    branch_hook=self._branch_hook,
-                    suffix_hook=self._suffix_hook,
-                    backend=backend,
-                )
-            return executor
-
-    def infer(self, x: np.ndarray, policy: ExecutionPolicy | None = None) -> np.ndarray:
-        """Run quantized patch-based inference on a batch ``(N, C, H, W)``.
-
-        ``policy`` picks the executor (see :meth:`executor`); every backend
-        serves the same bits.
-        """
-        return self.executor(policy).forward(x)
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Run quantized patch-based inference on a batch ``(N, C, H, W)``."""
+        return self.executor.forward(x)
 
     __call__ = infer
 
-    def open_stream(self, policy: ExecutionPolicy | None = None) -> StreamSession:
+    def open_stream(self) -> StreamSession:
         """Open a :class:`~repro.streaming.StreamSession` on this pipeline.
 
         Successive frames fed to the session recompute only the patch
         branches whose input regions changed, bit-identical to full
-        recomputation (see :mod:`repro.streaming`).  ``policy`` picks the
-        executor exactly as :meth:`infer` does; the executor is owned (and
-        eventually closed) by the pipeline, so the session must not outlive
-        it.
+        recomputation (see :mod:`repro.streaming`).  The session runs on
+        :attr:`executor`, which the pipeline owns (and eventually closes), so
+        the session must not outlive it.
         """
-        return StreamSession(self.executor(policy))
+        return StreamSession(self.executor)
 
     def close(self) -> None:
-        """Release executor resources: the fork pools of multiprocess backends."""
-        with self._executor_lock:
-            for executor in self._executors.values():
-                executor.close()
-            self._executors.clear()
+        """Close the executor and go on serving on a fresh one.
+
+        Closing releases the backend's resources (a multiprocess fork pool)
+        and what the executor built while serving: the weights its kernels
+        fold on first use and the backend's cover runs, about 3 MiB at
+        mobilenetv2@128 on a 4x4 grid, which a closed pipeline that stays
+        referenced would otherwise pin.  The fresh executor runs on the same
+        backend.  A stream session opened before the close keeps the closed
+        executor, which revives its resources on its next use.
+        """
+        self.executor.close()
+        self.executor = self._new_executor(self.executor.backend.name)
 
     # ----------------------------------------------------------- fingerprint
     def _fingerprint(self) -> str:

@@ -94,7 +94,8 @@ class TelemetryRecorder:
                 self._last_seconds = completed_at
 
     def record_batch(self, batch_size: int) -> None:
-        """Count one executed micro-batch of ``batch_size`` requests."""
+        """Count one executed micro-batch of ``batch_size`` samples (the sum of
+        its requests' sample counts, as in :attr:`RequestRecord.batch_size`)."""
         with self._lock:
             self._batch_histogram[batch_size] = self._batch_histogram.get(batch_size, 0) + 1
 

@@ -104,8 +104,8 @@ class TestZooModelsBitExact:
         try:
             num = loop.plan.num_branches
             subset = [num - 1, 0, num // 2]  # out of plan order on purpose
-            expected = loop.executor().compute_tiles(x, subset)
-            got = vec.executor().compute_tiles(x, subset)
+            expected = loop.executor.compute_tiles(x, subset)
+            got = vec.executor.compute_tiles(x, subset)
             assert [b.patch_id for b, _ in got] == [b.patch_id for b, _ in expected]
             for (_, tile_ref), (_, tile_vec) in zip(expected, got):
                 assert _bits_equal(tile_vec, tile_ref)
@@ -127,8 +127,8 @@ class TestMultiprocessBitExact:
         try:
             assert _bits_equal(mp.infer(x), loop.infer(x))
             subset = [0, loop.plan.num_branches - 1]
-            expected = loop.executor().compute_tiles(x, subset)
-            got = mp.executor().compute_tiles(x, subset)
+            expected = loop.executor.compute_tiles(x, subset)
+            got = mp.executor.compute_tiles(x, subset)
             for (_, tile_ref), (_, tile_mp) in zip(expected, got):
                 assert _bits_equal(tile_mp, tile_ref)
         finally:
@@ -268,7 +268,7 @@ def test_float64_input_is_computed_in_float32():
         assert _bits_equal(vec.infer(x), expected)
         ids = [0, loop.plan.num_branches - 1]
         for (_, a), (_, b) in zip(
-            loop.executor().compute_tiles(x, ids), vec.executor().compute_tiles(x, ids)
+            loop.executor.compute_tiles(x, ids), vec.executor.compute_tiles(x, ids)
         ):
             assert a.dtype == np.float32 and _bits_equal(a, b)
     finally:

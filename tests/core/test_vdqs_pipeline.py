@@ -209,6 +209,13 @@ class TestCalibrationInput:
         with pytest.raises(ValueError, match="calibration batch holds NaN"):
             pipeline.run(x)
 
+    def test_nan_calibration_raises_in_whole_model_vdqs(self, tiny_mobilenet, rng):
+        # Without the check, np.histogram fails on a [nan, nan] range instead.
+        x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
+        x[0, 1, 4, 4] = np.nan
+        with pytest.raises(ValueError, match="calibration batch holds NaN"):
+            run_vdqs_whole_model(tiny_mobilenet, x, sram_limit_bytes=64 * 1024)
+
     def test_inf_calibration_still_deploys(self, tiny_mobilenet, rng):
         # ReLU6 clips +-inf, so every activation range stays finite.
         x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)

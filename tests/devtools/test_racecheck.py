@@ -242,7 +242,7 @@ class TestInstrument:
         with InferenceEngine(
             compiled_mobilenet, max_batch_size=2, batch_timeout_s=0.002
         ) as engine:
-            monitor = instrument([engine, compiled_mobilenet])
+            monitor = instrument([engine, engine.telemetry])
             harness = StressHarness(threads=3, iterations=4, jitter_seconds=1e-4, seed=5)
             monitor.jitter = harness.pause
 

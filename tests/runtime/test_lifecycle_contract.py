@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.patch.executor import PatchExecutor
+from repro.serving import CompiledPipeline
 
 from fixtures import quantize_and_compile
 
@@ -86,6 +87,24 @@ def test_close_after_work_then_reuse_revives(compiled, frame, make):
         np.testing.assert_array_equal(first, again)
     finally:
         executor.close()
+
+
+@needs_fork
+def test_closed_multiprocess_pipeline_serves_on(compiled, frame):
+    # close() releases the fork pool, and the pipeline keeps serving the same
+    # bytes on a fresh executor on the same backend.
+    c = compiled
+    served = CompiledPipeline(c.graph, c.plan, c.state, c.spec, backend="multiprocess")
+    try:
+        first = served.infer(frame)
+        closed = served.executor
+        served.close()
+        assert closed.backend._pool is None
+        assert served.executor is not closed
+        assert served.executor.backend.name == "multiprocess"
+        assert served.infer(frame).tobytes() == first.tobytes()
+    finally:
+        served.close()
 
 
 def test_close_while_streaming(compiled, frame):

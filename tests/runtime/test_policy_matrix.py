@@ -1,9 +1,11 @@
-"""Bit-identity across the backend policy matrix.
+"""Bit-identity across the backend matrix.
 
 The execution contract of the whole stack: every kernel backend (loop /
 vectorized / multiprocess) must produce *identical bits* on both zoo
 deployments, through both surfaces a pipeline serves —
-:meth:`CompiledPipeline.infer` and a stream session.
+:meth:`CompiledPipeline.infer` and a stream session.  One quantized
+deployment is served by one pipeline per backend, each named at
+construction.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.runtime import ExecutionPolicy
-from repro.serving import compile_pipeline
+from repro.serving import CompiledPipeline, compile_pipeline
 
 from fixtures import quantize_zoo_model
 
@@ -28,10 +29,18 @@ MODELS = [
 ]
 
 
+def _on_backend(compiled: CompiledPipeline, backend: str) -> CompiledPipeline:
+    """The same deployment served by a pipeline built on ``backend``."""
+    return CompiledPipeline(
+        compiled.graph, compiled.plan, compiled.state, compiled.spec, backend=backend
+    )
+
+
 @pytest.fixture(scope="module", params=MODELS)
 def deployment(request):
     spec, pipeline, result = quantize_zoo_model(**request.param)
     compiled = compile_pipeline(pipeline, result, spec=spec)
+    pipelines = {backend: _on_backend(compiled, backend) for backend in BACKENDS}
     rng = np.random.default_rng(17)
     shape = (3, spec.resolution, spec.resolution)
     frames = [rng.standard_normal(shape).astype(np.float32)]
@@ -42,7 +51,9 @@ def deployment(request):
             (3, shape[1] // 2, shape[2] // 2)
         ).astype(np.float32)
         frames.append(nxt)
-    yield compiled, frames
+    yield compiled, pipelines, frames
+    for served in pipelines.values():
+        served.close()
     compiled.close()
 
 
@@ -55,28 +66,33 @@ def _matrix_cells():
 class TestExactTier:
     @pytest.mark.parametrize("backend", _matrix_cells())
     def test_cell_matches_reference(self, deployment, backend):
-        compiled, frames = deployment
+        _, pipelines, frames = deployment
         x = frames[0][None]
-        reference = compiled.infer(x, policy=ExecutionPolicy(backend="loop"))
-        policy = ExecutionPolicy(backend=backend)
-        np.testing.assert_array_equal(compiled.infer(x, policy=policy), reference)
+        reference = pipelines["loop"].infer(x)
+        assert pipelines[backend].infer(x).tobytes() == reference.tobytes()
 
 
 class TestStream:
     @pytest.mark.parametrize("backend", _matrix_cells())
     def test_cell_matches_reference(self, deployment, backend):
-        compiled, frames = deployment
+        _, pipelines, frames = deployment
 
-        def run(policy):
-            session = compiled.open_stream(policy=policy)
+        def run(served):
+            session = served.open_stream()
             try:
                 return [session.process(frame).tobytes() for frame in frames]
             finally:
                 session.close()
 
-        reference = run(ExecutionPolicy(backend="loop"))
-        policy = ExecutionPolicy(backend=backend)
-        assert run(policy) == reference
+        reference = run(pipelines["loop"])
+        assert run(pipelines[backend]) == reference
         for frame, ref in zip(frames, reference):
-            assert compiled.infer(frame[None], policy=policy)[0].tobytes() == ref
+            assert pipelines[backend].infer(frame[None])[0].tobytes() == ref
 
+
+class TestPipelineBackend:
+    def test_backend_validated(self, deployment):
+        # An unknown name fails while the pipeline is built, before any request.
+        compiled, _, _ = deployment
+        with pytest.raises(ValueError, match="unknown backend 'cuda'"):
+            _on_backend(compiled, "cuda")

@@ -45,7 +45,7 @@ def test_suffix_has_wide_code_fed_conv(compiled):
     """The cases exercise an exact suffix GEMM beyond ``K = 64``: the split map
     and every suffix feature map are on a grid, so every suffix convolution
     reads codes."""
-    assert compiled.executor()._split_value.bound is not None
+    assert compiled.executor._split_value.bound is not None
     for fm in compiled.plan.fm_index:
         if fm.output_node in compiled.plan.suffix_nodes:
             assert compiled._suffix_hook.static_grid(fm.index).bits < 32

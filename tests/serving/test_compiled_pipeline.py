@@ -11,7 +11,6 @@ from fixtures import MOBILENET_SPEC as SPEC
 
 from repro.backend import DEFAULT_BACKEND
 from repro.core import QuantMCUPipeline
-from repro.runtime import ExecutionPolicy
 from repro.serving import CompiledPipeline, InferenceEngine, compile_pipeline
 
 
@@ -52,23 +51,20 @@ def test_infer_never_writes_caller_arrays(compiled_mobilenet, rng):
     x = x.transpose(0, 3, 1, 2)
     expected = compiled_mobilenet.infer(x.copy(order="K"))
     assert expected.tobytes() == compiled_mobilenet.infer(_read_only(x)).tobytes()
-    executor = compiled_mobilenet.executor()
+    executor = compiled_mobilenet.executor
     stitched = executor.stitched_split_feature_map(x)
     suffix = executor.run_suffix(x.copy(order="K"), stitched.copy(order="K"))
     assert suffix.tobytes() == expected.tobytes()
     assert executor.run_suffix(_read_only(x), _read_only(stitched)).tobytes() == suffix.tobytes()
 
 
-def test_executor_cache_keys_on_backend(compiled_mobilenet):
-    loop = ExecutionPolicy(backend="loop")
-    first = compiled_mobilenet.executor(loop)
-    assert compiled_mobilenet.executor(loop) is first
-    assert first.backend.name == "loop"
-    # Another backend must not reuse an executor built for this one.
-    assert compiled_mobilenet.executor() is not first
-    # A policy naming the default backend gets the default executor.
-    default = ExecutionPolicy(backend=DEFAULT_BACKEND)
-    assert compiled_mobilenet.executor(default) is compiled_mobilenet.executor()
+def test_executor_runs_the_pipeline_backend(compiled_mobilenet):
+    assert compiled_mobilenet.executor.backend.name == DEFAULT_BACKEND
+    c = compiled_mobilenet
+    loop = CompiledPipeline(c.graph, c.plan, c.state, c.spec, backend="loop")
+    assert loop.executor.backend.name == "loop"
+    assert loop.executor is not c.executor
+    loop.close()
 
 
 def _layer_state(graph):

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import SyntheticVideo
-from repro.runtime import ExecutionPolicy
-from repro.serving import EngineClosed, InferenceEngine
+from repro.serving import CompiledPipeline, EngineClosed, InferenceEngine
 
 
 def _video(num_frames=3, resolution=32, seed=1):
@@ -45,17 +44,16 @@ def test_open_stream_records_reuse_telemetry(compiled_mobilenet):
 
 
 def test_open_stream_uses_engine_execution_mode(compiled_mobilenet):
-    policy = ExecutionPolicy(backend="loop")
-    with InferenceEngine(
-        compiled_mobilenet, batch_timeout_s=0.001, policy=policy
-    ) as engine:
+    c = compiled_mobilenet
+    loop = CompiledPipeline(c.graph, c.plan, c.state, c.spec, backend="loop")
+    with InferenceEngine(loop, batch_timeout_s=0.001) as engine:
         session = engine.open_stream()
         frame = _video(num_frames=1).frames[0]
-        assert np.array_equal(
-            session.process(frame), compiled_mobilenet.infer(frame[None])[0]
-        )
-        # The session's executor is the pipeline's loop-backend one.
-        assert session.executor is compiled_mobilenet.executor(policy)
+        assert session.process(frame).tobytes() == c.infer(frame[None])[0].tobytes()
+        # Streams and batched requests share the pipeline's one executor.
+        assert session.executor is loop.executor
+        assert session.executor.backend.name == "loop"
+    loop.close()
 
 
 def test_open_stream_after_close_raises(compiled_mobilenet):

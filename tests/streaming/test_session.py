@@ -13,7 +13,7 @@ from repro.backend import DEFAULT_BACKEND
 from repro.data import SyntheticVideo
 from repro.patch import analyze_streaming
 from repro.patch.analysis import branch_macs
-from repro.runtime import ExecutionPolicy
+from repro.serving import CompiledPipeline
 from repro.streaming import StreamSession, changed_mask, dirty_branch_ids
 
 #: The same two zoo deployments the golden suite pins.
@@ -140,7 +140,7 @@ def test_failed_frame_resets_the_cache(zoo_compiled):
 
 def test_frame_history_is_capped_but_totals_are_not(zoo_compiled):
     params, compiled = zoo_compiled
-    executor = compiled.executor()
+    executor = compiled.executor
     from repro.streaming import StreamSession as Session
 
     session = Session(executor, history_frames=2)
@@ -176,7 +176,10 @@ def _check_runs_only_dirty(resolution, executor, executed):
 def test_reuse_runs_only_dirty_branches(zoo_compiled, monkeypatch):
     """On the loop oracle, ``run_branch`` sees only the dirty branches."""
     params, compiled = zoo_compiled
-    executor = compiled.executor(ExecutionPolicy(backend="loop"))
+    loop = CompiledPipeline(
+        compiled.graph, compiled.plan, compiled.state, compiled.spec, backend="loop"
+    )
+    executor = loop.executor
     executed: list[int] = []
     original = executor.run_branch
 
@@ -186,13 +189,14 @@ def test_reuse_runs_only_dirty_branches(zoo_compiled, monkeypatch):
 
     monkeypatch.setattr(executor, "run_branch", recording_run_branch)
     _check_runs_only_dirty(params["resolution"], executor, executed)
+    loop.close()
 
 
 def test_default_backend_runs_only_dirty_branches(zoo_compiled, monkeypatch):
     """On the default backend, ``run_branches`` is asked for exactly the
     dirty ids: the vectorized stream path does no extra work either."""
     params, compiled = zoo_compiled
-    executor = compiled.executor()
+    executor = compiled.executor
     assert executor.backend.name == DEFAULT_BACKEND
     executed: list[int] = []
     original = executor.backend.run_branches
