@@ -29,6 +29,7 @@ Backends are selected by name through :func:`make_backend`: each
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -60,15 +61,22 @@ class Backend:
     executor's own (:meth:`~repro.patch.executor.PatchExecutor.run_suffix`).  A
     backend holds no model state of its own — the plan, hooks and weights all
     live on the executor, which builds the backend it dispatches to in its
-    constructor.
+    constructor.  The executor owns its backend, so the backend holds it
+    weakly: a dropped executor is freed by reference counting, not left for
+    the cycle collector.
     """
 
     #: Registry name, set by subclasses.
     name: str = "base"
 
     def __init__(self, executor: "PatchExecutor") -> None:
-        self.executor = executor
+        self._executor = weakref.ref(executor)
         self.plan = executor.plan
+
+    @property
+    def executor(self) -> "PatchExecutor":
+        """The executor this backend computes for."""
+        return self._executor()
 
     # ------------------------------------------------------------- interface
     def run_branches(

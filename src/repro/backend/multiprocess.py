@@ -157,8 +157,8 @@ class MultiprocessBackend(Backend):
 
     def close(self) -> None:
         # The fork-state token must be dropped even if pool teardown raises:
-        # a surviving token would keep the executor (plan + weights) alive in
-        # the parent for the life of the process.
+        # a surviving token would keep the kernel (plan + compiled runs) alive
+        # in the parent for the life of the process.
         try:
             if self._pool is not None:
                 self._pool.terminate()

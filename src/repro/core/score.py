@@ -34,14 +34,15 @@ import numpy as np
 from ..quant.bitops import baseline_bitops, bitops_reduction
 from ..quant.config import QuantizationConfig
 from ..quant.points import FeatureMapIndex
-from .entropy import DEFAULT_NUM_BINS, activation_entropy, quantized_entropy
+from ..quant.quantizers import SUPPORTED_BITWIDTHS
+from .entropy import _FULL_PRECISION_BITS, DEFAULT_NUM_BINS, entropy_table
 
 __all__ = ["ScoreBreakdown", "QuantizationScoreCalculator", "DEFAULT_LAMBDA"]
 
 DEFAULT_LAMBDA = 0.6
 
-#: The ``bits`` under which the scorer memoises a feature map's float entropy.
-_FULL_PRECISION_BITS = 32
+#: The entries of a feature map's row of ``H(i, b)``, all taken from one sort.
+_ENTROPY_ROW = (_FULL_PRECISION_BITS, *SUPPORTED_BITWIDTHS)
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,10 @@ class QuantizationScoreCalculator:
         )
 
         # H(i, b) per (feature map, bits), with the float entropy under
-        # _FULL_PRECISION_BITS.  Bounded by |feature maps| x (|candidate
-        # bitwidths| + 1) and scoped to one VDQS run (the scorer dies with
-        # the search).
+        # _FULL_PRECISION_BITS.  Filled a whole _ENTROPY_ROW per map at a
+        # time, plus one entry per other bits asked for: 4 entries per map in
+        # a search over SUPPORTED_BITWIDTHS.  Scoped to one VDQS run (the
+        # scorer dies with the search).
         self._entropy_cache: dict[tuple[int, int], float] = {}  # repro: noqa[REP004]
         last = last_feature_map if last_feature_map is not None else fm_index.last_index()
         if last not in activations:
@@ -128,15 +130,16 @@ class QuantizationScoreCalculator:
         return reduction / self._phi_normalizer if self._phi_normalizer else 0.0
 
     def _entropy(self, feature_map: int, bits: int) -> float:
-        """``H(i, b)``, computed once per run; the float entropy at ``_FULL_PRECISION_BITS``."""
+        """``H(i, b)``, computed once per run; the float entropy at ``_FULL_PRECISION_BITS``.
+
+        A feature map's whole ``_ENTROPY_ROW`` comes from one sort of its
+        activations; other ``bits`` take a sort each.
+        """
         key = (feature_map, bits)
         if key not in self._entropy_cache:
-            activation = self.activations[feature_map]
-            self._entropy_cache[key] = (
-                activation_entropy(activation, self.num_bins)
-                if bits >= _FULL_PRECISION_BITS
-                else quantized_entropy(activation, bits, self.num_bins)
-            )
+            row = _ENTROPY_ROW if bits in _ENTROPY_ROW else (bits,)
+            entropies = entropy_table(self.activations[feature_map], row, self.num_bins)
+            self._entropy_cache.update(((feature_map, b), h) for b, h in zip(row, entropies))
         return self._entropy_cache[key]
 
     def omega(self, feature_map: int, bits: int) -> float:

@@ -106,7 +106,7 @@ class TestMultiprocessLifecycle:
         executor.close()
         assert all(state.executor is not executor for state in _FORK_STATE.values())
         del executor
-        gc.collect()  # executor<->backend is a cycle; the token must not pin it
+        gc.collect()  # the fork-state token must not pin the executor
         assert ref() is None
         assert reference.shape[0] == small_input.shape[0]
 

@@ -1,12 +1,14 @@
 """Tests for the entropy estimator, VDPC and the quantization score."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.entropy as entropy_module
 from repro.core import (
+    DEFAULT_NUM_BINS,
     GaussianOutlierModel,
     PatchClass,
     QuantizationScoreCalculator,
@@ -16,12 +18,27 @@ from repro.core import (
     histogram_entropy,
     quantized_entropy,
 )
+from repro.core.entropy import entropy_table
 from repro.quant import FeatureMapIndex, collect_activations, fake_quantize
 from repro.serving import ModelSpec
 
 
+def oracle_entropy(values: np.ndarray, num_bins: int = DEFAULT_NUM_BINS) -> float:
+    """Equations 3-4 through ``np.histogram``: the estimator's definition."""
+    flat = np.asarray(values, dtype=np.float64).reshape(-1)
+    if flat.size == 0:
+        return 0.0
+    low = float(flat.min())
+    high = float(flat.max())
+    if high <= low:
+        return 0.0
+    counts, _ = np.histogram(flat, bins=num_bins, range=(low, high))
+    probs = counts[counts > 0] / flat.size
+    return float(-(probs * np.log(probs)).sum())
+
+
 def _entropy_input(kind: str, dtype, size: int, seed: int) -> np.ndarray:
-    """One tensor of a shape class the code-valued entropy must get exactly right."""
+    """One tensor of a shape class the sorted estimator must get exactly right."""
     rng = np.random.default_rng(seed)
     if kind == "gaussian":
         x = rng.standard_normal(size) * 10.0 ** rng.uniform(-6, 6)
@@ -36,6 +53,23 @@ def _entropy_input(kind: str, dtype, size: int, seed: int) -> np.ndarray:
     else:  # "narrow": a span too small for a nonzero float32 step
         x = 1.0 + rng.standard_normal(size) * 1e-30
     return x.astype(dtype)
+
+
+def _on_edges(low: float, high: float, dtype) -> np.ndarray:
+    """Every bin edge of ``[low, high]`` in ``dtype`` with both its neighbours."""
+    edges = np.linspace(low, high, DEFAULT_NUM_BINS + 1).astype(dtype)
+    x = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    return np.clip(x, edges[0], edges[-1])
+
+
+def _assert_matches_oracle(x: np.ndarray) -> None:
+    """Float and every quantized entropy of ``x`` equal the oracle's, bit for bit."""
+    assert histogram_entropy(x) == oracle_entropy(x)
+    for bits in (2, 4, 8, 16):
+        assert quantized_entropy(x, bits) == oracle_entropy(fake_quantize(x, bits))
+    assert entropy_table(x, (32, 2, 4, 8, 16)) == [
+        oracle_entropy(x), *(oracle_entropy(fake_quantize(x, b)) for b in (2, 4, 8, 16))
+    ]
 
 
 class TestEntropy:
@@ -69,8 +103,30 @@ class TestEntropy:
     )
     @settings(max_examples=200, deadline=None)
     def test_quantized_entropy_from_codes_is_bit_identical(self, kind, dtype, size, bits, seed):
+        # The float entropy of the same sort, too.
         x = _entropy_input(kind, dtype, size, seed)
-        assert quantized_entropy(x, bits) == histogram_entropy(fake_quantize(x, bits))
+        assert histogram_entropy(x) == oracle_entropy(x)
+        assert quantized_entropy(x, bits) == oracle_entropy(fake_quantize(x, bits))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("low, high", [(0.0, 6.0), (-1.0, 3.0), (-2.5e-3, 7.1e4), (1e-7, 1.1e-7)])
+    def test_values_on_bin_edges_and_their_neighbours(self, low, high, dtype):
+        _assert_matches_oracle(_on_edges(low, high, dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_heavy_duplicates(self, dtype, rng):
+        # ReLU6 plateaus: most of the tensor sits on its two ends.
+        x = np.concatenate(
+            [np.zeros(4000), np.full(3000, 6.0), rng.uniform(0.0, 6.0, 500), np.repeat([1.5, 3.0], 700)]
+        )
+        _assert_matches_oracle(rng.permutation(x).astype(dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mixed_signed_zeros(self, dtype, rng):
+        zeros = np.where(rng.random(600) < 0.5, -0.0, 0.0)
+        _assert_matches_oracle(np.concatenate([zeros, rng.uniform(-1.0, 2.0, 600)]).astype(dtype))
+        _assert_matches_oracle(np.concatenate([zeros, rng.uniform(0.0, 2.0, 600)]).astype(dtype))
+        assert histogram_entropy(zeros.astype(dtype)) == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_quantized_entropy_non_finite_takes_the_old_path(self, bad):
@@ -83,9 +139,17 @@ class TestEntropy:
             except ValueError as exc:
                 return str(exc)
 
+        assert outcome(lambda: histogram_entropy(x)) == outcome(lambda: oracle_entropy(x))
         assert outcome(lambda: quantized_entropy(x, 4)) == outcome(
-            lambda: histogram_entropy(fake_quantize(x, 4))
+            lambda: oracle_entropy(fake_quantize(x, 4))
         )
+
+    def test_range_too_narrow_for_the_bins_raises_like_the_histogram(self):
+        x = np.array([1.0, np.nextafter(1.0, 2.0)])
+        with pytest.raises(ValueError) as oracle:
+            oracle_entropy(x)
+        with pytest.raises(ValueError, match=re.escape(str(oracle.value))):
+            histogram_entropy(x)
 
     @given(st.integers(min_value=0, max_value=1000))
     @settings(max_examples=25, deadline=None)
@@ -231,29 +295,33 @@ class TestQuantizationScore:
             )
 
 
-class TestScoringWork:
-    def test_one_float_histogram_per_feature_map(self, monkeypatch):
-        """Scoring every (feature map, bits) pair at the serving shape
-        (mobilenetv2@128) takes each map's float entropy once, not once per
-        bit-width: 62 float histograms, plus one code histogram per pair."""
-        graph = ModelSpec("mobilenetv2", 128, 4, 0.35, 3).build()
-        fm_index = FeatureMapIndex(graph)
-        x = np.random.default_rng(0).standard_normal((1, 3, 128, 128)).astype(np.float32)
-        activations = collect_activations(graph, x, fm_index)
+def _serving_shape_activations():
+    """Calibration activations at the serving shape, mobilenetv2@128."""
+    graph = ModelSpec("mobilenetv2", 128, 4, 0.35, 3).build()
+    fm_index = FeatureMapIndex(graph)
+    x = np.random.default_rng(0).standard_normal((1, 3, 128, 128)).astype(np.float32)
+    return fm_index, collect_activations(graph, x, fm_index)
 
-        calls = {"float": 0, "histogram": 0}
-        original_entropy = entropy_module.histogram_entropy
+
+class TestScoringWork:
+    def test_one_sort_per_feature_map(self, monkeypatch):
+        """Scoring every (feature map, bits) pair at the serving shape sorts
+        each of the 62 maps once and builds no ``np.histogram``."""
+        fm_index, activations = _serving_shape_activations()
+
+        calls = {"sort": 0, "histogram": 0}
+        original_sort = np.sort
         original_histogram = np.histogram
 
-        def spy_entropy(*args, **kwargs):
-            calls["float"] += 1
-            return original_entropy(*args, **kwargs)
+        def spy_sort(*args, **kwargs):
+            calls["sort"] += 1
+            return original_sort(*args, **kwargs)
 
         def spy_histogram(*args, **kwargs):
             calls["histogram"] += 1
             return original_histogram(*args, **kwargs)
 
-        monkeypatch.setattr(entropy_module, "histogram_entropy", spy_entropy)
+        monkeypatch.setattr(np, "sort", spy_sort)
         monkeypatch.setattr(np, "histogram", spy_histogram)
         calc = QuantizationScoreCalculator(fm_index, activations)
         for fm in range(len(fm_index)):
@@ -262,5 +330,14 @@ class TestScoringWork:
                 calc.breakdown(fm, bits)
 
         assert len(fm_index) == 62
-        assert calls["float"] == 62
-        assert calls["histogram"] <= 62 + 3 * 62
+        assert calls == {"sort": 62, "histogram": 0}
+
+    def test_every_entry_matches_the_oracle_at_the_serving_shape(self):
+        """ReLU6 plateaus put many values on bin edges at this shape."""
+        fm_index, activations = _serving_shape_activations()
+        calc = QuantizationScoreCalculator(fm_index, activations)
+        for fm, activation in activations.items():
+            for bits in (2, 4, 8):
+                calc.omega(fm, bits)
+                assert calc._entropy(fm, bits) == oracle_entropy(fake_quantize(activation, bits))
+            assert calc._entropy(fm, 32) == oracle_entropy(activation)

@@ -8,7 +8,9 @@ a fork-pool executor releases its whole pool and its fork-state token.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
+import weakref
 
 import numpy as np
 import pytest
@@ -105,6 +107,26 @@ def test_closed_multiprocess_pipeline_serves_on(compiled, frame):
         assert served.infer(frame).tobytes() == first.tobytes()
     finally:
         served.close()
+
+
+def test_dropped_executors_die_without_the_cycle_collector(compiled, frame):
+    # The backend holds its executor weakly, so reference counting alone frees
+    # a used pipeline's executor, and the one close() replaces, with their
+    # folded weights and cover runs.
+    c = compiled
+    served = CompiledPipeline(c.graph, c.plan, c.state, c.spec)
+    served.infer(frame)
+    replaced = weakref.ref(served.executor)
+    gc.disable()
+    try:
+        served.close()
+        assert replaced() is None
+        served.infer(frame)
+        current = weakref.ref(served.executor)
+        del served
+        assert current() is None
+    finally:
+        gc.enable()
 
 
 def test_close_while_streaming(compiled, frame):
