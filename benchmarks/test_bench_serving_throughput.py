@@ -113,6 +113,14 @@ def test_bench_serving_engine_vs_naive(bench_once):
 
     for pair in rounds:
         assert pair["naive"].num_requests == pair["engine"].num_requests == NUM_REQUESTS
+    # Each round's batching and compute, so a failure shows which one slowed
+    # down: an engine request's service time is that of the flush it rode in.
+    detail = "; ".join(
+        f"round {r}: ratio {ratio:.2f}, engine mean batch {pair['engine'].mean_batch_size:.2f}, "
+        f"engine {pair['engine'].mean_service_ms:.2f} ms/flush, "
+        f"naive {pair['naive'].mean_service_ms:.2f} ms/call"
+        for r, (pair, ratio) in enumerate(zip(rounds, ratios))
+    )
     # Acceptance: batching beats naive per-request execution.
-    assert float(np.median(ratios)) > 1.0
-    assert float(np.median([pair["engine"].mean_batch_size for pair in rounds])) > 1.0
+    assert float(np.median(ratios)) > 1.0, detail
+    assert float(np.median([pair["engine"].mean_batch_size for pair in rounds])) > 1.0, detail

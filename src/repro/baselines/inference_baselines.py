@@ -27,7 +27,7 @@ from ..hardware.latency import estimate_layer_based_latency, estimate_patch_base
 from ..nn import Graph
 from ..patch.analysis import patch_bitops, patch_peak_bytes
 from ..patch.plan import PatchPlan, build_patch_plan
-from ..patch.scheduler import candidate_split_nodes, find_patch_schedule
+from ..patch.scheduler import candidate_split_nodes, find_patch_schedule, score_candidates
 from ..quant.bitops import model_bitops
 from ..quant.config import QuantizationConfig
 from ..quant.memory import peak_activation_bytes
@@ -142,20 +142,12 @@ def run_cipolletta(
     """
     fm_index = fm_index if fm_index is not None else FeatureMapIndex(graph)
     config = config if config is not None else QuantizationConfig.uniform(8)
-    best_plan = None
-    best_peak = None
-    for split in candidate_split_nodes(graph, fm_index, max_prefix_fraction=0.75):
-        for grid in grids:
-            try:
-                plan = build_patch_plan(graph, split, grid, fm_index)
-            except ValueError:
-                continue
-            peak = patch_peak_bytes(plan, config)
-            if best_peak is None or peak < best_peak:
-                best_peak = peak
-                best_plan = plan
-    if best_plan is None:
+    candidates = candidate_split_nodes(graph, fm_index, max_prefix_fraction=0.75)
+    scores = score_candidates(graph, candidates, grids, config, fm_index)
+    best = min(scores, key=lambda s: s.peak_memory_bytes, default=None)
+    if best is None:
         raise ValueError("no feasible patch plan for the Cipolletta baseline")
+    best_plan = build_patch_plan(graph, best.split_output_node, best.num_patches, fm_index)
     return _patch_result("Cipolletta et al.", best_plan, device, config)
 
 

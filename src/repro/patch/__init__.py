@@ -2,11 +2,8 @@
 exact patch execution and schedule search."""
 
 from .analysis import (
-    PatchCostReport,
     StreamingCostReport,
-    analyze_plan,
     analyze_streaming,
-    incremental_stage_macs,
     branch_bitops,
     branch_macs,
     branch_peak_bytes,
@@ -15,19 +12,17 @@ from .analysis import (
     patch_bitops,
     patch_peak_bytes,
     patch_stage_macs,
-    redundancy_ratio,
     redundant_macs,
 )
 from .executor import PatchExecutor
 from .plan import BranchPlan, PatchPlan, build_patch_plan, compose_branch_demand
-from .regions import Region, backward_region, region_overlap, split_into_patches
+from .regions import Region, backward_region, patch_grid
 from .scheduler import PatchScheduleResult, candidate_split_nodes, find_patch_schedule
 
 __all__ = [
     "Region",
     "backward_region",
-    "split_into_patches",
-    "region_overlap",
+    "patch_grid",
     "BranchPlan",
     "PatchPlan",
     "build_patch_plan",
@@ -37,14 +32,10 @@ __all__ = [
     "patch_stage_macs",
     "layer_based_prefix_macs",
     "redundant_macs",
-    "redundancy_ratio",
     "branch_bitops",
     "patch_bitops",
     "branch_peak_bytes",
     "patch_peak_bytes",
-    "PatchCostReport",
-    "analyze_plan",
-    "incremental_stage_macs",
     "StreamingCostReport",
     "analyze_streaming",
     "PatchExecutor",

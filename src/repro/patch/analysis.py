@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..nn import AvgPool2d, Conv2d, DepthwiseConv2d, MaxPool2d
+import numpy as np
+
+from ..nn import Conv2d, DepthwiseConv2d
 from ..nn.graph import INPUT_NODE
 from ..quant.config import QuantizationConfig
 from ..quant.memory import feature_map_bytes, input_bytes, tensor_bytes
-from .plan import BranchPlan, PatchPlan
+from .plan import BranchPlan, PatchPlan, StageExtents
 from .regions import Region
 
 __all__ = [
@@ -29,55 +31,103 @@ __all__ = [
     "patch_stage_macs",
     "layer_based_prefix_macs",
     "redundant_macs",
-    "redundancy_ratio",
     "branch_bitops",
     "patch_bitops",
     "branch_peak_bytes",
+    "peak_memory_bytes",
     "patch_peak_bytes",
-    "shard_macs",
-    "incremental_stage_macs",
+    "stage_costs",
     "StreamingCostReport",
     "analyze_streaming",
-    "PatchCostReport",
-    "analyze_plan",
 ]
+
+
+def _pixel_macs(layer) -> int:
+    """MACs per output pixel of a layer (0 for pooling and everything else)."""
+    if isinstance(layer, Conv2d):
+        return layer.out_channels * layer.in_channels * layer.kernel_size**2
+    if isinstance(layer, DepthwiseConv2d):
+        return layer.channels * layer.kernel_size**2
+    return 0
 
 
 def macs_for_region(layer, region: Region) -> int:
     """MACs needed to produce ``region`` of a layer's output feature map."""
-    area = region.area
-    if area <= 0:
-        return 0
-    if isinstance(layer, Conv2d):
-        return layer.out_channels * area * layer.in_channels * layer.kernel_size**2
-    if isinstance(layer, DepthwiseConv2d):
-        return layer.channels * area * layer.kernel_size**2
-    if isinstance(layer, (MaxPool2d, AvgPool2d)):
-        return 0
-    return 0
+    return _pixel_macs(layer) * region.area
 
 
-def _prefix_compute_nodes(plan: PatchPlan) -> list[str]:
-    prefix = set(plan.prefix_nodes)
-    return [fm.compute_node for fm in plan.fm_index if fm.compute_node in prefix]
+def stage_costs(
+    plan: PatchPlan, extents: StageExtents, config: QuantizationConfig | None = None
+) -> tuple[int, int]:
+    """``(MACs, peak working-set bytes)`` of ``plan``'s patch stage over the
+    branches ``extents`` describes (``plan.branches`` is not read): the one
+    cost model of the per-branch, whole-plan and search costs.
+
+    Branch ``(r, c)`` computes ``heights[r] x widths[c]`` pixels of a node, so
+    an operator's MACs are its per-pixel cost times ``sum(heights) *
+    sum(widths)``.  Its working set in a branch is its input region(s) plus
+    its output region, each rounded up to whole bytes; the split feature map
+    lives in the stitched buffer :func:`peak_memory_bytes` adds.  Without
+    ``config`` the peak reads 0.
+    """
+    fm_index = plan.fm_index
+    graph = fm_index.graph
+    index = extents.index  # the patch-stage nodes and the input
+    mac_rows: list[int] = []
+    pixel_macs: list[int] = []
+    term_rows: list[int] = []
+    term_bits: list[int] = []  # channels x bits of each input or output term
+    starts: list[int] = []  # first term of each operator
+    for fm in fm_index:
+        row = index.get(fm.output_node, index.get(fm.compute_node))
+        if row is None:
+            continue
+        mac_rows.append(row)
+        pixel_macs.append(_pixel_macs(graph.nodes[fm.compute_node].layer))
+        if config is None or fm.output_node not in index:
+            continue
+        first = len(term_rows)
+        if fm.output_node != plan.split_output_node:
+            term_rows.append(index[fm.output_node])
+            term_bits.append(fm.shape[0] * config.act_bits(fm.index))
+        for src in fm_index.sources[fm.index]:
+            if src is None:
+                node, channels, bits = INPUT_NODE, graph.input_shape[0], config.input_bits
+            else:
+                src_fm = fm_index[src]
+                node, channels, bits = src_fm.output_node, src_fm.shape[0], config.act_bits(src)
+            if node in index:
+                term_rows.append(index[node])
+                term_bits.append(channels * bits)
+        if len(term_rows) > first:
+            starts.append(first)
+
+    heights, widths = extents.heights, extents.widths
+    pixels = heights[mac_rows].sum(axis=1) * widths[mac_rows].sum(axis=1)
+    macs = int(np.array(pixel_macs, dtype=np.int64) @ pixels)
+    if not starts:
+        return macs, 0
+    bits = np.array(term_bits, dtype=np.int64)[:, None, None]
+    cells = heights[term_rows][:, :, None] * widths[term_rows][:, None, :]
+    working = np.add.reduceat(tensor_bytes(cells, bits), starts, axis=0)
+    return macs, int(working.max())
+
+
+def _plan_extents(plan: PatchPlan) -> StageExtents:
+    """A built plan's extents, read off its first tile column and first tile
+    row: branch ``(r, c)`` is row demand ``r`` x column demand ``c``."""
+    p = plan.num_patches
+    return StageExtents.of_branches(plan.branches[::p], plan.branches[:p])
 
 
 def branch_macs(plan: PatchPlan, branch: BranchPlan) -> int:
     """MACs one dataflow branch performs (clamped to real feature-map bounds)."""
-    total = 0
-    for name in _prefix_compute_nodes(plan):
-        layer = plan.graph.nodes[name].layer
-        fm = plan.fm_index.by_compute_node(name)
-        region = branch.clamped_regions.get(fm.output_node, branch.clamped_regions.get(name))
-        if region is None:
-            continue
-        total += macs_for_region(layer, region)
-    return total
+    return stage_costs(plan, StageExtents.of_branches([branch], [branch]))[0]
 
 
 def patch_stage_macs(plan: PatchPlan) -> int:
     """Total MACs of the patch stage summed over all branches."""
-    return sum(branch_macs(plan, branch) for branch in plan.branches)
+    return stage_costs(plan, _plan_extents(plan))[0]
 
 
 def layer_based_prefix_macs(plan: PatchPlan) -> int:
@@ -89,14 +139,6 @@ def layer_based_prefix_macs(plan: PatchPlan) -> int:
 def redundant_macs(plan: PatchPlan) -> int:
     """Extra MACs caused by halo overlap between branches."""
     return patch_stage_macs(plan) - layer_based_prefix_macs(plan)
-
-
-def redundancy_ratio(plan: PatchPlan) -> float:
-    """Redundant MACs as a fraction of the layer-based prefix MACs."""
-    base = layer_based_prefix_macs(plan)
-    if base == 0:
-        return 0.0
-    return redundant_macs(plan) / base
 
 
 def _source_bits(plan: PatchPlan, fm_idx: int, config: QuantizationConfig) -> int:
@@ -130,88 +172,45 @@ def patch_bitops(plan: PatchPlan, config: QuantizationConfig) -> int:
     return total
 
 
-def _region_bytes(channels: int, region: Region, bits: int) -> int:
-    return tensor_bytes(channels * region.area, bits)
-
-
 def branch_peak_bytes(plan: PatchPlan, branch: BranchPlan, config: QuantizationConfig) -> int:
-    """Peak working-set bytes of one branch (excluding the stitched output buffer).
-
-    For every patch-stage operator the working set is the bytes of its input
-    region(s) plus its output region; operators writing the split feature map
-    write directly into the persistent stitched buffer, so their output is not
-    double counted here (the buffer is added by :func:`patch_peak_bytes`).
-    """
-    prefix = set(plan.prefix_nodes)
-    peak = 0
-    for fm in plan.fm_index:
-        if fm.compute_node not in prefix:
-            continue
-        out_region = branch.clamped_regions.get(fm.output_node)
-        if out_region is None:
-            continue
-        if fm.output_node == plan.split_output_node:
-            working = 0
-        else:
-            working = _region_bytes(fm.shape[0], out_region, config.act_bits(fm.index))
-        for src in plan.fm_index.sources[fm.index]:
-            if src is None:
-                region = branch.clamped_regions.get(INPUT_NODE)
-                channels = plan.graph.input_shape[0]
-                bits = config.input_bits
-            else:
-                src_fm = plan.fm_index[src]
-                region = branch.clamped_regions.get(src_fm.output_node)
-                channels = src_fm.shape[0]
-                bits = config.act_bits(src)
-            if region is not None:
-                working += _region_bytes(channels, region, bits)
-        peak = max(peak, working)
-    return peak
+    """Peak working-set bytes of one branch (excluding the stitched output
+    buffer; see :func:`stage_costs`)."""
+    return stage_costs(plan, StageExtents.of_branches([branch], [branch]), config)[1]
 
 
-def patch_peak_bytes(plan: PatchPlan, config: QuantizationConfig) -> int:
-    """Peak SRAM of the whole patch-based execution under ``config``.
+def peak_memory_bytes(plan: PatchPlan, branch_peak: int, config: QuantizationConfig) -> int:
+    """Peak SRAM of ``plan``'s execution whose largest branch working set is
+    ``branch_peak``.
 
     The patch-stage peak is the stitched split-feature-map buffer plus the
     largest branch working set; the suffix peak is the usual layer-by-layer
     maximum over the remaining operators.  The overall peak is the larger of
     the two.
     """
-    split_idx = plan.split_feature_map()
-    split_buffer = feature_map_bytes(plan.fm_index, split_idx, config)
+    fm_index = plan.fm_index
 
-    stage_peak = split_buffer
-    for branch in plan.branches:
-        stage_peak = max(stage_peak, split_buffer + branch_peak_bytes(plan, branch, config))
+    def nbytes(idx: int | None) -> int:
+        if idx is None:
+            return input_bytes(fm_index, config)
+        return feature_map_bytes(fm_index, idx, config)
 
-    suffix_peak = 0
-    for idx in plan.suffix_feature_maps():
-        working = feature_map_bytes(plan.fm_index, idx, config)
-        for src in plan.fm_index.sources[idx]:
-            if src is None:
-                working += input_bytes(plan.fm_index, config)
-            else:
-                working += feature_map_bytes(plan.fm_index, src, config)
-        suffix_peak = max(suffix_peak, working)
-
-    return max(stage_peak, suffix_peak)
+    suffix_peak = max(
+        (nbytes(i) + sum(map(nbytes, fm_index.sources[i])) for i in plan.suffix_feature_maps()),
+        default=0,
+    )
+    return max(nbytes(plan.split_feature_map()) + branch_peak, suffix_peak)
 
 
-def shard_macs(plan: PatchPlan, branch_ids: list[int]) -> int:
+def patch_peak_bytes(plan: PatchPlan, config: QuantizationConfig) -> int:
+    """Peak SRAM of the whole patch-based execution under ``config``
+    (:func:`peak_memory_bytes` of the plan's largest branch working set)."""
+    branch_peak = stage_costs(plan, _plan_extents(plan), config)[1]
+    return peak_memory_bytes(plan, branch_peak, config)
+
+
+def _branch_set_macs(plan: PatchPlan, branch_ids: list[int]) -> int:
     """MACs of the branches in ``branch_ids`` summed (halo included)."""
     return sum(branch_macs(plan, plan.branches[i]) for i in branch_ids)
-
-
-def incremental_stage_macs(plan: PatchPlan, dirty_branch_ids: list[int]) -> int:
-    """Patch-stage MACs of re-executing only ``dirty_branch_ids``.
-
-    The per-frame cost of streaming inference's partial recompute: clean
-    branches are served from cache at zero MACs, dirty branches pay their full
-    per-branch cost (halo included — an invalidated patch recomputes its whole
-    input region, not just the changed pixels).
-    """
-    return shard_macs(plan, sorted(set(dirty_branch_ids)))
 
 
 @dataclass(frozen=True)
@@ -231,15 +230,6 @@ class StreamingCostReport:
     def reuse_rate(self) -> float:
         return self.reused_branches / self.num_branches if self.num_branches else 0.0
 
-    @property
-    def executed_fraction(self) -> float:
-        """Executed patch-stage MACs as a fraction of full recomputation."""
-        return self.executed_macs / self.total_macs if self.total_macs else 0.0
-
-    @property
-    def mac_speedup(self) -> float:
-        return self.total_macs / self.executed_macs if self.executed_macs else float("inf")
-
 
 def analyze_streaming(plan: PatchPlan, dirty_branch_ids: list[int]) -> StreamingCostReport:
     """Summarize the patch-stage savings of recomputing only ``dirty_branch_ids``."""
@@ -247,43 +237,6 @@ def analyze_streaming(plan: PatchPlan, dirty_branch_ids: list[int]) -> Streaming
     return StreamingCostReport(
         num_branches=plan.num_branches,
         num_dirty=len(dirty),
-        executed_macs=shard_macs(plan, dirty),
+        executed_macs=_branch_set_macs(plan, dirty),
         total_macs=patch_stage_macs(plan),
-    )
-
-
-@dataclass
-class PatchCostReport:
-    """Summary of a patch plan's cost under a quantization configuration."""
-
-    num_patches: int
-    split_output_node: str
-    patch_stage_macs: int
-    layer_based_prefix_macs: int
-    redundant_macs: int
-    redundancy_ratio: float
-    total_bitops: int
-    peak_memory_bytes: int
-
-    @property
-    def peak_memory_kb(self) -> float:
-        return self.peak_memory_bytes / 1024.0
-
-    @property
-    def bitops_m(self) -> float:
-        return self.total_bitops / 1e6
-
-
-def analyze_plan(plan: PatchPlan, config: QuantizationConfig | None = None) -> PatchCostReport:
-    """Produce a :class:`PatchCostReport` for ``plan`` under ``config`` (default 8/8)."""
-    config = config if config is not None else QuantizationConfig.uniform(8)
-    return PatchCostReport(
-        num_patches=plan.num_patches,
-        split_output_node=plan.split_output_node,
-        patch_stage_macs=patch_stage_macs(plan),
-        layer_based_prefix_macs=layer_based_prefix_macs(plan),
-        redundant_macs=redundant_macs(plan),
-        redundancy_ratio=redundancy_ratio(plan),
-        total_bitops=patch_bitops(plan, config),
-        peak_memory_bytes=patch_peak_bytes(plan, config),
     )

@@ -14,19 +14,31 @@ model that can be decided *before* running it:
 The plan is purely analytic (region arithmetic over the graph structure), so
 it can be built for full-resolution models in milliseconds; the executor in
 :mod:`repro.patch.executor` and the cost models in :mod:`repro.patch.analysis`
-both consume it.
+both consume it.  Demand composes one axis at a time (``2p`` compositions for
+a ``p x p`` grid), so :func:`stage_extents` prices a grid without its branches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from ..nn import Graph
 from ..nn.graph import INPUT_NODE
 from ..quant.points import FeatureMapIndex
-from .regions import Region, backward_region, split_into_patches
+from .regions import Region, backward_interval, patch_grid
 
-__all__ = ["BranchPlan", "PatchPlan", "build_patch_plan", "compose_branch_demand"]
+__all__ = [
+    "BranchPlan",
+    "PatchPlan",
+    "StageExtents",
+    "build_patch_plan",
+    "compose_branch_demand",
+    "stage_extents",
+    "stage_nodes",
+]
 
 
 @dataclass
@@ -90,17 +102,72 @@ class PatchPlan:
 
 def _ancestors(graph: Graph, target: str) -> set[str]:
     """All nodes (including ``target``) on a path from the input to ``target``."""
-    seen = {target}
-    stack = [target]
+    seen, stack = {target}, [target]
     while stack:
-        current = stack.pop()
-        if current == INPUT_NODE:
-            continue
-        for src in graph.nodes[current].inputs:
+        for src in graph.nodes[stack.pop()].inputs:
             if src not in seen and src != INPUT_NODE:
                 seen.add(src)
                 stack.append(src)
     return seen
+
+
+def stage_nodes(graph: Graph, split_output_node: str) -> tuple[list[str], list[str]]:
+    """``(prefix_nodes, suffix_nodes)`` of a split, each in execution order.
+
+    Raises ``ValueError`` if some suffix node reads a patch-stage tensor other
+    than the split feature map: patch execution discards the intermediate
+    patch-stage tensors, so such graphs cannot be executed patch-by-patch
+    without keeping extra full-size buffers.
+    """
+    ancestors = _ancestors(graph, split_output_node)
+    order = graph.topological_order()
+    prefix_nodes = [n for n in order if n in ancestors]
+    suffix_nodes = [n for n in order if n not in ancestors]
+    for name in suffix_nodes:
+        for src in graph.nodes[name].inputs:
+            if src in ancestors and src != split_output_node:
+                raise ValueError(
+                    f"suffix node {name!r} reads patch-stage tensor {src!r}; "
+                    f"choose a later split point"
+                )
+    return prefix_nodes, suffix_nodes
+
+
+def _compose_axis(graph: Graph, prefix_nodes: list[str], split_output_node: str, intervals):
+    """Unclamped demand of the split map's rows (or columns) ``intervals`` at
+    every prefix node (plus ``"input"``).  Each step, ``backward_interval`` and
+    the bounding-box union of several consumers' demands, acts on one axis, so
+    a rectangle's demand is its rows' demand x its columns' demand."""
+    demand = {split_output_node: list(intervals)}
+    for name in reversed(prefix_nodes):
+        needed = demand.get(name)
+        if needed is None:
+            # Node feeds the split output only through nodes that have not
+            # demanded it (cannot happen for ancestors, kept defensively).
+            continue
+        kernel, stride, padding = graph.nodes[name].layer.spatial_params()
+        needed = [backward_interval(a, b, kernel, stride, padding) for a, b in needed]
+        for src in graph.nodes[name].inputs:
+            known = demand.get(src)
+            demand[src] = needed if known is None else [
+                (min(a, c), max(b, d)) for (a, b), (c, d) in zip(known, needed)
+            ]
+    return demand
+
+
+def _grid_demand(graph, prefix_nodes, split_output_node, rows, cols, shapes):
+    """``(row demands, column demands, bounds)`` of the tiles ``rows x cols``;
+    bounds are every demanded node's ``(height, width)``."""
+    row_demand = _compose_axis(graph, prefix_nodes, split_output_node, rows)
+    col_demand = _compose_axis(graph, prefix_nodes, split_output_node, cols)
+    bounds = {n: graph.input_shape[1:] if n == INPUT_NODE else shapes[n][1:3] for n in row_demand}
+    return row_demand, col_demand, bounds
+
+
+def _branch_regions(row_demand, col_demand, bounds, r: int, c: int):
+    """``(node_regions, clamped_regions)`` of tile row ``r`` x column ``c``."""
+    demand = {name: Region(*rows[r], *col_demand[name][c]) for name, rows in row_demand.items()}
+    return demand, {name: region.clamp(*bounds[name]) for name, region in demand.items()}
 
 
 def compose_branch_demand(
@@ -115,34 +182,47 @@ def compose_branch_demand(
     Returns ``(node_regions, clamped_regions)`` exactly as stored on a
     :class:`BranchPlan`: for every prefix node (plus ``"input"``) the unclamped
     region the output region depends on, and the same region clipped to the
-    node's spatial bounds.  Shared by :func:`build_patch_plan` and the
-    vectorized backend's rectangle runs, which cover several tiles at once.
+    node's spatial bounds (the vectorized backend's multi-tile runs use it).
     """
+    rows = [(out_region.row_start, out_region.row_stop)]
+    cols = [(out_region.col_start, out_region.col_stop)]
     shapes = shapes if shapes is not None else graph.shapes()
-    demand: dict[str, Region] = {split_output_node: out_region}
-    for name in reversed(prefix_nodes):
-        if name not in demand:
-            # Node feeds the split output only through nodes that have not
-            # demanded it (cannot happen for ancestors, kept defensively).
-            continue
-        node = graph.nodes[name]
-        kernel, stride, padding = node.layer.spatial_params()
-        in_region = backward_region(demand[name], kernel, stride, padding)
-        for src in node.inputs:
-            if src in demand:
-                demand[src] = demand[src].union(in_region)
-            else:
-                demand[src] = in_region
+    return _branch_regions(
+        *_grid_demand(graph, prefix_nodes, split_output_node, rows, cols, shapes), 0, 0
+    )
 
-    clamped: dict[str, Region] = {}
-    for name, region in demand.items():
-        if name == INPUT_NODE:
-            _, h, w = graph.input_shape
-        else:
-            shape = shapes[name]
-            h, w = shape[1], shape[2]
-        clamped[name] = region.clamp(h, w)
-    return demand, clamped
+
+class StageExtents(NamedTuple):
+    """Clamped per-axis extents of the nodes a patch stage computes: in branch
+    ``(r, c)``, node ``name`` computes ``heights[index[name], r]`` rows by
+    ``widths[index[name], c]`` columns (never negative)."""
+
+    index: dict[str, int]
+    heights: np.ndarray
+    widths: np.ndarray
+
+    @classmethod
+    def of_branches(cls, row_branches: list[BranchPlan], col_branches: list[BranchPlan]):
+        """Read off built branches, ``row_branches[r]`` in tile row ``r`` and
+        ``col_branches[c]`` in tile column ``c`` (one branch is ``1 x 1``)."""
+        index = {name: i for i, name in enumerate(row_branches[0].clamped_regions)}
+        heights = [[g.height for g in b.clamped_regions.values()] for b in row_branches]
+        widths = [[g.width for g in b.clamped_regions.values()] for b in col_branches]
+        return cls(index, *(np.maximum(np.array(x, np.int64).T, 0) for x in (heights, widths)))
+
+
+def stage_extents(
+    graph: Graph, prefix_nodes, split_output_node, rows, cols, shapes
+) -> StageExtents:
+    """:class:`StageExtents` of the tiles ``rows x cols`` of the split feature
+    map, without building a region per branch."""
+    row_demand, col_demand, bounds = _grid_demand(
+        graph, prefix_nodes, split_output_node, rows, cols, shapes
+    )
+    heights = [[min(b, bounds[n][0]) - max(a, 0) for a, b in row_demand[n]] for n in row_demand]
+    widths = [[min(b, bounds[n][1]) - max(a, 0) for a, b in col_demand[n]] for n in row_demand]
+    index = {name: i for i, name in enumerate(row_demand)}
+    return StageExtents(index, *(np.maximum(np.array(x, np.int64), 0) for x in (heights, widths)))
 
 
 def build_patch_plan(
@@ -159,8 +239,7 @@ def build_patch_plan(
     ValueError
         If the split node is not a feature-map output, if the grid does not
         fit its spatial size, or if some post-split node reads a patch-stage
-        tensor other than the split feature map (such graphs cannot be
-        executed patch-by-patch without keeping extra full-size buffers).
+        tensor other than the split feature map (see :func:`stage_nodes`).
     """
     fm_index = fm_index if fm_index is not None else FeatureMapIndex(graph)
     split_fm = fm_index.by_output_node(split_output_node)
@@ -172,37 +251,16 @@ def build_patch_plan(
 
     shapes = graph.shapes()
     _, split_h, split_w = shapes[split_output_node]
-    tiles = split_into_patches(split_h, split_w, num_patches)
+    row_tiles, col_tiles = patch_grid(split_h, split_w, num_patches)
+    prefix_nodes, suffix_nodes = stage_nodes(graph, split_output_node)
 
-    ancestors = _ancestors(graph, split_output_node)
-    order = graph.topological_order()
-    prefix_nodes = [n for n in order if n in ancestors]
-    suffix_nodes = [n for n in order if n not in ancestors]
-
-    # Patch execution discards the intermediate patch-stage tensors, so the
-    # suffix may only read the split feature map (or other suffix nodes).
-    prefix_set = set(prefix_nodes)
-    for name in suffix_nodes:
-        for src in graph.nodes[name].inputs:
-            if src in prefix_set and src != split_output_node:
-                raise ValueError(
-                    f"suffix node {name!r} reads patch-stage tensor {src!r}; "
-                    f"choose a later split point"
-                )
-
-    branches = []
-    for patch_id, tile in enumerate(tiles):
-        demand, clamped = compose_branch_demand(
-            graph, prefix_nodes, split_output_node, tile, shapes
-        )
-        branches.append(
-            BranchPlan(
-                patch_id=patch_id,
-                output_region=tile,
-                node_regions=demand,
-                clamped_regions=clamped,
-            )
-        )
+    # Branch (r, c)'s demand at every node is row demand r x column demand c.
+    demands = _grid_demand(graph, prefix_nodes, split_output_node, row_tiles, col_tiles, shapes)
+    branches = [
+        BranchPlan(r * num_patches + c, Region(*rows, *cols), *_branch_regions(*demands, r, c))
+        for r, rows in enumerate(row_tiles)
+        for c, cols in enumerate(col_tiles)
+    ]
 
     return PatchPlan(
         graph=graph,

@@ -11,14 +11,15 @@ layer must produce and the layer's ``(kernel, stride, padding)``, return the
 input region it reads.  Composing this backwards through the patch-stage
 layers yields, for every layer, the exact sub-tensor each dataflow branch must
 compute — which is where both the memory savings and the redundant overlap
-computation of patch-based inference come from.
+computation of patch-based inference come from.  It acts on each axis
+separately (:func:`backward_interval`), as do a bounding-box union and a clamp.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Region", "backward_region", "split_into_patches", "region_overlap"]
+__all__ = ["Region", "backward_interval", "backward_region", "patch_grid"]
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,17 @@ class Region:
         return f"[{self.row_start}:{self.row_stop}, {self.col_start}:{self.col_stop}]"
 
 
+def backward_interval(
+    start: int, stop: int, kernel: int, stride: int, padding: int
+) -> tuple[int, int]:
+    """One axis of :func:`backward_region`: the input interval a layer reads
+    to produce output positions ``[start, stop)`` (an empty interval reads
+    nothing and is returned as is)."""
+    if stop <= start:
+        return start, stop
+    return start * stride - padding, (stop - 1) * stride - padding + kernel
+
+
 def backward_region(out_region: Region, kernel: int, stride: int, padding: int) -> Region:
     """Input region a layer reads to produce ``out_region``.
 
@@ -90,15 +102,16 @@ def backward_region(out_region: Region, kernel: int, stride: int, padding: int) 
     """
     if out_region.height <= 0 or out_region.width <= 0:
         return out_region
-    row_start = out_region.row_start * stride - padding
-    row_stop = (out_region.row_stop - 1) * stride - padding + kernel
-    col_start = out_region.col_start * stride - padding
-    col_stop = (out_region.col_stop - 1) * stride - padding + kernel
-    return Region(row_start, row_stop, col_start, col_stop)
+    rows = backward_interval(out_region.row_start, out_region.row_stop, kernel, stride, padding)
+    cols = backward_interval(out_region.col_start, out_region.col_stop, kernel, stride, padding)
+    return Region(*rows, *cols)
 
 
-def split_into_patches(height: int, width: int, num_patches: int) -> list[Region]:
-    """Split an ``height x width`` map into a ``num_patches x num_patches`` grid.
+def patch_grid(
+    height: int, width: int, num_patches: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Row and column intervals of a ``num_patches x num_patches`` grid over an
+    ``height x width`` map: tile ``r * num_patches + c`` is ``rows[r] x cols[c]``.
 
     Tiles are as equal as possible (remainder rows/columns go to the trailing
     tiles), matching how MCUNetV2 tiles its patch stage output.
@@ -121,30 +134,4 @@ def split_into_patches(height: int, width: int, num_patches: int) -> list[Region
             start += extent
         return bounds
 
-    rows = _bounds(height)
-    cols = _bounds(width)
-    return [
-        Region(r0, r1, c0, c1)
-        for r0, r1 in rows
-        for c0, c1 in cols
-    ]
-
-
-def region_overlap(regions: list[Region]) -> int:
-    """Total over-counted area: sum of areas minus area of their union grid.
-
-    Used to quantify how much of the patch-stage computation is redundant
-    (values computed by more than one dataflow branch).
-    """
-    if not regions:
-        return 0
-    total = sum(r.area for r in regions)
-    bounding = regions[0]
-    for r in regions[1:]:
-        bounding = bounding.union(r)
-    clamped_area = 0
-    # Exact union area via inclusion over a grid would be expensive; the
-    # regions produced by patch planning tile a bounding box, so the union is
-    # the bounding box clamped to valid coordinates.
-    clamped_area = bounding.area
-    return max(total - clamped_area, 0)
+    return _bounds(height), _bounds(width)

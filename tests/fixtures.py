@@ -51,16 +51,20 @@ def input_skip_graph() -> Graph:
     return g
 
 
-def random_property_graph(rng: np.random.Generator) -> Graph:
+def random_property_graph(rng: np.random.Generator, rectangular: bool = False) -> Graph:
     """A random small CNN with at least one downsampling layer.
 
     The shared generator behind the property-based tests (backend
     bit-exactness and streaming): varied
     resolutions/widths/depths, always with a valid patch-stage split point.
+    ``rectangular`` draws an input width different from its height.
     """
     resolution = int(rng.choice([16, 24, 32]))
     channels = int(rng.choice([4, 8, 12]))
-    g = Graph((3, resolution, resolution), name="prop")
+    width = resolution
+    if rectangular:
+        width = int(rng.choice([w for w in (16, 20, 24, 28, 32) if w != resolution]))
+    g = Graph((3, resolution, width), name="prop")
     g.add(Conv2d(3, channels, 3, stride=2, padding=1, bias=False), name="stem")
     g.add(ReLU(), name="stem_act")
     if rng.random() < 0.5:

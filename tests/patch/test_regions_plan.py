@@ -10,7 +10,7 @@ from repro.patch import (
     backward_region,
     build_patch_plan,
     candidate_split_nodes,
-    split_into_patches,
+    patch_grid,
 )
 from repro.quant import FeatureMapIndex
 
@@ -76,12 +76,15 @@ class TestBackwardRegion:
 
 
 class TestSplitIntoPatches:
+    """A map splits into the ``patch_grid`` rows x columns tiles."""
+
     @given(st.integers(min_value=4, max_value=40), st.integers(min_value=1, max_value=4))
     @settings(max_examples=50, deadline=None)
     def test_property_tiles_partition_map(self, size, grid):
         if grid > size:
             return
-        tiles = split_into_patches(size, size, grid)
+        rows, cols = patch_grid(size, size, grid)
+        tiles = [Region(*row, *col) for row in rows for col in cols]
         assert len(tiles) == grid * grid
         total_area = sum(t.area for t in tiles)
         assert total_area == size * size
@@ -93,9 +96,9 @@ class TestSplitIntoPatches:
 
     def test_invalid_grid(self):
         with pytest.raises(ValueError):
-            split_into_patches(4, 4, 0)
+            patch_grid(4, 4, 0)
         with pytest.raises(ValueError):
-            split_into_patches(2, 2, 3)
+            patch_grid(2, 2, 3)
 
 
 class TestPatchPlan:
