@@ -66,8 +66,7 @@ def quantized_detection_accuracy() -> None:
         pipeline = QuantMCUPipeline(model, sram_limit_bytes=64 * 1024, num_patches=3, **kwargs)
         result = pipeline.run(dataset.calibration)
         executor = pipeline.make_executor(result)
-        with pipeline.quantized_weights():
-            logits = executor.forward(test_x)
+        logits = executor.forward(test_x)
         print(f"{label:18s}: mAP {mean_average_precision(logits, targets):.3f}, "
               f"BitOPs {result.bitops / 1e6:.1f} M, "
               f"{result.num_outlier_branches}/{len(result.branches)} branches protected")

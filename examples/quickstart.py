@@ -75,8 +75,7 @@ def main() -> None:
     print("\n== executing quantized patch-based inference ==")
     executor = pipeline.make_executor(result)
     reference = model.forward(test_x)
-    with pipeline.quantized_weights():
-        logits = executor.forward(test_x)
+    logits = executor.forward(test_x)
     print(f"QuantMCU test accuracy : {top1_accuracy(logits, test_y):.3f}")
     print(f"fidelity vs FP32 model : {prediction_fidelity(logits, reference):.3f}")
 

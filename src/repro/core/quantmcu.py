@@ -601,10 +601,13 @@ class QuantMCUPipeline:
         In static mode every branch uses its deployed bitwidths.  In dynamic
         mode the branch classifies each input sample when it reaches the
         reference feature map and applies 8-bit (outlier samples) or the VDQS
-        assignment (non-outlier samples) from there on.
+        assignment (non-outlier samples) from there on.  It is built inside
+        :meth:`quantized_weights`: it serves the deployed weights, and the
+        graph keeps its own.
         """
         branch_hook, suffix_hook = self.make_hooks(result)
-        return PatchExecutor(result.plan, branch_hook=branch_hook, suffix_hook=suffix_hook)
+        with self.quantized_weights(result.weight_bits):
+            return PatchExecutor(result.plan, branch_hook=branch_hook, suffix_hook=suffix_hook)
 
     @contextmanager
     def quantized_weights(self, bits: int | None = None):

@@ -46,14 +46,10 @@ def _evaluate_model(model_name: str, task: str, scale: ExperimentScale, sram_kb:
         trained.graph, sram_limit_bytes=sram_limit, num_patches=3, use_vdpc=False
     )
     result_novdpc = pipeline_novdpc.run(calib)
-    executor_novdpc = pipeline_novdpc.make_executor(result_novdpc)
-    with pipeline_novdpc.quantized_weights():
-        logits_novdpc = executor_novdpc.forward(trained.eval_images)
+    logits_novdpc = pipeline_novdpc.make_executor(result_novdpc).forward(trained.eval_images)
 
     # Full QuantMCU.
-    executor_full = pipeline.make_executor(result)
-    with pipeline.quantized_weights():
-        logits_full = executor_full.forward(trained.eval_images)
+    logits_full = pipeline.make_executor(result).forward(trained.eval_images)
 
     novdpc_acc = accuracy_from_logits(logits_novdpc, trained)
     full_acc = accuracy_from_logits(logits_full, trained)

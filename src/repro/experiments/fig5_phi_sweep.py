@@ -42,8 +42,7 @@ def run_fig5(
         )
         result = pipeline.run(calib)
         executor = pipeline.make_executor(result)
-        with pipeline.quantized_weights():
-            logits = executor.forward(trained.eval_images)
+        logits = executor.forward(trained.eval_images)
         accuracy = accuracy_from_logits(logits, trained)
         rows.append(
             [

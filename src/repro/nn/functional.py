@@ -57,6 +57,7 @@ __all__ = [
     "depthwise_conv2d_forward",
     "depthwise_conv2d_taps",
     "depthwise_conv2d_exact",
+    "tile_depthwise_taps",
     "zero_pad_nhwc",
     "depthwise_conv2d_backward",
     "maxpool2d_forward",
@@ -420,18 +421,20 @@ def depthwise_conv2d_taps(
     return out
 
 
-def depthwise_conv2d_exact(
-    x: np.ndarray,
-    weight: np.ndarray,
-    stride: int,
-    padding: int,
-    tiles: dict[int, np.ndarray] | None = None,
-) -> np.ndarray:
+def tile_depthwise_taps(weight: np.ndarray, full_w: int) -> np.ndarray:
+    """The taps :func:`depthwise_conv2d_exact` reads: the ``(C, kh, kw)``
+    ``weight`` as ``(kh, kw, full_w, C)``, each tap repeated for ``full_w``
+    output columns."""
+    return np.tile(weight.transpose(1, 2, 0)[:, :, None], (1, 1, full_w, 1))
+
+
+def depthwise_conv2d_exact(x: np.ndarray, taps: np.ndarray, stride: int, padding: int) -> np.ndarray:
     """Single-pass depthwise convolution over **channels-last** integer codes.
 
-    Shapes as in :func:`depthwise_conv2d_taps` (no bias).  ``x`` and
-    ``weight`` must hold integers whose products, summed over any subset of
-    the ``kh*kw`` taps, stay below ``2**24`` in magnitude: float32 then adds
+    Shapes as in :func:`depthwise_conv2d_taps` (no bias), except that the
+    weight comes as ``taps`` from :func:`tile_depthwise_taps`.  ``x`` and the
+    taps must hold integers whose products, summed over any subset of the
+    ``kh*kw`` taps, stay below ``2**24`` in magnitude: float32 then adds
     them exactly in any order, so one :func:`numpy.einsum` reduces every tap
     in a single pass over the input instead of a multiply and an add pass per
     tap.  The result equals an integer convolution.
@@ -441,12 +444,11 @@ def depthwise_conv2d_exact(
     ``full_w * C`` elements (``full_w = W_padded - kw + 1``) starting at
     column ``j`` of padded row ``r * stride + i``: one strided view
     ``(n, out_h, kh, kw, full_w * C)`` holds them all, reduced against the
-    ``(kh, kw, C)`` taps tiled to ``full_w * C``.  At ``stride > 1`` every
-    ``stride``-th column is kept.  ``tiles`` caches the tiled taps by
-    ``full_w``; pass one dict per ``weight``.
+    first ``full_w`` columns of ``taps``, so ``taps`` must be tiled for at
+    least ``full_w``.  At ``stride > 1`` every ``stride``-th column is kept.
     """
     n, _, _, c = x.shape
-    c_w, kh, kw = weight.shape
+    kh, kw, _, c_w = taps.shape
     if c_w != c:
         raise ValueError(f"depthwise weight has {c_w} channels, input has {c}")
     if padding > 0:
@@ -456,11 +458,6 @@ def depthwise_conv2d_exact(
     _, h, w, _ = x.shape
     out_h = (h - kh) // stride + 1
     full_w = w - kw + 1
-    taps = None if tiles is None else tiles.get(full_w)
-    if taps is None:
-        taps = np.tile(weight.transpose(1, 2, 0), (1, 1, full_w))
-        if tiles is not None:
-            tiles[full_w] = taps
     sn, sh, sw, _ = x.strides
     shape = (n, out_h, kh, kw, full_w * c)
     strides = (sn, sh * stride, sh, sw, x.itemsize)
@@ -468,7 +465,9 @@ def depthwise_conv2d_exact(
         view = np.ndarray(shape, x.dtype, buffer=x, strides=strides)
     else:  # a window of a larger map, whose buffer is not contiguous
         view = as_strided(x, shape=shape, strides=strides, writeable=False)
-    out = np.einsum("nhijr,ijr->nhr", view, taps).reshape(n, out_h, full_w, c)
+    # A narrower call copies its prefix: einsum reads strided taps 10-30% slower.
+    rows = np.ascontiguousarray(taps[:, :, :full_w]).reshape(kh, kw, full_w * c)
+    out = np.einsum("nhijr,ijr->nhr", view, rows).reshape(n, out_h, full_w, c)
     return out if stride == 1 else np.ascontiguousarray(out[:, :, ::stride])
 
 

@@ -46,24 +46,24 @@ gets a copy, so caller arrays are never written.
 **Float kernels.**  Values that are not on a grid stay in float: the image
 the stem convolution reads, the head :class:`Linear` (it reads the pooled
 features), feature maps at ``bits >= 32`` and values under content-dependent
-hooks.  Weights that are not on a per-channel grid (an executor built before
-a :meth:`~repro.core.quantmcu.QuantMCUPipeline.quantized_weights` swap) keep
-float kernels too.  Float GEMMs run once per sample (convolution, on a
+hooks.  Weights that are not on a per-channel grid (an executor built outside
+:meth:`~repro.core.quantmcu.QuantMCUPipeline.quantized_weights`) keep float
+kernels too.  Float GEMMs run once per sample (convolution, on a
 fixed-shape im2col) or per row (:class:`Linear`), and the other float
 kernels reduce per element in a fixed order, so float results are
 batch-invariant by construction as well.
 
-**Weights.**  Weighted kernels fold ``q_w``, ``M`` and ``B`` from the weight
-array they are called with and refold when ``params["weight"]`` is a
-different object, so a temporary weight swap is honoured.  BatchNorm
-constants are read once, when the program is compiled.
+**Weights.**  Weighted kernels fold ``q_w``, ``M``, ``B`` and their tiles
+from ``params["weight"]`` once, when the program is compiled, into read-only
+arrays: a call does only arithmetic, and a later weight swap is not seen.
 
 **Layout.**  Kernels take and return *channels-last* arrays: a logical
 ``(N, C, H, W)`` activation travels as ``(N, H, W, C)``; flat ``(N, F)``
 values are unchanged.  Per-channel epilogue constants are tiled to one row
-of ``W * C`` contiguous floats, and a convolution's GEMM rows come out
-channels-last.  Executors cross to the logical order once per boundary:
-content-dependent hooks and :class:`Flatten` see the logical order.
+of ``W * C`` contiguous floats, ``W`` the widest output row (a narrower row
+reads a prefix), and a convolution's GEMM rows come out channels-last.
+Executors cross to the logical order once per boundary: content-dependent
+hooks and :class:`Flatten` see the logical order.
 """
 
 from __future__ import annotations
@@ -272,10 +272,12 @@ def compile_nodes(
     nodes = []
     for chain in chains:
         padding = 0 if prepadded else getattr(chain.layer, "padding", 0)
+        shape = shapes[chain.name]
         fn, value = _build(
             chain,
             [values[src] for src in chain.inputs],
             shapes[chain.inputs[0]],
+            shape[2] if len(shape) == 3 else 1,  # pixels per row; 1 for a flat value
             padding,
             outputs.get(chain.name),
         )
@@ -284,32 +286,43 @@ def compile_nodes(
     return nodes
 
 
-def layer_kernel(layer: Layer, input_shape: tuple[int, ...], padding: int | None = None) -> Kernel:
+def layer_kernel(layer: Layer, input_shape: tuple[int, ...]) -> Kernel:
     """The channels-last kernel of one layer, real units in and out.
 
     ``input_shape`` is the static logical ``(C, H, W)`` (or ``(F,)``) of the
-    first input; ``padding`` overrides a spatial layer's own padding.
-    Raises :class:`TypeError` for a layer type with no inference kernel.
+    first input.  Raises :class:`TypeError` for a layer type with no
+    inference kernel.
     """
-    pad = getattr(layer, "padding", 0) if padding is None else padding
+    pad = getattr(layer, "padding", 0)
     arity = 2 if isinstance(layer, (Add, Concat)) else 1
     chain = _Chain("layer", layer, ("x",) * arity)
-    return _build(chain, [REAL] * arity, input_shape, pad, REAL)[0]
+    width = (input_shape[2] if len(input_shape) == 3 else 1) + 2 * pad  # no output row is wider
+    return _build(chain, [REAL] * arity, input_shape, width, pad, REAL)[0]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a`` (``a`` itself, a layer's weight, stays writable)."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------- epilogue
 class _Epilogue:
-    """``acc * M + B``, clipped to ``[lo, hi]``, rounded when onto a grid;
-    per-channel constants are tiled to the row width on first use.
+    """``acc * M + B``, clipped to ``[lo, hi]``, rounded when onto a grid.
+
+    Per-channel constants are tiled once, to rows of ``width`` pixels (the
+    widest the node produces); a call reads the prefix its row width needs.
 
     The clip calls the ufunc that :func:`numpy.clip` dispatches to (``clip``
     for two bounds, ``maximum`` or ``minimum`` for one), skipping its Python
     wrapper: the same bytes at about half the cost per call on small maps."""
 
-    __slots__ = ("M", "B", "bounds", "clip", "rint", "identity", "_tiles")
+    __slots__ = ("M", "B", "bounds", "clip", "rint", "identity")
 
-    def __init__(self, M, B, lo, hi, rint: bool) -> None:
-        self.M, self.B, self.rint = M, B, rint
+    def __init__(self, M, B, lo, hi, rint: bool, width: int) -> None:
+        self.M, self.B = (_frozen(np.tile(k, width)) if isinstance(k, np.ndarray) else k for k in (M, B))
+        self.rint = rint
         self.bounds = tuple(k for k in (lo, hi) if k is not None)
         self.clip = (
             _clip_ufunc if len(self.bounds) == 2
@@ -318,24 +331,18 @@ class _Epilogue:
             else None
         )
         self.identity = M is None and B is None and self.clip is None and not rint
-        self._tiles: dict[int, tuple] = {}
 
     def __call__(self, acc: np.ndarray, fresh: bool) -> np.ndarray:
         if self.identity:
             return acc
         shape = acc.shape
-        width = shape[-2] if acc.ndim == 4 else 1
-        rows = (acc if fresh else acc.copy()).reshape(-1, width * shape[-1])
-        tiles = self._tiles.get(width)
-        if tiles is None:
-            tiles = self._tiles[width] = tuple(
-                np.tile(k, width) if isinstance(k, np.ndarray) else k for k in (self.M, self.B)
-            )
-        M, B = tiles
+        cols = (shape[-2] if acc.ndim == 4 else 1) * shape[-1]
+        rows = (acc if fresh else acc.copy()).reshape(-1, cols)
+        M, B = self.M, self.B
         if M is not None:
-            np.multiply(rows, M, out=rows)
+            np.multiply(rows, M if M.ndim == 0 else M[:cols], out=rows)
         if B is not None:
-            np.add(rows, B, out=rows)
+            np.add(rows, B if B.ndim == 0 else B[:cols], out=rows)
         if self.clip is not None:
             self.clip(rows, *self.bounds, out=rows)
         if self.rint:
@@ -344,9 +351,10 @@ class _Epilogue:
         return out if out.dtype == np.float32 else out.astype(np.float32)
 
 
-def _epilogue(chain: _Chain, m0, b0, grid) -> _Epilogue:
+def _epilogue(chain: _Chain, m0, b0, grid, width: int) -> _Epilogue:
     """Fold ``real = acc * m0 + b0``, the chain's BatchNorm and clip, and
-    the output grid (None for real units) into one epilogue."""
+    the output grid (None for real units) into one epilogue over rows of
+    ``width`` pixels."""
     M = np.asarray(m0, dtype=np.float64)
     B = np.zeros(()) if b0 is None else b0.astype(np.float64)
     if chain.affine is not None:
@@ -371,22 +379,24 @@ def _epilogue(chain: _Chain, m0, b0, grid) -> _Epilogue:
         None if lo is None else np.float32(lo),
         None if hi is None else np.float32(hi),
         grid is not None,
+        width,
     )
 
 
 # ------------------------------------------------------------------ kernels
-def _build(chain: _Chain, sources: list[Value], input_shape, padding: int, out):
-    """``(fn, value)`` of one chain; ``out`` as in :func:`compile_nodes`."""
+def _build(chain: _Chain, sources: list[Value], input_shape, width: int, padding: int, out):
+    """``(fn, value)`` of one chain whose output rows are at most ``width``
+    pixels wide; ``out`` as in :func:`compile_nodes`."""
     layer = chain.layer
     grid = None if out is None or out is REAL else out
     if isinstance(layer, (Conv2d, DepthwiseConv2d, Linear)):
         value = REAL if grid is None else grid_value(grid)
-        return _weighted(chain, sources[0], padding, grid), value
+        return _weighted(chain, sources[0], input_shape, width, padding, grid), value
     kernel, m0, bound, fresh = _weightless(layer, sources, input_shape, padding)
     if out is None and chain.affine is None and chain.lo is None and chain.hi is None:
         # Nothing to apply: pass the (codes') scale on instead.
         return kernel, Value(float(m0), bound)
-    epilogue = _epilogue(chain, m0, None, grid)
+    epilogue = _epilogue(chain, m0, None, grid, width)
     value = REAL if grid is None else grid_value(grid)
 
     def fn(*xs: np.ndarray) -> np.ndarray:
@@ -496,42 +506,27 @@ def weight_grid(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return None
 
 
-def _weighted(chain: _Chain, source: Value, padding: int, grid) -> Kernel:
-    """Convolution, depthwise convolution or :class:`Linear`, folded from the
-    weight array each call sees (refolded after a weight swap)."""
+def _weighted(chain: _Chain, source: Value, input_shape, width: int, padding: int, grid) -> Kernel:
+    """Convolution, depthwise convolution or :class:`Linear`, folded from
+    ``params["weight"]`` once, here."""
     layer = chain.layer
-    params = layer.params
-    state: list = [None]
-
-    def fold(weight: np.ndarray):
-        # No lock: every call returns the fold of the weight it was given;
-        # concurrent refolds only race to cache equal values.
-        cached = state[0]
-        if cached is not None and cached[0] is weight:
-            return cached[1]
-        found = None if source.bound is None or isinstance(layer, Linear) else weight_grid(weight)
-        chunk = None
-        if found is None:  # float kernel
-            operand, m0 = weight, source.scale
-        else:
-            q, s_w = found
-            operand, m0 = q.astype(np.float32), source.scale * s_w
-            peak = source.bound * int(np.abs(q).max(initial=0))
-            k = q[0].size
-            if peak and k * peak >= EXACT_LIMIT:
-                chunk = max(1, (EXACT_LIMIT - 1) // peak)
-        if not isinstance(layer, DepthwiseConv2d):
-            operand = operand.reshape(operand.shape[0], -1).T
-        epilogue = _epilogue(chain, m0, params.get("bias"), grid)
-        # The last field caches a depthwise kernel's taps tiled per row width.
-        folded = (operand, found is not None, chunk, epilogue, {})
-        state[0] = (weight, folded)
-        return folded
-
+    weight = layer.params["weight"]
+    found = None if source.bound is None or isinstance(layer, Linear) else weight_grid(weight)
+    chunk = None
+    if found is None:  # float kernel
+        operand, m0 = weight, source.scale
+    else:
+        q, s_w = found
+        operand, m0 = q.astype(np.float32), source.scale * s_w
+        peak = source.bound * int(np.abs(q).max(initial=0))
+        if peak and q[0].size * peak >= EXACT_LIMIT:
+            chunk = max(1, (EXACT_LIMIT - 1) // peak)
+    exact = found is not None
+    epilogue = _epilogue(chain, m0, layer.params.get("bias"), grid, width)
     if isinstance(layer, Linear):
+        matrix = _frozen(operand.reshape(operand.shape[0], -1).T)
 
         def linear(x: np.ndarray) -> np.ndarray:
-            matrix, _, _, epilogue, _ = fold(params["weight"])
             acc = np.empty((x.shape[0], matrix.shape[1]), np.float32)
             for i in range(x.shape[0]):  # repro: noqa[REP007] - per row: batch-invariant
                 acc[i] = x[i : i + 1] @ matrix
@@ -540,21 +535,22 @@ def _weighted(chain: _Chain, source: Value, padding: int, grid) -> Kernel:
         return linear
     stride = layer.stride
     if isinstance(layer, DepthwiseConv2d):
+        # Float taps, or integer sums that may round, keep the ordered taps;
+        # single-pass taps are tiled to the widest run of windows.
+        single_pass = exact and chunk is None
+        full_w = input_shape[2] + 2 * layer.padding - layer.kernel_size + 1
+        taps = _frozen(F.tile_depthwise_taps(operand, full_w) if single_pass else operand)
 
         def depthwise(x: np.ndarray) -> np.ndarray:
-            taps, exact, chunk, epilogue, tiles = fold(params["weight"])
-            if exact and chunk is None:
-                acc = F.depthwise_conv2d_exact(x, taps, stride, padding, tiles)
-            else:  # float, or integer sums that may round: the ordered taps
-                acc = F.depthwise_conv2d_taps(x, taps, None, stride, padding)
-            return epilogue(acc, True)
+            if single_pass:
+                return epilogue(F.depthwise_conv2d_exact(x, taps, stride, padding), True)
+            return epilogue(F.depthwise_conv2d_taps(x, taps, None, stride, padding), True)
 
         return depthwise
+    matrix = _frozen(operand.reshape(operand.shape[0], -1).T)
+    c_out, c_in, kh, kw = weight.shape
 
     def conv(x: np.ndarray) -> np.ndarray:
-        weight = params["weight"]
-        matrix, exact, chunk, epilogue, _ = fold(weight)
-        c_out, c_in, kh, kw = weight.shape
         if padding > 0:
             x = F.zero_pad_nhwc(x, padding)
         n, h, w, _ = x.shape

@@ -35,6 +35,7 @@ __all__ = [
     "patch_bitops",
     "branch_peak_bytes",
     "peak_memory_bytes",
+    "suffix_peak_bytes",
     "patch_peak_bytes",
     "stage_costs",
     "StreamingCostReport",
@@ -178,15 +179,9 @@ def branch_peak_bytes(plan: PatchPlan, branch: BranchPlan, config: QuantizationC
     return stage_costs(plan, StageExtents.of_branches([branch], [branch]), config)[1]
 
 
-def peak_memory_bytes(plan: PatchPlan, branch_peak: int, config: QuantizationConfig) -> int:
-    """Peak SRAM of ``plan``'s execution whose largest branch working set is
-    ``branch_peak``.
-
-    The patch-stage peak is the stitched split-feature-map buffer plus the
-    largest branch working set; the suffix peak is the usual layer-by-layer
-    maximum over the remaining operators.  The overall peak is the larger of
-    the two.
-    """
+def suffix_peak_bytes(plan: PatchPlan, config: QuantizationConfig) -> int:
+    """Peak SRAM of ``plan``'s suffix: the usual layer-by-layer maximum over
+    the operators after the split (it depends on the split alone)."""
     fm_index = plan.fm_index
 
     def nbytes(idx: int | None) -> int:
@@ -194,18 +189,31 @@ def peak_memory_bytes(plan: PatchPlan, branch_peak: int, config: QuantizationCon
             return input_bytes(fm_index, config)
         return feature_map_bytes(fm_index, idx, config)
 
-    suffix_peak = max(
+    return max(
         (nbytes(i) + sum(map(nbytes, fm_index.sources[i])) for i in plan.suffix_feature_maps()),
         default=0,
     )
-    return max(nbytes(plan.split_feature_map()) + branch_peak, suffix_peak)
+
+
+def peak_memory_bytes(
+    plan: PatchPlan, branch_peak: int, config: QuantizationConfig, suffix_peak: int
+) -> int:
+    """Peak SRAM of ``plan``'s execution whose largest branch working set is
+    ``branch_peak`` and whose suffix peak is ``suffix_peak``.
+
+    The patch-stage peak is the stitched split-feature-map buffer plus the
+    largest branch working set; the suffix peak is :func:`suffix_peak_bytes`.
+    The overall peak is the larger of the two.
+    """
+    split_bytes = feature_map_bytes(plan.fm_index, plan.split_feature_map(), config)
+    return max(split_bytes + branch_peak, suffix_peak)
 
 
 def patch_peak_bytes(plan: PatchPlan, config: QuantizationConfig) -> int:
     """Peak SRAM of the whole patch-based execution under ``config``
     (:func:`peak_memory_bytes` of the plan's largest branch working set)."""
     branch_peak = stage_costs(plan, _plan_extents(plan), config)[1]
-    return peak_memory_bytes(plan, branch_peak, config)
+    return peak_memory_bytes(plan, branch_peak, config, suffix_peak_bytes(plan, config))
 
 
 def _branch_set_macs(plan: PatchPlan, branch_ids: list[int]) -> int:

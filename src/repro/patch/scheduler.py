@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple
 from ..nn import Graph
 from ..quant.config import QuantizationConfig
 from ..quant.points import FeatureMapIndex
-from .analysis import layer_based_prefix_macs, peak_memory_bytes, stage_costs
+from .analysis import layer_based_prefix_macs, peak_memory_bytes, stage_costs, suffix_peak_bytes
 from .plan import PatchPlan, build_patch_plan, stage_extents, stage_nodes
 from .regions import patch_grid
 
@@ -97,17 +97,20 @@ def score_candidates(
         except ValueError:
             continue
         _, h, w = shapes[split]
+        # The split's plan without its branches or grid: the extents stand in,
+        # and no cost reads ``num_patches``.
+        stage = PatchPlan(graph, fm_index, split, 0, prefix_nodes, suffix_nodes, [])
+        suffix_peak = suffix_peak_bytes(stage, config)
+        prefix_macs = layer_based_prefix_macs(stage)
         for grid in grids:
             try:
                 rows, cols = patch_grid(h, w, grid)
             except ValueError:
                 continue
-            # The candidate's plan without its branches: the extents stand in.
-            stage = PatchPlan(graph, fm_index, split, grid, prefix_nodes, suffix_nodes, [])
             extents = stage_extents(graph, prefix_nodes, split, rows, cols, shapes)
             macs, branch_peak = stage_costs(stage, extents, config)
-            peak = peak_memory_bytes(stage, branch_peak, config)
-            yield CandidateScore(split, grid, peak, macs - layer_based_prefix_macs(stage))
+            peak = peak_memory_bytes(stage, branch_peak, config, suffix_peak)
+            yield CandidateScore(split, grid, peak, macs - prefix_macs)
 
 
 def find_patch_schedule(

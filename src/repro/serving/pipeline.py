@@ -13,10 +13,11 @@ Compiled pipelines are cheap to invoke, safe to share between threads, and
 round-trip through :meth:`CompiledPipeline.save` / :meth:`CompiledPipeline.load`
 for models built through the registry (:class:`ModelSpec` records the builder
 arguments).  Serving state is immutable by construction: the weights are
-frozen read-only, and the pipeline's one executor compiles the graph once
-into pure inference steps (:mod:`repro.nn.inference`) with the quantization
-grids resolved up front, so no request writes to the shared layers — there
-is no per-request cleanup to race against.
+frozen read-only, and the pipeline's one executor, built with it, compiles
+the graph once into pure inference steps (:mod:`repro.nn.inference`) with
+the weights folded and the quantization grids resolved up front, so no
+request writes to the shared layers or builds kernel state — there is no
+per-request cleanup to race against.
 
 A pipeline runs on one kernel backend (see :mod:`repro.backend`), named once
 when it is built: ``compile_pipeline(..., backend="loop")``,
@@ -165,17 +166,10 @@ class CompiledPipeline:
         self._branch_hook, self._suffix_hook = make_static_hooks(
             self._ranges, self._branch_bits, self._suffix_bits
         )
-        # The one executor every request and stream runs on.
-        self.executor = self._new_executor(backend)
-
-    def _new_executor(self, backend: str | None) -> PatchExecutor:
-        """An executor that builds its backend by name (``None`` is the
-        default; see :mod:`repro.backend`)."""
-        return PatchExecutor(
-            self.plan,
-            branch_hook=self._branch_hook,
-            suffix_hook=self._suffix_hook,
-            backend=backend,
+        # The one executor every request and stream runs on; it builds its
+        # backend by name (``None`` is the default; see :mod:`repro.backend`).
+        self.executor = PatchExecutor(
+            plan, branch_hook=self._branch_hook, suffix_hook=self._suffix_hook, backend=backend
         )
 
     # ----------------------------------------------------------- construction
@@ -227,18 +221,14 @@ class CompiledPipeline:
         return StreamSession(self.executor)
 
     def close(self) -> None:
-        """Close the executor and go on serving on a fresh one.
+        """Close :attr:`executor`: release its backend's resources (a
+        multiprocess fork pool); idempotent.
 
-        Closing releases the backend's resources (a multiprocess fork pool)
-        and what the executor built while serving: the weights its kernels
-        fold on first use and the backend's cover runs, about 3 MiB at
-        mobilenetv2@128 on a 4x4 grid, which a closed pipeline that stays
-        referenced would otherwise pin.  The fresh executor runs on the same
-        backend.  A stream session opened before the close keeps the closed
-        executor, which revives its resources on its next use.
+        The pipeline keeps its executor, compiled kernels and all, and goes on
+        serving on it: a closed executor revives its resources on next use,
+        and so does a stream session opened before the close.
         """
         self.executor.close()
-        self.executor = self._new_executor(self.executor.backend.name)
 
     # ----------------------------------------------------------- fingerprint
     def _fingerprint(self) -> str:

@@ -11,6 +11,7 @@ flipped sign of zero counts as a difference.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 from functools import reduce
 
@@ -276,25 +277,27 @@ def test_float64_input_is_computed_in_float32():
         vec.close()
 
 
-def test_executor_built_before_weight_swap_honours_it():
-    """An executor built outside ``quantized_weights(4)`` serves, inside the
-    block, the bytes of an executor built inside it: kernels refold their
-    weights when ``params["weight"]`` is another array, on both backends."""
+def test_executor_built_before_weight_swap_ignores_it():
+    """A compiled program is a snapshot of the weights at compile time: an
+    executor built outside ``quantized_weights(4)`` serves, inside the
+    block, the bytes it served before it, on both backends, while
+    ``make_executor`` builds inside the block itself and serves the 4-bit
+    weights wherever it is called."""
     _, pipeline, result = quantize_zoo_model()
     x = np.random.default_rng(6).standard_normal((2, 3, 32, 32)).astype(np.float32)
     outside, before = {}, {}
     for name in ("loop", "vectorized"):
         outside[name] = PatchExecutor(result.plan, *pipeline.make_hooks(result), backend=name)
-        before[name] = outside[name].forward(x)  # folds the float weights first
+        before[name] = outside[name].forward(x)
         assert outside[name].backend.name == name
     assert _bits_equal(before["vectorized"], before["loop"])
     with pipeline.quantized_weights(4):
-        inside = pipeline.make_executor(result).forward(x)
-        for executor in outside.values():
-            assert _bits_equal(executor.forward(x), inside)
+        inside = PatchExecutor(result.plan, *pipeline.make_hooks(result)).forward(x)
+        for name, executor in outside.items():
+            assert _bits_equal(executor.forward(x), before[name])
     assert not _bits_equal(before["loop"], inside)
-    for name, executor in outside.items():
-        assert _bits_equal(executor.forward(x), before[name])
+    four_bit = dataclasses.replace(result, weight_bits=4)
+    assert _bits_equal(pipeline.make_executor(four_bit).forward(x), inside)
 
 
 # ------------------------------------------------------------------ property

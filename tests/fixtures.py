@@ -154,8 +154,8 @@ def deep_split_deployment(model_name: str, resolution: int, split: str, bits_of=
 
     The zoo deployment's calibrated ranges quantize every patch-stage feature
     map of branch ``b`` to ``bits_of(b)`` bits (8 for all when ``None``).
-    Executors built from it serve the quantized model inside
-    ``pipeline.quantized_weights()``.
+    Executors built from it inside ``pipeline.quantized_weights()`` serve
+    the quantized model.
     """
     from repro.core.quantmcu import make_static_hooks
 

@@ -7,6 +7,8 @@ logical ``(N, C, H, W)`` view of their output."""
 
 from __future__ import annotations
 
+from types import FunctionType
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,7 +118,7 @@ def test_depthwise_kernel_matches_reference(
     last views of NCHW memory take its row-copy path, channels-last windows
     are read in place, and contiguous channels-last input, read-only or at
     an offset into a larger buffer, is viewed through the ``ndarray``
-    constructor), and reuses its tiled taps across calls."""
+    constructor), with its taps tiled exactly as wide or wider."""
     if min(height, width) + 2 * padding < kernel:
         return
     rng = np.random.default_rng(seed)
@@ -140,12 +142,15 @@ def test_depthwise_kernel_matches_reference(
     )
     taps = rng.integers(-127, 128, layer.params["weight"].shape).astype(np.float32)
     wide, _ = F.depthwise_conv2d_forward(codes.astype(np.int64), taps.astype(np.int64), None, stride, padding)
-    tiles: dict = {}
-    for _ in range(2):  # the second call reads the cached tiled taps
-        exact = F.depthwise_conv2d_exact(codes.transpose(0, 2, 3, 1), taps, stride, padding, tiles)
+    full_w = width + 2 * padding - kernel + 1
+    for tiled_w in (full_w, full_w + 3):  # a call reads a prefix of wider taps
+        tiled = F.tile_depthwise_taps(taps, tiled_w)
+        exact = F.depthwise_conv2d_exact(codes.transpose(0, 2, 3, 1), tiled, stride, padding)
         assert exact.dtype == np.float32 and exact.flags.c_contiguous
         assert np.array_equal(_logical(exact), wide)
-    assert len(tiles) == 1
+    other = F.tile_depthwise_taps(np.concatenate([taps, taps[:1]]), full_w)
+    with pytest.raises(ValueError, match="channels"):
+        F.depthwise_conv2d_exact(codes.transpose(0, 2, 3, 1), other, stride, padding)
 
 
 def _layer_cases(rng):
@@ -238,15 +243,19 @@ def test_kernels_leave_layer_state_untouched(rng):
         assert layer._cache == {}
 
 
-def test_weight_swap_is_seen_by_compiled_kernel(rng):
-    """Kernels refold when ``params["weight"]`` is a different object."""
+def test_compiled_kernel_is_a_snapshot_of_its_weights(rng):
+    """A kernel folds ``params["weight"]`` when it is compiled: replacing the
+    weight afterwards is not seen, and a kernel compiled after the swap
+    serves the new weight."""
     layer = Conv2d(2, 3, 3, padding=1, rng=rng)
     kernel = layer_kernel(layer, (2, 5, 5))
     x = rng.standard_normal((1, 2, 5, 5)).astype(np.float32)
-    kernel(_nhwc(x))
+    before = kernel(_nhwc(x))
+    np.testing.assert_allclose(_logical(before), layer.forward(x), rtol=RTOL, atol=ATOL)
     layer.params["weight"] = layer.params["weight"] * 2
+    assert _bits_equal(kernel(_nhwc(x)), before)
     np.testing.assert_allclose(
-        _logical(kernel(_nhwc(x))), layer.forward(x), rtol=RTOL, atol=ATOL
+        _logical(layer_kernel(layer, (2, 5, 5))(_nhwc(x))), layer.forward(x), rtol=RTOL, atol=ATOL
     )
 
 
@@ -331,8 +340,96 @@ def test_epilogue_clip_matches_np_clip(data, bounds, scale, shift, rint, shape):
         np.clip(expected, lo, hi, out=expected)
         if rint:
             np.rint(expected, out=expected)
-        out = _Epilogue(M, B, lo, hi, rint)(acc, fresh=False)
+        out = _Epilogue(M, B, lo, hi, rint, width=shape[-2] if len(shape) == 4 else 1)(acc, fresh=False)
     assert _bits_equal(out, expected)
+
+
+def _dw_chain_graph(width: int, stride: int, seed: int) -> Graph:
+    """depthwise 3x3 (padding 1) -> BatchNorm -> ReLU6 on a 4-channel map
+    ``width`` pixels wide, with 8-bit per-channel weights drawn from
+    ``seed`` (the same layers at every ``width``)."""
+    layer_rng = np.random.default_rng(seed)
+    g = Graph((4, 9, width))
+    g.add(DepthwiseConv2d(4, 3, stride=stride, padding=1, rng=layer_rng), name="dw")
+    bn = g.nodes[g.add(BatchNorm2d(4), name="bn")].layer
+    bn.running_mean = layer_rng.standard_normal(4).astype(np.float32)
+    bn.running_var = layer_rng.uniform(0.5, 2.0, 4).astype(np.float32)
+    g.add(ReLU6(), name="act")
+    dw = g.nodes["dw"].layer
+    dw.params["weight"] = quantize_weight_per_channel(dw.params["weight"], 8)
+    return g
+
+
+@pytest.mark.parametrize("prepadded", [False, True])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_prefix_tiles_equal_per_width_tiles(stride, prepadded, rng):
+    """Depthwise taps and epilogue rows are tiled once, to the widest row
+    the node produces, and a narrower call reads a prefix.  Every window
+    width, up to the padded map a patch-stage run reads (``prepadded``) or
+    the map the suffix pads itself, gives the bytes of a node compiled for
+    exactly that width, whose tiles are ``np.tile`` at that width."""
+    src = AffineQuantizer(8).compute_params(-2.0, 3.0)
+    out = AffineQuantizer(8).compute_params(0.0, 6.0)
+    seed = int(rng.integers(1 << 30))
+
+    def node(width: int):
+        g = _dw_chain_graph(width, stride, seed)
+        sources = {INPUT_NODE: grid_value(src)}
+        (compiled,) = compile_nodes(g, ["dw", "bn", "act"], sources, {"act": out}, prepadded)
+        return compiled.fn
+
+    widest = node(9)
+    pad = 2 if prepadded else 0
+    for width in range(1 + pad, 9 + pad + 1):  # the window the kernel is called on
+        codes = rng.integers(-128, 128, (2, 5, width, 4)).astype(np.float32)
+        got = widest(codes)
+        assert _bits_equal(got, node(width - pad)(codes))
+
+
+def test_folded_arrays_are_read_only(rng):
+    """Every array a compiled kernel closes over (weight operands, depthwise
+    taps, epilogue rows) is read-only, on the exact and the float paths."""
+    g = Graph((4, 6, 6))
+    g.add(Conv2d(4, 8, 3, padding=1, rng=rng), name="conv")
+    g.add(BatchNorm2d(8), name="bn")
+    g.add(ReLU6(), name="act")
+    g.add(DepthwiseConv2d(8, 3, stride=2, padding=1, rng=rng), name="dw")
+    g.add(GlobalAvgPool(), name="gap")
+    g.add(Linear(8, 3, rng=rng), name="fc")
+    for name in ("conv", "dw"):
+        layer = g.nodes[name].layer
+        layer.params["weight"] = quantize_weight_per_channel(layer.params["weight"], 8)
+    grid = AffineQuantizer(8).compute_params(-2.0, 3.0)
+    names = ["conv", "bn", "act", "dw", "gap", "fc"]
+    arrays = []
+    exact = {"act": grid, "dw": grid, "fc": None}
+    for source, outputs in ((grid_value(grid), exact), (REAL, {"fc": None})):  # exact, float
+        for compiled in compile_nodes(g, names, {INPUT_NODE: source}, outputs):
+            arrays += _closed_arrays(compiled.fn)
+    # GEMM matrices, single-pass and ordered depthwise taps, the Linear
+    # matrix, and epilogue rows tiled to 6 and 3 pixels of 8 channels.
+    assert {(36, 8), (3, 3, 6, 8), (8, 3, 3), (8, 3), (48,), (24,)} <= {a.shape for a in arrays}
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    # Freezing the kernels' arrays leaves the graph's own weights trainable.
+    assert all(l.params["weight"].flags.writeable for _, l in g.layers() if "weight" in l.params)
+
+
+def _closed_arrays(fn) -> list[np.ndarray]:
+    """The arrays ``fn`` closes over, through closed-over functions and
+    epilogues."""
+    found = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, _Epilogue):
+            found += [k for k in (value.M, value.B) if isinstance(k, np.ndarray)]
+        elif isinstance(value, FunctionType):
+            found += _closed_arrays(value)
+    return found
 
 
 def test_unknown_layer_type_is_rejected():

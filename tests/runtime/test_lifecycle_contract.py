@@ -94,37 +94,37 @@ def test_close_after_work_then_reuse_revives(compiled, frame, make):
 @needs_fork
 def test_closed_multiprocess_pipeline_serves_on(compiled, frame):
     # close() releases the fork pool, and the pipeline keeps serving the same
-    # bytes on a fresh executor on the same backend.
+    # bytes on the same executor, which forks a fresh pool.
     c = compiled
     served = CompiledPipeline(c.graph, c.plan, c.state, c.spec, backend="multiprocess")
     try:
         first = served.infer(frame)
-        closed = served.executor
+        executor = served.executor
         served.close()
-        assert closed.backend._pool is None
-        assert served.executor is not closed
-        assert served.executor.backend.name == "multiprocess"
+        assert executor.backend._pool is None
+        assert served.executor is executor
         assert served.infer(frame).tobytes() == first.tobytes()
+        assert executor.backend._pool is not None
     finally:
         served.close()
 
 
 def test_dropped_executors_die_without_the_cycle_collector(compiled, frame):
     # The backend holds its executor weakly, so reference counting alone frees
-    # a used pipeline's executor, and the one close() replaces, with their
-    # folded weights and cover runs.
+    # a dropped pipeline's executor, closed or not, with its compiled kernels
+    # and cover runs.
     c = compiled
-    served = CompiledPipeline(c.graph, c.plan, c.state, c.spec)
-    served.infer(frame)
-    replaced = weakref.ref(served.executor)
     gc.disable()
     try:
-        served.close()
-        assert replaced() is None
-        served.infer(frame)
-        current = weakref.ref(served.executor)
-        del served
-        assert current() is None
+        for close in (False, True):
+            served = CompiledPipeline(c.graph, c.plan, c.state, c.spec)
+            served.infer(frame)
+            if close:
+                served.close()
+                served.infer(frame)  # the closed pipeline serves on
+            executor = weakref.ref(served.executor)
+            del served
+            assert executor() is None
     finally:
         gc.enable()
 
